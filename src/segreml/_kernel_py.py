@@ -6,16 +6,11 @@ integers, sorted descending in graded reverse lexicographic order.
 Polynomials are kept primitive: the gcd of the coefficients is 1 and the
 leading coefficient is positive.  Reduction is fraction-free (scale, then
 subtract); content is stripped once per finished normal form.
-
-The compiled twin in _kernel_cy.pyx implements exactly this interface.
 """
 
 from __future__ import annotations
 
-try:  # fast kilo-bit integer gcds when gmpy2 is around; stdlib otherwise
-    from gmpy2 import gcd
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from math import gcd
+from math import gcd
 
 Term = tuple  # (monomial tuple, integer coefficient)
 

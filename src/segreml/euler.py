@@ -142,11 +142,8 @@ def chi_VI(W: ScalingTensor, I) -> int:
     r0 = 1 if all(_proportional(entries[0], f) for f in entries[1:]) else 0
     if g.is_zero:
         return 2 + r0
-    roots = distinct_root_count(g)
-    assert roots is not None
-    if roots == 0:
-        return 0
-    return roots + r0
+    roots = distinct_root_count(g)  # an int, since g is nonzero
+    return roots + r0 if roots else 0
 
 
 def chi_VI_closed_form(W: ScalingTensor, I) -> int:

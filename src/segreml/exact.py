@@ -213,19 +213,14 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
         return BinaryForm.zero()
-    shift = None
-    g: list[Fraction] | None = None
-    for f in nonzero:
-        s, p = _dehomogenize(f)
-        shift = s if shift is None else min(shift, s)
-        if g is None:
-            g = p
-        else:
-            while p:
-                g, p = p, _poly_mod(g, p)
+    shift, g = _dehomogenize(nonzero[0])
+    for f in nonzero[1:]:
         if len(g) == 1 and shift == 0:
             break
-    assert g is not None and shift is not None
+        s, p = _dehomogenize(f)
+        shift = min(shift, s)
+        while p:
+            g, p = p, _poly_mod(g, p)
     if not g:
         # The dehomogenized parts are coprime; only the shared y1 power remains.
         g = [Fraction(1)]

@@ -1,8 +1,8 @@
 """Buchberger completion over the integers and standard-monomial counting.
 
 The driver runs Buchberger's algorithm with the Gebauer-Moeller
-installation of the product and chain criteria under grevlex, using a
-reduction kernel (compiled or pure Python) for the inner loops.  Budgets
+installation of the product and chain criteria under grevlex, using the
+reduction kernel in _kernel_py for the inner loops.  Budgets
 on the basis size and on coefficient bit length convert runaway inputs
 into a clean ResourceBudgetExceededError.
 
@@ -13,12 +13,7 @@ monomials: monomials outside the leading-term ideal of the reduced basis.
 from __future__ import annotations
 
 from .errors import NotZeroDimensionalError, ResourceBudgetExceededError
-from .kernels import kernel as _default_kernel
-
-try:  # gmpy2 integers cut the cost of the kilo-bit coefficient swell
-    from gmpy2 import mpz as _scalar
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _scalar = int
+from .kernels import kernel as K
 
 DEFAULT_MAX_BASIS = 600
 DEFAULT_MAX_COEFF_BITS = 200_000
@@ -35,12 +30,10 @@ def _check_budget(terms, max_bits):
 def groebner_basis(
     gens,
     *,
-    kernel=None,
     max_basis: int = DEFAULT_MAX_BASIS,
     max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
 ):
     """Reduced Groebner basis (primitive integer term lists) under grevlex."""
-    K = kernel or _default_kernel
     polys: dict[int, list] = {}
     next_id = 0
 
@@ -91,7 +84,7 @@ def groebner_basis(
         basis.add(h_id)
 
     for gen in gens:
-        p = K.make_primitive(K.sort_terms([(m, _scalar(c)) for m, c in gen]))
+        p = K.make_primitive(K.sort_terms([(m, int(c)) for m, c in gen]))
         if p:
             polys[next_id] = p
             update(next_id)
@@ -178,10 +171,9 @@ def count_solutions(
     gens,
     nvars: int,
     *,
-    kernel=None,
     max_basis: int = DEFAULT_MAX_BASIS,
     max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
 ) -> int:
     """Standard-monomial count of the ideal generated by `gens`."""
-    gb = groebner_basis(gens, kernel=kernel, max_basis=max_basis, max_coeff_bits=max_coeff_bits)
+    gb = groebner_basis(gens, max_basis=max_basis, max_coeff_bits=max_coeff_bits)
     return standard_monomial_count(leading_monomials(gb), nvars)

@@ -1,35 +1,9 @@
-"""Select the polynomial reduction kernel: compiled if available, else pure.
-
-Set SEGREML_PURE_PYTHON=1 to force the pure-Python kernel even when the
-compiled extension is importable.
-"""
+"""The polynomial reduction kernel that groebner runs."""
 
 from __future__ import annotations
 
-import os
-
-from . import _kernel_py
-
-if os.environ.get("SEGREML_PURE_PYTHON"):
-    kernel = _kernel_py
-else:
-    try:
-        from . import _kernel_cy as kernel  # type: ignore[no-redef]
-    except ImportError:
-        kernel = _kernel_py
+from . import _kernel_py as kernel
 
 
 def kernel_name() -> str:
-    return "compiled" if kernel.__name__.endswith("_kernel_cy") else "pure-python"
-
-
-def available_kernels() -> dict[str, object]:
-    """All importable kernels keyed by short name (for benchmarks/tests)."""
-    out: dict[str, object] = {"pure-python": _kernel_py}
-    try:
-        from . import _kernel_cy
-
-        out["compiled"] = _kernel_cy
-    except ImportError:
-        pass
-    return out
+    return "pure-python"

@@ -79,7 +79,12 @@ class DataVector:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> DataVector:
-        return cls.from_entries(data["u"])
+        try:
+            return cls.from_entries(data["u"])
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise DimensionMismatchError(
+                'data JSON must be {"u": [2][2][n+1] positive integers}'
+            ) from exc
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,6 @@ def count_critical_points(
     W: ScalingTensor,
     u: DataVector,
     *,
-    kernel=None,
     max_basis: int = DEFAULT_MAX_BASIS,
     max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
 ) -> int:
@@ -154,7 +158,6 @@ def count_critical_points(
     return count_solutions(
         [list(p) for p in system.polys],
         system.nvars,
-        kernel=kernel,
         max_basis=max_basis,
         max_coeff_bits=max_coeff_bits,
     )
@@ -201,7 +204,6 @@ def count_critical_points_matrix(
     M: RatMatrix,
     u_rows,
     *,
-    kernel=None,
     max_basis: int = DEFAULT_MAX_BASIS,
     max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
 ) -> int:
@@ -213,7 +215,6 @@ def count_critical_points_matrix(
     return count_solutions(
         [list(p) for p in system.polys],
         system.nvars,
-        kernel=kernel,
         max_basis=max_basis,
         max_coeff_bits=max_coeff_bits,
     )
@@ -240,7 +241,6 @@ def oracle_mldeg(
     trials: int = 2,
     seed: int = 0,
     *,
-    kernel=None,
     max_basis: int = DEFAULT_MAX_BASIS,
     max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
 ) -> CountResult:
@@ -258,7 +258,7 @@ def oracle_mldeg(
         trial_seed = rng.randrange(2**32)
         u = DataVector.random(W.n, random.Random(trial_seed))
         count = count_critical_points(
-            W, u, kernel=kernel, max_basis=max_basis, max_coeff_bits=max_coeff_bits
+            W, u, max_basis=max_basis, max_coeff_bits=max_coeff_bits
         )
         results.append((trial_seed, count))
     counts = [c for _, c in results]

@@ -195,14 +195,14 @@ class ScalingTensor:
         try:
             n = int(data["n"])
             raw = data["w"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DimensionMismatchError('tensor JSON must have keys "n" and "w"') from exc
         try:
             entries = [
                 [[parse_rational(str(raw[i][j][k])) for k in range(n + 1)] for j in range(2)]
                 for i in range(2)
             ]
-        except (IndexError, TypeError) as exc:
+        except (IndexError, KeyError, TypeError) as exc:  # KeyError: a dict where a list belongs
             raise DimensionMismatchError("tensor JSON entries must be indexed [2][2][n+1]") from exc
         except ValueError as exc:
             raise DimensionMismatchError(f"bad rational in tensor JSON: {exc}") from exc

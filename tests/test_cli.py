@@ -47,10 +47,33 @@ def test_zero_entry_exit_code(tmp_path, capsys):
     assert "zero" in capsys.readouterr().err
 
 
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["mldeg", str(path)]) == 2
+    texts = (
+        "{not json",
+        '{"n": 1, "w": {"a": 1}}',
+        '{"n": 1, "w": [{"a": 1}, [1, 2]]}',
+        '{"n": 1e400, "w": []}',
+    )
+    for k, text in enumerate(texts):
+        path = tmp_path / f"broken{k}.json"
+        path.write_text(text)
+        assert main(["mldeg", str(path)]) == 2
+        _assert_one_error_line(capsys)
+
+
+def test_malformed_data_vector_exit_code(tmp_path, capsys):
+    tensor = _write(tmp_path, "ones.json", ONES1)
+    texts = ('{"v": 1}', '{"u": 5}', "[1]", '{"u": [[[1e400, 1], [1, 1]], [[1, 1], [1, 1]]]}')
+    for k, text in enumerate(texts):
+        data = tmp_path / f"u{k}.json"
+        data.write_text(text)
+        assert main(["oracle", tensor, "--data", str(data)]) == 2
+        _assert_one_error_line(capsys)
 
 
 def test_matrix_mldeg(tmp_path, capsys):

@@ -27,6 +27,7 @@ from segreml.factors import (
     VanishingPattern,
 )
 from segreml.realize import generic_solution, hook_constraint_universe
+from segreml.strata import atlas
 
 from helpers import COUNTEREXAMPLE_W, COUNTEREXAMPLE_W_PRIME, all_ones, random_tensor
 
@@ -72,6 +73,9 @@ def test_hyp222_equals_pencil_discriminant():
         W = random_tensor(rng, rng.choice((1, 2)), bound=9)
         k1, k2 = sorted(rng.sample(range(W.n + 1), 2))
         assert eval_hyp222(W, k1, k2) == pair_det_form(W, k1, k2).discriminant()
+    # the atlas witnesses cover the degenerate vanishing patterns
+    for _, W in atlas(seed=0):
+        assert eval_hyp222(W, 0, 1) == pair_det_form(W, 0, 1).discriminant()
 
 
 def test_hyp223_examples():

@@ -12,44 +12,37 @@ from segreml.groebner import (
     leading_monomials,
     standard_monomial_count,
 )
-from segreml.kernels import available_kernels
-
-KERNELS = sorted(available_kernels().items())
+from segreml import _kernel_py as K
 
 
-def _ids():
-    return [name for name, _ in KERNELS]
-
-
-@pytest.mark.parametrize("kernel", [k for _, k in KERNELS], ids=_ids())
-def test_known_counts(kernel):
+def test_known_counts():
     # (t - 1)(t - 2): two rational points
-    assert count_solutions([[((2,), 1), ((1,), -3), ((0,), 2)]], 1, kernel=kernel) == 2
+    assert count_solutions([[((2,), 1), ((1,), -3), ((0,), 2)]], 1) == 2
     # x^2 = 1, y = x: two points
     gens = [[((2, 0), 1), ((0, 0), -1)], [((0, 1), 1), ((1, 0), -1)]]
-    assert count_solutions(gens, 2, kernel=kernel) == 2
+    assert count_solutions(gens, 2) == 2
     # fat point (x^2, y^2): multiplicity 4
-    assert count_solutions([[((2, 0), 1)], [((0, 2), 1)]], 2, kernel=kernel) == 4
+    assert count_solutions([[((2, 0), 1)], [((0, 2), 1)]], 2) == 4
     # unit ideal
-    assert count_solutions([[((0, 0), 5)]], 2, kernel=kernel) == 0
+    assert count_solutions([[((0, 0), 5)]], 2) == 0
     # intersection of two conics: Bezout number 4
     gens = [
         [((2, 0), 1), ((0, 2), 1), ((0, 0), -5)],
         [((2, 0), 1), ((1, 1), -1), ((0, 2), 1), ((0, 0), -3)],
     ]
-    assert count_solutions(gens, 2, kernel=kernel) == 4
+    assert count_solutions(gens, 2) == 4
 
 
-@pytest.mark.parametrize("kernel", [k for _, k in KERNELS], ids=_ids())
-def test_positive_dimensional_rejected(kernel):
+def test_positive_dimensional_rejected():
     with pytest.raises(NotZeroDimensionalError):
-        count_solutions([[((1, 1), 1)]], 2, kernel=kernel)  # xy = 0 is a curve pair
+        count_solutions([[((1, 1), 1)]], 2)  # xy = 0 is a curve pair
 
 
-def test_kernels_agree_on_reduced_bases():
-    if len(KERNELS) < 2:
-        pytest.skip("compiled kernel unavailable")
+def test_buchberger_criterion_on_random_systems():
+    # A basis G of the ideal is a Groebner basis iff every generator and
+    # every S-polynomial of two elements of G reduces to zero modulo G.
     rng = random.Random(6)
+    checked = 0
     for _ in range(25):
         nvars = rng.choice((2, 3))
         gens = []
@@ -61,11 +54,14 @@ def test_kernels_agree_on_reduced_bases():
             gens.append([(m, c) for m, c in terms.items() if c])
         if not all(gens):
             continue
-        results = []
-        for _, kernel in KERNELS:
-            gb = groebner_basis([list(g) for g in gens], kernel=kernel)
-            results.append([[(m, int(c)) for m, c in p] for p in gb])
-        assert results[0] == results[1]
+        gb = groebner_basis([list(g) for g in gens])
+        assert gb
+        for g in gens:
+            assert not K.normal_form(K.make_primitive(K.sort_terms(list(g))), gb)
+        for f, g in itertools.combinations(gb, 2):
+            assert not K.normal_form(K.spair(f, g), gb)
+        checked += 1
+    assert checked == 24
 
 
 def test_budget_errors():
@@ -107,8 +103,6 @@ def test_standard_monomial_count_vs_enumeration():
 def test_grevlex_key_matches_first_principles():
     # a > b in grevlex iff deg a > deg b, or degrees tie and the last
     # nonzero entry of a - b is negative
-    from segreml._kernel_py import grevlex_key
-
     rng = random.Random(12)
     for _ in range(2000):
         n = rng.choice((2, 3, 4))
@@ -122,12 +116,11 @@ def test_grevlex_key_matches_first_principles():
             diff = [x - y for x, y in zip(a, b)]
             last = next(d for d in reversed(diff) if d != 0)
             expected = last < 0
-        assert (grevlex_key(a) > grevlex_key(b)) == expected
+        assert (K.grevlex_key(a) > K.grevlex_key(b)) == expected
 
 
-def _naive_buchberger(gens, kernel):
+def _naive_buchberger(gens):
     """Criteria-free completion: every pair, no pruning (test oracle)."""
-    K = kernel
     basis = [K.make_primitive(K.sort_terms(list(g))) for g in gens]
     basis = [g for g in basis if g]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
@@ -153,8 +146,6 @@ def _naive_buchberger(gens, kernel):
 
 
 def test_reduced_basis_matches_naive_buchberger():
-    from segreml import _kernel_py
-
     rng = random.Random(77)
     compared = 0
     while compared < 20:
@@ -170,7 +161,7 @@ def test_reduced_basis_matches_naive_buchberger():
             continue
         fancy = groebner_basis([list(g) for g in gens])
         fancy = [[(m, int(c)) for m, c in p] for p in fancy]
-        naive = _naive_buchberger(gens, _kernel_py)
+        naive = _naive_buchberger(gens)
         assert fancy == naive
         compared += 1
 
