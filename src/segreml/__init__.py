@@ -28,7 +28,6 @@ from .euler import (
     mldeg_matrix,
     mldeg_point_formula,
     mldeg_value,
-    pencil,
 )
 from .oracle import CountResult, DataVector, count_critical_points, count_critical_points_matrix, oracle_mldeg
 from .realize import alt_hooks, generic_solution, realize
@@ -75,7 +74,6 @@ __all__ = [
     "mldeg_point_formula",
     "mldeg_value",
     "oracle_mldeg",
-    "pencil",
     "rank",
     "realize",
     "sample_sign_patterns",

@@ -23,7 +23,7 @@ from .errors import (
     ZeroEntryError,
 )
 from .exact import RatMatrix, format_rational, parse_rational
-from .factors import all_factors, eval_hyp222, eval_minor, hyp223_vanishes
+from .factors import all_factors, eval_hyp222, eval_minor
 from .groebner import DEFAULT_MAX_BASIS, DEFAULT_MAX_COEFF_BITS
 from .oracle import DataVector, count_critical_points, oracle_mldeg
 from .realize import realize
@@ -63,19 +63,13 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _analyze_payload(W: ScalingTensor) -> dict:
     report = euler.mldeg(W)
+    vanishing = report.factor_pattern.factors
     factors = []
     for fid in all_factors(W.n):
-        entry: dict = {"name": fid.name}
-        if fid.is_minor:
-            value = eval_minor(W, fid)
+        entry: dict = {"name": fid.name, "vanishes": fid in vanishing}
+        if fid.kind != "hyp223":
+            value = eval_minor(W, fid) if fid.is_minor else eval_hyp222(W, *fid.index)
             entry["value"] = format_rational(value)
-            entry["vanishes"] = value == 0
-        elif fid.kind == "hyp222":
-            value = eval_hyp222(W, *fid.index)
-            entry["value"] = format_rational(value)
-            entry["vanishes"] = value == 0
-        else:
-            entry["vanishes"] = hyp223_vanishes(W, *fid.index)
         factors.append(entry)
     chi_table = {}
     for (I, J), value in report.terms.items():

@@ -6,12 +6,15 @@ the |I| x 2 pencil matrix whose k-th row is
 
     (w00k y0 + w01k y1,  w10k y0 + w11k y1),
 
-so V_I lives over the locus where T_I(y) drops rank.  chi(V_I) is computed
-by one exact procedure for every |I| >= 2:
+so V_I lives over the locus where T_I(y) drops rank.  The 2x2 minor of
+rows k1 < k2 is factors.pair_det_form(W, k1, k2), the same quadric in y
+whose common roots decide the 2x2x3 factor, and chi(V_I) is computed by
+one exact procedure for every |I| >= 2:
 
-    g  = gcd of all 2x2 pencil minors (a binary form of degree <= 2)
-    r0 = 1 if all entry forms are pairwise proportional (a unique rank-0
-         point exists), else 0
+    g  = gcd of pair_det_form(W, k1, k2) over the pairs in I (a binary
+         form of degree <= 2)
+    r0 = 1 if every row (w_i0k, w_i1k), i in {0, 1}, k in I, is
+         proportional to the first (a unique rank-0 point exists), else 0
     chi = 0 if g is a nonzero constant,
           2 + r0 if g is identically zero,
           (#distinct roots of g) + r0 otherwise,
@@ -35,7 +38,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from .errors import DimensionMismatchError
-from .exact import BinaryForm, RatMatrix, binary_gcd, distinct_root_count, linear_product
+from .exact import RatMatrix, binary_gcd, distinct_root_count
 from .factors import (
     VanishingPattern,
     eval_hyp222,
@@ -43,6 +46,7 @@ from .factors import (
     face_minor_x,
     face_minor_y,
     hyp223_vanishes,
+    pair_det_form,
     slice_minor,
     vanishing_pattern,
 )
@@ -62,45 +66,6 @@ class PairType(enum.Enum):
     @property
     def chi(self) -> int:
         return {"I": 2, "II": 2, "III": 3, "IV_rows": 2, "IV_cols": 2, "V": 1}[self.value]
-
-    @property
-    def is_iv(self) -> bool:
-        return self in (PairType.IV_ROWS, PairType.IV_COLS)
-
-
-@dataclass(frozen=True)
-class PencilMatrix:
-    """T_I(y): one row of two linear forms in (y0, y1) per slice index."""
-
-    indices: tuple[int, ...]
-    rows: tuple[tuple[BinaryForm, BinaryForm], ...]
-
-    def minor(self, a: int, b: int) -> BinaryForm:
-        """det of rows a, b (positions in `indices`), a quadric in y."""
-        (a0, a1), (b0, b1) = self.rows[a], self.rows[b]
-        return linear_product(a0, b1) - linear_product(b0, a1)
-
-    def all_minors(self) -> list[BinaryForm]:
-        return [self.minor(a, b) for a, b in itertools.combinations(range(len(self.rows)), 2)]
-
-    def entry_forms(self) -> list[BinaryForm]:
-        return [form for row in self.rows for form in row]
-
-
-def pencil(W: ScalingTensor, I) -> PencilMatrix:
-    ks = tuple(sorted(I))
-    if not ks:
-        raise ValueError("I must be nonempty")
-    if any(not 0 <= k <= W.n for k in ks):
-        raise IndexError("slice indices out of range")
-    rows = tuple(
-        (
-            BinaryForm((W.w[0][0][k], W.w[0][1][k])),
-            BinaryForm((W.w[1][0][k], W.w[1][1][k])),
-        )
-        for k in ks
-    )
-    return PencilMatrix(ks, rows)
 
 
 def classify_type(W: ScalingTensor, i: int, j: int) -> PairType:
@@ -126,20 +91,19 @@ def classify_type(W: ScalingTensor, i: int, j: int) -> PairType:
     return PairType.V
 
 
-def _proportional(f: BinaryForm, g: BinaryForm) -> bool:
-    (a0, a1), (b0, b1) = f.coeffs, g.coeffs
-    return a0 * b1 - a1 * b0 == 0
-
-
 def chi_VI(W: ScalingTensor, I) -> int:
     """chi of V_I in P1 x P1, by the rank/gcd procedure (any |I| >= 1)."""
     ks = tuple(sorted(I))
+    if not ks:
+        raise ValueError("I must be nonempty")
+    if ks[0] < 0 or ks[-1] > W.n:
+        raise IndexError("slice indices out of range")
     if len(ks) == 1:
         return 4 - W.slice(ks[0]).rank()
-    T = pencil(W, ks)
-    g = binary_gcd(T.all_minors())
-    entries = T.entry_forms()
-    r0 = 1 if all(_proportional(entries[0], f) for f in entries[1:]) else 0
+    g = binary_gcd([pair_det_form(W, a, b) for a, b in itertools.combinations(ks, 2)])
+    # Row (w_i0k, w_i1k) holds the y0, y1 coefficients of pencil entry (k, i).
+    p, q = W.w[0][0][ks[0]], W.w[0][1][ks[0]]
+    r0 = int(all(p * c1[k] == q * c0[k] for c0, c1 in W.w for k in ks))
     if g.is_zero:
         return 2 + r0
     roots = distinct_root_count(g)  # an int, since g is nonzero
@@ -255,6 +219,15 @@ def _inner_sum(W: ScalingTensor, ks: tuple[int, ...], terms=None) -> int:
     return total
 
 
+def _subset_sum(W: ScalingTensor, terms=None) -> int:
+    """The inclusion-exclusion sum over nonempty slice subsets; fills `terms` if given."""
+    total = 0
+    for size in range(1, W.n + 2):
+        for ks in itertools.combinations(range(W.n + 1), size):
+            total += (-1) ** size * _inner_sum(W, ks, terms)
+    return total
+
+
 def mldeg(W: ScalingTensor) -> MLDegreeReport:
     """ML degree of the scaled Segre model attached to W.
 
@@ -262,21 +235,13 @@ def mldeg(W: ScalingTensor) -> MLDegreeReport:
     n; intended for desk scale (n <= 12).
     """
     terms: dict = {}
-    total = 0
-    for size in range(1, W.n + 2):
-        for ks in itertools.combinations(range(W.n + 1), size):
-            total += (-1) ** size * _inner_sum(W, ks, terms)
-    pattern = vanishing_pattern(W)
-    return MLDegreeReport(total, (-1) ** (W.n + 1) * total, terms, pattern)
+    total = _subset_sum(W, terms)
+    return MLDegreeReport(total, (-1) ** (W.n + 1) * total, terms, vanishing_pattern(W))
 
 
 def mldeg_value(W: ScalingTensor) -> int:
-    """The integer only (skips the pattern evaluation of the full report)."""
-    total = 0
-    for size in range(1, W.n + 2):
-        for ks in itertools.combinations(range(W.n + 1), size):
-            total += (-1) ** size * _inner_sum(W, ks)
-    return total
+    """The integer only (no term table, no pattern evaluation)."""
+    return _subset_sum(W)
 
 
 def mldeg_matrix(M: RatMatrix) -> int:

@@ -18,6 +18,7 @@ matrices downstream are quadratics, and the cap is enforced structurally.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -27,10 +28,22 @@ Rational = Fraction
 
 _MAX_FORM_DEGREE = 2
 
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p" (decimal integers, q > 0) into a Fraction.
+
+    Anything else, including decimals, exponents and a zero denominator,
+    raises ValueError.
+    """
+    text = text.strip()
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{text!r} is not a rational of the form p or p/q")
+    if match[1] is not None and int(match[1]) == 0:
+        raise ValueError(f"{text!r} has a zero denominator")
+    return Fraction(text)
 
 
 def format_rational(value: Fraction) -> str:
@@ -144,31 +157,6 @@ class BinaryForm:
             raise ValueError("discriminant requires a degree-2 form")
         c0, c1, c2 = self.coeffs
         return c1 * c1 - 4 * c0 * c2
-
-    def scaled(self, factor) -> BinaryForm:
-        f = Fraction(factor)
-        return BinaryForm(tuple(c * f for c in self.coeffs))
-
-    def __sub__(self, other: BinaryForm) -> BinaryForm:
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("forms of unequal degree")
-        return BinaryForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __call__(self, y0, y1) -> Fraction:
-        d = self.degree
-        return sum(
-            (c * Fraction(y0) ** (d - i) * Fraction(y1) ** i for i, c in enumerate(self.coeffs)),
-            Fraction(0),
-        )
-
-
-def linear_product(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Product of two degree-1 forms (the only multiplication the cap allows)."""
-    if f.degree != 1 or g.degree != 1:
-        raise ValueError("linear_product multiplies two linear forms")
-    a0, a1 = f.coeffs
-    b0, b1 = g.coeffs
-    return BinaryForm((a0 * b0, a0 * b1 + a1 * b0, a1 * b1))
 
 
 def _dehomogenize(f: BinaryForm) -> tuple[int, list[Fraction]]:

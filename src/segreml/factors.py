@@ -163,19 +163,22 @@ def eval_minor(W: ScalingTensor, fid: FactorId) -> Fraction:
 def pair_det_form(W: ScalingTensor, k1: int, k2: int) -> BinaryForm:
     """det of the 2x2 pencil matrix of slices (k1, k2) as a quadric in y.
 
+    Row k of the pencil matrix is (w00k y0 + w01k y1, w10k y0 + w11k y1).
     The y0^2 and y1^2 coefficients are the face minors F[*0(k1,k2)] and
     F[*1(k1,k2)]; the middle coefficient is the 4-term bilinear bracket.
+    hyp223_vanishes and euler.chi_VI both read their answers off the gcd
+    of these forms.
     """
-    w = W.w
-    c0 = eval_minor(W, face_minor_y(0, k1, k2))
-    c2 = eval_minor(W, face_minor_y(1, k1, k2))
-    c1 = (
-        w[0][0][k1] * w[1][1][k2]
-        + w[0][1][k1] * w[1][0][k2]
-        - w[1][0][k1] * w[0][1][k2]
-        - w[1][1][k1] * w[0][0][k2]
+    (w00, w01), (w10, w11) = W.w
+    a00, a01, a10, a11 = w00[k1], w01[k1], w10[k1], w11[k1]
+    b00, b01, b10, b11 = w00[k2], w01[k2], w10[k2], w11[k2]
+    return BinaryForm(
+        (
+            a00 * b10 - a10 * b00,
+            a00 * b11 + a01 * b10 - a10 * b01 - a11 * b00,
+            a01 * b11 - a11 * b01,
+        )
     )
-    return BinaryForm((c0, c1, c2))
 
 
 def eval_hyp222(W: ScalingTensor, k1: int, k2: int) -> Fraction:

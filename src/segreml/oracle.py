@@ -38,6 +38,12 @@ ORACLE_MAX_N = 2
 MATRIX_ORACLE_MAX_DIM = 4  # m + n for an (m+1) x (n+1) scaling matrix
 
 
+def _integer_entry(x) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"data entries must be integers, not {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class DataVector:
     """Strictly positive integer counts indexed like the tensor."""
@@ -58,7 +64,8 @@ class DataVector:
 
     @classmethod
     def from_entries(cls, entries) -> DataVector:
-        return cls(tuple(tuple(tuple(int(x) for x in row) for row in plane) for plane in entries))
+        """Build from a nested [2][2][n+1] layout; every entry must be an int (not a bool)."""
+        return cls(tuple(tuple(tuple(_integer_entry(x) for x in row) for row in plane) for plane in entries))
 
     @classmethod
     def random(cls, n: int, rng: random.Random, low: int = 1, high: int = 1000) -> DataVector:

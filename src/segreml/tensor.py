@@ -32,18 +32,6 @@ from .exact import RatMatrix, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
-class Flattening:
-    """A mode-s unfolding of a subtensor, kept with its bookkeeping."""
-
-    matrix: RatMatrix
-    mode: int
-    indices: tuple[int, ...]
-
-    def rank(self) -> int:
-        return self.matrix.rank()
-
-
-@dataclass(frozen=True)
 class ScalingTensor:
     """Immutable 2 x 2 x (n+1) tensor of nonzero rationals."""
 
@@ -98,29 +86,7 @@ class ScalingTensor:
     def slices(self) -> list[RatMatrix]:
         return [self.slice(k) for k in range(self.n + 1)]
 
-    def face_matrix(self, axis: str, index: int) -> RatMatrix:
-        """The 2 x (n+1) face W[i..] (axis "x") or W[.j.] (axis "y")."""
-        if index not in (0, 1):
-            raise IndexError("face index must be 0 or 1")
-        if axis == "x":
-            rows = [[self.w[index][j][k] for k in range(self.n + 1)] for j in range(2)]
-        elif axis == "y":
-            rows = [[self.w[i][index][k] for k in range(self.n + 1)] for i in range(2)]
-        else:
-            raise ValueError('axis must be "x" or "y"')
-        return RatMatrix.from_rows(rows)
-
-    def face_submatrix(self, axis: str, index: int, k1: int, k2: int) -> RatMatrix:
-        """W[i.(k1,k2)] (axis "x") or W[.j(k1,k2)] (axis "y")."""
-        if axis == "x":
-            rows = [[self.w[index][0][k], self.w[index][1][k]] for k in (k1, k2)]
-        elif axis == "y":
-            rows = [[self.w[0][index][k], self.w[1][index][k]] for k in (k1, k2)]
-        else:
-            raise ValueError('axis must be "x" or "y"')
-        return RatMatrix.from_rows(rows)
-
-    def flattening(self, mode: int, indices: Iterable[int] | None = None) -> Flattening:
+    def flattening(self, mode: int, indices: Iterable[int] | None = None) -> RatMatrix:
         """Unfold the subtensor with slice indices `indices` along `mode`.
 
         Mode 3 has one row per k with columns ordered (00, 01, 10, 11);
@@ -138,7 +104,7 @@ class ScalingTensor:
             rows = [[self.w[i][j][k] for i in range(2) for k in ks] for j in range(2)]
         else:
             raise ValueError("mode must be 1, 2 or 3")
-        return Flattening(RatMatrix.from_rows(rows), mode, ks)
+        return RatMatrix.from_rows(rows)
 
     # -- symmetries ----------------------------------------------------------
 

@@ -58,17 +58,31 @@ def test_malformed_json_exit_code(tmp_path, capsys):
         '{"n": 1, "w": {"a": 1}}',
         '{"n": 1, "w": [{"a": 1}, [1, 2]]}',
         '{"n": 1e400, "w": []}',
+        # rationals outside the schema's p or p/q (q > 0)
+        '{"n": 1, "w": [[["1/0", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]]}',
+        '{"n": 1, "w": [[["1e5", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]]}',
+        '{"n": 1, "w": [[["0.5", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]]}',
     )
     for k, text in enumerate(texts):
         path = tmp_path / f"broken{k}.json"
         path.write_text(text)
         assert main(["mldeg", str(path)]) == 2
         _assert_one_error_line(capsys)
+    matrix = _write(tmp_path, "m.json", {"entries": [["1", "1/0"], ["2", "3"]]})
+    assert main(["matrix-mldeg", matrix]) == 2
+    _assert_one_error_line(capsys)
 
 
 def test_malformed_data_vector_exit_code(tmp_path, capsys):
     tensor = _write(tmp_path, "ones.json", ONES1)
-    texts = ('{"v": 1}', '{"u": 5}', "[1]", '{"u": [[[1e400, 1], [1, 1]], [[1, 1], [1, 1]]]}')
+    texts = (
+        '{"v": 1}',
+        '{"u": 5}',
+        "[1]",
+        '{"u": [[[1e400, 1], [1, 1]], [[1, 1], [1, 1]]]}',
+        '{"u": [[[1.7, 1], [1, 1]], [[1, 1], [1, 1]]]}',
+        '{"u": [[[true, 1], [1, 1]], [[1, 1], [1, 1]]]}',
+    )
     for k, text in enumerate(texts):
         data = tmp_path / f"u{k}.json"
         data.write_text(text)

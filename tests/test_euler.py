@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,10 +18,10 @@ from segreml.euler import (
     mldeg_matrix,
     mldeg_point_formula,
     mldeg_value,
-    pencil,
 )
 from segreml.exact import RatMatrix
-from segreml.factors import vanishing_pattern
+from segreml.factors import all_factors, hyp223_vanishes, pair_det_form, vanishing_pattern
+from segreml.realize import _solve_minor, realize
 from segreml.tensor import ScalingTensor
 
 from helpers import (
@@ -33,13 +35,42 @@ from helpers import (
 
 
 def test_pencil_minors():
-    T = pencil(COUNTEREXAMPLE_W, (0, 1))
-    assert T.minor(0, 1).coeffs == (0, 8, 14)  # 2 y1 (4 y0 + 7 y1)
-    assert pencil(all_ones(1), (0, 1)).minor(0, 1).is_zero
-    Tp = pencil(COUNTEREXAMPLE_W_PRIME, (1, 2))
-    assert Tp.minor(0, 1).coeffs == (0, -22, -17)  # -y1 (22 y0 + 17 y1)
+    assert pair_det_form(COUNTEREXAMPLE_W, 0, 1).coeffs == (0, 8, 14)  # 2 y1 (4 y0 + 7 y1)
+    assert pair_det_form(all_ones(1), 0, 1).is_zero
+    assert pair_det_form(COUNTEREXAMPLE_W_PRIME, 1, 2).coeffs == (0, -22, -17)  # -y1 (22 y0 + 17 y1)
     with pytest.raises(ValueError):
-        pencil(COUNTEREXAMPLE_W, ())
+        chi_VI(COUNTEREXAMPLE_W, ())
+
+
+def _degenerate_n2(rng: random.Random) -> ScalingTensor:
+    """n = 2, entries in +-{1,2,3}, then forced minors and a duplicated or proportional slice."""
+    pool = [-3, -2, -1, 1, 2, 3]
+    entries = [[[Fraction(rng.choice(pool)) for _ in range(3)] for _ in range(2)] for _ in range(2)]
+    minors = [f for f in all_factors(2) if f.is_minor]
+    for fid in rng.sample(minors, rng.randint(0, 3)):
+        _solve_minor(entries, fid, rng.choice(sorted(fid.variables())))
+    if rng.random() < 0.5:
+        src, dst = rng.sample(range(3), 2)
+        lam = rng.choice(pool)  # lam = 1 duplicates the slice
+        for plane in entries:
+            for row in plane:
+                row[dst] = lam * row[src]
+    return ScalingTensor.from_entries(2, entries)
+
+
+def test_hyp223_and_chi_VI_agree_through_pair_det_form():
+    """The 2x2x3 factor vanishes exactly when the three quadrics meet (chi != 0)."""
+    rng = random.Random(23)
+    tensors = [realize(2, r) for r in range(1, 13)]
+    tensors += [COUNTEREXAMPLE_W, COUNTEREXAMPLE_W_PRIME, HOOK_EXAMPLE, all_ones(2)]
+    tensors += [_degenerate_n2(rng) for _ in range(300)]
+    outcomes = set()
+    for W in tensors:
+        for ks in itertools.combinations(range(W.n + 1), 3):
+            vanishes = hyp223_vanishes(W, *ks)
+            assert vanishes == (chi_VI(W, ks) != 0), (W.to_json_dict(), ks)
+            outcomes.add(vanishes)
+    assert outcomes == {True, False}
 
 
 def test_classify_type_examples():

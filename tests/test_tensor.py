@@ -27,26 +27,20 @@ def test_make_tensor_validates():
 def test_slice_and_face_views():
     W = COUNTEREXAMPLE_W
     assert W.slice(0).entries == ((Fraction(1), Fraction(3)), (Fraction(2), Fraction(4)))
-    ones = all_ones(3)
-    face = ones.face_matrix("x", 0)
-    assert face.nrows == 2 and face.ncols == 4
-    assert all(v == 1 for row in face.entries for v in row)
-    sub = W.face_submatrix("y", 0, 0, 1)
-    assert sub.entries == ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))
     with pytest.raises(IndexError):
         W.slice(3)
 
 
 def test_flattening_mode3():
     flat = COUNTEREXAMPLE_W.flattening(3, (0, 1, 2))
-    assert [list(r) for r in flat.matrix.entries] == [
+    assert [list(r) for r in flat.entries] == [
         [1, 3, 2, 4],
         [2, 1, 4, 6],
         [3, 4, 6, 10],
     ]
     assert flat.rank() == 2
-    assert COUNTEREXAMPLE_W.flattening(1).matrix.nrows == 2
-    assert COUNTEREXAMPLE_W.flattening(2, (0, 1)).matrix.ncols == 4
+    assert COUNTEREXAMPLE_W.flattening(1).nrows == 2
+    assert COUNTEREXAMPLE_W.flattening(2, (0, 1)).ncols == 4
 
 
 def test_index_conventions_vs_prose_labels():
