@@ -33,6 +33,9 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_UNSTABLE = 3
 
+# analyze's term table sums 2^(n+1) - 1 slice subsets; n = 12 is its desk-scale limit.
+ANALYZE_MAX_N = 12
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -106,6 +109,11 @@ def _print_analyze_text(payload: dict) -> None:
 
 def _cmd_analyze(args) -> int:
     W = _load_tensor(args.tensor)
+    if W.n > ANALYZE_MAX_N:
+        raise DimensionMismatchError(
+            f"analyze enumerates 2^(n+1) - 1 slice subsets and takes n <= {ANALYZE_MAX_N}, "
+            f"got n = {W.n}; use `segreml mldeg` for the ML degree at large n"
+        )
     payload = _analyze_payload(W)
     if args.json:
         sys.stdout.write(canonical_json(payload))

@@ -1,8 +1,34 @@
 """Euler characteristics of quadric intersections and the ML degree engine.
 
-For I a set of slice indices, V_I is the common zero set in P1 x P1 of the
-bilinear quadrics q_k, k in I.  Fixing y, the system is T_I(y) x = 0 for
-the |I| x 2 pencil matrix whose k-th row is
+The ML degree is the signed Euler characteristic of the complement of the
+bilinear quadrics q_k inside the 2-torus T = (C*)^2 of P1 x P1.  Since
+chi(T) = 0, Huh's theorem (The maximum likelihood degree of a very affine
+variety, Compositio Math. 2013) gives mldeg = -chi_T(union of the Q_k),
+and `mldeg_value` reads that off the curve arrangement in O(n^2) work:
+
+    mldeg = 2 * #smooth components + sum_p |orbit(p)| * (m_p - 1),
+
+where p runs over the torus points where two components meet and m_p is
+the number of components through p.
+
+* Components, deduplicated in slice order.  A nonsingular slice k gives
+  one (1,1)-curve (isomorphic to P1 minus four axis points, chi_T = -2),
+  keyed by its slice up to scale.  A singular slice factors as
+  (w00k x0 + w10k x1)(w00k y0 + w01k y1) / w00k and gives the two lines
+  x0/x1 = -w10k/w00k and y0/y1 = -w01k/w00k (each C*, chi_T = 0).
+* Points, kept only inside T.  Two curves j, k meet over the roots of
+  factors.pair_det_form(W, j, k) with y0 y1 != 0, at x = (-B_j(y) : A_j(y))
+  where (A_j, B_j) = (w00j y0 + w01j y1, w10j y0 + w11j y1); a curve meets
+  a line, and an x-line meets a y-line, in at most one point, found by one
+  division.
+* Point keys.  A rational point is keyed by (t, s) = (y0/y1, x0/x1).  A
+  pair of conjugate points over Q(sqrt d) is one key with orbit size 2:
+  (the monic minimal polynomial t^2 + p t + q, s = alpha + beta t reduced
+  modulo it).  Conjugate points always lie in T.
+
+The paper's route is kept as the reference: for I a set of slice indices,
+V_I is the common zero set in P1 x P1 of the q_k, k in I.  Fixing y, the
+system is T_I(y) x = 0 for the |I| x 2 pencil matrix whose k-th row is
 
     (w00k y0 + w01k y1,  w10k y0 + w11k y1),
 
@@ -23,20 +49,23 @@ and chi(V_{k}) = 4 - rank(slice k).  The closed forms for |I| in {2, 3}
 (pair types I..V and the triple case analysis) are kept as independent
 cross-checks.
 
-The ML degree itself is the inclusion-exclusion sum over subsets I and
+`mldeg` evaluates the inclusion-exclusion sum over subsets I and
 coordinate-hyperplane sets X_J; with two P1 factors the outer sign is +1:
 
     mldeg = sum_{I != 0} (-1)^|I| sum_{J1, J2 proper} (-1)^(|J1|+|J2|)
             chi(V_I  ^  X_(J1,J2)),
 
-and chi(Y) = (-1)^(n+1) * mldeg.
+and chi(Y) = (-1)^(n+1) * mldeg.  It enumerates 2^(n+1) - 1 subsets, so
+it backs the `analyze` term table at desk scale and checks `mldeg_value`.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from .errors import DimensionMismatchError
 from .exact import RatMatrix, binary_gcd, distinct_root_count
 from .factors import (
@@ -229,19 +258,125 @@ def _subset_sum(W: ScalingTensor, terms=None) -> int:
 
 
 def mldeg(W: ScalingTensor) -> MLDegreeReport:
-    """ML degree of the scaled Segre model attached to W.
+    """ML degree of the scaled Segre model attached to W, with its term table.
 
     Enumerates all 2^(n+1) - 1 nonempty slice subsets, so exponential in
-    n; intended for desk scale (n <= 12).
+    n; intended for desk scale (n <= 12).  `mldeg_value` gives the same
+    integer in polynomial time.
     """
     terms: dict = {}
     total = _subset_sum(W, terms)
     return MLDegreeReport(total, (-1) ** (W.n + 1) * total, terms, vanishing_pattern(W))
 
 
+# A component is ("curve", k) for the smooth (1,1)-curve of slice k, or
+# ("x", c) / ("y", d) for the line x0/x1 = c / y0/y1 = d.
+Component = tuple[str, object]
+
+
+def _slice_rows(W: ScalingTensor, k: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """Slice k as ((w00k, w01k), (w10k, w11k))."""
+    (w00, w01), (w10, w11) = W.w
+    return (w00[k], w01[k]), (w10[k], w11[k])
+
+
+def _components(W: ScalingTensor) -> list[Component]:
+    """Distinct irreducible components of the union of the quadrics, in slice order."""
+    found: dict[tuple, Component] = {}  # insertion-ordered, so counts never depend on hashing
+    for k in range(W.n + 1):
+        (w00, w01), (w10, w11) = _slice_rows(W, k)
+        if w00 * w11 != w01 * w10:
+            found.setdefault(("curve", w01 / w00, w10 / w00, w11 / w00), ("curve", k))
+        else:
+            found.setdefault(("x", -w10 / w00), ("x", -w10 / w00))
+            found.setdefault(("y", -w01 / w00), ("y", -w01 / w00))
+    return list(found.values())
+
+
+def _ratio(num: Fraction, den: Fraction) -> Fraction | None:
+    """num/den when it is a torus coordinate (neither 0 nor infinity), else None."""
+    return num / den if num != 0 and den != 0 else None
+
+
+def _x_on_curve(W: ScalingTensor, k: int, t: Fraction) -> Fraction | None:
+    """s = x0/x1 of the point of curve k over y0/y1 = t, if it lies in the torus."""
+    (w00, w01), (w10, w11) = _slice_rows(W, k)
+    return _ratio(-(w10 * t + w11), w00 * t + w01)
+
+
+def _is_square(q: Fraction) -> bool:
+    return q >= 0 and math.isqrt(q.numerator) ** 2 == q.numerator and math.isqrt(q.denominator) ** 2 == q.denominator
+
+
+def _curve_points(W: ScalingTensor, j: int, k: int) -> list[tuple[tuple, int]]:
+    """Torus points of curve j ^ curve k as (key, orbit size).
+
+    The curves meet over the roots t = y0/y1 of c0 t^2 + c1 t + c2 =
+    pair_det_form(W, j, k), which is nonzero for distinct smooth curves;
+    roots at t = 0 or infinity leave the torus.
+    """
+    c0, c1, c2 = pair_det_form(W, j, k).coeffs
+    if c0 == 0 or c2 == 0:
+        # One root lies on an axis; the other is the root of the linear rest.
+        a, b = (c1, c2) if c0 == 0 else (c0, c1)
+        roots = [-b / a] if a != 0 and b != 0 else []
+    else:
+        disc = c1 * c1 - 4 * c0 * c2
+        if not _is_square(disc):
+            # A conjugate pair over Q(sqrt disc), both in the torus: reduce
+            # s = -(c t + d)/(a t + b) modulo t^2 + p t + q to alpha + beta t.
+            p, q = c1 / c0, c2 / c0
+            (a, b), (c, d) = _slice_rows(W, j)
+            norm = a * a * q - a * b * p + b * b  # (a t + b)(a t' + b), nonzero
+            alpha = -(a * c * q + b * d - a * d * p) / norm
+            beta = (a * d - b * c) / norm
+            return [((p, q, alpha, beta), 2)]
+        r = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+        roots = {(-c1 + r) / (2 * c0), (-c1 - r) / (2 * c0)}
+    points = []
+    for t in roots:
+        s = _x_on_curve(W, j, t)
+        if s is not None:
+            points.append(((t, s), 1))
+    return points
+
+
+def _torus_points(W: ScalingTensor, a: Component, b: Component) -> list[tuple[tuple, int]]:
+    """Points of a ^ b inside the torus as (key, orbit size); a and b are distinct."""
+    (ka, va), (kb, vb) = sorted((a, b), key=lambda comp: ("curve", "x", "y").index(comp[0]))
+    if ka == kb:
+        return _curve_points(W, va, vb) if ka == "curve" else []  # parallel lines never meet
+    if ka == "x":  # an x-line meets a y-line at (t, s) = (d, c)
+        return [((vb, va), 1)]
+    (w00, w01), (w10, w11) = _slice_rows(W, va)
+    if kb == "x":
+        t = _ratio(-(vb * w01 + w11), vb * w00 + w10)
+        return [] if t is None else [((t, vb), 1)]
+    s = _x_on_curve(W, va, vb)
+    return [] if s is None else [((vb, s), 1)]
+
+
+def _arrangement(W: ScalingTensor) -> tuple[list[Component], dict[tuple, list]]:
+    """The components and, per torus intersection point, [orbit size, set of component indices]."""
+    comps = _components(W)
+    points: dict[tuple, list] = {}
+    for (i, a), (j, b) in itertools.combinations(enumerate(comps), 2):
+        for key, orbit in _torus_points(W, a, b):
+            points.setdefault(key, [orbit, set()])[1].update((i, j))
+    return comps, points
+
+
 def mldeg_value(W: ScalingTensor) -> int:
-    """The integer only (no term table, no pattern evaluation)."""
-    return _subset_sum(W)
+    """ML degree from the curve arrangement, in polynomial time.
+
+    mldeg = -chi_T(union of the quadrics) = 2 * #smooth components +
+    sum over torus points p of |orbit(p)| * (m_p - 1), with m_p the number
+    of distinct components through p (see the module docstring).  Agrees
+    with `mldeg(W).mldeg`, the inclusion-exclusion sum.
+    """
+    comps, points = _arrangement(W)
+    smooth = sum(kind == "curve" for kind, _ in comps)
+    return 2 * smooth + sum(orbit * (len(through) - 1) for orbit, through in points.values())
 
 
 def mldeg_matrix(M: RatMatrix) -> int:
@@ -266,11 +401,12 @@ def mldeg_matrix(M: RatMatrix) -> int:
 def mldeg_point_formula(W: ScalingTensor) -> int | None:
     """Quadric-arrangement shortcut: None when some 2x2x3 factor vanishes.
 
-    When no triple of quadrics meets, inclusion-exclusion truncates at
-    pairs:  mldeg = -(sum_k chi(Q_k) - sum_{j<k} |Q_j ^ Q_k| in the torus),
-    with chi(Q_k) = -2 for a nonsingular slice and -1 for a singular one,
-    and the pairwise torus counts assembled from chi(V_{jk}) and the
-    axis-intersection ranks.
+    The special case of `mldeg_value` where every m_p <= 2: when no triple
+    of quadrics meets, inclusion-exclusion truncates at pairs,
+    mldeg = -(sum_k chi(Q_k) - sum_{j<k} |Q_j ^ Q_k| in the torus), with
+    chi(Q_k) = -2 for a nonsingular slice and -1 for a singular one (two
+    lines, chi_T = 0 each, meeting in one torus point), and the pairwise
+    torus counts assembled from chi(V_{jk}) and the axis-intersection ranks.
     """
     for ks in itertools.combinations(range(W.n + 1), 3):
         if hyp223_vanishes(W, *ks):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import time
 
 from segreml.cli import main
+from segreml.realize import realize
 
 W313 = {"n": 2, "w": [[["1", "2", "3"], ["3", "1", "4"]], [["2", "4", "6"], ["4", "6", "10"]]]}
 ONES1 = {"n": 1, "w": [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]]}
@@ -88,6 +90,18 @@ def test_malformed_data_vector_exit_code(tmp_path, capsys):
         data.write_text(text)
         assert main(["oracle", tensor, "--data", str(data)]) == 2
         _assert_one_error_line(capsys)
+
+
+def test_analyze_limit_points_to_mldeg(tmp_path, capsys):
+    ones13 = _write(tmp_path, "ones13.json", {"n": 13, "w": [[["1"] * 14] * 2] * 2})
+    start = time.perf_counter()
+    assert main(["analyze", ones13, "--json"]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "segreml mldeg" in err
+    big = _write(tmp_path, "n24.json", realize(24, 650, seed=1).to_json_dict())
+    assert main(["mldeg", big]) == 0
+    assert capsys.readouterr().out == "650\n"
 
 
 def test_matrix_mldeg(tmp_path, capsys):

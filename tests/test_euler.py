@@ -9,6 +9,7 @@ import pytest
 
 from segreml.euler import (
     PairType,
+    _arrangement,
     chi_VI,
     chi_VI_XJ,
     chi_VI_closed_form,
@@ -22,6 +23,7 @@ from segreml.euler import (
 from segreml.exact import RatMatrix
 from segreml.factors import all_factors, hyp223_vanishes, pair_det_form, vanishing_pattern
 from segreml.realize import _solve_minor, realize
+from segreml.strata import atlas
 from segreml.tensor import ScalingTensor
 
 from helpers import (
@@ -188,6 +190,75 @@ def test_duplicated_slice_tensor_keeps_mldeg():
         n = rng.choice((1, 2))
         W = random_tensor(rng, n, bound=10)
         assert mldeg_value(W.duplicate_last_slice()) == mldeg_value(W)
+
+
+_POOL = [sign * Fraction(v) for v in (1, 2, 3, Fraction(1, 2), Fraction(2, 3)) for sign in (1, -1)]
+
+
+def _random_slice(rng: random.Random) -> list[list[Fraction]]:
+    return [[rng.choice(_POOL) for _ in range(2)] for _ in range(2)]
+
+
+def _degenerate_tensor(rng: random.Random, n: int) -> ScalingTensor:
+    """Entries in +-{1, 2, 3, 1/2, 2/3}; about 30% of slices are a multiple of an earlier one."""
+    slices = [_random_slice(rng)]
+    for _ in range(n):
+        if rng.random() < 0.3:
+            lam = rng.choice(_POOL)
+            slices.append([[lam * x for x in row] for row in rng.choice(slices)])
+        else:
+            slices.append(_random_slice(rng))
+    return ScalingTensor.from_slices(slices)
+
+
+def test_arrangement_agrees_with_inclusion_exclusion():
+    """mldeg_value (curve arrangement) equals mldeg (inclusion-exclusion sum)."""
+    tensors = [witness for seed in range(3) for _, witness in atlas(seed=seed)]
+    tensors += [realize(n, r) for n in range(1, 5) for r in range(1, degree_bound(n) + 1)]
+    tensors += [realize(n, r, seed=1) for n in (6, 7, 8) for r in (n + 3, degree_bound(n))]
+    rng = random.Random(17)
+    tensors += [_degenerate_tensor(rng, rng.randint(1, 4)) for _ in range(2000)]
+    for W in tensors:
+        assert mldeg_value(W) == mldeg(W).mldeg, W.to_json_dict()
+
+
+def _pencil_tensor(rng: random.Random) -> ScalingTensor:
+    """Slice 2 = slice 0 + lam * slice 1, then 0-2 random slices."""
+    while True:
+        s0, s1 = _random_slice(rng), _random_slice(rng)
+        lam = rng.choice(_POOL)
+        s2 = [[x + lam * y for x, y in zip(r0, r1)] for r0, r1 in zip(s0, s1)]
+        if all(x != 0 for row in s2 for x in row):
+            return ScalingTensor.from_slices([s0, s1, s2] + [_random_slice(rng) for _ in range(rng.randint(0, 2))])
+
+
+def test_pencil_base_points_meet_three_components():
+    """A pencil puts three components through each base point, rational and conjugate alike."""
+    rng = random.Random(7)
+    triple_points = {1: 0, 2: 0}  # orbit size -> points with m_p >= 3
+    for _ in range(400):
+        W = _pencil_tensor(rng)
+        _, points = _arrangement(W)
+        for orbit, through in points.values():
+            if len(through) >= 3:
+                triple_points[orbit] += 1
+        assert mldeg_value(W) == mldeg(W).mldeg, W.to_json_dict()
+    assert triple_points[1] > 0 and triple_points[2] > 0, triple_points
+
+
+def test_arrangement_beyond_inclusion_exclusion():
+    """At n where the subset sum cannot run: realize's target and the model symmetries."""
+    rng = random.Random(19)
+    scalars = lambda count: [rng.choice(_POOL) * rng.choice((1, 5, Fraction(1, 7))) for _ in range(count)]
+    for n, targets in ((12, (1, 100, 182)), (16, (150, 306)), (24, (300, 650))):
+        for r in targets:
+            W = realize(n, r, seed=n)
+            assert mldeg_value(W) == r
+            perm = list(range(n + 1))
+            rng.shuffle(perm)
+            assert mldeg_value(W.torus_rescale(scalars(2), scalars(2), scalars(n + 1))) == r
+            assert mldeg_value(W.permute_slices(perm)) == r
+            assert mldeg_value(W.swap_xy()) == r
 
 
 @pytest.mark.skipif(not os.environ.get("SEGREML_EXHAUSTIVE"), reason="~30s grid sweep; set SEGREML_EXHAUSTIVE=1")
