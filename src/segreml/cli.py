@@ -24,7 +24,6 @@ from .errors import (
 )
 from .exact import RatMatrix, format_rational, parse_rational
 from .factors import all_factors, eval_hyp222, eval_minor
-from .groebner import DEFAULT_MAX_BASIS, DEFAULT_MAX_COEFF_BITS
 from .oracle import DataVector, count_critical_points, oracle_mldeg
 from .realize import realize
 from .tensor import ScalingTensor
@@ -35,6 +34,9 @@ EXIT_UNSTABLE = 3
 
 # analyze's term table sums 2^(n+1) - 1 slice subsets; n = 12 is its desk-scale limit.
 ANALYZE_MAX_N = 12
+# matrix-mldeg sums the ranks of (2^(m+1) - 1)(2^(n+1) - 1) submatrices of an
+# (m+1) x (n+1) matrix; m + n = 12 (a 7 x 7 matrix) is its desk-scale limit.
+MATRIX_MLDEG_MAX_DIM = 12
 
 
 def canonical_json(obj) -> str:
@@ -133,20 +135,25 @@ def _cmd_matrix_mldeg(args) -> int:
         rows = [[parse_rational(str(x)) for x in row] for row in data["entries"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"bad matrix JSON: {exc}") from exc
-    print(euler.mldeg_matrix(RatMatrix.from_rows(rows)))
+    M = RatMatrix.from_rows(rows)
+    if M.nrows + M.ncols - 2 > MATRIX_MLDEG_MAX_DIM:
+        raise DimensionMismatchError(
+            f"matrix-mldeg sums the ranks of all submatrices and takes m + n <= "
+            f"{MATRIX_MLDEG_MAX_DIM} for an (m+1) x (n+1) matrix, got {M.nrows} x {M.ncols}"
+        )
+    print(euler.mldeg_matrix(M))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     W = _load_tensor(args.tensor)
-    budgets = {"max_basis": args.max_basis, "max_coeff_bits": args.max_coeff_bits}
     if args.data is not None:
         u = DataVector.from_json_dict(_load_json(args.data))
-        count = count_critical_points(W, u, **budgets)
+        count = count_critical_points(W, u)
         result = {"count": count, "stable": True, "trials": [[None, count]]}
         sys.stdout.write(canonical_json(result))
         return EXIT_OK
-    result = oracle_mldeg(W, trials=args.trials, seed=args.seed, **budgets)
+    result = oracle_mldeg(W, trials=args.trials, seed=args.seed)
     sys.stdout.write(canonical_json(result.to_json_dict()))
     return EXIT_OK if result.stable else EXIT_UNSTABLE
 
@@ -226,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="data-vector JSON; otherwise random trials are drawn")
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-coeff-bits", type=int, default=DEFAULT_MAX_COEFF_BITS)
-    p.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("realize", help="construct a tensor with prescribed ML degree")

@@ -231,9 +231,6 @@ class VanishingPattern:
     def factors(self) -> frozenset[FactorId]:
         return frozenset(self.vanishing)
 
-    def minors(self) -> tuple[FactorId, ...]:
-        return tuple(f for f in self.vanishing if f.is_minor)
-
     def is_empty(self) -> bool:
         return not self.vanishing
 

@@ -167,13 +167,6 @@ def standard_monomial_count(lead_monomials, nvars: int) -> int:
     return count
 
 
-def count_solutions(
-    gens,
-    nvars: int,
-    *,
-    max_basis: int = DEFAULT_MAX_BASIS,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> int:
-    """Standard-monomial count of the ideal generated by `gens`."""
-    gb = groebner_basis(gens, max_basis=max_basis, max_coeff_bits=max_coeff_bits)
-    return standard_monomial_count(leading_monomials(gb), nvars)
+def count_solutions(gens, nvars: int) -> int:
+    """Standard-monomial count of the ideal generated by `gens`, under the default budgets."""
+    return standard_monomial_count(leading_monomials(groebner_basis(gens)), nvars)

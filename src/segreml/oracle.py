@@ -17,9 +17,11 @@ them.  The count of torus critical points (the ML degree for generic u)
 is then the standard-monomial count of the saturated ideal; multiplicity
 from non-generic data shows up as disagreement between data trials.
 
-The analogous two-factor system covers scaled products of two simplices
-(matrices) with m + n <= 4.  Tensor runs are limited to n <= 2; beyond
-that the inclusion-exclusion engine is the only practical route.
+Both are scaled products of simplices, Delta_1 x Delta_1 x Delta_n and,
+for matrices, Delta_m x Delta_n, and one builder writes the system for
+either.  Matrix runs are limited to m + n <= 4 and tensor runs to n <= 2;
+beyond that the curve-arrangement count `euler.mldeg_value` is the
+practical route.
 """
 
 from __future__ import annotations
@@ -27,20 +29,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 from math import gcd
+from operator import getitem
 
 from .errors import DimensionMismatchError
 from .exact import RatMatrix
-from .groebner import DEFAULT_MAX_BASIS, DEFAULT_MAX_COEFF_BITS, count_solutions
+from .groebner import count_solutions
 from .tensor import ScalingTensor
 
 ORACLE_MAX_N = 2
 MATRIX_ORACLE_MAX_DIM = 4  # m + n for an (m+1) x (n+1) scaling matrix
 
 
-def _integer_entry(x) -> int:
+def _data_entry(x) -> int:
+    """A data count: an int (not a bool) that is at least 1."""
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"data entries must be integers, not {x!r}")
+    if x < 1:
+        raise ValueError("data entries must be >= 1")
     return x
 
 
@@ -59,18 +67,17 @@ class DataVector:
                 if len(row) != width:
                     raise DimensionMismatchError("ragged data vector")
                 for value in row:
-                    if int(value) < 1:
-                        raise ValueError("data entries must be >= 1")
+                    _data_entry(value)
 
     @classmethod
     def from_entries(cls, entries) -> DataVector:
         """Build from a nested [2][2][n+1] layout; every entry must be an int (not a bool)."""
-        return cls(tuple(tuple(tuple(_integer_entry(x) for x in row) for row in plane) for plane in entries))
+        return cls(tuple(tuple(tuple(row) for row in plane) for plane in entries))
 
     @classmethod
-    def random(cls, n: int, rng: random.Random, low: int = 1, high: int = 1000) -> DataVector:
+    def random(cls, n: int, rng: random.Random) -> DataVector:
         return cls.from_entries(
-            [[[rng.randint(low, high) for _ in range(n + 1)] for _ in range(2)] for _ in range(2)]
+            [[[rng.randint(1, 1000) for _ in range(n + 1)] for _ in range(2)] for _ in range(2)]
         )
 
     @property
@@ -99,7 +106,6 @@ class ScoreSystem:
     """Saturated score equations as integer term lists, ready for completion."""
 
     nvars: int
-    var_names: tuple[str, ...]
     polys: tuple[tuple, ...]
 
 
@@ -111,120 +117,74 @@ def _integer_poly(terms: dict) -> list:
     return [(m, int(c * denom)) for m, c in terms.items() if c != 0]
 
 
-def score_system(W: ScalingTensor, u: DataVector) -> ScoreSystem:
-    """The n+2 score polynomials plus the saturation equation for (W, u)."""
-    n = W.n
-    if u.n != n:
-        raise DimensionMismatchError("data vector and tensor disagree on n")
-    nvars = n + 3  # x, y, z_1..z_n, s
-    names = ("x", "y") + tuple(f"z{k}" for k in range(1, n + 1)) + ("s",)
+def _by_cell(nested, dims) -> dict:
+    """{(i_1, ..., i_r): nested[i_1]...[i_r]} over the cells of the product."""
+    return {cell: reduce(getitem, cell, nested) for cell in product(*(range(d + 1) for d in dims))}
 
-    f_terms: dict[tuple, Fraction] = {}
-    for i in range(2):
-        for j in range(2):
-            for k in range(n + 1):
-                mono = [0] * nvars
-                mono[0] = i
-                mono[1] = j
-                if k >= 1:
-                    mono[1 + k] = 1
-                f_terms[tuple(mono)] = W.w[i][j][k]
 
-    total = u.total
-    u_x = sum(u.u[1][j][k] for j in range(2) for k in range(n + 1))
-    u_y = sum(u.u[i][1][k] for i in range(2) for k in range(n + 1))
-    u_z = [sum(u.u[i][j][k] for i in range(2) for j in range(2)) for k in range(n + 1)]
+def _simplex_product_system(dims, coeffs: dict, data: dict) -> ScoreSystem:
+    """Score equations plus saturation for a scaled product of simplices.
 
+    Factor t is the simplex of dimension dims[t]; `coeffs` and `data` are
+    keyed by cells (i_1, ..., i_r).  In the chart where coordinate 0 of
+    every factor is 1, cell (i_1, ..., i_r) is the product of the i_t-th
+    variable of each factor with i_t >= 1.  Variables run factor by factor,
+    then s; the weight of a variable is the data total of its cells.
+    """
+    offsets = [sum(dims[:t]) for t in range(len(dims))]
+    nvars = sum(dims) + 1
+
+    def mono(cell):
+        live = {off + i - 1 for off, i in zip(offsets, cell) if i}
+        return tuple(int(v in live) for v in range(nvars))
+
+    f_terms = {mono(cell): c for cell, c in coeffs.items()}
+    total = sum(data.values())
     polys = []
-    for var, weight in [(0, u_x), (1, u_y)] + [(1 + k, u_z[k]) for k in range(1, n + 1)]:
+    for var in range(nvars - 1):
         # weight * f - total * (Euler operator in `var` applied to f):
         # term-by-term multiplier weight - total * exponent.
-        score = {m: c * (weight - total * m[var]) for m, c in f_terms.items()}
-        polys.append(_integer_poly(score))
-
-    shift = tuple([1] * (n + 2) + [1])  # x * y * z_1..z_n * s
-    sat = {tuple(a + b for a, b in zip(m, shift)): c for m, c in f_terms.items()}
-    sat[tuple([0] * nvars)] = Fraction(-1)
+        weight = sum(count for cell, count in data.items() if mono(cell)[var])
+        polys.append(_integer_poly({mo: c * (weight - total * mo[var]) for mo, c in f_terms.items()}))
+    # saturation: s * (every variable) * f - 1
+    sat = {tuple(e + 1 for e in mo): c for mo, c in f_terms.items()}
+    sat[(0,) * nvars] = Fraction(-1)
     polys.append(_integer_poly(sat))
-    return ScoreSystem(nvars, names, tuple(tuple(p) for p in polys))
+    return ScoreSystem(nvars, tuple(tuple(p) for p in polys))
 
 
-def count_critical_points(
-    W: ScalingTensor,
-    u: DataVector,
-    *,
-    max_basis: int = DEFAULT_MAX_BASIS,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> int:
+def _count(system: ScoreSystem) -> int:
+    return count_solutions(system.polys, system.nvars)
+
+
+def score_system(W: ScalingTensor, u: DataVector) -> ScoreSystem:
+    """The n+2 score polynomials (x, y, z_1..z_n) plus saturation for (W, u)."""
+    if u.n != W.n:
+        raise DimensionMismatchError("data vector and tensor disagree on n")
+    dims = (1, 1, W.n)
+    return _simplex_product_system(dims, _by_cell(W.w, dims), _by_cell(u.u, dims))
+
+
+def count_critical_points(W: ScalingTensor, u: DataVector) -> int:
     """Exact number of torus critical points of the likelihood for data u."""
     if W.n > ORACLE_MAX_N:
-        raise DimensionMismatchError(
-            f"the critical-point oracle is limited to n <= {ORACLE_MAX_N}"
-        )
-    system = score_system(W, u)
-    return count_solutions(
-        [list(p) for p in system.polys],
-        system.nvars,
-        max_basis=max_basis,
-        max_coeff_bits=max_coeff_bits,
-    )
+        raise DimensionMismatchError(f"the critical-point oracle is limited to n <= {ORACLE_MAX_N}")
+    return _count(score_system(W, u))
 
 
 def matrix_score_system(M: RatMatrix, u_rows) -> ScoreSystem:
-    """Two-factor analogue for an (m+1) x (n+1) scaling matrix."""
-    m, n = M.nrows - 1, M.ncols - 1
-    u = [[int(x) for x in row] for row in u_rows]
-    if len(u) != m + 1 or any(len(row) != n + 1 for row in u):
+    """Two-factor analogue for an (m+1) x (n+1) scaling matrix: scores of x_1..x_m, y_1..y_n."""
+    dims = (M.nrows - 1, M.ncols - 1)
+    u = [[_data_entry(x) for x in row] for row in u_rows]
+    if len(u) != dims[0] + 1 or any(len(row) != dims[1] + 1 for row in u):
         raise DimensionMismatchError("data matrix shape mismatch")
-    if any(x < 1 for row in u for x in row):
-        raise ValueError("data entries must be >= 1")
-    nvars = m + n + 1
-    names = tuple(f"x{i}" for i in range(1, m + 1)) + tuple(f"y{j}" for j in range(1, n + 1)) + ("s",)
-
-    g_terms: dict[tuple, Fraction] = {}
-    for a in range(m + 1):
-        for b in range(n + 1):
-            mono = [0] * nvars
-            if a >= 1:
-                mono[a - 1] = 1
-            if b >= 1:
-                mono[m + b - 1] = 1
-            g_terms[tuple(mono)] = M.entries[a][b]
-
-    total = sum(x for row in u for x in row)
-    weights = [sum(u[a]) for a in range(m + 1)]
-    col_weights = [sum(u[a][b] for a in range(m + 1)) for b in range(n + 1)]
-
-    polys = []
-    for var in range(m + n):
-        weight = weights[var + 1] if var < m else col_weights[var - m + 1]
-        score = {mo: c * (weight - total * mo[var]) for mo, c in g_terms.items()}
-        polys.append(_integer_poly(score))
-    shift = tuple([1] * nvars)
-    sat = {tuple(a + b for a, b in zip(mo, shift)): c for mo, c in g_terms.items()}
-    sat[tuple([0] * nvars)] = Fraction(-1)
-    polys.append(_integer_poly(sat))
-    return ScoreSystem(nvars, names, tuple(tuple(p) for p in polys))
+    return _simplex_product_system(dims, _by_cell(M.entries, dims), _by_cell(u, dims))
 
 
-def count_critical_points_matrix(
-    M: RatMatrix,
-    u_rows,
-    *,
-    max_basis: int = DEFAULT_MAX_BASIS,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> int:
+def count_critical_points_matrix(M: RatMatrix, u_rows) -> int:
     if (M.nrows - 1) + (M.ncols - 1) > MATRIX_ORACLE_MAX_DIM:
-        raise DimensionMismatchError(
-            f"matrix oracle limited to m + n <= {MATRIX_ORACLE_MAX_DIM}"
-        )
-    system = matrix_score_system(M, u_rows)
-    return count_solutions(
-        [list(p) for p in system.polys],
-        system.nvars,
-        max_basis=max_basis,
-        max_coeff_bits=max_coeff_bits,
-    )
+        raise DimensionMismatchError(f"matrix oracle limited to m + n <= {MATRIX_ORACLE_MAX_DIM}")
+    return _count(matrix_score_system(M, u_rows))
 
 
 @dataclass(frozen=True)
@@ -243,14 +203,7 @@ class CountResult:
         }
 
 
-def oracle_mldeg(
-    W: ScalingTensor,
-    trials: int = 2,
-    seed: int = 0,
-    *,
-    max_basis: int = DEFAULT_MAX_BASIS,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> CountResult:
+def oracle_mldeg(W: ScalingTensor, trials: int = 2, seed: int = 0) -> CountResult:
     """Count critical points for `trials` random data vectors and compare.
 
     Counts agree for generic data; a disagreement flags a non-generic draw
@@ -264,10 +217,7 @@ def oracle_mldeg(
     for _ in range(trials):
         trial_seed = rng.randrange(2**32)
         u = DataVector.random(W.n, random.Random(trial_seed))
-        count = count_critical_points(
-            W, u, max_basis=max_basis, max_coeff_bits=max_coeff_bits
-        )
-        results.append((trial_seed, count))
+        results.append((trial_seed, count_critical_points(W, u)))
     counts = [c for _, c in results]
     consensus = max(set(counts), key=counts.count)
     return CountResult(consensus, len(set(counts)) == 1, tuple(results))

@@ -83,9 +83,6 @@ class ScalingTensor:
             raise IndexError(f"slice index {k} out of range")
         return RatMatrix.from_rows([[self.w[0][0][k], self.w[0][1][k]], [self.w[1][0][k], self.w[1][1][k]]])
 
-    def slices(self) -> list[RatMatrix]:
-        return [self.slice(k) for k in range(self.n + 1)]
-
     def flattening(self, mode: int, indices: Iterable[int] | None = None) -> RatMatrix:
         """Unfold the subtensor with slice indices `indices` along `mode`.
 

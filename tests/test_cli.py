@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 import time
+from pathlib import Path
 
-from segreml.cli import main
+from segreml.cli import build_parser, main
 from segreml.realize import realize
 
 W313 = {"n": 2, "w": [[["1", "2", "3"], ["3", "1", "4"]], [["2", "4", "6"], ["4", "6", "10"]]]}
@@ -108,6 +110,46 @@ def test_matrix_mldeg(tmp_path, capsys):
     path = _write(tmp_path, "m.json", {"entries": [["1", "2", "3"], ["5", "7", "11"]]})
     assert main(["matrix-mldeg", path]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def _hilbert(size):
+    # a Cauchy matrix: every minor is nonzero, so the ML degree is binomial(m + n, m)
+    return {"entries": [[f"1/{i + j + 1}" for j in range(size)] for i in range(size)]}
+
+
+def test_matrix_mldeg_size_limit(tmp_path, capsys):
+    big = _write(tmp_path, "h8.json", _hilbert(8))
+    start = time.perf_counter()
+    assert main(["matrix-mldeg", big]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "m + n <= 12" in err
+    largest = _write(tmp_path, "h7.json", _hilbert(7))
+    assert main(["matrix-mldeg", largest]) == 0
+    assert capsys.readouterr().out == "924\n"
+
+
+def _readme_cli_options():
+    """{subcommand: long options} from the synopsis block under README's CLI heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    options: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        synopsis = line.split("#", 1)[0]
+        if synopsis.startswith("segreml "):
+            command = synopsis.split()[1]
+            options[command] = set()
+        options[command] |= set(re.findall(r"--[a-z][a-z-]*", synopsis))
+    return options
+
+
+def test_readme_synopsis_matches_parser():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    parsed = {
+        name: {s for action in sub._actions for s in action.option_strings if s.startswith("--")} - {"--help"}
+        for name, sub in subparsers.items()
+    }
+    assert _readme_cli_options() == parsed
 
 
 def test_realize_and_oracle_flow(tmp_path, capsys):

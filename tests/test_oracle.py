@@ -32,17 +32,32 @@ def test_data_vector_validation():
 def test_score_system_structure():
     unit = DataVector.from_entries([[[1, 1], [1, 1]], [[1, 1], [1, 1]]])
     system = score_system(all_ones(1), unit)
-    assert system.var_names == ("x", "y", "z1", "s")
+    assert system.nvars == 4  # x, y, z1, s
     assert len(system.polys) == 4  # two P1 scores, one z score, saturation
-    # The x-score of the all-ones tensor with unit data is 4 f - 8 x f_x:
-    # coefficient 4 on x-degree-0 monomials, -4 on x-degree-1 monomials.
-    score_x = dict(system.polys[0])
-    for mono, coeff in score_x.items():
-        assert coeff == (4 if mono[0] == 0 else -4)
+    # Each score of the all-ones tensor with unit data is 4 f - 8 v f_v:
+    # coefficient 4 on v-degree-0 monomials, -4 on v-degree-1 monomials.
+    for var, score in enumerate(system.polys[:-1]):
+        assert len(score) == 8
+        for mono, coeff in score:
+            assert coeff == (4 if mono[var] == 0 else -4)
     # saturation equation: s*x*y*z1*f - 1
     sat = dict(system.polys[-1])
     assert sat[(0, 0, 0, 0)] == -1
     assert all(mono == (0, 0, 0, 0) or min(mono) >= 1 for mono in sat)
+
+
+def test_score_system_weights_per_coordinate():
+    # Cell (i, j, k) of f is x^i y^j z_k; variables x, y, z1, z2, s.  The score
+    # of v has coefficient weight_v - total * deg_v on each cell's monomial.
+    u = DataVector.from_entries([[[1, 2, 3], [4, 5, 6]], [[7, 8, 9], [10, 11, 12]]])
+    system = score_system(all_ones(2), u)
+    assert system.nvars == 5 and len(system.polys) == 5
+    monos = [(i, j, int(k == 1), int(k == 2), 0) for i in range(2) for j in range(2) for k in range(3)]
+    weights = [57, 48, 26, 30]  # x = 1 cells, y = 1 cells, the z1 and z2 slices; total 78
+    for var, weight in enumerate(weights):
+        assert dict(system.polys[var]) == {mono: weight - 78 * mono[var] for mono in monos}
+    sat = {tuple(e + 1 for e in mono): 1 for mono in monos}
+    assert dict(system.polys[-1]) == {**sat, (0, 0, 0, 0, 0): -1}
 
 
 def test_score_system_shape_for_counterexample():
@@ -88,12 +103,35 @@ def test_matrix_oracle():
     M = RatMatrix.from_rows([[1, 1], [1, 1]])
     u = [[rng.randint(1, 60) for _ in range(2)] for _ in range(2)]
     assert count_critical_points_matrix(M, u) == 1
-    system = matrix_score_system(M, u)
-    assert system.var_names == ("x1", "y1", "s")
+    assert matrix_score_system(M, u).nvars == 3  # x1, y1, s
     with pytest.raises(DimensionMismatchError):
         count_critical_points_matrix(RatMatrix.from_rows([[1] * 4, [1] * 4, [1] * 4]), [[1] * 4] * 3)
+    with pytest.raises(DimensionMismatchError):
+        matrix_score_system(M, [[1, 1, 1], [1, 1, 1]])
     with pytest.raises(ValueError):
         count_critical_points_matrix(M, [[1, 0], [1, 1]])
+
+
+def test_matrix_data_must_be_positive_integers():
+    # the same entry check as DataVector: 1.7 is not truncated, True and "5" are not counts
+    M = RatMatrix.from_rows([[1, 2], [3, 5]])
+    for bad in (1.7, True, "5"):
+        with pytest.raises(TypeError):
+            count_critical_points_matrix(M, [[bad, 2], [3, 4]])
+
+
+def test_matrix_score_weights_per_row_and_column():
+    # Cell (a, b) of g is x_a y_b (x_0 = y_0 = 1); variables x1, y1, y2, s.  The
+    # row score has weight = row sum, each column score weight = column sum.
+    M = RatMatrix.from_rows([[1, 1, 1], [1, 1, 1]])
+    system = matrix_score_system(M, [[1, 2, 3], [4, 5, 6]])
+    assert system.nvars == 4 and len(system.polys) == 4
+    monos = [(a, int(b == 1), int(b == 2), 0) for a in range(2) for b in range(3)]
+    weights = [15, 7, 9]  # row 1, column 1, column 2; total 21
+    for var, weight in enumerate(weights):
+        assert dict(system.polys[var]) == {mono: weight - 21 * mono[var] for mono in monos}
+    sat = {tuple(e + 1 for e in mono): 1 for mono in monos}
+    assert dict(system.polys[-1]) == {**sat, (0, 0, 0, 0): -1}
 
 
 def test_matrix_oracle_matches_rank_formula_up_to_3x3():
