@@ -1,143 +1,150 @@
-"""Pure-Python reduction kernel for exact integer polynomial arithmetic.
+"""Pure-Python reduction kernel over F_p with packed grevlex monomials.
 
-A term list is a list of (monomial, coefficient) pairs with monomials as
-tuples of small nonnegative ints and coefficients as arbitrary-precision
-integers, sorted descending in graded reverse lexicographic order.
-Polynomials are kept primitive: the gcd of the coefficients is 1 and the
-leading coefficient is positive.  Reduction is fraction-free (scale, then
-subtract); content is stripped once per finished normal form.
+A monomial x^e in N variables is one int,
+
+    K(e) = deg(e) * B^N - sum_i e_i * B^i,      B = 2^16,
+
+so grevlex order is int order and a monomial product is an int add.  The
+low N fields of -K hold the exponents E; bit 15 of each field is a guard
+bit, so x^a divides x^b exactly when ((E_b | G) - E_a) & G == G for the
+mask G of guard bits, and lcm is a per-field maximum.  Both need every
+exponent below 2^15: generators and S-pairs from total degree 2^15 on
+raise ResourceBudgetExceededError, and reduction never raises a degree.
+
+A term list is a list of (packed monomial, coefficient in [1, p)) pairs,
+sorted descending and monic.  The prime and the packing width travel as
+one `Ring` value, built per basis computation.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from .errors import ResourceBudgetExceededError
 
-Term = tuple  # (monomial tuple, integer coefficient)
-
-
-def grevlex_key(mono):
-    """Sort key realizing grevlex: compare by total degree, then by the
-    reversed exponent tuple with flipped signs."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+FIELD_BITS = 16
+DEGREE_LIMIT = 1 << (FIELD_BITS - 1)  # the guard bit: every total degree stays below it
 
 
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+class Ring:
+    """F_p[x_1..x_N] with monomials packed into N fields of FIELD_BITS bits; not changed once built."""
+
+    __slots__ = ("p", "nvars", "shift", "mask", "guard", "top")
+
+    def __init__(self, p: int, nvars: int):
+        self.p, self.nvars, self.shift = p, nvars, FIELD_BITS * nvars
+        self.mask = (1 << self.shift) - 1  # B^N - 1, the exponent fields of -K
+        self.guard = sum(DEGREE_LIMIT << (FIELD_BITS * i) for i in range(nvars))  # bit 15 of every field
+        self.top = (DEGREE_LIMIT - 1) << self.shift  # K(m) > top exactly when deg(m) >= DEGREE_LIMIT
 
 
-def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+def _degree_error(deg) -> ResourceBudgetExceededError:
+    return ResourceBudgetExceededError(f"monomial degree {deg} reaches the packed-exponent limit {DEGREE_LIMIT}")
 
 
-def mono_divides(a, b):
+def pack(exps) -> int:
+    """K(e) for an exponent tuple e of nonnegative ints."""
+    deg = sum(exps)
+    if deg >= DEGREE_LIMIT:
+        raise _degree_error(deg)
+    return (deg << (FIELD_BITS * len(exps))) - sum(e << (FIELD_BITS * i) for i, e in enumerate(exps))
+
+
+def unpack(mono: int, nvars: int) -> tuple:
+    """The exponent tuple of a packed monomial in nvars variables."""
+    e = -mono & ((1 << (FIELD_BITS * nvars)) - 1)
+    return tuple((e >> (FIELD_BITS * i)) & 0xFFFF for i in range(nvars))
+
+
+def mono_divides(R: Ring, a: int, b: int) -> bool:
     """Whether x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    g = R.guard
+    return (((-b & R.mask) | g) - (-a & R.mask)) & g == g
 
 
-def mono_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+def mono_lcm(R: Ring, a: int, b: int) -> int:
+    """Per-field maximum of the exponents of two monomials of degree below 2^15, repacked."""
+    ea, eb = -a & R.mask, -b & R.mask
+    ge = ((((ea | R.guard) - eb) & R.guard) >> (FIELD_BITS - 1)) * 0xFFFF  # fields where a >= b
+    e = (ea & ge) | (eb & ~ge)
+    # the degree, at most 2 * (2^15 - 1) < B - 1, is the sum of the fields,
+    # which is their remainder mod B - 1 because B = 1 mod B - 1
+    return ((e % 0xFFFF) << R.shift) - e
 
 
-def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def from_int_terms(R: Ring, terms) -> list:
+    """An integer term list with distinct exponent tuples, packed, reduced mod p and made monic."""
+    return make_monic(R, sorted(((pack(m), c % R.p) for m, c in terms if c % R.p), reverse=True))
 
 
-def sort_terms(terms):
-    """Drop zero coefficients and sort descending in grevlex."""
-    terms = [(m, c) for m, c in terms if c]
-    terms.sort(key=lambda t: grevlex_key(t[0]), reverse=True)
-    return terms
+def make_monic(R: Ring, terms):
+    """Scale a term list so that its leading coefficient is 1."""
+    if not terms or terms[0][1] == 1:
+        return terms
+    p = R.p
+    inv = pow(terms[0][1], -1, p)
+    return [(m, c * inv % p) for m, c in terms]
 
 
-def make_primitive(terms):
-    """Divide out the coefficient content and make the lead positive."""
-    if not terms:
-        return []
-    g = 0
-    for _, c in terms:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    if terms[0][1] < 0:
-        g = -g
-    if g != 1:
-        terms = [(m, c // g) for m, c in terms]
-    return terms
+def combine(f, cf, sf, g, cg, sg, p):
+    """cf * x^sf * f + cg * x^sg * g over F_p, merged into descending order.
 
-
-def combine(f, cf, sf, g, cg, sg):
-    """cf * x^sf * f + cg * x^sg * g, merged into descending order.
-
-    A shift of None means no shift (saves rebuilding every monomial in the
-    common reduce-in-place case).
+    sg is an int (0 for no shift); sf may be None for no shift, which with
+    cf = 1 is the reduce-in-place case of normal_form.
     """
+    if sf is not None or cf != 1:
+        f = [(m if sf is None else m + sf, cf * c % p) for m, c in f]
     out = []
     i = j = 0
     nf, ng = len(f), len(g)
-    scale_f = cf != 1
     while i < nf and j < ng:
-        mf = f[i][0] if sf is None else mono_mul(f[i][0], sf)
-        mg = g[j][0] if sg is None else mono_mul(g[j][0], sg)
-        kf, kg = grevlex_key(mf), grevlex_key(mg)
-        if kf > kg:
-            out.append((mf, cf * f[i][1] if scale_f else f[i][1]))
+        mf = f[i][0]
+        mg = g[j][0] + sg
+        if mf > mg:
+            out.append(f[i])
             i += 1
-        elif kg > kf:
-            out.append((mg, cg * g[j][1]))
+        elif mg > mf:
+            out.append((mg, cg * g[j][1] % p))
             j += 1
         else:
-            c = (cf * f[i][1] if scale_f else f[i][1]) + cg * g[j][1]
+            c = (f[i][1] + cg * g[j][1]) % p
             if c:
                 out.append((mf, c))
             i += 1
             j += 1
-    while i < nf:
-        mf = f[i][0] if sf is None else mono_mul(f[i][0], sf)
-        out.append((mf, cf * f[i][1] if scale_f else f[i][1]))
-        i += 1
-    while j < ng:
-        mg = g[j][0] if sg is None else mono_mul(g[j][0], sg)
-        out.append((mg, cg * g[j][1]))
-        j += 1
+    out += f[i:]
+    out += [(m + sg, cg * c % p) for m, c in g[j:]]
     return out
 
 
-def spair(f, g):
-    """Primitive S-polynomial of two primitive term lists."""
-    (lmf, lcf), (lmg, lcg) = f[0], g[0]
-    lcm = mono_lcm(lmf, lmg)
-    d = gcd(lcf, lcg)
-    return make_primitive(combine(f, lcg // d, mono_div(lcm, lmf), g, -(lcf // d), mono_div(lcm, lmg)))
+def spair(f, g, R: Ring):
+    """S-polynomial x^(L - lm f) f - x^(L - lm g) g of two monic term lists, L their lead lcm."""
+    lmf, lmg = f[0][0], g[0][0]
+    lcm = mono_lcm(R, lmf, lmg)
+    if lcm > R.top:
+        raise _degree_error(sum(unpack(lcm, R.nvars)))
+    return combine(f, 1, lcm - lmf, g, R.p - 1, lcm - lmg, R.p)
 
 
-def normal_form(p, basis):
-    """Full fraction-free remainder of p modulo the term lists in `basis`.
+def normal_form(f, basis, R: Ring):
+    """Full remainder of f modulo the monic term lists in `basis`, made monic.
 
     Every monomial of the result is outside the leading-term ideal of the
-    basis.  The result is primitive.
+    basis.  Reduction never raises a degree: the shifted reducer's
+    monomials lie at or below the term it cancels.
     """
+    p, mask, guard = R.p, R.mask, R.guard
+    leads = [(-g[0][0] & mask, g) for g in basis]
     out = []
-    work = list(p)
+    work = f
     pos = 0
     while pos < len(work):
-        lm, lc = work[pos]
-        reducer = None
-        for g in basis:
-            if mono_divides(g[0][0], lm):
-                reducer = g
+        m, c = work[pos]
+        e = (-m & mask) | guard
+        for eg, g in leads:
+            if (e - eg) & guard == guard:
+                work = combine(work[pos:], 1, None, g, p - c, m - g[0][0], p)
+                pos = 0
                 break
-        if reducer is None:
+        else:
             out.append(work[pos])
             pos += 1
-            continue
-        glm, glc = reducer[0]
-        d = gcd(lc, glc)
-        a = glc // d
-        b = lc // d
-        if a < 0:
-            a, b = -a, -b
-        work = combine(work[pos:], a, None, reducer, -b, mono_div(lm, glm))
-        pos = 0
-        if a != 1 and out:
-            out = [(m, c * a) for m, c in out]
-    return make_primitive(out)
+    return make_monic(R, out)

@@ -20,6 +20,7 @@ from .errors import (
     NotZeroDimensionalError,
     ResourceBudgetExceededError,
     SegremlError,
+    UnstableCountError,
     ZeroEntryError,
 )
 from .exact import RatMatrix, format_rational, parse_rational
@@ -37,6 +38,9 @@ ANALYZE_MAX_N = 12
 # matrix-mldeg sums the ranks of (2^(m+1) - 1)(2^(n+1) - 1) submatrices of an
 # (m+1) x (n+1) matrix; m + n = 12 (a 7 x 7 matrix) is its desk-scale limit.
 MATRIX_MLDEG_MAX_DIM = 12
+# signs evaluates seven factors per sampled tensor, about 20 us each on one core,
+# so the cap is a run of about 20 s.
+SIGNS_MAX_SAMPLES = 1_000_000
 
 
 def canonical_json(obj) -> str:
@@ -193,6 +197,8 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_signs(args) -> int:
+    if args.samples > SIGNS_MAX_SAMPLES:
+        raise ValueError(f"signs takes --samples <= {SIGNS_MAX_SAMPLES}, got {args.samples}")
     counts = strata.sample_sign_patterns(args.samples, args.bound, seed=args.seed)
     negative = sorted(p for p in counts if p.endswith("-"))
     payload = {
@@ -228,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.set_defaults(func=_cmd_matrix_mldeg)
 
-    p = sub.add_parser("oracle", help="exact critical-point count (independent of the engine)")
+    p = sub.add_parser("oracle", help="critical-point count over random primes, independent of the engine (n <= 3)")
     p.add_argument("tensor")
     p.add_argument("--data", help="data-vector JSON; otherwise random trials are drawn")
     p.add_argument("--trials", type=int, default=2)
@@ -265,7 +271,7 @@ def main(argv=None) -> int:
     except (ZeroEntryError, DimensionMismatchError, GenerationFailedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (NotZeroDimensionalError, ResourceBudgetExceededError) as exc:
+    except (NotZeroDimensionalError, ResourceBudgetExceededError, UnstableCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except SegremlError as exc:  # any remaining package error is an input problem

@@ -28,4 +28,8 @@ class NotZeroDimensionalError(SegremlError):
 
 
 class ResourceBudgetExceededError(SegremlError):
-    """A basis-size or coefficient-size budget was exceeded."""
+    """A basis-size budget or the packed-exponent degree limit was exceeded."""
+
+
+class UnstableCountError(SegremlError):
+    """Two primes gave different critical-point counts for the same data."""

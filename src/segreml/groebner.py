@@ -1,13 +1,17 @@
-"""Buchberger completion over the integers and standard-monomial counting.
+"""Buchberger completion over F_p and standard-monomial counting.
 
 The driver runs Buchberger's algorithm with the Gebauer-Moeller
 installation of the product and chain criteria under grevlex, using the
-reduction kernel in _kernel_py for the inner loops.  Budgets
-on the basis size and on coefficient bit length convert runaway inputs
-into a clean ResourceBudgetExceededError.
+reduction kernel in _kernel_py for the inner loops.  Integer generators
+are reduced mod a prime p, packed and made monic as they are read, so no
+coefficient outgrows p; each pair stores the lcm of its leads.  A budget
+on the basis size and the packed-exponent degree limit convert runaway
+inputs into a clean ResourceBudgetExceededError.
 
 Solution counting for a zero-dimensional ideal is the number of standard
 monomials: monomials outside the leading-term ideal of the reduced basis.
+Over F_p this is the count over Q unless p is unlucky for the ideal
+(Arnold, JSC 2003); the oracle compares primes to catch that.
 """
 
 from __future__ import annotations
@@ -16,94 +20,100 @@ from .errors import NotZeroDimensionalError, ResourceBudgetExceededError
 from .kernels import kernel as K
 
 DEFAULT_MAX_BASIS = 600
-DEFAULT_MAX_COEFF_BITS = 200_000
+PRIME_BITS = 61
+# Miller-Rabin with these bases is exact below 3.3e24 (Sorenson and Webster 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-def _check_budget(terms, max_bits):
-    worst = max((abs(c).bit_length() for _, c in terms), default=0)
-    if worst > max_bits:
-        raise ResourceBudgetExceededError(
-            f"coefficient length {worst} bits exceeds the {max_bits}-bit budget"
-        )
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n below _WITNESS_LIMIT."""
+    if n >= _WITNESS_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+    if n < 2 or any(n % q == 0 for q in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def groebner_basis(
-    gens,
-    *,
-    max_basis: int = DEFAULT_MAX_BASIS,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-):
-    """Reduced Groebner basis (primitive integer term lists) under grevlex."""
-    polys: dict[int, list] = {}
-    next_id = 0
+def random_prime(rng) -> int:
+    """A prime of exactly PRIME_BITS bits drawn from the random.Random `rng`."""
+    while True:
+        n = rng.getrandbits(PRIME_BITS) | (1 << (PRIME_BITS - 1)) | 1
+        if is_prime(n):
+            return n
 
-    def lm(idx):
-        return polys[idx][0][0]
 
-    basis: set[int] = set()
-    pairs: set[frozenset[int]] = set()
+def groebner_basis(gens, prime: int, *, max_basis: int = DEFAULT_MAX_BASIS):
+    """Reduced Groebner basis over F_prime under grevlex.
 
-    def update(h_id):
+    `gens` are integer term lists [(exponent tuple, int), ...]; the result
+    is a list of monic term lists [(packed monomial, coefficient), ...],
+    ascending by leading monomial.
+    """
+    gens = [list(g) for g in gens]
+    nvars = next((len(m) for g in gens for m, _ in g), 0)
+    R = K.Ring(prime, nvars)
+    divides, lcm = K.mono_divides, K.mono_lcm
+    polys: list[list] = []
+    lead: list[int] = []
+    basis: list[int] = []  # ids, ascending
+    pairs: dict[tuple[int, int], int] = {}  # (h, g) -> lcm of their leading monomials
+
+    def update(h):
         # Gebauer-Moeller installation: filter new pairs by the chain
         # criterion, drop coprime-lead pairs, prune old pairs and basis
         # elements superseded by the new leading monomial.
         nonlocal basis, pairs
-        lmh = lm(h_id)
-        candidates = list(basis)
-        kept: list[int] = []
-        for g in candidates:
-            lcm_hg = K.mono_lcm(lmh, lm(g))
-            if K.mono_coprime(lmh, lm(g)):
-                kept.append(g)  # marked, dropped below; keeps chain test honest
-                continue
-            drop = False
-            for f in candidates:
-                if f is g:
-                    continue
-                lcm_hf = K.mono_lcm(lmh, lm(f))
-                if lcm_hf != lcm_hg and K.mono_divides(lcm_hf, lcm_hg):
-                    drop = True
-                    break
-            if not drop:
-                kept.append(g)
-        new_pairs = {
-            frozenset((h_id, g)) for g in kept if not K.mono_coprime(lmh, lm(g))
+        lmh = lead[h]
+        with_h = {g: lcm(R, lmh, lead[g]) for g in basis}
+        new = {}
+        for g, lg in with_h.items():
+            if lg == lmh + lead[g]:
+                continue  # coprime leads: the product criterion
+            if not any(lf != lg and divides(R, lf, lg) for lf in with_h.values()):
+                new[(h, g)] = lg
+        pairs = {
+            (g1, g2): l12
+            for (g1, g2), l12 in pairs.items()
+            if not divides(R, lmh, l12) or lcm(R, lead[g1], lmh) == l12 or lcm(R, lead[g2], lmh) == l12
         }
-        surviving = set()
-        for pair in pairs:
-            g1, g2 = tuple(pair)
-            lcm12 = K.mono_lcm(lm(g1), lm(g2))
-            if (
-                not K.mono_divides(lmh, lcm12)
-                or K.mono_lcm(lm(g1), lmh) == lcm12
-                or K.mono_lcm(lm(g2), lmh) == lcm12
-            ):
-                surviving.add(pair)
-        pairs = surviving | new_pairs
-        basis = {g for g in basis if not K.mono_divides(lmh, lm(g))}
-        basis.add(h_id)
+        pairs.update(new)
+        basis = [g for g in basis if not divides(R, lmh, lead[g])]
+        basis.append(h)
+
+    def add(poly):
+        polys.append(poly)
+        lead.append(poly[0][0])
+        update(len(polys) - 1)
 
     for gen in gens:
-        p = K.make_primitive(K.sort_terms([(m, int(c)) for m, c in gen]))
+        p = K.from_int_terms(R, gen)
         if p:
-            polys[next_id] = p
-            update(next_id)
-            next_id += 1
+            add(p)
 
     while pairs:
-        pair = min(pairs, key=lambda pr: K.grevlex_key(K.mono_lcm(*(lm(i) for i in tuple(pr)))))
-        pairs.discard(pair)
-        i, j = tuple(pair)
-        s = K.spair(polys[i], polys[j])
+        pair = min(pairs, key=pairs.__getitem__)
+        del pairs[pair]
+        i, j = pair
+        s = K.spair(polys[i], polys[j], R)
         if not s:
             continue
-        h = K.normal_form(s, [polys[g] for g in sorted(basis)])
+        h = K.normal_form(s, [polys[g] for g in basis], R)
         if not h:
             continue
-        _check_budget(h, max_coeff_bits)
-        polys[next_id] = h
-        update(next_id)
-        next_id += 1
+        add(h)
         if len(basis) > max_basis:
             raise ResourceBudgetExceededError(
                 f"basis size {len(basis)} exceeds the budget of {max_basis}"
@@ -111,25 +121,22 @@ def groebner_basis(
 
     # Minimalize (ascending leads, keep only non-divisible ones), then
     # tail-interreduce for a canonical reduced basis.
-    chosen = sorted(basis, key=lambda g: K.grevlex_key(lm(g)))
     minimal: list[int] = []
-    for g in chosen:
-        if not any(K.mono_divides(lm(h), lm(g)) for h in minimal):
+    for g in sorted(basis, key=lead.__getitem__):
+        if not any(divides(R, lead[h], lead[g]) for h in minimal):
             minimal.append(g)
     reduced = []
     for g in minimal:
-        others = [polys[h] for h in minimal if h != g]
-        h = K.normal_form(polys[g], others)
+        h = K.normal_form(polys[g], [polys[f] for f in minimal if f != g], R)
         if h:
             reduced.append(h)
-    reduced.sort(key=lambda p: K.grevlex_key(p[0][0]))
+    reduced.sort(key=lambda p: p[0][0])
     return reduced
 
 
-def leading_monomials(basis):
-    return [p[0][0] for p in basis]
-
-
+def leading_monomials(basis, nvars: int):
+    """The leading monomials of a basis from groebner_basis, as exponent tuples."""
+    return [K.unpack(p[0][0], nvars) for p in basis]
 def standard_monomial_count(lead_monomials, nvars: int) -> int:
     """Dimension of the quotient by the monomial ideal of the given leads.
 
@@ -167,6 +174,6 @@ def standard_monomial_count(lead_monomials, nvars: int) -> int:
     return count
 
 
-def count_solutions(gens, nvars: int) -> int:
-    """Standard-monomial count of the ideal generated by `gens`, under the default budgets."""
-    return standard_monomial_count(leading_monomials(groebner_basis(gens)), nvars)
+def count_solutions(gens, nvars: int, prime: int) -> int:
+    """Standard-monomial count over F_prime of the ideal generated by `gens`, under the default budget."""
+    return standard_monomial_count(leading_monomials(groebner_basis(gens, prime), nvars), nvars)

@@ -1,4 +1,4 @@
-"""Independent ML-degree verification by exact critical-point counting.
+"""Independent ML-degree verification by critical-point counting over F_p.
 
 In the chart x0 = y0 = z0 = 1 the model polynomial is f = f_W(x, y, z) and
 the log-likelihood for data u is
@@ -14,12 +14,16 @@ where the marginal u_x sums u over the x=1 cells, etc.  Solutions with a
 zero coordinate or with f = 0 are not critical points of the likelihood;
 one Rabinowitsch variable s with  s * x * y * z_1...z_n * f = 1  removes
 them.  The count of torus critical points (the ML degree for generic u)
-is then the standard-monomial count of the saturated ideal; multiplicity
-from non-generic data shows up as disagreement between data trials.
+is then the standard-monomial count of the saturated ideal, computed
+over F_p for a random 61-bit prime p (groebner).  Multiplicity from
+non-generic data and an unlucky p both show up as disagreement: each data
+trial has its own prime, a stable answer needs two primes and two data
+draws to agree, and a disagreement is counted again under second primes
+before it is reported.  Fixed data is counted under two primes.
 
 Both are scaled products of simplices, Delta_1 x Delta_1 x Delta_n and,
 for matrices, Delta_m x Delta_n, and one builder writes the system for
-either.  Matrix runs are limited to m + n <= 4 and tensor runs to n <= 2;
+either.  Matrix runs are limited to m + n <= 4 and tensor runs to n <= 3;
 beyond that the curve-arrangement count `euler.mldeg_value` is the
 practical route.
 """
@@ -34,12 +38,12 @@ from itertools import product
 from math import gcd
 from operator import getitem
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, UnstableCountError
 from .exact import RatMatrix
-from .groebner import count_solutions
+from .groebner import count_solutions, random_prime
 from .tensor import ScalingTensor
 
-ORACLE_MAX_N = 2
+ORACLE_MAX_N = 3
 MATRIX_ORACLE_MAX_DIM = 4  # m + n for an (m+1) x (n+1) scaling matrix
 
 
@@ -153,8 +157,18 @@ def _simplex_product_system(dims, coeffs: dict, data: dict) -> ScoreSystem:
     return ScoreSystem(nvars, tuple(tuple(p) for p in polys))
 
 
-def _count(system: ScoreSystem) -> int:
-    return count_solutions(system.polys, system.nvars)
+def _count(system: ScoreSystem, primes: random.Random) -> int:
+    """The standard-monomial count of `system` over F_p for the next prime p drawn from `primes`."""
+    return count_solutions(system.polys, system.nvars, random_prime(primes))
+
+
+def _count_two_primes(system: ScoreSystem) -> int:
+    """The count under two primes from a fixed stream; they must agree."""
+    primes = random.Random("primes")
+    first, second = _count(system, primes), _count(system, primes)
+    if first != second:
+        raise UnstableCountError(f"two primes gave {first} and {second} critical points")
+    return first
 
 
 def score_system(W: ScalingTensor, u: DataVector) -> ScoreSystem:
@@ -166,10 +180,10 @@ def score_system(W: ScalingTensor, u: DataVector) -> ScoreSystem:
 
 
 def count_critical_points(W: ScalingTensor, u: DataVector) -> int:
-    """Exact number of torus critical points of the likelihood for data u."""
+    """Number of torus critical points of the likelihood for data u, under two primes that must agree."""
     if W.n > ORACLE_MAX_N:
         raise DimensionMismatchError(f"the critical-point oracle is limited to n <= {ORACLE_MAX_N}")
-    return _count(score_system(W, u))
+    return _count_two_primes(score_system(W, u))
 
 
 def matrix_score_system(M: RatMatrix, u_rows) -> ScoreSystem:
@@ -184,7 +198,7 @@ def matrix_score_system(M: RatMatrix, u_rows) -> ScoreSystem:
 def count_critical_points_matrix(M: RatMatrix, u_rows) -> int:
     if (M.nrows - 1) + (M.ncols - 1) > MATRIX_ORACLE_MAX_DIM:
         raise DimensionMismatchError(f"matrix oracle limited to m + n <= {MATRIX_ORACLE_MAX_DIM}")
-    return _count(matrix_score_system(M, u_rows))
+    return _count_two_primes(matrix_score_system(M, u_rows))
 
 
 @dataclass(frozen=True)
@@ -206,18 +220,23 @@ class CountResult:
 def oracle_mldeg(W: ScalingTensor, trials: int = 2, seed: int = 0) -> CountResult:
     """Count critical points for `trials` random data vectors and compare.
 
-    Counts agree for generic data; a disagreement flags a non-generic draw
-    (solution multiplicity), reported via stable=False with the modal
-    count as consensus.
+    Each trial counts over F_p for its own prime, drawn from its trial seed
+    apart from its data.  Counts agree for generic data and lucky primes.
+    On a disagreement every trial is counted again under its next prime,
+    which clears an unlucky prime; a disagreement that remains flags a
+    non-generic draw (solution multiplicity), reported via stable=False
+    with the modal count as consensus.
     """
     if trials < 2:
         raise ValueError("at least two data trials are required")
+    if W.n > ORACLE_MAX_N:
+        raise DimensionMismatchError(f"the critical-point oracle is limited to n <= {ORACLE_MAX_N}")
     rng = random.Random(seed)
-    results = []
-    for _ in range(trials):
-        trial_seed = rng.randrange(2**32)
-        u = DataVector.random(W.n, random.Random(trial_seed))
-        results.append((trial_seed, count_critical_points(W, u)))
-    counts = [c for _, c in results]
+    seeds = [rng.randrange(2**32) for _ in range(trials)]
+    systems = [score_system(W, DataVector.random(W.n, random.Random(s))) for s in seeds]
+    primes = [random.Random(f"primes {s}") for s in seeds]
+    counts = [_count(*run) for run in zip(systems, primes)]
+    if len(set(counts)) > 1:  # an unlucky prime or a non-generic draw: count every trial again
+        counts = [_count(*run) for run in zip(systems, primes)]
     consensus = max(set(counts), key=counts.count)
-    return CountResult(consensus, len(set(counts)) == 1, tuple(results))
+    return CountResult(consensus, len(set(counts)) == 1, tuple(zip(seeds, counts)))

@@ -281,6 +281,12 @@ def _sign_string(values) -> str:
     return "".join("+" if v > 0 else "-" for v in values)
 
 
+def _sample_entries(rng: random.Random, bound: int) -> list[list[list[int]]]:
+    """Eight entries uniform in [-bound, bound] without 0, drawn with no list of those values."""
+    e = [i - bound + (i >= bound) for i in (rng.randrange(2 * bound) for _ in range(8))]
+    return [[e[0:2], e[2:4]], [e[4:6], e[6:8]]]
+
+
 def sample_sign_patterns(samples: int, bound: int, seed: int = 0) -> dict[str, int]:
     """Sample integer tensors and tally exact sign patterns of the factors.
 
@@ -290,11 +296,9 @@ def sample_sign_patterns(samples: int, bound: int, seed: int = 0) -> dict[str, i
     if samples < 1 or bound < 2:
         raise ValueError("need samples >= 1 and bound >= 2")
     rng = random.Random(seed)
-    nonzero = list(range(-bound, 0)) + list(range(1, bound + 1))
     counts: dict[str, int] = {}
     for _ in range(samples):
-        e = [[[rng.choice(nonzero) for _ in range(2)] for _ in range(2)] for _ in range(2)]
-        values = _sign_vector(e)
+        values = _sign_vector(_sample_entries(rng, bound))
         if values is None:
             continue
         key = _sign_string(values)
@@ -311,10 +315,9 @@ def find_negative_h_patterns(seed: int = 0, budget: int = 200_000, bound: int = 
     preserved).  Returns pattern -> witness entries.
     """
     rng = random.Random(seed)
-    nonzero = list(range(-bound, 0)) + list(range(1, bound + 1))
     found: dict[str, list[list[list[int]]]] = {}
     for _ in range(budget):
-        e = [[[rng.choice(nonzero) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+        e = _sample_entries(rng, bound)
         values = _sign_vector(e)
         if values is None or values[-1] > 0:
             continue

@@ -169,6 +169,27 @@ def test_oracle_with_fixed_data(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 1
 
 
+def test_oracle_data_primes_must_agree(tmp_path, capsys, monkeypatch):
+    import random
+
+    import segreml.oracle
+    from helpers import COUNTEREXAMPLE_W
+    from segreml.oracle import DataVector
+
+    tensor = _write(tmp_path, "w.json", COUNTEREXAMPLE_W.to_json_dict())
+    u = DataVector.random(2, random.Random(random.Random(1).randrange(2**32)))
+    data = _write(tmp_path, "u.json", u.to_json_dict())
+    assert main(["oracle", tensor, "--data", data]) == 0
+    assert capsys.readouterr().out == '{"count":8,"stable":true,"trials":[[null,8]]}\n'
+    # over F_59 this system has 5 solutions (see test_oracle.py), so the two primes disagree
+    honest = segreml.oracle.random_prime
+    draws = iter([59])
+    monkeypatch.setattr(segreml.oracle, "random_prime", lambda rng: next(draws, None) or honest(rng))
+    assert main(["oracle", tensor, "--data", data]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_realize_out_of_range(capsys):
     assert main(["realize", "--n", "1", "--r", "7"]) == 2
 
@@ -186,3 +207,22 @@ def test_atlas_and_signs(tmp_path, capsys):
     signs = json.loads(signs_path.read_text())
     assert signs["distinct"] == len(signs["patterns"])
     assert all(p.endswith("-") for p in signs["negative_h"])
+
+
+def test_signs_admission(tmp_path, capsys):
+    # entries are drawn without a list of the 2 * bound values, so any bound answers
+    assert main(["signs", "--samples", "5", "--bound", "100000000000000000000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sum(payload["patterns"].values()) <= 5 and payload["bound"] == 10**20
+    start = time.perf_counter()
+    assert main(["signs", "--samples", "100000000", "--bound", "5"]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--samples <= 1000000" in err
+    # the seeded tally is the one the former list-based draw gave
+    assert main(["signs", "--samples", "60", "--bound", "3", "--seed", "11"]) == 0
+    assert json.loads(capsys.readouterr().out)["patterns"] == {
+        "++--++-": 7, "-------": 1, "-+-+-++": 4, "++++---": 6, "++-++++": 1, "--++++-": 2, "+-+++++": 1,
+        "-++---+": 1, "--+++-+": 1, "+-+-+-+": 2, "+-+-+++": 1, "+--++-+": 2, "+-++-++": 1, "+--+-++": 1,
+        "-+-++++": 1, "+-+--++": 1, "+++-+-+": 1, "-+--+-+": 1, "--+-+-+": 1,
+    }

@@ -9,33 +9,37 @@ from segreml.errors import NotZeroDimensionalError, ResourceBudgetExceededError
 from segreml.groebner import (
     count_solutions,
     groebner_basis,
+    is_prime,
     leading_monomials,
+    random_prime,
     standard_monomial_count,
 )
 from segreml import _kernel_py as K
 
+P = 2**61 - 1  # a Mersenne prime
+
 
 def test_known_counts():
     # (t - 1)(t - 2): two rational points
-    assert count_solutions([[((2,), 1), ((1,), -3), ((0,), 2)]], 1) == 2
+    assert count_solutions([[((2,), 1), ((1,), -3), ((0,), 2)]], 1, P) == 2
     # x^2 = 1, y = x: two points
     gens = [[((2, 0), 1), ((0, 0), -1)], [((0, 1), 1), ((1, 0), -1)]]
-    assert count_solutions(gens, 2) == 2
+    assert count_solutions(gens, 2, P) == 2
     # fat point (x^2, y^2): multiplicity 4
-    assert count_solutions([[((2, 0), 1)], [((0, 2), 1)]], 2) == 4
+    assert count_solutions([[((2, 0), 1)], [((0, 2), 1)]], 2, P) == 4
     # unit ideal
-    assert count_solutions([[((0, 0), 5)]], 2) == 0
+    assert count_solutions([[((0, 0), 5)]], 2, P) == 0
     # intersection of two conics: Bezout number 4
     gens = [
         [((2, 0), 1), ((0, 2), 1), ((0, 0), -5)],
         [((2, 0), 1), ((1, 1), -1), ((0, 2), 1), ((0, 0), -3)],
     ]
-    assert count_solutions(gens, 2) == 4
+    assert count_solutions(gens, 2, P) == 4
 
 
 def test_positive_dimensional_rejected():
     with pytest.raises(NotZeroDimensionalError):
-        count_solutions([[((1, 1), 1)]], 2)  # xy = 0 is a curve pair
+        count_solutions([[((1, 1), 1)]], 2, P)  # xy = 0 is a curve pair
 
 
 def test_buchberger_criterion_on_random_systems():
@@ -54,12 +58,13 @@ def test_buchberger_criterion_on_random_systems():
             gens.append([(m, c) for m, c in terms.items() if c])
         if not all(gens):
             continue
-        gb = groebner_basis([list(g) for g in gens])
+        R = K.Ring(P, nvars)
+        gb = groebner_basis([list(g) for g in gens], P)
         assert gb
         for g in gens:
-            assert not K.normal_form(K.make_primitive(K.sort_terms(list(g))), gb)
+            assert not K.normal_form(K.from_int_terms(R, g), gb, R)
         for f, g in itertools.combinations(gb, 2):
-            assert not K.normal_form(K.spair(f, g), gb)
+            assert not K.normal_form(K.spair(f, g, R), gb, R)
         checked += 1
     assert checked == 24
 
@@ -71,17 +76,87 @@ def test_budget_errors():
         [((2, 1), 1), ((0, 2), -2), ((1, 0), 1)],
     ]
     with pytest.raises(ResourceBudgetExceededError):
-        groebner_basis(growing, max_basis=2)
-    assert count_solutions(growing, 2) == 3
+        groebner_basis(growing, P, max_basis=2)
+    assert count_solutions(growing, 2, P) == 3
 
-    # dense conics make fraction-free remainders outgrow a 4-bit budget
+    # dense conics: their completion needs a third basis element
     conics = [
         [((2, 0), 3), ((1, 1), 5), ((0, 2), 7), ((0, 0), -11)],
         [((2, 0), 13), ((1, 1), -17), ((0, 2), 19), ((0, 0), -23)],
     ]
     with pytest.raises(ResourceBudgetExceededError):
-        groebner_basis(conics, max_coeff_bits=4)
-    assert count_solutions(conics, 2) == 4
+        groebner_basis(conics, P, max_basis=2)
+    assert len(groebner_basis(conics, P, max_basis=3)) == 3
+    assert count_solutions(conics, 2, P) == 4
+
+
+def test_packed_exponent_limit():
+    # A total degree of 2^15 would reach the guard bit of the packed exponents.
+    limit = K.DEGREE_LIMIT
+    assert limit == 2**15
+    with pytest.raises(ResourceBudgetExceededError, match="packed-exponent limit"):
+        groebner_basis([[((limit, 0), 1), ((0, 0), -1)]], P)
+    with pytest.raises(ResourceBudgetExceededError, match="packed-exponent limit"):
+        groebner_basis([[((limit // 2, limit // 2), 1), ((0, 1), 1)]], P)
+    assert count_solutions([[((limit - 1, 0), 1), ((0, 0), -1)], [((0, 1), 1)]], 2, P) == limit - 1
+    # Each generator fits, but their S-pair has degree 35000: its shift x^4999
+    # times the tail x^30000 of the first would overflow the x field.
+    with pytest.raises(ResourceBudgetExceededError, match="packed-exponent limit"):
+        groebner_basis([[((1, 30000), 1), ((30000, 0), 1)], [((5000, 0), 1), ((0, 0), -1)]], P)
+
+
+def test_packed_monomials_match_tuple_definitions():
+    def exps(rng, n):
+        # mostly small, sometimes at the edges of a 15-bit field
+        return tuple(
+            rng.choice((0, 1, 7, 2**14 - 1, 2**14, 2**15 - 1)) if rng.random() < 0.2 else rng.randint(0, 4)
+            for _ in range(n)
+        )
+
+    def packed(e):  # K(e) = deg(e) B^N - sum_i e_i B^i, B = 2^16, with no degree limit
+        return sum(e) * 2 ** (16 * len(e)) - sum(x * 2 ** (16 * i) for i, x in enumerate(e))
+
+    rng = random.Random(31)
+    for _ in range(4000):
+        n = rng.choice((1, 2, 3, 5))
+        R = K.Ring(P, n)
+        a, b = exps(rng, n), exps(rng, n)
+        if max(sum(a), sum(b)) >= K.DEGREE_LIMIT:
+            with pytest.raises(ResourceBudgetExceededError):
+                K.pack(a if sum(a) >= K.DEGREE_LIMIT else b)
+            continue
+        ka, kb = K.pack(a), K.pack(b)
+        assert (ka, kb) == (packed(a), packed(b))
+        assert K.unpack(ka, n) == a and K.unpack(kb, n) == b
+        assert packed(tuple(x + y for x, y in zip(a, b))) == ka + kb  # a product is an int add
+        assert K.mono_divides(R, ka, kb) == all(x <= y for x, y in zip(a, b))
+        lcm = tuple(max(x, y) for x, y in zip(a, b))
+        assert K.mono_lcm(R, ka, kb) == packed(lcm)
+        # the driver's coprime test: the lcm of the leads is their product
+        assert (K.mono_lcm(R, ka, kb) == ka + kb) == all(x == 0 or y == 0 for x, y in zip(a, b))
+    # the extremes of one field, next to a full neighbour
+    R = K.Ring(P, 3)
+    top, half = 2**15 - 1, 2**14
+    assert K.mono_divides(R, K.pack((0, top, 0)), K.pack((0, top, 0)))
+    assert not K.mono_divides(R, K.pack((0, top, 0)), K.pack((1, top - 1, 0)))
+    assert K.mono_divides(R, K.pack((half - 1, 0, 0)), K.pack((half, half - 1, 0)))
+    assert K.mono_lcm(R, K.pack((top, 0, 0)), K.pack((0, top, 0))) == packed((top, top, 0))
+    assert K.mono_lcm(R, K.pack((top, 0, 0)), K.pack((top - 1, 1, 0))) == packed((top, 1, 0))
+
+
+def test_primes():
+    assert [n for n in range(60) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    sieve = [all(n % d for d in range(2, int(n**0.5) + 1)) for n in range(20000)]
+    assert all(is_prime(n) == (n >= 2 and sieve[n]) for n in range(20000))
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    # Carmichael numbers and strong pseudoprimes to every base up to 23
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    with pytest.raises(ValueError):
+        is_prime(2**127 - 1)
+    drawn = [random_prime(random.Random(s)) for s in range(20)]
+    assert all(q.bit_length() == 61 and is_prime(q) for q in drawn)
+    assert len(set(drawn)) == 20 and random_prime(random.Random(3)) == drawn[3]
 
 
 def test_standard_monomial_count_vs_enumeration():
@@ -116,33 +191,34 @@ def test_grevlex_key_matches_first_principles():
             diff = [x - y for x, y in zip(a, b)]
             last = next(d for d in reversed(diff) if d != 0)
             expected = last < 0
-        assert (K.grevlex_key(a) > K.grevlex_key(b)) == expected
+        assert (K.pack(a) > K.pack(b)) == expected
 
 
-def _naive_buchberger(gens):
-    """Criteria-free completion: every pair, no pruning (test oracle)."""
-    basis = [K.make_primitive(K.sort_terms(list(g))) for g in gens]
+def _naive_buchberger(gens, nvars):
+    """Criteria-free completion over F_P: every pair, no pruning (test oracle)."""
+    R = K.Ring(P, nvars)
+    basis = [K.from_int_terms(R, g) for g in gens]
     basis = [g for g in basis if g]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
         i, j = pairs.pop()
-        h = K.normal_form(K.spair(basis[i], basis[j]), basis)
+        h = K.normal_form(K.spair(basis[i], basis[j], R), basis, R)
         if h:
             basis.append(h)
             pairs.extend((len(basis) - 1, t) for t in range(len(basis) - 1))
     # minimalize (ascending leads) and tail-reduce to the reduced basis
-    basis.sort(key=lambda p: K.grevlex_key(p[0][0]))
+    basis.sort(key=lambda p: p[0][0])
     minimal = []
     for g in basis:
-        if not any(K.mono_divides(h[0][0], g[0][0]) for h in minimal):
+        if not any(K.mono_divides(R, h[0][0], g[0][0]) for h in minimal):
             minimal.append(g)
     reduced = []
     for g in minimal:
-        h = K.normal_form(g, [x for x in minimal if x is not g])
+        h = K.normal_form(g, [x for x in minimal if x is not g], R)
         if h:
             reduced.append(h)
-    reduced.sort(key=lambda p: K.grevlex_key(p[0][0]))
-    return [[(m, int(c)) for m, c in p] for p in reduced]
+    reduced.sort(key=lambda p: p[0][0])
+    return reduced
 
 
 def test_reduced_basis_matches_naive_buchberger():
@@ -159,22 +235,23 @@ def test_reduced_basis_matches_naive_buchberger():
             gens.append([(m, c) for m, c in terms.items() if c])
         if not all(gens):
             continue
-        fancy = groebner_basis([list(g) for g in gens])
-        fancy = [[(m, int(c)) for m, c in p] for p in fancy]
-        naive = _naive_buchberger(gens)
+        fancy = groebner_basis([list(g) for g in gens], P)
+        naive = _naive_buchberger(gens, nvars)
         assert fancy == naive
         compared += 1
 
 
 def test_basis_is_interreduced():
     gens = [[((2, 0), 1), ((0, 1), 1)], [((1, 1), 1), ((1, 0), 1)], [((0, 2), 1), ((1, 0), -1)]]
-    gb = groebner_basis(gens)
-    lms = leading_monomials(gb)
+    gb = groebner_basis(gens, P)
+    lms = leading_monomials(gb, 2)
     for i, lm in enumerate(lms):
         for j, other in enumerate(lms):
             if i != j:
                 assert not all(a <= b for a, b in zip(other, lm))
     # no tail monomial is divisible by any leading monomial
     for p in gb:
+        assert p[0][1] == 1  # monic
         for mono, _ in p[1:]:
+            mono = K.unpack(mono, 2)
             assert not any(all(a <= b for a, b in zip(lm, mono)) for lm in lms)

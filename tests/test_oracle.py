@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
-from segreml.errors import DimensionMismatchError
+import segreml.oracle
+from segreml.errors import DimensionMismatchError, UnstableCountError
 from segreml.euler import mldeg_value
 from segreml.exact import RatMatrix
+from segreml.groebner import count_solutions
+from segreml.realize import realize
 from segreml.oracle import (
     DataVector,
     count_critical_points,
@@ -93,9 +97,71 @@ def test_oracle_matches_engine_on_random_n1():
 
 def test_oracle_scope_limit():
     with pytest.raises(DimensionMismatchError):
-        count_critical_points(random_tensor(random.Random(0), 3), DataVector.random(3, random.Random(0)))
+        count_critical_points(random_tensor(random.Random(0), 4), DataVector.random(4, random.Random(0)))
+    with pytest.raises(DimensionMismatchError):
+        oracle_mldeg(random_tensor(random.Random(0), 4))
     with pytest.raises(ValueError):
         oracle_mldeg(all_ones(1), trials=1)
+
+
+def test_oracle_reaches_n3():
+    # the F_p oracle agrees with the curve arrangement on P1 x P1 x P3 samples
+    start = time.perf_counter()
+    for r in (1, 4, 9, 14, 20):
+        W = realize(3, r, seed=1)
+        result = oracle_mldeg(W, trials=2, seed=r)
+        assert result.stable and result.count == mldeg_value(W) == r
+    assert time.perf_counter() - start < 30.0
+
+
+def _unlucky_drawer(monkeypatch, small_primes):
+    """Make the k-th prime drawn by the oracle small_primes[k] where given; returns the draw log."""
+    drawn = []
+    honest = segreml.oracle.random_prime
+
+    def drawer(rng):
+        drawn.append(len(drawn))
+        return small_primes.get(len(drawn) - 1) or honest(rng)
+
+    monkeypatch.setattr(segreml.oracle, "random_prime", drawer)
+    return drawn
+
+
+def _first_trial_data():
+    # the first data trial of oracle_mldeg(..., seed=1)
+    return DataVector.random(2, random.Random(random.Random(1).randrange(2**32)))
+
+
+def test_unlucky_prime_is_recounted(monkeypatch):
+    # 59 divides the leading coefficient of the first score of the first
+    # trial's system for COUNTEREXAMPLE_W, and over F_59 that system has 5
+    # solutions where Q has 8; 239 divides the second score's and gives 3.
+    system = score_system(COUNTEREXAMPLE_W, _first_trial_data())
+    leads = [max(poly, key=lambda t: (sum(t[0]), tuple(-e for e in reversed(t[0]))))[1] for poly in system.polys]
+    assert leads[0] % 59 == 0 and leads[1] % 239 == 0
+    assert count_solutions(system.polys, system.nvars, 59) == 5
+    assert count_solutions(system.polys, system.nvars, 239) == 3
+    honest = oracle_mldeg(COUNTEREXAMPLE_W, trials=2, seed=1)
+    assert honest.stable and honest.count == 8
+
+    # one unlucky first prime: the disagreement makes both trials count again
+    drawn = _unlucky_drawer(monkeypatch, {0: 59})
+    result = oracle_mldeg(COUNTEREXAMPLE_W, trials=2, seed=1)
+    assert len(drawn) == 4
+    assert result == honest
+
+    # unlucky again in the recount: reported unstable, never a wrong stable count
+    monkeypatch.undo()
+    _unlucky_drawer(monkeypatch, {0: 59, 2: 239})
+    result = oracle_mldeg(COUNTEREXAMPLE_W, trials=2, seed=1)
+    assert not result.stable and sorted(c for _, c in result.trials) == [3, 8]
+
+    # fixed data is counted under two primes, which must agree
+    monkeypatch.undo()
+    assert count_critical_points(COUNTEREXAMPLE_W, _first_trial_data()) == 8
+    _unlucky_drawer(monkeypatch, {0: 59})
+    with pytest.raises(UnstableCountError):
+        count_critical_points(COUNTEREXAMPLE_W, _first_trial_data())
 
 
 def test_matrix_oracle():
