@@ -33,14 +33,18 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_UNSTABLE = 3
 
-# analyze's term table sums 2^(n+1) - 1 slice subsets; n = 12 is its desk-scale limit.
-ANALYZE_MAX_N = 12
+# analyze's term table and realize's verification sum 2^(n+1) - 1 slice subsets;
+# n = 12 is their desk-scale limit.
+SUBSET_SUM_MAX_N = 12
 # matrix-mldeg sums the ranks of (2^(m+1) - 1)(2^(n+1) - 1) submatrices of an
 # (m+1) x (n+1) matrix; m + n = 12 (a 7 x 7 matrix) is its desk-scale limit.
 MATRIX_MLDEG_MAX_DIM = 12
 # signs evaluates seven factors per sampled tensor, about 20 us each on one core,
 # so the cap is a run of about 20 s.
 SIGNS_MAX_SAMPLES = 1_000_000
+# oracle counts one score system per trial, about 0.4 s each at n = 3 on one core,
+# so the cap is a run of about 20 s (40 s when a disagreement forces the recount).
+ORACLE_MAX_TRIALS = 50
 
 
 def canonical_json(obj) -> str:
@@ -115,9 +119,9 @@ def _print_analyze_text(payload: dict) -> None:
 
 def _cmd_analyze(args) -> int:
     W = _load_tensor(args.tensor)
-    if W.n > ANALYZE_MAX_N:
+    if W.n > SUBSET_SUM_MAX_N:
         raise DimensionMismatchError(
-            f"analyze enumerates 2^(n+1) - 1 slice subsets and takes n <= {ANALYZE_MAX_N}, "
+            f"analyze enumerates 2^(n+1) - 1 slice subsets and takes n <= {SUBSET_SUM_MAX_N}, "
             f"got n = {W.n}; use `segreml mldeg` for the ML degree at large n"
         )
     payload = _analyze_payload(W)
@@ -150,6 +154,8 @@ def _cmd_matrix_mldeg(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.trials > ORACLE_MAX_TRIALS:
+        raise ValueError(f"oracle takes --trials <= {ORACLE_MAX_TRIALS}, got {args.trials}")
     W = _load_tensor(args.tensor)
     if args.data is not None:
         u = DataVector.from_json_dict(_load_json(args.data))
@@ -163,6 +169,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    if args.n > SUBSET_SUM_MAX_N:
+        raise DimensionMismatchError(
+            f"realize verifies its tensor by summing 2^(n+1) - 1 slice subsets and takes "
+            f"n <= {SUBSET_SUM_MAX_N}, got n = {args.n}"
+        )
     try:
         W = realize(args.n, args.r, seed=args.seed)
     except ValueError as exc:

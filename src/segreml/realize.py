@@ -8,31 +8,35 @@ hyperdeterminant ever appears, so a generic solution of any subset
 S of altH(n) + {F[**n]} vanishes on exactly S and has ML degree
 (n+1)(n+2) - |S|.
 
-That covers every target r with n(n+1) < r <= (n+1)(n+2); smaller targets
-recurse to n-1 and duplicate the last slice, which leaves the union of
-quadrics and hence the ML degree unchanged.  The n = 1 base closes the
-range with the cubic-frame (r = 2) and proportional-singular (r = 1)
-witnesses.
+That covers every target r with n(n+1) < r <= (n+1)(n+2).  A smaller
+target is built at the m < n with m(m+1) < r <= (m+1)(m+2) and padded
+with n - m copies of the last slice, which leaves the union of quadrics
+and hence the ML degree unchanged.  The n = 1 base closes the range with
+the cubic-frame (r = 2) and proportional-singular (r = 1) witnesses.
 
-Each constraint is solved by one division for a designated entry owned by
-no other constraint, in an order that never rewrites an entry an earlier
-constraint used; genericity is untrusted and every output is gated by an
-exact vanishing-pattern check.
+The module also holds the witness toolkit that `strata` builds the n = 1
+atlas with.  `force_minors` zeroes each minor by one exact division for
+the last entry no earlier minor touches; on altH(n) + {F[**n]} in forcing
+order that entry is owned by no other constraint.  `scaled_pair` draws the
+two-slice tensors whose slice 1 is slice 0 rescaled.  `first_witness` is
+the one generate-and-gate loop: genericity is untrusted and every output
+passes an exact vanishing-pattern check.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 from .errors import GenerationFailedError
 from .euler import degree_bound
-from .factors import FactorId, face_minor_x, face_minor_y, slice_minor, vanishing_pattern
+from .factors import FactorId, all_factors, face_minor_x, face_minor_y, slice_minor, vanishing_pattern
 from .tensor import ScalingTensor
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _DENOMS = (1, 2, 3, 4, 5, 6, 7)
-_RETRY_BUDGET = 200
+_RETRY_BUDGET = 400
 
 
 def random_entry(rng: random.Random) -> Fraction:
@@ -58,18 +62,6 @@ def hook_constraint_universe(n: int) -> list[FactorId]:
     return alt_hooks(n) + [slice_minor(n)]
 
 
-def _owned_entry(fid: FactorId, n: int) -> tuple[int, int, int]:
-    """The entry each constraint is solved for; all pairwise distinct."""
-    if fid.kind == "face_y":
-        j, c, c1 = fid.index
-        return (1, j, c1)
-    if fid.kind == "face_x":
-        i, c, c1 = fid.index
-        return (i, 1, c1)
-    # slice minor F[**n]: pick a slot the pair-(n-1) hooks never own.
-    return (0, 1, n) if (n - 1) % 2 == 0 else (1, 0, n)
-
-
 def _solve_minor(entries: list[list[list[Fraction]]], fid: FactorId, pos: tuple[int, int, int]) -> None:
     """Overwrite entries[pos] so the minor vanishes (one exact division)."""
     (i, j, k) = pos
@@ -87,60 +79,84 @@ def _solve_minor(entries: list[list[list[Fraction]]], fid: FactorId, pos: tuple[
         entries[i][j][k] = entries[1 - i][j][k] * entries[i][j][ko] / entries[1 - i][j][ko]
 
 
+def force_minors(entries: list[list[list[Fraction]]], minors) -> bool:
+    """Zero each minor in turn through the last entry no earlier minor touches.
+
+    Works on [2][2][n+1] entries for any n; a solved entry is a ratio of
+    nonzero entries, so every entry stays nonzero.  Returns False, with
+    the entries partly rewritten, when a minor has no untouched entry left.
+    """
+    used: set[tuple[int, int, int]] = set()
+    for fid in minors:
+        free = sorted(fid.variables() - used)
+        if not free:
+            return False
+        _solve_minor(entries, fid, free[-1])
+        used |= fid.variables()
+    return True
+
+
+def scaled_pair(rng: random.Random, singular: bool, axis: str | None = None) -> ScalingTensor | None:
+    """An n = 1 tensor whose slice 1 is slice 0 rescaled, or None for a rejected draw.
+
+    Slice 0 is drawn singular by construction when `singular` is set and
+    drawn whole otherwise, rejecting a singular draw.  With no axis slice 1
+    is lam * slice 0 (lam = 1 is rejected for a nonsingular slice 0);
+    axis "x" scales the two x-rows by lam and mu, axis "y" the two
+    y-columns, rejecting lam = mu.
+    """
+    if singular:
+        a, b, c = random_entry(rng), random_entry(rng), random_entry(rng)
+        s0 = [[a, b], [c, b * c / a]]
+    else:
+        s0 = [[random_entry(rng) for _ in range(2)] for _ in range(2)]
+    lam = random_entry(rng)
+    if axis is None:
+        if not singular and (s0[0][0] * s0[1][1] == s0[0][1] * s0[1][0] or lam == 1):
+            return None
+        scale = [[lam, lam], [lam, lam]]
+    else:
+        mu = random_entry(rng)
+        if lam == mu:
+            return None
+        scale = [[lam, lam], [mu, mu]] if axis == "x" else [[lam, mu], [lam, mu]]
+    return ScalingTensor.from_slices([s0, [[scale[i][j] * s0[i][j] for j in range(2)] for i in range(2)]])
+
+
+def first_witness(draw, target: frozenset[FactorId], rng: random.Random) -> ScalingTensor:
+    """The first tensor `draw(rng)` yields whose exact vanishing pattern is `target`.
+
+    `draw` returns a candidate, or None for a draw it rejects itself; each
+    candidate's pattern is computed once.  Raises GenerationFailedError
+    after _RETRY_BUDGET draws without a match.
+    """
+    for _ in range(_RETRY_BUDGET):
+        W = draw(rng)
+        if W is not None and vanishing_pattern(W).factors == target:
+            return W
+    names = [f.name for f in sorted(target, key=FactorId.sort_key)]
+    raise GenerationFailedError(f"no tensor vanishing exactly on {names} after {_RETRY_BUDGET} draws")
+
+
 def generic_solution(S, n: int, seed: int = 0) -> ScalingTensor:
     """A tensor whose vanishing pattern is exactly the constraint set S.
 
     S must be a subset of altH(n) + {F[**n]}.  Entries are drawn from a
-    seeded pool, each constraint is forced through its designated entry,
-    and the result is rejected unless the exact pattern equals S.
+    seeded pool, each constraint is forced in forcing order, and the result
+    is rejected unless the exact pattern equals S.
     """
     allowed = hook_constraint_universe(n)
     S = set(S)
     if not S <= set(allowed):
         bad = sorted(f.name for f in S - set(allowed))
         raise ValueError(f"constraints outside altH({n}) + {{F[**{n}]}}: {bad}")
-    S = sorted(S, key=allowed.index)
-    rng = random.Random(seed)
-    target = frozenset(S)
-    for _ in range(_RETRY_BUDGET):
+    minors = sorted(S, key=allowed.index)
+
+    def draw(rng: random.Random) -> ScalingTensor | None:
         entries = [[[random_entry(rng) for _ in range(n + 1)] for _ in range(2)] for _ in range(2)]
-        for fid in S:
-            _solve_minor(entries, fid, _owned_entry(fid, n))
-        if any(entries[i][j][k] == 0 for i in range(2) for j in range(2) for k in range(n + 1)):
-            continue
-        W = ScalingTensor.from_entries(n, entries)
-        if vanishing_pattern(W).factors == target:
-            return W
-    raise GenerationFailedError(f"no generic solution for {sorted(f.name for f in S)} after {_RETRY_BUDGET} tries")
+        return ScalingTensor.from_entries(n, entries) if force_minors(entries, minors) else None
 
-
-def _frame_with_h_witness(rng: random.Random) -> ScalingTensor:
-    """n=1 tensor vanishing exactly on the four face minors plus H.
-
-    Proportional nonsingular slices kill every face minor and make the
-    pencil determinant identically zero while both slice minors survive.
-    """
-    for _ in range(_RETRY_BUDGET):
-        s = [[random_entry(rng), random_entry(rng)], [random_entry(rng), random_entry(rng)]]
-        lam = random_entry(rng)
-        if s[0][0] * s[1][1] == s[0][1] * s[1][0] or lam == 1:
-            continue
-        W = ScalingTensor.from_slices([s, [[lam * x for x in row] for row in s]])
-        if len(vanishing_pattern(W)) == 5:
-            return W
-    raise GenerationFailedError("frame-plus-H witness generation failed")
-
-
-def _all_factors_witness(rng: random.Random) -> ScalingTensor:
-    """n=1 tensor on which all seven factors vanish: proportional singular slices."""
-    for _ in range(_RETRY_BUDGET):
-        a, b, c = random_entry(rng), random_entry(rng), random_entry(rng)
-        s = [[a, b], [c, b * c / a]]  # singular by construction
-        lam = random_entry(rng)
-        W = ScalingTensor.from_slices([s, [[lam * x for x in row] for row in s]])
-        if len(vanishing_pattern(W)) == 7:
-            return W
-    raise GenerationFailedError("all-factors witness generation failed")
+    return first_witness(draw, frozenset(S), random.Random(seed))
 
 
 def realize(n: int, r: int, seed: int = 0) -> ScalingTensor:
@@ -148,10 +164,13 @@ def realize(n: int, r: int, seed: int = 0) -> ScalingTensor:
     top = degree_bound(n)
     if not 1 <= r <= top:
         raise ValueError(f"r must be in [1, {top}] for n = {n}")
-    if n == 1 and r <= 2:
-        rng = random.Random(seed)
-        return _frame_with_h_witness(rng) if r == 2 else _all_factors_witness(rng)
-    if r > n * (n + 1):
-        universe = hook_constraint_universe(n)
-        return generic_solution(universe[: top - r], n, seed)
-    return realize(n - 1, r, seed).duplicate_last_slice()
+    m = 1
+    while degree_bound(m) < r:
+        m += 1
+    if r > m * (m + 1):
+        W = generic_solution(hook_constraint_universe(m)[: degree_bound(m) - r], m, seed)
+    else:  # m = 1, r <= 2: proportional slices, nonsingular for the frame plus H, singular for all seven factors
+        every = frozenset(all_factors(1))
+        target = every - {slice_minor(0), slice_minor(1)} if r == 2 else every
+        W = first_witness(partial(scaled_pair, singular=r == 1), target, random.Random(seed))
+    return ScalingTensor.from_entries(n, [[list(row) + [row[-1]] * (n - m) for row in plane] for plane in W.w])

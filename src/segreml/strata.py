@@ -3,9 +3,12 @@
 The coefficient space of two bilinear quadrics splits into 41 strata by
 which factors vanish: the empty pattern (chi 6), 7 singletons (5), all 21
 pairs (4), 8 corner triples (3), 3 cubic-frame-plus-H quintuples (2) and
-the full pattern (1).  Every stratum here carries a constructive witness
-recipe; generation is untrusted and each candidate passes an exact
-vanishing-pattern gate before being returned.
+the full pattern (1).  The corner and frame patterns are the ones
+`factors` classifies by.  Every stratum here carries a constructive
+witness recipe drawn with the witness toolkit of `realize`: minors are
+zeroed by `force_minors`, the frames and the full pattern come from
+`scaled_pair`, and every candidate passes the exact vanishing-pattern gate
+of `first_witness` before being returned.
 
 Witnesses involving the hyperdeterminant are built geometrically rather
 than by solving H = 0 directly (whose discriminant is rarely a rational
@@ -27,22 +30,21 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .errors import GenerationFailedError
 from .factors import (
     FactorId,
     VanishingPattern,
+    _n1_corners,
+    _n1_frames,
     face_minor_x,
     face_minor_y,
     hyp222,
     n1_factor_universe,
     slice_minor,
-    vanishing_pattern,
 )
-from .realize import _all_factors_witness, _frame_with_h_witness, _solve_minor, random_entry
+from .realize import first_witness, force_minors, random_entry, scaled_pair
 from .tensor import ScalingTensor
-
-_RETRY_BUDGET = 400
 
 SIGN_FACTOR_ORDER = (
     face_minor_x(0, 0, 1),
@@ -80,7 +82,6 @@ def enumerate_strata_n1() -> list[Stratum]:
     """All 41 strata in deterministic order (by class, then pattern)."""
     h = hyp222(0, 1)
     universe = n1_factor_universe()
-    minors = [f for f in universe if f.is_minor]
     out = [Stratum(VanishingPattern(1, ()), 6, "generic entries", "empty")]
     for f in universe:
         recipe = "tangent quadrics" if f == h else f"solve {f.name} = 0 for one entry"
@@ -92,28 +93,17 @@ def enumerate_strata_n1() -> list[Stratum]:
         else:
             recipe = "solve both minors through designated entries"
         out.append(Stratum(VanishingPattern(1, (f, g)), 4, recipe, "pair"))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                triple = (face_minor_x(i, 0, 1), face_minor_y(j, 0, 1), slice_minor(k))
-                out.append(
-                    Stratum(
-                        VanishingPattern(1, triple),
-                        3,
-                        f"corner at w[{i}][{j}][{k}]: three independent solves",
-                        "corner",
-                    )
-                )
-    fx = [face_minor_x(0, 0, 1), face_minor_x(1, 0, 1)]
-    fy = [face_minor_y(0, 0, 1), face_minor_y(1, 0, 1)]
-    sl = [slice_minor(0), slice_minor(1)]
-    frames = [
-        (tuple(fx + fy), "proportional nonsingular slices"),
-        (tuple(fx + sl), "row-scaled singular slices (shared horizontal line)"),
-        (tuple(fy + sl), "column-scaled singular slices (shared vertical line)"),
-    ]
-    for quad, recipe in frames:
-        out.append(Stratum(VanishingPattern(1, quad + (h,)), 2, recipe, "frame"))
+    for corner in _n1_corners():
+        at = {f.kind: f.index[0] for f in corner}
+        recipe = f"corner at w[{at['face_x']}][{at['face_y']}][{at['slice']}]: three independent solves"
+        out.append(Stratum(VanishingPattern(1, tuple(corner)), 3, recipe, "corner"))
+    frame_recipes = (
+        "proportional nonsingular slices",
+        "row-scaled singular slices (shared horizontal line)",
+        "column-scaled singular slices (shared vertical line)",
+    )
+    for frame, recipe in zip(_n1_frames(), frame_recipes):
+        out.append(Stratum(VanishingPattern(1, tuple(frame)), 2, recipe, "frame"))
     out.append(
         Stratum(VanishingPattern(1, tuple(universe)), 1, "proportional singular slices", "full")
     )
@@ -121,26 +111,6 @@ def enumerate_strata_n1() -> list[Stratum]:
 
 
 # -- witness construction ------------------------------------------------------
-
-
-def _random_slice(rng: random.Random) -> list[list[Fraction]]:
-    return [[random_entry(rng), random_entry(rng)], [random_entry(rng), random_entry(rng)]]
-
-
-def _random_entries(rng: random.Random) -> list[list[list[Fraction]]]:
-    return [[[random_entry(rng) for _ in range(2)] for _ in range(2)] for _ in range(2)]
-
-
-def _force_minors(entries, minors) -> bool:
-    """Zero each minor through an entry no earlier minor touches."""
-    used: set[tuple[int, int, int]] = set()
-    for fid in minors:
-        free = sorted(fid.variables() - used)
-        if not free:
-            return False
-        _solve_minor(entries, fid, free[-1])
-        used |= fid.variables()
-    return all(entries[i][j][k] != 0 for i in range(2) for j in range(2) for k in range(2))
 
 
 def _double_line_slice(kind: str, side: int, base: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -178,14 +148,14 @@ def _tangency_witness(rng: random.Random, minor: FactorId | None) -> ScalingTens
         a, b, c = random_entry(rng), random_entry(rng), random_entry(rng)
         pair = [[a, b], [c, b * c / a]]  # singular: a pair of axis-parallel lines
         x_star, y_star = -b / pair[1][1], -c / pair[1][1]
-        other = _random_slice(rng)
+        other = [[random_entry(rng) for _ in range(2)] for _ in range(2)]
         # Pass the other quadric through the node: a double intersection point.
         other[0][0] = -(other[1][0] * x_star + other[0][1] * y_star + other[1][1] * x_star * y_star)
         if other[0][0] == 0:
             return None
         slices = [pair, other] if which == 0 else [other, pair]
         return ScalingTensor.from_slices(slices)
-    s0 = _random_slice(rng)
+    s0 = [[random_entry(rng) for _ in range(2)] for _ in range(2)]
     if s0[0][0] * s0[1][1] == s0[0][1] * s0[1][0]:
         return None
     alpha, beta = random_entry(rng), random_entry(rng)
@@ -207,49 +177,27 @@ def _tangency_witness(rng: random.Random, minor: FactorId | None) -> ScalingTens
     return ScalingTensor.from_slices([s0, s1])
 
 
-def _frame_slice_witness(rng: random.Random, axis: str) -> ScalingTensor | None:
-    """Both slices singular sharing one line: frame of face minors + slices + H."""
-    a, b, c = random_entry(rng), random_entry(rng), random_entry(rng)
-    s0 = [[a, b], [c, b * c / a]]
-    lam, mu = random_entry(rng), random_entry(rng)
-    if lam == mu:
-        return None
-    if axis == "x":  # scale the two x-rows separately: face_x minors vanish
-        s1 = [[lam * s0[0][0], lam * s0[0][1]], [mu * s0[1][0], mu * s0[1][1]]]
-    else:  # scale the two y-columns separately: face_y minors vanish
-        s1 = [[lam * s0[0][0], mu * s0[0][1]], [lam * s0[1][0], mu * s0[1][1]]]
-    return ScalingTensor.from_slices([s0, s1])
-
-
 def witness_for_stratum(stratum: Stratum, seed: int = 0) -> ScalingTensor:
     """A tensor whose vanishing pattern equals the stratum's, exactly."""
     rng = random.Random((seed << 32) ^ zlib.crc32(stratum.name.encode()))
     target = stratum.pattern.factors
-    h = hyp222(0, 1)
     minors = [f for f in stratum.pattern.vanishing if f.is_minor]
-    has_h = h in target
-    for _ in range(_RETRY_BUDGET):
-        candidate: ScalingTensor | None
-        if not target:
-            candidate = ScalingTensor.from_entries(1, _random_entries(rng))
-        elif len(target) == 7:
-            candidate = _all_factors_witness(rng)
-        elif len(target) == 5:
-            kinds = {f.kind for f in minors}
-            if kinds == {"face_x", "face_y"}:
-                candidate = _frame_with_h_witness(rng)
-            else:
-                candidate = _frame_slice_witness(rng, "x" if "face_x" in kinds else "y")
-        elif has_h:
-            candidate = _tangency_witness(rng, minors[0] if minors else None)
-        else:
-            entries = _random_entries(rng)
-            candidate = None
-            if _force_minors(entries, minors):
-                candidate = ScalingTensor.from_entries(1, entries)
-        if candidate is not None and vanishing_pattern(candidate).factors == target:
-            return candidate
-    raise GenerationFailedError(f"witness generation failed for {stratum.name}")
+    kinds = {f.kind for f in minors}
+    if len(target) == 7:
+        draw = partial(scaled_pair, singular=True)
+    elif len(target) == 5 and kinds == {"face_x", "face_y"}:
+        draw = partial(scaled_pair, singular=False)
+    elif len(target) == 5:
+        draw = partial(scaled_pair, singular=True, axis="x" if "face_x" in kinds else "y")
+    elif hyp222(0, 1) in target:
+        draw = partial(_tangency_witness, minor=minors[0] if minors else None)
+    else:
+
+        def draw(rng: random.Random) -> ScalingTensor | None:
+            entries = [[[random_entry(rng) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+            return ScalingTensor.from_entries(1, entries) if force_minors(entries, minors) else None
+
+    return first_witness(draw, target, rng)
 
 
 def atlas(seed: int = 0) -> list[tuple[Stratum, ScalingTensor]]:

@@ -106,6 +106,24 @@ def test_analyze_limit_points_to_mldeg(tmp_path, capsys):
     assert capsys.readouterr().out == "650\n"
 
 
+def test_realize_size_limit(capsys):
+    # realize's verification sums 2^(n+1) - 1 slice subsets, like analyze's term table
+    start = time.perf_counter()
+    assert main(["realize", "--n", "13", "--r", "3"]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "n <= 12" in err
+
+
+def test_oracle_trials_limit(tmp_path, capsys):
+    path = _write(tmp_path, "ones.json", ONES1)
+    start = time.perf_counter()
+    assert main(["oracle", path, "--trials", "1000000000"]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--trials <= 50" in err
+
+
 def test_matrix_mldeg(tmp_path, capsys):
     path = _write(tmp_path, "m.json", {"entries": [["1", "2", "3"], ["5", "7", "11"]]})
     assert main(["matrix-mldeg", path]) == 0

@@ -225,7 +225,7 @@ def test_vanishing_cascades_on_forced_tensors():
     and the 2x2x3 factor; a square cup forces the rest of its cubic frame,
     the cube's hyperdeterminant, and both 2x2x3 factors containing it.
     """
-    from segreml.realize import _solve_minor, random_entry
+    from segreml.realize import force_minors, random_entry
 
     rng = random.Random(42)
 
@@ -234,18 +234,7 @@ def test_vanishing_cascades_on_forced_tensors():
             entries = [
                 [[random_entry(rng) for _ in range(n + 1)] for _ in range(2)] for _ in range(2)
             ]
-            used: set = set()
-            ok = True
-            for fid in minors:
-                free = sorted(fid.variables() - used)
-                if not free:
-                    ok = False
-                    break
-                _solve_minor(entries, fid, free[-1])
-                used |= fid.variables()
-            if not ok or any(
-                entries[i][j][k] == 0 for i in range(2) for j in range(2) for k in range(n + 1)
-            ):
+            if not force_minors(entries, minors):
                 continue
             from segreml.tensor import ScalingTensor
 

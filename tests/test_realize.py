@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from segreml.errors import GenerationFailedError
 from segreml.euler import degree_bound, mldeg_value
-from segreml.factors import face_minor_y, slice_minor, vanishing_pattern
-from segreml.realize import alt_hooks, generic_solution, hook_constraint_universe, realize
+from segreml.factors import face_minor_y, hyp222, slice_minor, vanishing_pattern
+from segreml.oracle import oracle_mldeg
+from segreml.realize import _RETRY_BUDGET, alt_hooks, first_witness, generic_solution, hook_constraint_universe, realize
 
 
 def test_alt_hooks_shape():
@@ -73,6 +75,33 @@ def test_realize_special_cases():
     assert len(vanishing_pattern(frame)) == 5
     full = realize(1, 1, seed=0)
     assert len(vanishing_pattern(full)) == 7
+
+
+def test_realize_pads_large_n_without_recursion():
+    # the tensor is built at n = 1 (r = 1) or n = 2 (r = 7) and padded with copies of its last slice
+    for r in (1, 7):
+        W = realize(1500, r)
+        assert W.n == 1500 and mldeg_value(W) == r
+
+
+def test_benchmark_pinned_realize_inputs_stay_stable():
+    # the benchmark's oracle workload pins realize(2, 8, seed=s), s = 0..3, with data seed 9
+    for s in range(4):
+        result = oracle_mldeg(realize(2, 8, seed=s), trials=2, seed=9)
+        assert result.stable and result.count == 8
+
+
+def test_first_witness_gives_up_after_the_budget():
+    generic = realize(1, 6)
+    draws = []
+
+    def draw(rng):
+        draws.append(rng.random())
+        return generic
+
+    with pytest.raises(GenerationFailedError):
+        first_witness(draw, frozenset({hyp222(0, 1)}), random.Random(0))
+    assert len(draws) == _RETRY_BUDGET
 
 
 def test_hook_pairs_are_hooks():

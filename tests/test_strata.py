@@ -8,7 +8,7 @@ import pytest
 from segreml.errors import GenerationFailedError
 from segreml.euler import mldeg_value
 from segreml.factors import classify_pattern_n1, vanishing_pattern
-from segreml.realize import _solve_minor, random_entry
+from segreml.realize import force_minors, random_entry
 from segreml.strata import (
     NEGATIVE_H_PATTERNS,
     SIGN_FACTOR_ORDER,
@@ -79,18 +79,7 @@ def test_constrained_sampling_stays_in_the_atlas():
     while trials < 10_000:
         entries = [[[random_entry(rng) for _ in range(2)] for _ in range(2)] for _ in range(2)]
         chosen = rng.sample(minors, rng.randint(0, 3))
-        used = set()
-        ok = True
-        for fid in chosen:
-            free = sorted(fid.variables() - used)
-            if not free:
-                ok = False
-                break
-            _solve_minor(entries, fid, free[-1])
-            used |= fid.variables()
-        if not ok or any(
-            entries[i][j][k] == 0 for i in range(2) for j in range(2) for k in range(2)
-        ):
+        if not force_minors(entries, chosen):
             continue
         trials += 1
         pattern = vanishing_pattern(ScalingTensor.from_entries(1, entries))
