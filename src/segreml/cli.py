@@ -24,7 +24,7 @@ from .errors import (
     ZeroEntryError,
 )
 from .exact import RatMatrix, format_rational, parse_rational
-from .factors import all_factors, eval_hyp222, eval_minor
+from .factors import all_factors, factor_values
 from .oracle import DataVector, count_critical_points, oracle_mldeg
 from .realize import realize
 from .tensor import ScalingTensor
@@ -33,8 +33,9 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_UNSTABLE = 3
 
-# analyze's term table and realize's verification sum 2^(n+1) - 1 slice subsets;
-# n = 12 is their desk-scale limit.
+# analyze's term table and realize's verification sum 2^(n+1) - 1 slice subsets,
+# each a gcd step or a face-class lookup on values built once per tensor; at
+# n = 12 analyze takes about 0.7 s and realize about 0.45 s on one core.
 SUBSET_SUM_MAX_N = 12
 # matrix-mldeg sums the ranks of (2^(m+1) - 1)(2^(n+1) - 1) submatrices of an
 # (m+1) x (n+1) matrix; m + n = 12 (a 7 x 7 matrix) is its desk-scale limit.
@@ -77,12 +78,12 @@ def _write_output(text: str, path: str | None) -> None:
 def _analyze_payload(W: ScalingTensor) -> dict:
     report = euler.mldeg(W)
     vanishing = report.factor_pattern.factors
+    values = factor_values(W)
     factors = []
     for fid in all_factors(W.n):
         entry: dict = {"name": fid.name, "vanishes": fid in vanishing}
-        if fid.kind != "hyp223":
-            value = eval_minor(W, fid) if fid.is_minor else eval_hyp222(W, *fid.index)
-            entry["value"] = format_rational(value)
+        if fid in values:
+            entry["value"] = format_rational(values[fid])
         factors.append(entry)
     chi_table = {}
     for (I, J), value in report.terms.items():

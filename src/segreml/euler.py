@@ -57,6 +57,12 @@ coordinate-hyperplane sets X_J; with two P1 factors the outer sign is +1:
 
 and chi(Y) = (-1)^(n+1) * mldeg.  It enumerates 2^(n+1) - 1 subsets, so
 it backs the `analyze` term table at desk scale and checks `mldeg_value`.
+`mldeg` builds the pair forms and the face classes (factors.pair_forms,
+factors.face_classes) once per tensor, so each of its 9 * (2^(n+1) - 1)
+terms costs a gcd step or a class lookup: g(I) extends the memoized
+g(I minus max I) by the new pair forms only, r0 asks whether every x-face
+class id in I is the same, and a one-sided term is 1 when the face rows
+of I share one class and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -67,15 +73,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import DimensionMismatchError
-from .exact import RatMatrix, binary_gcd, distinct_root_count
+from .exact import BinaryForm, RatMatrix, binary_gcd, distinct_root_count
 from .factors import (
     VanishingPattern,
-    eval_hyp222,
-    eval_minor,
+    face_classes,
     face_minor_x,
     face_minor_y,
+    factor_values,
+    hyp222,
     hyp223_vanishes,
     pair_det_form,
+    pair_forms,
     slice_minor,
     vanishing_pattern,
 )
@@ -101,14 +109,15 @@ def classify_type(W: ScalingTensor, i: int, j: int) -> PairType:
     """Type of the slice-pair pencil, read off the six minors and H[i,j]."""
     if not i < j:
         raise ValueError("require i < j")
-    if eval_hyp222(W, i, j) != 0:
+    values = factor_values(W)
+    if values[hyp222(i, j)] != 0:
         return PairType.I
-    si = eval_minor(W, slice_minor(i)) == 0
-    sj = eval_minor(W, slice_minor(j)) == 0
-    fx0 = eval_minor(W, face_minor_x(0, i, j)) == 0
-    fx1 = eval_minor(W, face_minor_x(1, i, j)) == 0
-    fy0 = eval_minor(W, face_minor_y(0, i, j)) == 0
-    fy1 = eval_minor(W, face_minor_y(1, i, j)) == 0
+    si = values[slice_minor(i)] == 0
+    sj = values[slice_minor(j)] == 0
+    fx0 = values[face_minor_x(0, i, j)] == 0
+    fx1 = values[face_minor_x(1, i, j)] == 0
+    fy0 = values[face_minor_y(0, i, j)] == 0
+    fy1 = values[face_minor_y(1, i, j)] == 0
     if si and sj and fx0 and fx1 and fy0 and fy1:
         return PairType.III
     if si and sj and fx0 and fx1:
@@ -129,14 +138,36 @@ def chi_VI(W: ScalingTensor, I) -> int:
         raise IndexError("slice indices out of range")
     if len(ks) == 1:
         return 4 - W.slice(ks[0]).rank()
-    g = binary_gcd([pair_det_form(W, a, b) for a, b in itertools.combinations(ks, 2)])
-    # Row (w_i0k, w_i1k) holds the y0, y1 coefficients of pencil entry (k, i).
-    p, q = W.w[0][0][ks[0]], W.w[0][1][ks[0]]
-    r0 = int(all(p * c1[k] == q * c0[k] for c0, c1 in W.w for k in ks))
+    g = _subset_gcd(W, ks)
+    # Row (w_i0k, w_i1k) of face x_i holds the y0, y1 coefficients of pencil
+    # entry (k, i); a rank-0 point exists iff all these rows share one class.
+    x0, x1 = face_classes(W)[:2]
+    first = x0[ks[0]]
+    r0 = int(all(x0[k] == first and x1[k] == first for k in ks))
     if g.is_zero:
         return 2 + r0
     roots = distinct_root_count(g)  # an int, since g is nonzero
     return roots + r0 if roots else 0
+
+
+def _subset_gcd(W: ScalingTensor, ks: tuple[int, ...]) -> BinaryForm:
+    """gcd of the pair forms over the pairs in ks, |ks| >= 2, kept for every prefix of ks.
+
+    g(ks) = gcd(g(ks[:-1]), the forms pairing ks[-1] with ks[:-1]).  The
+    subset sum meets ks[:-1] before ks, so each subset gcds only its new
+    forms, and a constant g(ks[:-1]) ends the gcd at once.
+    """
+    gcds = W.memo("subset_gcds", lambda _: {})
+    if ks not in gcds:
+        forms = pair_forms(W)
+        start = len(ks)
+        while start > 2 and ks[: start - 1] not in gcds:
+            start -= 1
+        for size in range(start, len(ks) + 1):
+            head, last = ks[: size - 1], ks[size - 1]
+            carried = [gcds[head]] if size > 2 else []
+            gcds[ks[:size]] = binary_gcd(carried + [forms[(k, last)] for k in head])
+    return gcds[ks]
 
 
 def chi_VI_closed_form(W: ScalingTensor, I) -> int:
@@ -189,7 +220,9 @@ def chi_VI_XJ(W: ScalingTensor, I, J) -> int:
     J = (J1, J2) with each component a proper subset of {0, 1}: J1 lists
     vanishing x-coordinates, J2 vanishing y-coordinates.  Both nonempty
     gives the empty set; one nonempty reduces to hyperplanes in one P1,
-    with chi = 2 - rank of the |I| x 2 face rows; both empty is chi(V_I).
+    with chi = 2 - rank of the |I| x 2 face rows, which is 1 when the rows
+    are proportional (one face class) and 0 otherwise; both empty is
+    chi(V_I).
     """
     J1, J2 = (tuple(J[0]), tuple(J[1]))
     ks = tuple(sorted(I))
@@ -199,13 +232,10 @@ def chi_VI_XJ(W: ScalingTensor, I, J) -> int:
         return 0
     if not J1 and not J2:
         return chi_VI(W, ks)
-    if J1:
-        i = 1 - J1[0]  # x_{J1} = 0 leaves the x_i coordinate
-        rows = [[W.w[i][0][k], W.w[i][1][k]] for k in ks]
-    else:
-        j = 1 - J2[0]
-        rows = [[W.w[0][j][k], W.w[1][j][k]] for k in ks]
-    return 2 - RatMatrix.from_rows(rows).rank()
+    # x_{J1} = 0 leaves the rows of face x_i, i = 1 - J1; y_{J2} = 0 those of y_j, j = 1 - J2.
+    classes = face_classes(W)[1 - J1[0] if J1 else 3 - J2[0]]
+    first = classes[ks[0]]
+    return int(all(classes[k] == first for k in ks))
 
 
 _ALL_J = [
@@ -313,7 +343,9 @@ def _curve_points(W: ScalingTensor, j: int, k: int) -> list[tuple[tuple, int]]:
 
     The curves meet over the roots t = y0/y1 of c0 t^2 + c1 t + c2 =
     pair_det_form(W, j, k), which is nonzero for distinct smooth curves;
-    roots at t = 0 or infinity leave the torus.
+    roots at t = 0 or infinity leave the torus.  The form is built here,
+    not read from the memo: the arrangement needs one per pair of distinct
+    curves, and the memo's table holds one per pair of slices.
     """
     c0, c1, c2 = pair_det_form(W, j, k).coeffs
     if c0 == 0 or c2 == 0:
@@ -411,9 +443,10 @@ def mldeg_point_formula(W: ScalingTensor) -> int | None:
     for ks in itertools.combinations(range(W.n + 1), 3):
         if hyp223_vanishes(W, *ks):
             return None
+    values = factor_values(W)
     singles = 0
     for k in range(W.n + 1):
-        singles += -2 if eval_minor(W, slice_minor(k)) != 0 else -1
+        singles += -2 if values[slice_minor(k)] != 0 else -1
     pair_counts = 0
     for jk in itertools.combinations(range(W.n + 1), 2):
         pair_counts += _inner_sum(W, jk)

@@ -6,8 +6,8 @@ the product of
   * the n+1 slice minors            F[**k]   = det W[..k],
   * the 4*C(n+1,2) face minors      F[i*(k1,k2)] = det W[i.(k1,k2)]  and
                                     F[*j(k1,k2)] = det W[.j(k1,k2)],
-  * the C(n+1,2) 2x2x2 hyperdeterminants H[k1,k2] (an explicit 12-term
-    quartic), and
+  * the C(n+1,2) 2x2x2 hyperdeterminants H[k1,k2] (quartics, evaluated
+    as the discriminant of the pencil determinant of slices k1, k2), and
   * the C(n+1,3) 2x2x3 hyperdeterminants H[k1,k2,k3], the resultants of
     the three bilinear quadrics q_k.
 
@@ -15,6 +15,11 @@ The 2x2x3 factor is decided rather than evaluated: it vanishes exactly
 when the three quadrics share a projective root, which is read off from
 the gcd of the three pairwise pencil determinants.  Only the zero/nonzero
 flag is ever consumed downstream.
+
+The pencil determinants, the values of the minors and of H[k1,k2], and
+the face proportionality classes are built once per tensor and kept in
+its memo (`pair_forms`, `factor_values`, `face_classes`); every
+evaluation here and in `euler` reads them from there.
 
 Canonical factor names are the strings "F[**0]", "F[0*(0,1)]",
 "F[*1(1,2)]", "H[0,1]", "H[0,1,2]"; patterns serialize as JSON arrays of
@@ -182,16 +187,10 @@ def pair_det_form(W: ScalingTensor, k1: int, k2: int) -> BinaryForm:
 
 
 def eval_hyp222(W: ScalingTensor, k1: int, k2: int) -> Fraction:
-    """The 12-term 2x2x2 hyperdeterminant of slices (k1, k2)."""
+    """The 2x2x2 hyperdeterminant of slices (k1, k2): the discriminant of their pair form."""
     if not k1 < k2:
         raise ValueError("require k1 < k2")
-    w = W.w
-    bracket = (w[0][0][k1] * w[1][1][k2] - w[0][0][k2] * w[1][1][k1]) - (
-        w[0][1][k1] * w[1][0][k2] - w[0][1][k2] * w[1][0][k1]
-    )
-    return bracket * bracket - 4 * eval_minor(W, face_minor_x(0, k1, k2)) * eval_minor(
-        W, face_minor_x(1, k1, k2)
-    )
+    return factor_values(W)[hyp222(k1, k2)]
 
 
 def hyp223_vanishes(W: ScalingTensor, k1: int, k2: int, k3: int) -> bool:
@@ -203,17 +202,15 @@ def hyp223_vanishes(W: ScalingTensor, k1: int, k2: int, k3: int) -> bool:
     """
     if not k1 < k2 < k3:
         raise ValueError("require k1 < k2 < k3")
-    forms = [pair_det_form(W, a, b) for a, b in itertools.combinations((k1, k2, k3), 2)]
-    g = binary_gcd(forms)
+    forms = pair_forms(W)
+    g = binary_gcd([forms[(k1, k2)], forms[(k1, k3)], forms[(k2, k3)]])
     return g.is_zero or g.degree >= 1
 
 
 def factor_vanishes(W: ScalingTensor, fid: FactorId) -> bool:
-    if fid.is_minor:
-        return eval_minor(W, fid) == 0
-    if fid.kind == "hyp222":
-        return eval_hyp222(W, *fid.index) == 0
-    return hyp223_vanishes(W, *fid.index)
+    if fid.kind == "hyp223":
+        return hyp223_vanishes(W, *fid.index)
+    return factor_values(W)[fid] == 0
 
 
 @dataclass(frozen=True)
@@ -251,6 +248,57 @@ class VanishingPattern:
 def vanishing_pattern(W: ScalingTensor) -> VanishingPattern:
     """Evaluate every factor and collect the vanishing ones."""
     return VanishingPattern(W.n, tuple(f for f in all_factors(W.n) if factor_vanishes(W, f)))
+
+
+# -- values memoized per tensor ------------------------------------------------
+
+
+def pair_forms(W: ScalingTensor) -> dict[tuple[int, int], BinaryForm]:
+    """pair_det_form(W, k1, k2) for every pair k1 < k2, built once per tensor."""
+    return W.memo("pair_forms", _build_pair_forms)
+
+
+def _build_pair_forms(W: ScalingTensor) -> dict[tuple[int, int], BinaryForm]:
+    return {p: pair_det_form(W, *p) for p in itertools.combinations(range(W.n + 1), 2)}
+
+
+def factor_values(W: ScalingTensor) -> dict[FactorId, Fraction]:
+    """The value of every minor and every H[k1,k2], built once per tensor.
+
+    H[k1,k2] is the discriminant of the pair form of slices k1, k2.  The
+    2x2x3 factors are decided, not evaluated, so they have no entry.
+    """
+    return W.memo("factor_values", _build_factor_values)
+
+
+def _build_factor_values(W: ScalingTensor) -> dict[FactorId, Fraction]:
+    forms = pair_forms(W)
+    return {
+        fid: eval_minor(W, fid) if fid.is_minor else forms[fid.index].discriminant()
+        for fid in all_factors(W.n)
+        if fid.kind != "hyp223"
+    }
+
+
+def face_classes(W: ScalingTensor) -> tuple[tuple[int, ...], ...]:
+    """Proportionality class ids of the face rows, built once per tensor.
+
+    One tuple per face, in the order x0, x1, y0, y1, indexed by slice.  The
+    row of slice k on face x_i is (w_i0k, w_i1k), on face y_j it is
+    (w_0jk, w_1jk); its class id stands for the ratio w_i1k/w_i0k resp.
+    w_1jk/w_0jk.  Two rows are proportional iff their ids are equal, and
+    the ids are shared by all four faces, so rows of x0 and x1 compare too.
+    """
+    return W.memo("face_classes", _build_face_classes)
+
+
+def _build_face_classes(W: ScalingTensor) -> tuple[tuple[int, ...], ...]:
+    (w00, w01), (w10, w11) = W.w
+    ids: dict[Fraction, int] = {}
+    return tuple(
+        tuple(ids.setdefault(b / a, len(ids)) for a, b in zip(first, second))
+        for first, second in ((w00, w01), (w10, w11), (w00, w10), (w01, w11))
+    )
 
 
 def map_factor(fid: FactorId, perm=None, swap: bool = False) -> FactorId:

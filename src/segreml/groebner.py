@@ -21,20 +21,27 @@ from .kernels import kernel as K
 
 DEFAULT_MAX_BASIS = 600
 PRIME_BITS = 61
-# Miller-Rabin with these bases is exact below 3.3e24 (Sorenson and Webster 2015).
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_WITNESS_LIMIT = 3_317_044_064_679_887_385_961_981
+# Trial division by these primes settles every n below 43^2 and rejects most
+# composites before any modular power.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with Sinclair's seven bases is exact below 2^64 (Sinclair 2011),
+# provided a base that is 0 mod n is skipped.
+_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_WITNESS_LIMIT = 2**64
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n below _WITNESS_LIMIT."""
     if n >= _WITNESS_LIMIT:
         raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
-    if n < 2 or any(n % q == 0 for q in _WITNESSES):
-        return n in _WITNESSES
+    if n < 2 or any(n % q == 0 for q in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
     for a in _WITNESSES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -19,13 +19,19 @@ is exactly slice k.  All entries must be nonzero.
 The canonical JSON interchange format is
     {"n": <int>, "w": [[[...], [...]], [[...], [...]]]}
 with w[i][j][k] rational strings ("p/q" or "p").
+
+Each tensor carries a private memo of values derived from w (pair forms,
+factor values, face classes, subset gcds), which `factors` and `euler`
+fill on first use through `memo`.  It lives and dies with the tensor and
+takes no part in ==, hash, repr or JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatchError, ZeroEntryError
 from .exact import RatMatrix, format_rational, parse_rational
@@ -74,6 +80,20 @@ class ScalingTensor:
         )
 
     # -- access ------------------------------------------------------------
+
+    @cached_property
+    def _memo(self) -> dict:
+        # Not a dataclass field, so it takes no part in ==, hash or repr; the
+        # dict lands in the instance __dict__ on first use.
+        return {}
+
+    def memo(self, key: str, build: Callable[[ScalingTensor], object]):
+        """build(self), computed on the first call for `key` and kept for the tensor's lifetime."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build(self)
+            return value
 
     def entry(self, i: int, j: int, k: int) -> Fraction:
         return self.w[i][j][k]

@@ -20,7 +20,7 @@ from segreml.euler import (
     mldeg_point_formula,
     mldeg_value,
 )
-from segreml.exact import RatMatrix
+from segreml.exact import RatMatrix, binary_gcd, distinct_root_count
 from segreml.factors import all_factors, hyp223_vanishes, pair_det_form, vanishing_pattern
 from segreml.realize import _solve_minor, realize
 from segreml.strata import atlas
@@ -31,6 +31,7 @@ from helpers import (
     COUNTEREXAMPLE_W_PRIME,
     HOOK_EXAMPLE,
     all_ones,
+    degenerate_tensor,
     random_positive_tensor,
     random_tensor,
 )
@@ -112,6 +113,50 @@ def test_chi_VI_XJ():
     assert chi_VI_XJ(W, I, ((), ())) == chi_VI(W, I)
     with pytest.raises(ValueError):
         chi_VI_XJ(W, I, ((0, 1), ()))
+
+
+def _chi_VI_from_entries(W, ks):
+    """chi(V_I) by the procedure of euler's docstring, from fresh pair forms and raw entries.
+
+    Returns (chi, r0), with r0 the row-proportionality test on the entries.
+    """
+    p, q = W.w[0][0][ks[0]], W.w[0][1][ks[0]]
+    r0 = int(all(p * c1[k] == q * c0[k] for c0, c1 in W.w for k in ks))
+    if len(ks) == 1:
+        return 4 - W.slice(ks[0]).rank(), r0
+    g = binary_gcd([pair_det_form(W, a, b) for a, b in itertools.combinations(ks, 2)])
+    if g.is_zero:
+        return 2 + r0, r0
+    roots = distinct_root_count(g)
+    return (roots + r0 if roots else 0), r0
+
+
+def test_face_classes_match_bareiss_and_row_proportionality():
+    """chi_VI_XJ's class lookups equal the Bareiss rank of the face rows; chi_VI's r0 the entry test."""
+    rng = random.Random(808)
+    one_sided = [((0,), ()), ((1,), ()), ((), (0,)), ((), (1,))]
+    seen_terms, seen_r0 = set(), set()
+    for _ in range(100):
+        W = degenerate_tensor(rng, rng.choice((1, 2, 3, 4)))
+        subsets = [ks for size in range(1, W.n + 2) for ks in itertools.combinations(range(W.n + 1), size)]
+        rng.shuffle(subsets)  # any order: chi_VI's gcd memo must not depend on the subset sum's
+        for ks in subsets:
+            for J in one_sided:
+                if J[0]:
+                    i = 1 - J[0][0]
+                    rows = [[W.w[i][0][k], W.w[i][1][k]] for k in ks]
+                else:
+                    j = 1 - J[1][0]
+                    rows = [[W.w[0][j][k], W.w[1][j][k]] for k in ks]
+                value = chi_VI_XJ(W, ks, J)
+                assert value == 2 - RatMatrix.from_rows(rows).rank(), (W.to_json_dict(), ks, J)
+                seen_terms.add((len(ks) > 1, value))
+            chi, r0 = _chi_VI_from_entries(W, ks)
+            assert chi_VI(W, ks) == chi, (W.to_json_dict(), ks)
+            if len(ks) > 1 and chi:
+                seen_r0.add(r0)
+    assert seen_terms == {(False, 1), (True, 0), (True, 1)}
+    assert seen_r0 == {0, 1}
 
 
 def test_mldeg_examples():

@@ -21,7 +21,6 @@ from segreml.factors import (
     hyp223_vanishes,
     map_factor,
     n1_factor_universe,
-    pair_det_form,
     slice_minor,
     vanishing_pattern,
     VanishingPattern,
@@ -29,7 +28,14 @@ from segreml.factors import (
 from segreml.realize import generic_solution, hook_constraint_universe
 from segreml.strata import atlas
 
-from helpers import COUNTEREXAMPLE_W, COUNTEREXAMPLE_W_PRIME, all_ones, random_tensor
+from helpers import (
+    COUNTEREXAMPLE_W,
+    COUNTEREXAMPLE_W_PRIME,
+    all_ones,
+    degenerate_tensor,
+    random_rational_tensor,
+    random_tensor,
+)
 
 
 def test_factor_names_round_trip_and_order():
@@ -67,15 +73,38 @@ def test_hyp222_examples():
     assert eval_hyp222(rank_one, 0, 1) == 0
 
 
+def _hyp222_12_terms(W, k1, k2):
+    """Cayley's 2x2x2 hyperdeterminant of slices (k1, k2), term by term."""
+    a000, a001, a010, a011 = (W.w[0][j][k] for j in range(2) for k in (k1, k2))
+    a100, a101, a110, a111 = (W.w[1][j][k] for j in range(2) for k in (k1, k2))
+    return (
+        a000**2 * a111**2 + a001**2 * a110**2 + a010**2 * a101**2 + a011**2 * a100**2
+        - 2 * a000 * a001 * a110 * a111
+        - 2 * a000 * a010 * a101 * a111
+        - 2 * a000 * a011 * a100 * a111
+        - 2 * a001 * a010 * a101 * a110
+        - 2 * a001 * a011 * a100 * a110
+        - 2 * a010 * a011 * a100 * a101
+        + 4 * a000 * a011 * a101 * a110
+        + 4 * a001 * a010 * a100 * a111
+    )
+
+
 def test_hyp222_equals_pencil_discriminant():
+    """eval_hyp222 (the discriminant of the memoized pair form) against the 12-term quartic."""
     rng = random.Random(11)
-    for _ in range(1000):
-        W = random_tensor(rng, rng.choice((1, 2)), bound=9)
-        k1, k2 = sorted(rng.sample(range(W.n + 1), 2))
-        assert eval_hyp222(W, k1, k2) == pair_det_form(W, k1, k2).discriminant()
+    tensors = [random_tensor(rng, rng.choice((1, 2)), bound=9) for _ in range(300)]
+    tensors += [random_rational_tensor(rng, rng.choice((1, 2, 3))) for _ in range(300)]
+    tensors += [degenerate_tensor(rng, rng.choice((1, 2, 3))) for _ in range(200)]
     # the atlas witnesses cover the degenerate vanishing patterns
-    for _, W in atlas(seed=0):
-        assert eval_hyp222(W, 0, 1) == pair_det_form(W, 0, 1).discriminant()
+    tensors += [W for _, W in atlas(seed=0)]
+    zeros = 0
+    for W in tensors:
+        for k1, k2 in itertools.combinations(range(W.n + 1), 2):
+            value = eval_hyp222(W, k1, k2)
+            assert value == _hyp222_12_terms(W, k1, k2), (W.to_json_dict(), k1, k2)
+            zeros += value == 0
+    assert zeros >= 50
 
 
 def test_hyp223_examples():

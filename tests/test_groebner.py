@@ -149,11 +149,15 @@ def test_primes():
     sieve = [all(n % d for d in range(2, int(n**0.5) + 1)) for n in range(20000)]
     assert all(is_prime(n) == (n >= 2 and sieve[n]) for n in range(20000))
     assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and not is_prime(2**61 + 1)
-    # Carmichael numbers and strong pseudoprimes to every base up to 23
-    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+    # Carmichael numbers, strong pseudoprimes to the bases 2, 3, 5, 7 (3215031751)
+    # and to every base up to 23 (3825123056546413051), and 73 * 193, which
+    # divides the witness 28178 and so tests the skip of a base that is 0 mod n
+    for n in (561, 41041, 14089, 3215031751, 3825123056546413051):
         assert not is_prime(n)
-    with pytest.raises(ValueError):
-        is_prime(2**127 - 1)
+    assert is_prime(2**64 - 59) and not is_prime(2**64 - 1)  # the largest prime below 2^64
+    for n in (2**64, 318665857834031151167461, 2**127 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
     drawn = [random_prime(random.Random(s)) for s in range(20)]
     assert all(q.bit_length() == 61 and is_prime(q) for q in drawn)
     assert len(set(drawn)) == 20 and random_prime(random.Random(3)) == drawn[3]

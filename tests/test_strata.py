@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
+from segreml import cli
 from segreml.errors import GenerationFailedError
 from segreml.euler import mldeg_value
 from segreml.factors import classify_pattern_n1, vanishing_pattern
@@ -55,6 +57,13 @@ def test_witnesses_all_strata():
     for stratum, witness in atlas(seed=0):
         assert vanishing_pattern(witness).factors == stratum.pattern.factors
         assert mldeg_value(witness) == stratum.chi
+
+
+def test_atlas_output_is_pinned(capsys):
+    # sha256 of `segreml atlas --seed 0` stdout: all 41 strata with their witnesses
+    assert cli.main(["atlas", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "5c67a8f2fac31dfb759137c261de1ab2b79d27c4348e65a6532eafee6aea04aa"
 
 
 def test_witness_determinism():

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from segreml.errors import DimensionMismatchError, ZeroEntryError
-from segreml.factors import eval_minor, face_minor_x, face_minor_y
+from segreml.euler import mldeg
+from segreml.factors import eval_minor, face_minor_x, face_minor_y, vanishing_pattern
+from segreml.realize import realize
 from segreml.tensor import ScalingTensor, make_tensor
 
-from helpers import COUNTEREXAMPLE_W, all_ones, random_tensor
+from helpers import COUNTEREXAMPLE_W, all_ones, degenerate_tensor, random_tensor
 
 
 def test_make_tensor_validates():
@@ -95,3 +97,26 @@ def test_json_round_trip():
     assert ScalingTensor.from_json_dict(data) == halves
     with pytest.raises(DimensionMismatchError):
         ScalingTensor.from_json_dict({"n": 1, "w": [[["1", "x"], ["1", "1"]], [["1", "1"], ["1", "1"]]]})
+
+
+def test_memo_takes_no_part_in_identity():
+    rng = random.Random(4)
+    tensors = [realize(3, 13), COUNTEREXAMPLE_W.duplicate_last_slice()]
+    tensors += [degenerate_tensor(rng, 3) for _ in range(10)]
+    for W in tensors:
+        fresh = ScalingTensor.from_json_dict(W.to_json_dict())
+        expected = (repr(fresh), hash(fresh), fresh.to_json_dict())
+        before = vanishing_pattern(ScalingTensor.from_json_dict(W.to_json_dict()))
+        report = mldeg(W)
+        assert W._memo and not fresh._memo
+        assert W == fresh and (repr(W), hash(W), W.to_json_dict()) == expected
+        # the pattern read through a filled memo equals the one from an empty memo
+        assert vanishing_pattern(W) == before == report.factor_pattern
+        derived = [
+            W.torus_rescale((2, 3), (5, 7), range(1, W.n + 2)),
+            W.permute_slices(list(reversed(range(W.n + 1)))),
+            W.swap_xy(),
+            W.duplicate_last_slice(),
+            ScalingTensor.from_json_dict(W.to_json_dict()),
+        ]
+        assert all(not V._memo for V in derived)
