@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .exact import BinaryForm, RatMatrix, Rational, binary_gcd, distinct_root_count, rank
+from .exact import BinaryForm, RatMatrix, binary_gcd, distinct_root_count, rank
 from .factors import (
     FactorId,
     StructureReport,
@@ -32,7 +32,7 @@ from .euler import (
 from .oracle import CountResult, DataVector, count_critical_points, count_critical_points_matrix, oracle_mldeg
 from .realize import alt_hooks, generic_solution, realize
 from .strata import Stratum, enumerate_strata_n1, sample_sign_patterns, witness_for_stratum
-from .tensor import ScalingTensor, make_tensor
+from .tensor import ScalingTensor
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "MLDegreeReport",
     "PairType",
     "RatMatrix",
-    "Rational",
     "ScalingTensor",
     "Stratum",
     "StructureReport",
@@ -68,7 +67,6 @@ __all__ = [
     "forces_hyperdeterminant",
     "generic_solution",
     "hyp223_vanishes",
-    "make_tensor",
     "mldeg",
     "mldeg_matrix",
     "mldeg_point_formula",

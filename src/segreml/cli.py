@@ -16,12 +16,10 @@ import sys
 from . import euler, strata
 from .errors import (
     DimensionMismatchError,
-    GenerationFailedError,
     NotZeroDimensionalError,
     ResourceBudgetExceededError,
     SegremlError,
     UnstableCountError,
-    ZeroEntryError,
 )
 from .exact import RatMatrix, format_rational, parse_rational
 from .factors import all_factors, factor_values
@@ -71,8 +69,11 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DimensionMismatchError(f"cannot write {path}: {exc}") from exc
 
 
 def _analyze_payload(W: ScalingTensor) -> dict:
@@ -280,13 +281,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ZeroEntryError, DimensionMismatchError, GenerationFailedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except (NotZeroDimensionalError, ResourceBudgetExceededError, UnstableCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except SegremlError as exc:  # any remaining package error is an input problem
+    except (SegremlError, ValueError) as exc:  # every other package error is an input problem
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -35,17 +35,19 @@ system is T_I(y) x = 0 for the |I| x 2 pencil matrix whose k-th row is
 so V_I lives over the locus where T_I(y) drops rank.  The 2x2 minor of
 rows k1 < k2 is factors.pair_det_form(W, k1, k2), the same quadric in y
 whose common roots decide the 2x2x3 factor, and chi(V_I) is computed by
-one exact procedure for every |I| >= 2:
+one exact procedure for every |I| >= 1:
 
     g  = gcd of pair_det_form(W, k1, k2) over the pairs in I (a binary
-         form of degree <= 2)
+         form of degree <= 2; the zero form when |I| = 1, which has no
+         pairs)
     r0 = 1 if every row (w_i0k, w_i1k), i in {0, 1}, k in I, is
          proportional to the first (a unique rank-0 point exists), else 0
     chi = 0 if g is a nonzero constant,
           2 + r0 if g is identically zero,
-          (#distinct roots of g) + r0 otherwise,
+          (#distinct roots of g) + r0 otherwise.
 
-and chi(V_{k}) = 4 - rank(slice k).  The closed forms for |I| in {2, 3}
+For a single slice r0 = 1 exactly when the slice is singular, so the rule
+gives chi(V_{k}) = 4 - rank(slice k).  The closed forms for |I| in {2, 3}
 (pair types I..V and the triple case analysis) are kept as independent
 cross-checks.
 
@@ -136,8 +138,6 @@ def chi_VI(W: ScalingTensor, I) -> int:
         raise ValueError("I must be nonempty")
     if ks[0] < 0 or ks[-1] > W.n:
         raise IndexError("slice indices out of range")
-    if len(ks) == 1:
-        return 4 - W.slice(ks[0]).rank()
     g = _subset_gcd(W, ks)
     # Row (w_i0k, w_i1k) of face x_i holds the y0, y1 coefficients of pencil
     # entry (k, i); a rank-0 point exists iff all these rows share one class.
@@ -151,22 +151,22 @@ def chi_VI(W: ScalingTensor, I) -> int:
 
 
 def _subset_gcd(W: ScalingTensor, ks: tuple[int, ...]) -> BinaryForm:
-    """gcd of the pair forms over the pairs in ks, |ks| >= 2, kept for every prefix of ks.
+    """gcd of the pair forms over the pairs in ks, kept for every prefix of ks.
 
+    g((k,)) is the zero form, since a single slice has no pairs, and
     g(ks) = gcd(g(ks[:-1]), the forms pairing ks[-1] with ks[:-1]).  The
     subset sum meets ks[:-1] before ks, so each subset gcds only its new
     forms, and a constant g(ks[:-1]) ends the gcd at once.
     """
-    gcds = W.memo("subset_gcds", lambda _: {})
+    gcds = W.memo("subset_gcds", lambda W: {(k,): BinaryForm.zero() for k in range(W.n + 1)})
     if ks not in gcds:
         forms = pair_forms(W)
         start = len(ks)
-        while start > 2 and ks[: start - 1] not in gcds:
+        while ks[: start - 1] not in gcds:
             start -= 1
         for size in range(start, len(ks) + 1):
             head, last = ks[: size - 1], ks[size - 1]
-            carried = [gcds[head]] if size > 2 else []
-            gcds[ks[:size]] = binary_gcd(carried + [forms[(k, last)] for k in head])
+            gcds[ks[:size]] = binary_gcd([gcds[head]] + [forms[(k, last)] for k in head])
     return gcds[ks]
 
 
@@ -278,8 +278,8 @@ def _inner_sum(W: ScalingTensor, ks: tuple[int, ...], terms=None) -> int:
     return total
 
 
-def _subset_sum(W: ScalingTensor, terms=None) -> int:
-    """The inclusion-exclusion sum over nonempty slice subsets; fills `terms` if given."""
+def _subset_sum(W: ScalingTensor, terms: dict) -> int:
+    """The inclusion-exclusion sum over nonempty slice subsets; fills `terms`."""
     total = 0
     for size in range(1, W.n + 2):
         for ks in itertools.combinations(range(W.n + 1), size):

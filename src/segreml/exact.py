@@ -24,8 +24,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 _MAX_FORM_DEGREE = 2
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?")

@@ -16,6 +16,10 @@ when the three quadrics share a projective root, which is read off from
 the gcd of the three pairwise pencil determinants.  Only the zero/nonzero
 flag is ever consumed downstream.
 
+A minor is the determinant of its 2x2 array of cells (`FactorId.cells`);
+evaluation, forcing in `realize`, the structure tests and the atlas's
+corners all read that one layout.
+
 The pencil determinants, the values of the minors and of H[k1,k2], and
 the face proportionality classes are built once per tensor and kept in
 its memo (`pair_forms`, `factor_values`, `face_classes`); every
@@ -99,18 +103,22 @@ class FactorId:
             return hyp223(int(g["h1"]), int(g["h2"]), int(g["h3"]))
         return hyp222(int(g["h1"]), int(g["h2"]))
 
-    def variables(self) -> frozenset[tuple[int, int, int]]:
-        """The four tensor entries a minor involves (minors only)."""
+    def cells(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """The minor's 2x2 array of positions (i, j, k), laid out as W[..k], W[i.(k1,k2)], W[.j(k1,k2)] in `tensor`."""
         if self.kind == "slice":
-            k = self.index[0]
-            return frozenset((i, j, k) for i in range(2) for j in range(2))
+            (k,) = self.index
+            return ((0, 0, k), (0, 1, k)), ((1, 0, k), (1, 1, k))
         if self.kind == "face_x":
             i, k1, k2 = self.index
-            return frozenset((i, j, k) for j in range(2) for k in (k1, k2))
+            return ((i, 0, k1), (i, 1, k1)), ((i, 0, k2), (i, 1, k2))
         if self.kind == "face_y":
             j, k1, k2 = self.index
-            return frozenset((i, j, k) for i in range(2) for k in (k1, k2))
-        raise ValueError("hyperdeterminant factors have no 4-variable support")
+            return ((0, j, k1), (1, j, k1)), ((0, j, k2), (1, j, k2))
+        raise ValueError(f"{self.name} is not a minor")
+
+    def variables(self) -> frozenset[tuple[int, int, int]]:
+        """The four tensor entries a minor involves (minors only)."""
+        return frozenset(itertools.chain(*self.cells()))
 
     def __repr__(self) -> str:
         return f"FactorId({self.name!r})"
@@ -151,18 +159,10 @@ def all_factors(n: int) -> list[FactorId]:
 
 
 def eval_minor(W: ScalingTensor, fid: FactorId) -> Fraction:
-    """Exact value of a 2-minor factor."""
+    """Exact value of a 2-minor factor: the determinant of its cells."""
     w = W.w
-    if fid.kind == "slice":
-        (k,) = fid.index
-        return w[0][0][k] * w[1][1][k] - w[0][1][k] * w[1][0][k]
-    if fid.kind == "face_x":
-        i, k1, k2 = fid.index
-        return w[i][0][k1] * w[i][1][k2] - w[i][1][k1] * w[i][0][k2]
-    if fid.kind == "face_y":
-        j, k1, k2 = fid.index
-        return w[0][j][k1] * w[1][j][k2] - w[1][j][k1] * w[0][j][k2]
-    raise ValueError(f"{fid.name} is not a minor")
+    ((a0, a1, a2), (b0, b1, b2)), ((c0, c1, c2), (d0, d1, d2)) = fid.cells()
+    return w[a0][a1][a2] * w[d0][d1][d2] - w[b0][b1][b2] * w[c0][c1][c2]
 
 
 def pair_det_form(W: ScalingTensor, k1: int, k2: int) -> BinaryForm:
@@ -325,18 +325,9 @@ def map_factor(fid: FactorId, perm=None, swap: bool = False) -> FactorId:
 # -- combinatorial structures -------------------------------------------------
 
 
-def _cube_minors(k1: int, k2: int) -> frozenset[FactorId]:
-    """The six minors supported on the 2x2x2 subtensor with slices k1 < k2."""
-    return frozenset(
-        {
-            slice_minor(k1),
-            slice_minor(k2),
-            face_minor_x(0, k1, k2),
-            face_minor_x(1, k1, k2),
-            face_minor_y(0, k1, k2),
-            face_minor_y(1, k1, k2),
-        }
-    )
+def _slices(f: FactorId) -> set[int]:
+    """The slice indices of a minor's cells: {k} or {k1, k2}."""
+    return {k for _, _, k in f.variables()}
 
 
 def _same_face(f: FactorId, g: FactorId) -> bool:
@@ -375,12 +366,12 @@ def detect_structures(minors, n: int) -> StructureReport:
     for f, g in itertools.combinations(ms, 2):
         if not _same_face(f, g) and len(f.variables() & g.variables()) == 2:
             hooks.append(frozenset({f, g}))
-        if _disjoint(f, g) and _common_cube(f, g) is not None:
+        if _disjoint(f, g) and len(_slices(f) | _slices(g)) <= 2:
             mirrors.append(frozenset({f, g}))
     cups = set()
     frames = set()
     for k1, k2 in itertools.combinations(range(n + 1), 2):
-        local = [f for f in ms if f in _cube_minors(k1, k2)]
+        local = [f for f in ms if _slices(f) <= {k1, k2}]
         for triple in itertools.combinations(local, 3):
             if any(_disjoint(f, g) for f, g in itertools.combinations(triple, 2)):
                 cups.add(frozenset(triple))
@@ -394,22 +385,6 @@ def detect_structures(minors, n: int) -> StructureReport:
     return StructureReport(ordered(hooks), ordered(mirrors), ordered(cups), ordered(frames))
 
 
-def _common_cube(f: FactorId, g: FactorId) -> tuple[int, int] | None:
-    """Slice pair of a 2x2x2 subtensor containing both minors, if any."""
-    def spans(fid: FactorId) -> set[int]:
-        if fid.kind == "slice":
-            return {fid.index[0]}
-        return {fid.index[1], fid.index[2]}
-
-    span = spans(f) | spans(g)
-    if len(span) > 2:
-        return None
-    if len(span) == 1:
-        return None  # two minors inside one slice cannot be distinct
-    k1, k2 = sorted(span)
-    return (k1, k2)
-
-
 def forces_hyperdeterminant(minors) -> bool:
     """Whether vanishing of this minor set forces a hyperdeterminant factor.
 
@@ -420,18 +395,11 @@ def forces_hyperdeterminant(minors) -> bool:
     """
     if isinstance(minors, VanishingPattern):
         minors = minors.vanishing
-    ms = sorted({f for f in minors if f.is_minor}, key=FactorId.sort_key)
-    for f, g in itertools.combinations(ms, 2):
-        if _same_face(f, g) and set(f.index[1:]) & set(g.index[1:]):
-            return True
-    for f, g in itertools.combinations(ms, 2):
-        if _disjoint(f, g):
-            cube = _common_cube(f, g)
-            if cube is not None:
-                cube_set = _cube_minors(*cube)
-                if sum(1 for m in ms if m in cube_set) >= 3:
-                    return True
-    return False
+    ms = {f for f in minors if f.is_minor}
+    if any(_same_face(f, g) and _slices(f) & _slices(g) for f, g in itertools.combinations(ms, 2)):
+        return True
+    n = max((k for f in ms for k in _slices(f)), default=0)
+    return bool(detect_structures(ms, n).square_cups)
 
 
 # -- the n = 1 classification --------------------------------------------------

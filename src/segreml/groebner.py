@@ -17,7 +17,7 @@ Over F_p this is the count over Q unless p is unlucky for the ideal
 from __future__ import annotations
 
 from .errors import NotZeroDimensionalError, ResourceBudgetExceededError
-from .kernels import kernel as K
+from . import _kernel_py as K
 
 DEFAULT_MAX_BASIS = 600
 PRIME_BITS = 61
@@ -62,7 +62,7 @@ def random_prime(rng) -> int:
             return n
 
 
-def groebner_basis(gens, prime: int, *, max_basis: int = DEFAULT_MAX_BASIS):
+def groebner_basis(gens, prime: int):
     """Reduced Groebner basis over F_prime under grevlex.
 
     `gens` are integer term lists [(exponent tuple, int), ...]; the result
@@ -121,9 +121,9 @@ def groebner_basis(gens, prime: int, *, max_basis: int = DEFAULT_MAX_BASIS):
         if not h:
             continue
         add(h)
-        if len(basis) > max_basis:
+        if len(basis) > DEFAULT_MAX_BASIS:
             raise ResourceBudgetExceededError(
-                f"basis size {len(basis)} exceeds the budget of {max_basis}"
+                f"basis size {len(basis)} exceeds the budget of {DEFAULT_MAX_BASIS}"
             )
 
     # Minimalize (ascending leads, keep only non-divisible ones), then

@@ -1,4 +1,7 @@
-"""The polynomial reduction kernel that groebner runs."""
+"""The reduction kernel module and its name, as the benchmark harness reads them.
+
+`groebner` imports `_kernel_py` directly; this module only re-exports it.
+"""
 
 from __future__ import annotations
 

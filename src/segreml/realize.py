@@ -15,12 +15,13 @@ and hence the ML degree unchanged.  The n = 1 base closes the range with
 the cubic-frame (r = 2) and proportional-singular (r = 1) witnesses.
 
 The module also holds the witness toolkit that `strata` builds the n = 1
-atlas with.  `force_minors` zeroes each minor by one exact division for
-the last entry no earlier minor touches; on altH(n) + {F[**n]} in forcing
-order that entry is owned by no other constraint.  `scaled_pair` draws the
-two-slice tensors whose slice 1 is slice 0 rescaled.  `first_witness` is
-the one generate-and-gate loop: genericity is untrusted and every output
-passes an exact vanishing-pattern check.
+atlas with.  `force_minors` zeroes each minor through its cells by one
+exact division for the last entry no earlier minor touches; on altH(n) +
+{F[**n]} in forcing order that entry is owned by no other constraint.
+`forced_draw` and `rank_one_slice` are the one forced and the one singular
+slice draw, and `scaled_pair` draws the two-slice tensors whose slice 1 is
+slice 0 rescaled.  `first_witness` is the one generate-and-gate loop:
+genericity is untrusted and every output passes an exact pattern check.
 """
 
 from __future__ import annotations
@@ -63,20 +64,12 @@ def hook_constraint_universe(n: int) -> list[FactorId]:
 
 
 def _solve_minor(entries: list[list[list[Fraction]]], fid: FactorId, pos: tuple[int, int, int]) -> None:
-    """Overwrite entries[pos] so the minor vanishes (one exact division)."""
-    (i, j, k) = pos
-    if fid.kind == "slice":
-        (kk,) = fid.index
-        other = entries[1 - i][1 - j][kk]
-        entries[i][j][k] = entries[i][1 - j][kk] * entries[1 - i][j][kk] / other
-    elif fid.kind == "face_x":
-        ii, k1, k2 = fid.index
-        ko = k1 if k == k2 else k2
-        entries[i][j][k] = entries[ii][1 - j][k] * entries[ii][j][ko] / entries[ii][1 - j][ko]
-    else:
-        _, k1, k2 = fid.index
-        ko = k1 if k == k2 else k2
-        entries[i][j][k] = entries[1 - i][j][k] * entries[i][j][ko] / entries[1 - i][j][ko]
+    """Zero the minor by one division: entries[pos] = product of its off-diagonal cells / its diagonal partner."""
+    cells = fid.cells()
+    r, c = next((r, c) for r in range(2) for c in range(2) if cells[r][c] == pos)
+    at = lambda p: entries[p[0]][p[1]][p[2]]
+    i, j, k = pos
+    entries[i][j][k] = at(cells[r][1 - c]) * at(cells[1 - r][c]) / at(cells[1 - r][1 - c])
 
 
 def force_minors(entries: list[list[list[Fraction]]], minors) -> bool:
@@ -96,6 +89,18 @@ def force_minors(entries: list[list[list[Fraction]]], minors) -> bool:
     return True
 
 
+def rank_one_slice(rng: random.Random) -> list[list[Fraction]]:
+    """A singular slice [[a, b], [c, b*c/a]] from three seeded entries."""
+    a, b, c = random_entry(rng), random_entry(rng), random_entry(rng)
+    return [[a, b], [c, b * c / a]]
+
+
+def forced_draw(rng: random.Random, n: int, minors) -> ScalingTensor | None:
+    """Seeded 2 x 2 x (n+1) entries with `minors` forced in order, or None when forcing fails."""
+    entries = [[[random_entry(rng) for _ in range(n + 1)] for _ in range(2)] for _ in range(2)]
+    return ScalingTensor.from_entries(n, entries) if force_minors(entries, minors) else None
+
+
 def scaled_pair(rng: random.Random, singular: bool, axis: str | None = None) -> ScalingTensor | None:
     """An n = 1 tensor whose slice 1 is slice 0 rescaled, or None for a rejected draw.
 
@@ -106,8 +111,7 @@ def scaled_pair(rng: random.Random, singular: bool, axis: str | None = None) -> 
     y-columns, rejecting lam = mu.
     """
     if singular:
-        a, b, c = random_entry(rng), random_entry(rng), random_entry(rng)
-        s0 = [[a, b], [c, b * c / a]]
+        s0 = rank_one_slice(rng)
     else:
         s0 = [[random_entry(rng) for _ in range(2)] for _ in range(2)]
     lam = random_entry(rng)
@@ -151,12 +155,7 @@ def generic_solution(S, n: int, seed: int = 0) -> ScalingTensor:
         bad = sorted(f.name for f in S - set(allowed))
         raise ValueError(f"constraints outside altH({n}) + {{F[**{n}]}}: {bad}")
     minors = sorted(S, key=allowed.index)
-
-    def draw(rng: random.Random) -> ScalingTensor | None:
-        entries = [[[random_entry(rng) for _ in range(n + 1)] for _ in range(2)] for _ in range(2)]
-        return ScalingTensor.from_entries(n, entries) if force_minors(entries, minors) else None
-
-    return first_witness(draw, frozenset(S), random.Random(seed))
+    return first_witness(partial(forced_draw, n=n, minors=minors), frozenset(S), random.Random(seed))
 
 
 def realize(n: int, r: int, seed: int = 0) -> ScalingTensor:

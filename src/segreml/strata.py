@@ -4,11 +4,12 @@ The coefficient space of two bilinear quadrics splits into 41 strata by
 which factors vanish: the empty pattern (chi 6), 7 singletons (5), all 21
 pairs (4), 8 corner triples (3), 3 cubic-frame-plus-H quintuples (2) and
 the full pattern (1).  The corner and frame patterns are the ones
-`factors` classifies by.  Every stratum here carries a constructive
-witness recipe drawn with the witness toolkit of `realize`: minors are
-zeroed by `force_minors`, the frames and the full pattern come from
-`scaled_pair`, and every candidate passes the exact vanishing-pattern gate
-of `first_witness` before being returned.
+`factors` classifies by; a corner stratum is named by the one cell its
+three minors share.  Every stratum here carries a constructive witness
+recipe drawn with the witness toolkit of `realize`: minors are zeroed by
+`forced_draw`, the frames and the full pattern come from `scaled_pair`,
+and every candidate passes the exact vanishing-pattern gate of
+`first_witness` before being returned.
 
 Witnesses involving the hyperdeterminant are built geometrically rather
 than by solving H = 0 directly (whose discriminant is rarely a rational
@@ -43,7 +44,7 @@ from .factors import (
     n1_factor_universe,
     slice_minor,
 )
-from .realize import first_witness, force_minors, random_entry, scaled_pair
+from .realize import first_witness, forced_draw, random_entry, rank_one_slice, scaled_pair
 from .tensor import ScalingTensor
 
 SIGN_FACTOR_ORDER = (
@@ -61,6 +62,8 @@ SIGN_FACTOR_ORDER = (
 # Confirmed by exhaustive exact enumeration over all entries in +-{1,2,3}:
 # that grid realizes 68 patterns in total, these four on the H < 0 side.
 NEGATIVE_H_PATTERNS = frozenset({"-------", "++++---", "++--++-", "--++++-"})
+NEGATIVE_H_BUDGET = 200_000
+NEGATIVE_H_BOUND = 10
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,8 @@ def enumerate_strata_n1() -> list[Stratum]:
             recipe = "solve both minors through designated entries"
         out.append(Stratum(VanishingPattern(1, (f, g)), 4, recipe, "pair"))
     for corner in _n1_corners():
-        at = {f.kind: f.index[0] for f in corner}
-        recipe = f"corner at w[{at['face_x']}][{at['face_y']}][{at['slice']}]: three independent solves"
+        ((i, j, k),) = frozenset.intersection(*(f.variables() for f in corner))
+        recipe = f"corner at w[{i}][{j}][{k}]: three independent solves"
         out.append(Stratum(VanishingPattern(1, tuple(corner)), 3, recipe, "corner"))
     frame_recipes = (
         "proportional nonsingular slices",
@@ -145,9 +148,9 @@ def _tangency_witness(rng: random.Random, minor: FactorId | None) -> ScalingTens
     """
     if minor is not None and minor.kind == "slice":
         which = minor.index[0]
-        a, b, c = random_entry(rng), random_entry(rng), random_entry(rng)
-        pair = [[a, b], [c, b * c / a]]  # singular: a pair of axis-parallel lines
-        x_star, y_star = -b / pair[1][1], -c / pair[1][1]
+        pair = rank_one_slice(rng)  # singular: a pair of axis-parallel lines
+        (_, b), (c, d) = pair
+        x_star, y_star = -b / d, -c / d
         other = [[random_entry(rng) for _ in range(2)] for _ in range(2)]
         # Pass the other quadric through the node: a double intersection point.
         other[0][0] = -(other[1][0] * x_star + other[0][1] * y_star + other[1][1] * x_star * y_star)
@@ -192,11 +195,7 @@ def witness_for_stratum(stratum: Stratum, seed: int = 0) -> ScalingTensor:
     elif hyp222(0, 1) in target:
         draw = partial(_tangency_witness, minor=minors[0] if minors else None)
     else:
-
-        def draw(rng: random.Random) -> ScalingTensor | None:
-            entries = [[[random_entry(rng) for _ in range(2)] for _ in range(2)] for _ in range(2)]
-            return ScalingTensor.from_entries(1, entries) if force_minors(entries, minors) else None
-
+        draw = partial(forced_draw, n=1, minors=minors)
     return first_witness(draw, target, rng)
 
 
@@ -254,18 +253,20 @@ def sample_sign_patterns(samples: int, bound: int, seed: int = 0) -> dict[str, i
     return counts
 
 
-def find_negative_h_patterns(seed: int = 0, budget: int = 200_000, bound: int = 10) -> dict[str, list[list[list[int]]]]:
+def find_negative_h_patterns(seed: int = 0) -> dict[str, list[list[list[int]]]]:
     """Locate integer witnesses for every sign pattern with negative H.
 
     Any sample with H < 0 realizes one such pattern; sign flips of one
     x-row, one y-column or one slice map it onto the others (they scale
     each factor by a monomial in the flips, so exact vanishing and H are
-    preserved).  Returns pattern -> witness entries.
+    preserved).  Draws up to NEGATIVE_H_BUDGET tensors with entries in
+    [-NEGATIVE_H_BOUND, NEGATIVE_H_BOUND] without 0.  Returns pattern ->
+    witness entries.
     """
     rng = random.Random(seed)
     found: dict[str, list[list[list[int]]]] = {}
-    for _ in range(budget):
-        e = _sample_entries(rng, bound)
+    for _ in range(NEGATIVE_H_BUDGET):
+        e = _sample_entries(rng, NEGATIVE_H_BOUND)
         values = _sign_vector(e)
         if values is None or values[-1] > 0:
             continue

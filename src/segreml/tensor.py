@@ -18,7 +18,9 @@ is exactly slice k.  All entries must be nonzero.
 
 The canonical JSON interchange format is
     {"n": <int>, "w": [[[...], [...]], [[...], [...]]]}
-with w[i][j][k] rational strings ("p/q" or "p").
+with w[i][j][k] rational strings ("p/q" or "p").  The shape is exact: n
+is a JSON integer (not a boolean) and w holds exactly 2 x 2 lists of
+n + 1 entries each; anything else is refused, never truncated.
 
 Each tensor carries a private memo of values derived from w (pair forms,
 factor values, face classes, subset gcds), which `factors` and `euler`
@@ -175,23 +177,19 @@ class ScalingTensor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> ScalingTensor:
+        """Read the JSON interchange format; its shape must match n exactly."""
         try:
-            n = int(data["n"])
-            raw = data["w"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n, raw = data["n"], data["w"]
+        except (KeyError, TypeError) as exc:
             raise DimensionMismatchError('tensor JSON must have keys "n" and "w"') from exc
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise DimensionMismatchError(f'tensor JSON "n" must be an integer, got {n!r}')
+        planes = isinstance(raw, list) and len(raw) == 2 and all(isinstance(p, list) and len(p) == 2 for p in raw)
+        if not (planes and all(isinstance(row, list) and len(row) == n + 1 for plane in raw for row in plane)):
+            raise DimensionMismatchError(f"tensor JSON entries must be lists indexed exactly [2][2][n+1], n = {n}")
         try:
-            entries = [
-                [[parse_rational(str(raw[i][j][k])) for k in range(n + 1)] for j in range(2)]
-                for i in range(2)
-            ]
-        except (IndexError, KeyError, TypeError) as exc:  # KeyError: a dict where a list belongs
-            raise DimensionMismatchError("tensor JSON entries must be indexed [2][2][n+1]") from exc
+            entries = [[[parse_rational(str(x)) for x in row] for row in plane] for plane in raw]
         except ValueError as exc:
             raise DimensionMismatchError(f"bad rational in tensor JSON: {exc}") from exc
         return cls.from_entries(n, entries)
 
-
-def make_tensor(n: int, entries) -> ScalingTensor:
-    """Validated constructor (alias kept close to the operation vocabulary)."""
-    return ScalingTensor.from_entries(n, entries)

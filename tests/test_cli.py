@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import random
 import re
 import time
 from pathlib import Path
@@ -66,6 +68,13 @@ def test_malformed_json_exit_code(tmp_path, capsys):
         '{"n": 1, "w": [[["1/0", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]]}',
         '{"n": 1, "w": [[["1e5", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]]}',
         '{"n": 1, "w": [[["0.5", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]]}',
+        # n must be a JSON integer, and w must match it exactly
+        '{"n": 1.7, "w": [[["1", "2"], ["1", "2"]], [["1", "7"], ["1", "2"]]]}',
+        '{"n": true, "w": [[["1", "2"], ["1", "2"]], [["1", "7"], ["1", "2"]]]}',
+        '{"n": "1", "w": [[["1", "2"], ["1", "2"]], [["1", "7"], ["1", "2"]]]}',
+        '{"n": 1, "w": [[["1", "2", "3"], ["1", "2", "5"]], [["1", "7", "3"], ["1", "2", "3"]]]}',
+        '{"n": 1, "w": [[["1", "2"], ["1", "2"], ["3", "4"]], [["1", "7"], ["1", "2"]]]}',
+        '{"n": 1, "w": [[["1", "2"], ["1", "2"]], [["1", "7"], ["1", "2"]], [["1", "1"], ["1", "1"]]]}',
     )
     for k, text in enumerate(texts):
         path = tmp_path / f"broken{k}.json"
@@ -75,6 +84,124 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     matrix = _write(tmp_path, "m.json", {"entries": [["1", "1/0"], ["2", "3"]]})
     assert main(["matrix-mldeg", matrix]) == 2
     _assert_one_error_line(capsys)
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+_BAD_LEAVES = ("1.5", "true", "null", "{}", "1e400", '""')
+
+
+def _shaped(value, shape, leaf) -> bool:
+    """Whether value is nested lists of exactly `shape` whose leaves all pass `leaf`."""
+    if not shape:
+        return leaf(value)
+    return isinstance(value, list) and len(value) == shape[0] and all(_shaped(v, shape[1:], leaf) for v in value)
+
+
+def _first_lengths(value, depth):
+    """(len(value), len(value[0]), ...) down `depth` levels, or None when a level is not a nonempty list."""
+    dims = []
+    for _ in range(depth):
+        if not isinstance(value, list) or not value:
+            return None
+        dims.append(len(value))
+        value = value[0]
+    return tuple(dims)
+
+
+def _exact_shape(kind, doc) -> bool:
+    """Whether a document has exactly the shape schemas/formats.schema.json gives its kind."""
+    rational = lambda x: isinstance(x, str) and _RATIONAL.fullmatch(x) is not None
+    if kind == "tensor":
+        n = doc.get("n")
+        return type(n) is int and n >= 1 and _shaped(doc.get("w"), (2, 2, n + 1), rational)
+    if kind == "matrix":
+        dims = _first_lengths(doc.get("entries"), 2)
+        return dims is not None and _shaped(doc["entries"], dims, rational)
+    dims = _first_lengths(doc.get("u"), 3)
+    count = lambda x: type(x) is int and x >= 1
+    return dims is not None and dims[:2] == (2, 2) and _shaped(doc["u"], dims, count)
+
+
+def _nodes(value, path=()):
+    """(path, value) of every node of a JSON value, the value itself first."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(rng, kind, doc) -> str:
+    """One random mutation of a document, as JSON text."""
+    doc = copy.deepcopy(doc)
+    marker = "@@mutated@@"
+    choice = rng.random()
+    if kind == "tensor" and choice < 0.25:
+        n, doc["n"] = doc["n"], marker
+        raw = rng.choice((str(n + 1), str(n - 1), "1.5", "true", '"1"'))
+    elif choice < 0.6:
+        target = rng.choice([v for _, v in _nodes(doc) if isinstance(v, list)])
+        k = rng.randrange(len(target))
+        if rng.random() < 0.5:
+            del target[k]
+        else:
+            target.insert(k, copy.deepcopy(target[k]))
+        return json.dumps(doc)
+    else:
+        *head, last = rng.choice([p for p, v in _nodes(doc) if not isinstance(v, (dict, list))])
+        _at(doc, head)[last] = marker
+        raw = rng.choice(_BAD_LEAVES)
+    return json.dumps(doc).replace(f'"{marker}"', raw)
+
+
+def test_mutated_documents_exit_0_only_with_the_exact_shape(tmp_path, capsys):
+    """Seeded fuzz over tensor, matrix and data documents: exit 2 with one error line, or exit 0 on an exact shape."""
+    from segreml.errors import SegremlError
+    from segreml.oracle import DataVector
+
+    bases = [
+        ("tensor", ONES1),
+        ("tensor", W313),
+        ("tensor", realize(3, 14, seed=2).to_json_dict()),
+        ("matrix", {"entries": [["1", "2", "3"], ["5", "7", "11"]]}),
+        ("matrix", _hilbert(3)),
+        ("data", {"u": [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]}),
+        ("data", {"u": [[[1, 2, 3], [4, 5, 6]], [[7, 8, 9], [1, 1, 1]]]}),
+    ]
+    rng = random.Random(2024)
+    path = tmp_path / "doc.json"
+    answered = refused = 0
+    for trial in range(300):
+        kind, base = bases[trial % len(bases)]
+        text = _mutate(rng, kind, base)
+        doc = json.loads(text)
+        exact = _exact_shape(kind, doc)
+        if kind == "data":
+            try:
+                DataVector.from_json_dict(doc)
+            except (SegremlError, ValueError):
+                assert not exact, text
+                refused += 1
+            else:
+                assert exact, text
+                answered += 1
+            continue
+        path.write_text(text)
+        rc = main(["mldeg" if kind == "tensor" else "matrix-mldeg", str(path)])
+        captured = capsys.readouterr()
+        if rc == 0:
+            assert exact, text
+            answered += 1
+        else:
+            assert rc == 2 and not exact, (rc, text)
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, text
+            refused += 1
+    assert answered >= 10 and refused >= 200
 
 
 def test_malformed_data_vector_exit_code(tmp_path, capsys):
@@ -210,6 +337,16 @@ def test_oracle_data_primes_must_agree(tmp_path, capsys, monkeypatch):
 
 def test_realize_out_of_range(capsys):
     assert main(["realize", "--n", "1", "--r", "7"]) == 2
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["realize", "--n", "2", "--r", "3", "-o", str(missing / "x.json")]) == 2
+    _assert_one_error_line(capsys)
+    assert main(["atlas", "--csv", str(missing / "x.csv")]) == 2
+    _assert_one_error_line(capsys)
+    assert main(["signs", "--samples", "10", "--bound", "3", "-o", str(tmp_path)]) == 2
+    _assert_one_error_line(capsys)
 
 
 def test_atlas_and_signs(tmp_path, capsys):

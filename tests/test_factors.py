@@ -25,8 +25,9 @@ from segreml.factors import (
     vanishing_pattern,
     VanishingPattern,
 )
-from segreml.realize import generic_solution, hook_constraint_universe
+from segreml.realize import _solve_minor, generic_solution, hook_constraint_universe
 from segreml.strata import atlas
+from segreml.tensor import ScalingTensor
 
 from helpers import (
     COUNTEREXAMPLE_W,
@@ -64,6 +65,43 @@ def test_eval_minor_examples():
     assert all(eval_minor(all_ones(1), f) == 0 for f in all_factors(1) if f.is_minor)
     with pytest.raises(ValueError):
         eval_minor(W, hyp222(0, 1))
+
+
+def _minor_by_layout(W, fid):
+    """The minor as the determinant of tensor.py's layout W[..k], W[i.(k1,k2)] or W[.j(k1,k2)]."""
+    w = W.w
+    if fid.kind == "slice":
+        (k,) = fid.index
+        m = [[w[0][0][k], w[0][1][k]], [w[1][0][k], w[1][1][k]]]
+    elif fid.kind == "face_x":
+        i, k1, k2 = fid.index
+        m = [[w[i][0][k1], w[i][1][k1]], [w[i][0][k2], w[i][1][k2]]]
+    else:
+        j, k1, k2 = fid.index
+        m = [[w[0][j][k1], w[1][j][k1]], [w[0][j][k2], w[1][j][k2]]]
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def test_minor_cells_follow_the_tensor_layouts():
+    """eval_minor and the forcing step both read FactorId.cells; check them against the written-out layouts."""
+    rng = random.Random(23)
+    tensors = [random_rational_tensor(rng, 2) for _ in range(30)] + [degenerate_tensor(rng, 2) for _ in range(30)]
+    minors = [f for f in all_factors(2) if f.is_minor]
+    nonzero = 0
+    for W in tensors:
+        for fid in minors:
+            value = eval_minor(W, fid)
+            assert value == _minor_by_layout(W, fid), (W.to_json_dict(), fid)
+            nonzero += value != 0
+            assert fid.variables() == {pos for row in fid.cells() for pos in row}
+            for pos in sorted(fid.variables()):
+                entries = [[list(row) for row in plane] for plane in W.w]
+                _solve_minor(entries, fid, pos)
+                forced = ScalingTensor.from_entries(2, entries)
+                assert _minor_by_layout(forced, fid) == 0, (W.to_json_dict(), fid, pos)
+                changed = {(i, j, k) for i in range(2) for j in range(2) for k in range(3) if forced.w[i][j][k] != W.w[i][j][k]}
+                assert changed <= {pos}
+    assert nonzero >= 500
 
 
 def test_hyp222_examples():

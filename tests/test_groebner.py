@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from segreml import groebner
 from segreml.errors import NotZeroDimensionalError, ResourceBudgetExceededError
 from segreml.groebner import (
     count_solutions,
@@ -69,14 +70,16 @@ def test_buchberger_criterion_on_random_systems():
     assert checked == 24
 
 
-def test_budget_errors():
+def test_budget_errors(monkeypatch):
     # x^3 - 2xy and x^2 y - 2y^2 + x generate three extra basis elements.
     growing = [
         [((3, 0), 1), ((1, 1), -2)],
         [((2, 1), 1), ((0, 2), -2), ((1, 0), 1)],
     ]
-    with pytest.raises(ResourceBudgetExceededError):
-        groebner_basis(growing, P, max_basis=2)
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "DEFAULT_MAX_BASIS", 2)
+        with pytest.raises(ResourceBudgetExceededError):
+            groebner_basis(growing, P)
     assert count_solutions(growing, 2, P) == 3
 
     # dense conics: their completion needs a third basis element
@@ -84,9 +87,12 @@ def test_budget_errors():
         [((2, 0), 3), ((1, 1), 5), ((0, 2), 7), ((0, 0), -11)],
         [((2, 0), 13), ((1, 1), -17), ((0, 2), 19), ((0, 0), -23)],
     ]
-    with pytest.raises(ResourceBudgetExceededError):
-        groebner_basis(conics, P, max_basis=2)
-    assert len(groebner_basis(conics, P, max_basis=3)) == 3
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "DEFAULT_MAX_BASIS", 2)
+        with pytest.raises(ResourceBudgetExceededError):
+            groebner_basis(conics, P)
+        m.setattr(groebner, "DEFAULT_MAX_BASIS", 3)
+        assert len(groebner_basis(conics, P)) == 3
     assert count_solutions(conics, 2, P) == 4
 
 

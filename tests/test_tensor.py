@@ -9,7 +9,7 @@ from segreml.errors import DimensionMismatchError, ZeroEntryError
 from segreml.euler import mldeg
 from segreml.factors import eval_minor, face_minor_x, face_minor_y, vanishing_pattern
 from segreml.realize import realize
-from segreml.tensor import ScalingTensor, make_tensor
+from segreml.tensor import ScalingTensor
 
 from helpers import COUNTEREXAMPLE_W, all_ones, degenerate_tensor, random_tensor
 
@@ -18,12 +18,12 @@ def test_make_tensor_validates():
     assert all_ones(1).n == 1
     assert COUNTEREXAMPLE_W.n == 2
     with pytest.raises(ZeroEntryError) as err:
-        make_tensor(1, [[[0, 1], [1, 1]], [[1, 1], [1, 1]]])
+        ScalingTensor.from_entries(1, [[[0, 1], [1, 1]], [[1, 1], [1, 1]]])
     assert err.value.index == (0, 0, 0)
     with pytest.raises(DimensionMismatchError):
-        make_tensor(2, [[[1, 1], [1, 1]], [[1, 1], [1, 1]]])
+        ScalingTensor.from_entries(2, [[[1, 1], [1, 1]], [[1, 1], [1, 1]]])
     with pytest.raises(DimensionMismatchError):
-        make_tensor(0, [[[1], [1]], [[1], [1]]])
+        ScalingTensor.from_entries(0, [[[1], [1]], [[1], [1]]])
 
 
 def test_slice_and_face_views():
@@ -91,7 +91,7 @@ def test_json_round_trip():
         W = random_tensor(rng, n)
         again = ScalingTensor.from_json_dict(W.to_json_dict())
         assert again == W
-    halves = make_tensor(1, [[[Fraction(1, 2), 1], [1, 1]], [[1, 1], [1, Fraction(-3, 7)]]])
+    halves = ScalingTensor.from_entries(1, [[[Fraction(1, 2), 1], [1, 1]], [[1, 1], [1, Fraction(-3, 7)]]])
     data = halves.to_json_dict()
     assert data["w"][0][0][0] == "1/2" and data["w"][1][1][1] == "-3/7"
     assert ScalingTensor.from_json_dict(data) == halves
