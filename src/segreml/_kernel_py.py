@@ -14,9 +14,17 @@ raise ResourceBudgetExceededError, and reduction never raises a degree.
 A term list is a list of (packed monomial, coefficient in [1, p)) pairs,
 sorted descending and monic.  The prime and the packing width travel as
 one `Ring` value, built per basis computation.
+
+`spair` merges two shifted term lists with `combine`.  `normal_form` keeps
+its live terms in a dict from monomial to coefficient plus a max-heap of
+their monomials (Monagan-Pearce heap division, CASC 2007), so each
+reduction step touches only the reducer's tail instead of re-merging the
+whole work list.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from .errors import ResourceBudgetExceededError
 
@@ -87,11 +95,9 @@ def make_monic(R: Ring, terms):
 def combine(f, cf, sf, g, cg, sg, p):
     """cf * x^sf * f + cg * x^sg * g over F_p, merged into descending order.
 
-    sg is an int (0 for no shift); sf may be None for no shift, which with
-    cf = 1 is the reduce-in-place case of normal_form.
+    sf and sg are packed shifts, 0 for none.
     """
-    if sf is not None or cf != 1:
-        f = [(m if sf is None else m + sf, cf * c % p) for m, c in f]
+    f = [(m + sf, cf * c % p) for m, c in f]
     out = []
     i = j = 0
     nf, ng = len(f), len(g)
@@ -128,23 +134,35 @@ def normal_form(f, basis, R: Ring):
     """Full remainder of f modulo the monic term lists in `basis`, made monic.
 
     Every monomial of the result is outside the leading-term ideal of the
-    basis.  Reduction never raises a degree: the shifted reducer's
-    monomials lie at or below the term it cancels.
+    basis.  Each step pops the largest live term and either moves it to
+    the remainder or cancels it with the first basis element, in basis
+    order, whose lead divides it.  A monomial enters the heap (negated, for
+    heapq) once, when it enters the dict; a coefficient that cancels to 0
+    stays until its monomial is popped.  Reduction never raises a degree:
+    the shifted tail lies below the term it cancels.
     """
     p, mask, guard = R.p, R.mask, R.guard
-    leads = [(-g[0][0] & mask, g) for g in basis]
+    reducers = [(-g[0][0] & mask, g[0][0], g[1:]) for g in basis]
+    coeff = dict(f)
+    heap = [-m for m, _ in f]  # f is sorted descending, so this is already a heap
     out = []
-    work = f
-    pos = 0
-    while pos < len(work):
-        m, c = work[pos]
+    while heap:
+        m = -heappop(heap)
+        c = coeff.pop(m)
+        if not c:
+            continue
         e = (-m & mask) | guard
-        for eg, g in leads:
+        for eg, lm, tail in reducers:
             if (e - eg) & guard == guard:
-                work = combine(work[pos:], 1, None, g, p - c, m - g[0][0], p)
-                pos = 0
+                shift, scale = m - lm, p - c
+                for mt, ct in tail:
+                    mt += shift
+                    if mt in coeff:
+                        coeff[mt] = (coeff[mt] + scale * ct) % p
+                    else:
+                        coeff[mt] = scale * ct % p
+                        heappush(heap, -mt)
                 break
         else:
-            out.append(work[pos])
-            pos += 1
+            out.append((m, c))
     return make_monic(R, out)

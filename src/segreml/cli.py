@@ -41,8 +41,9 @@ MATRIX_MLDEG_MAX_DIM = 12
 # signs evaluates seven factors per sampled tensor, about 20 us each on one core,
 # so the cap is a run of about 20 s.
 SIGNS_MAX_SAMPLES = 1_000_000
-# oracle counts one score system per trial, about 0.4 s each at n = 3 on one core,
-# so the cap is a run of about 20 s (40 s when a disagreement forces the recount).
+# oracle counts one score system per trial, about 0.27 s each for a generic n = 3
+# tensor (ML degree 20) on one core, so the cap is a run of about 14 s (27 s when
+# a disagreement forces the recount).
 ORACLE_MAX_TRIALS = 50
 
 
@@ -141,9 +142,12 @@ def _cmd_mldeg(args) -> int:
 
 def _cmd_matrix_mldeg(args) -> int:
     data = _load_json(args.matrix)
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not (isinstance(entries, list) and all(isinstance(row, list) for row in entries)):
+        raise DimensionMismatchError('matrix JSON must be {"entries": a list of rows, each a list of rational strings}')
     try:
-        rows = [[parse_rational(str(x)) for x in row] for row in data["entries"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = [[parse_rational(x) for x in row] for row in entries]
+    except ValueError as exc:
         raise DimensionMismatchError(f"bad matrix JSON: {exc}") from exc
     M = RatMatrix.from_rows(rows)
     if M.nrows + M.ncols - 2 > MATRIX_MLDEG_MAX_DIM:

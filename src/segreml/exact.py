@@ -32,9 +32,11 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (decimal integers, q > 0) into a Fraction.
 
-    Anything else, including decimals, exponents and a zero denominator,
-    raises ValueError.
+    Anything else, including decimals, exponents, a zero denominator and a
+    value that is not a str (such as a JSON number), raises ValueError.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"{text!r} is not a rational string")
     text = text.strip()
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:

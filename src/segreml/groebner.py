@@ -1,12 +1,18 @@
 """Buchberger completion over F_p and standard-monomial counting.
 
-The driver runs Buchberger's algorithm with the Gebauer-Moeller
-installation of the product and chain criteria under grevlex, using the
-reduction kernel in _kernel_py for the inner loops.  Integer generators
-are reduced mod a prime p, packed and made monic as they are read, so no
-coefficient outgrows p; each pair stores the lcm of its leads.  A budget
-on the basis size and the packed-exponent degree limit convert runaway
-inputs into a clean ResourceBudgetExceededError.
+The driver runs Buchberger's algorithm under grevlex with the complete
+Gebauer-Moeller installation (JSC 1988), in Becker-Weispfenning's UPDATE
+form.  A new pair is dropped when another new pair's lcm properly divides
+its lcm (the chain criterion), when its leads are coprime (the product
+criterion), or when an earlier new pair has the same lcm (one pair per
+lcm, and none when any pair with that lcm has coprime leads).  An old
+pair is dropped when the new lead divides its lcm and the new lead's lcm
+with each of its two elements differs from it.  The reduction kernel in
+_kernel_py runs the inner loops.  Integer generators are reduced mod a
+prime p, packed and made monic as they are read, so no coefficient
+outgrows p; each pair stores the lcm of its leads.  A budget on the basis
+size and the packed-exponent degree limit convert runaway inputs into a
+clean ResourceBudgetExceededError.
 
 Solution counting for a zero-dimensional ideal is the number of standard
 monomials: monomials outside the leading-term ideal of the reduced basis.
@@ -79,18 +85,20 @@ def groebner_basis(gens, prime: int):
     pairs: dict[tuple[int, int], int] = {}  # (h, g) -> lcm of their leading monomials
 
     def update(h):
-        # Gebauer-Moeller installation: filter new pairs by the chain
-        # criterion, drop coprime-lead pairs, prune old pairs and basis
-        # elements superseded by the new leading monomial.
+        # The pair criteria of the module docstring, then drop basis
+        # elements whose leads the new leading monomial divides.
         nonlocal basis, pairs
         lmh = lead[h]
         with_h = {g: lcm(R, lmh, lead[g]) for g in basis}
-        new = {}
+        by_lcm = {}  # lcm -> the first surviving g, or None once a coprime pair has it
         for g, lg in with_h.items():
             if lg == lmh + lead[g]:
-                continue  # coprime leads: the product criterion
-            if not any(lf != lg and divides(R, lf, lg) for lf in with_h.values()):
-                new[(h, g)] = lg
+                # coprime leads; if a proper divisor of lg is another lcm,
+                # chain drops every pair with lcm lg anyway
+                by_lcm[lg] = None
+            elif not any(lf != lg and divides(R, lf, lg) for lf in with_h.values()):
+                by_lcm.setdefault(lg, g)
+        new = {(h, g): lg for lg, g in by_lcm.items() if g is not None}
         pairs = {
             (g1, g2): l12
             for (g1, g2), l12 in pairs.items()

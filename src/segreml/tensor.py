@@ -188,7 +188,7 @@ class ScalingTensor:
         if not (planes and all(isinstance(row, list) and len(row) == n + 1 for plane in raw for row in plane)):
             raise DimensionMismatchError(f"tensor JSON entries must be lists indexed exactly [2][2][n+1], n = {n}")
         try:
-            entries = [[[parse_rational(str(x)) for x in row] for row in plane] for plane in raw]
+            entries = [[[parse_rational(x) for x in row] for row in plane] for plane in raw]
         except ValueError as exc:
             raise DimensionMismatchError(f"bad rational in tensor JSON: {exc}") from exc
         return cls.from_entries(n, entries)

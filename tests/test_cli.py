@@ -75,15 +75,26 @@ def test_malformed_json_exit_code(tmp_path, capsys):
         '{"n": 1, "w": [[["1", "2", "3"], ["1", "2", "5"]], [["1", "7", "3"], ["1", "2", "3"]]]}',
         '{"n": 1, "w": [[["1", "2"], ["1", "2"], ["3", "4"]], [["1", "7"], ["1", "2"]]]}',
         '{"n": 1, "w": [[["1", "2"], ["1", "2"]], [["1", "7"], ["1", "2"]], [["1", "1"], ["1", "1"]]]}',
+        # leaves must be rational strings, not JSON numbers
+        '{"n": 1, "w": [[[1, 2], [1, 2]], [[1, 7], [1, 2]]]}',
+        '{"n": 1, "w": [[["1", "2"], ["1", "2"]], [["1", 7], ["1", "2"]]]}',
     )
     for k, text in enumerate(texts):
         path = tmp_path / f"broken{k}.json"
         path.write_text(text)
         assert main(["mldeg", str(path)]) == 2
         _assert_one_error_line(capsys)
-    matrix = _write(tmp_path, "m.json", {"entries": [["1", "1/0"], ["2", "3"]]})
-    assert main(["matrix-mldeg", matrix]) == 2
-    _assert_one_error_line(capsys)
+    matrices = (
+        {"entries": [["1", "1/0"], ["2", "3"]]},
+        {"entries": ["12", "35"]},  # strings are not rows of characters
+        {"entries": [[1, 2], [3, 5]]},
+        {"entries": {"12": "35"}},
+        ["1", "2"],
+    )
+    for k, doc in enumerate(matrices):
+        matrix = _write(tmp_path, f"m{k}.json", doc)
+        assert main(["matrix-mldeg", matrix]) == 2
+        _assert_one_error_line(capsys)
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")

@@ -23,7 +23,7 @@ def test_rational_strings_round_trip():
     assert parse_rational("6/4") == Fraction(3, 2)
     assert format_rational(Fraction(10, 5)) == "2"
     assert parse_rational(" -3/6 ") == Fraction(-1, 2)
-    for text in ["1/0", "-4/00", "0.5", "1e5", "1e999999999", "+1", "1/-2", "", "1_000", "inf"]:
+    for text in ["1/0", "-4/00", "0.5", "1e5", "1e999999999", "+1", "1/-2", "", "1_000", "inf", 3, None]:
         with pytest.raises(ValueError):
             parse_rational(text)
 

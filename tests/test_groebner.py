@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -16,6 +17,9 @@ from segreml.groebner import (
     standard_monomial_count,
 )
 from segreml import _kernel_py as K
+from segreml.oracle import DataVector, score_system
+from segreml.realize import realize
+from segreml.tensor import ScalingTensor
 
 P = 2**61 - 1  # a Mersenne prime
 
@@ -204,15 +208,50 @@ def test_grevlex_key_matches_first_principles():
         assert (K.pack(a) > K.pack(b)) == expected
 
 
+def _reference_normal_form(f, basis, R):
+    """Reference reducer by list merging: each step merges the shifted reducer into the rest of the work list."""
+    p, mask, guard = R.p, R.mask, R.guard
+
+    def merge(work, c, g, shift):
+        out, i, j = [], 0, 0
+        while i < len(work) and j < len(g):
+            mf, mg = work[i][0], g[j][0] + shift
+            if mf > mg:
+                out.append(work[i])
+                i += 1
+            elif mg > mf:
+                out.append((mg, c * g[j][1] % p))
+                j += 1
+            else:
+                s = (work[i][1] + c * g[j][1]) % p
+                if s:
+                    out.append((mf, s))
+                i += 1
+                j += 1
+        return out + work[i:] + [(m + shift, c * x % p) for m, x in g[j:]]
+
+    leads = [(-g[0][0] & mask, g) for g in basis]
+    out, work = [], list(f)
+    while work:
+        m, c = work[0]
+        e = (-m & mask) | guard
+        g = next((g for eg, g in leads if (e - eg) & guard == guard), None)
+        if g is None:
+            out.append(work.pop(0))
+        else:
+            work = merge(work, p - c, g, m - g[0][0])
+    return K.make_monic(R, out)
+
+
 def _naive_buchberger(gens, nvars):
-    """Criteria-free completion over F_P: every pair, no pruning (test oracle)."""
+    """Criteria-free completion over F_P: every pair, no pruning, the reference reducer (test oracle)."""
     R = K.Ring(P, nvars)
     basis = [K.from_int_terms(R, g) for g in gens]
     basis = [g for g in basis if g]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
         i, j = pairs.pop()
-        h = K.normal_form(K.spair(basis[i], basis[j], R), basis, R)
+        h = _reference_normal_form(K.spair(basis[i], basis[j], R), basis, R)
         if h:
             basis.append(h)
             pairs.extend((len(basis) - 1, t) for t in range(len(basis) - 1))
@@ -224,11 +263,116 @@ def _naive_buchberger(gens, nvars):
             minimal.append(g)
     reduced = []
     for g in minimal:
-        h = K.normal_form(g, [x for x in minimal if x is not g], R)
+        h = _reference_normal_form(g, [x for x in minimal if x is not g], R)
         if h:
             reduced.append(h)
     reduced.sort(key=lambda p: p[0][0])
     return reduced
+
+
+def _random_poly(rng, nvars, terms, degree, p):
+    """An integer term list of up to `terms` distinct monomials of total degree <= degree, coefficients mod p."""
+    poly = {}
+    for _ in range(terms):
+        e = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(nvars)] += 1
+        poly[tuple(e)] = rng.randrange(1, p)
+    return list(poly.items())
+
+
+def test_normal_form_matches_the_reference_reducer():
+    # Term for term, including small primes, where coefficients cancel often,
+    # combinations of the basis, which reduce to zero modulo a Groebner
+    # basis, and bases that are not Groebner bases.
+    rng = random.Random(5)
+    zeros = 0
+    for trial in range(400):
+        p = (3, 5, 7, P)[trial % 4]
+        nvars = rng.choice((1, 2, 3))
+        R = K.Ring(p, nvars)
+        basis = [K.from_int_terms(R, _random_poly(rng, nvars, rng.randint(1, 4), 3, p)) for _ in range(rng.randint(1, 4))]
+        basis = [g for g in basis if g]
+        if not basis:
+            continue
+        if trial % 3 == 0:
+            basis = groebner_basis([[(K.unpack(m, nvars), c) for m, c in g] for g in basis], p)
+            if not basis:
+                continue
+        f = K.from_int_terms(R, _random_poly(rng, nvars, rng.randint(1, 8), 5, p))
+        if trial % 2 == 0:  # a combination of basis elements, plus f on every fourth trial
+            total = dict(f) if trial % 4 == 0 else {}
+            for g in rng.sample(basis, min(2, len(basis))):
+                for m, c in K.from_int_terms(R, _random_poly(rng, nvars, 3, 2, p)):
+                    for mg, cg in g:
+                        total[m + mg] = (total.get(m + mg, 0) + c * cg) % p
+            f = sorted(((m, c) for m, c in total.items() if c), reverse=True)
+        got = K.normal_form(f, basis, R)
+        assert got == _reference_normal_form(f, basis, R), (p, f, basis)
+        zeros += not got
+    assert zeros >= 100
+
+
+def test_criterion_F_forms_one_pair_per_lcm(monkeypatch):
+    # Leads xy, xz and yz: when yz arrives, its pairs with xy and with xz both
+    # have lcm xyz, so only one of them is formed; the old pair (xz, xy) has
+    # that lcm too, but it stays, because yz divides it with lcm(xy, yz) equal.
+    gens = [
+        [((1, 1, 0), 1), ((1, 0, 0), 2), ((0, 0, 0), -3)],
+        [((1, 0, 1), 1), ((0, 1, 0), -5), ((0, 0, 1), 1)],
+        [((0, 1, 1), 1), ((1, 0, 0), 7), ((0, 0, 0), 11)],
+    ]
+    R = K.Ring(P, 3)
+    xy, xz, yz = (K.pack(m) for m in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    formed = []
+    spair = K.spair
+
+    def counted(f, g, ring):
+        formed.append(frozenset((f[0][0], g[0][0])))
+        return spair(f, g, ring)
+
+    monkeypatch.setattr(K, "spair", counted)
+    gb = groebner_basis(gens, P)
+    assert formed.count(frozenset((xz, xy))) == 1
+    assert formed.count(frozenset((yz, xy))) + formed.count(frozenset((yz, xz))) == 1
+    monkeypatch.undo()
+    assert gb == _naive_buchberger(gens, 3)
+    assert K.mono_lcm(R, yz, xy) == K.mono_lcm(R, yz, xz) == K.mono_lcm(R, xy, xz)
+
+
+# sha256 of repr(groebner_basis(...)) for the score systems below, under the
+# first prime of random.Random("primes") and data DataVector.random(n,
+# random.Random(9)).  They were computed with the list-merging reducer of
+# _reference_normal_form and without one-pair-per-lcm, so they show that
+# the kernel returns the identical reduced basis, not just equal counts.
+PINNED_BASES = (
+    "1cfbeada5500a07f1535617b0ac500a9b3898b0f730dc6d90d36da5723929cc2",
+    "f1b45e3a0385425c991dc236ea84578a0d95b187cb8ab6212d57fdd2bf47062e",
+    "81490b80d686dcda0417b640d37539a7303db0ee3bbd1ca157d3b8b5849fbe96",
+    "1613937d3bbb7490b9a16ee1176e3faabb3554c30be1171eaf8d18f9fba3bf98",
+    "1e2f59840b65c4fea9bbf172d0905fd54a54681ecbfaebe125f4cebf4e4de22c",
+    "d56b912ea680f38fac90f6f41d84df5d22ea13540b893033a0a76c356edb03b8",
+    "9c08763158b051abad0feae04d8a6ba87da7b0c50a98725a8f072b8d56ad5170",
+    "f803cd67f38624360bcb88864ac3d177dad3fd78f3e9971bb39d94914542e1bf",
+)
+
+
+def test_reduced_bases_are_pinned():
+    # the benchmark's four oracle tensors (the paper's counterexample pair and
+    # two generic tensors), then realize(2, 8, seed) for seeds 0..3
+    slices = (
+        [[[1, 3], [2, 4]], [[2, 1], [4, 6]], [[3, 4], [6, 10]]],
+        [[[1, 3], [2, 4]], [[2, 1], [4, 6]], [[3, 3], [6, 1]]],
+        [[[1, 2], [3, 5]], [[7, 11], [13, 17]], [[19, 23], [29, 31]]],
+        [[[1, 2], [3, 5]], [[7, 11], [13, 17]]],
+    )
+    tensors = [ScalingTensor.from_slices(s) for s in slices] + [realize(2, 8, seed=s) for s in range(4)]
+    prime = random_prime(random.Random("primes"))
+    digests = []
+    for W in tensors:
+        system = score_system(W, DataVector.random(W.n, random.Random(9)))
+        digests.append(hashlib.sha256(repr(groebner_basis(system.polys, prime)).encode()).hexdigest())
+    assert tuple(digests) == PINNED_BASES
 
 
 def test_reduced_basis_matches_naive_buchberger():
