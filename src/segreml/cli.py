@@ -35,6 +35,10 @@ EXIT_UNSTABLE = 3
 # each a gcd step or a face-class lookup on values built once per tensor; at
 # n = 12 analyze takes about 0.7 s and realize about 0.45 s on one core.
 SUBSET_SUM_MAX_N = 12
+# mldeg_value meets every pair of the n + 1 quadrics, O(n^2) work: on generic tensors
+# with 7-digit entries it takes about 0.6 s at n = 100, 2.4 s at n = 200 and 10 s at
+# n = 400 on one core, so the cap is a run of about 10 s.
+MLDEG_MAX_N = 400
 # matrix-mldeg sums the ranks of (2^(m+1) - 1)(2^(n+1) - 1) submatrices of an
 # (m+1) x (n+1) matrix; m + n = 12 (a 7 x 7 matrix) is its desk-scale limit.
 MATRIX_MLDEG_MAX_DIM = 12
@@ -136,7 +140,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_mldeg(args) -> int:
-    print(euler.mldeg_value(_load_tensor(args.tensor)))
+    W = _load_tensor(args.tensor)
+    if W.n > MLDEG_MAX_N:
+        raise DimensionMismatchError(
+            f"mldeg meets every pair of the n + 1 quadrics and takes n <= {MLDEG_MAX_N}, got n = {W.n}"
+        )
+    print(euler.mldeg_value(W))
     return EXIT_OK
 
 

@@ -13,17 +13,17 @@ the product of
 
 The 2x2x3 factor is decided rather than evaluated: it vanishes exactly
 when the three quadrics share a projective root, which is read off from
-the gcd of the three pairwise pencil determinants.  Only the zero/nonzero
-flag is ever consumed downstream.
+the gcd of the three pairwise pencil determinants: g(I) of `subset_gcd`,
+the table `euler.chi_VI` also reads.  Only the zero/nonzero flag is used.
 
 A minor is the determinant of its 2x2 array of cells (`FactorId.cells`);
 evaluation, forcing in `realize`, the structure tests and the atlas's
 corners all read that one layout.
 
-The pencil determinants, the values of the minors and of H[k1,k2], and
-the face proportionality classes are built once per tensor and kept in
-its memo (`pair_forms`, `factor_values`, `face_classes`); every
-evaluation here and in `euler` reads them from there.
+The pencil determinants, the values of the minors and of H[k1,k2], the
+face classes and the subset gcds are built once per tensor in its memo
+(`pair_forms`, `factor_values`, `face_classes`, `subset_gcd`), which no
+other module fills; every evaluation here and in `euler` reads them.
 
 Canonical factor names are the strings "F[**0]", "F[0*(0,1)]",
 "F[*1(1,2)]", "H[0,1]", "H[0,1,2]"; patterns serialize as JSON arrays of
@@ -165,25 +165,26 @@ def eval_minor(W: ScalingTensor, fid: FactorId) -> Fraction:
     return w[a0][a1][a2] * w[d0][d1][d2] - w[b0][b1][b2] * w[c0][c1][c2]
 
 
-def pair_det_form(W: ScalingTensor, k1: int, k2: int) -> BinaryForm:
-    """det of the 2x2 pencil matrix of slices (k1, k2) as a quadric in y.
+def pair_det_coeffs(w, k1: int, k2: int) -> tuple:
+    """(c0, c1, c2) of the pencil determinant of slices (k1, k2), from raw [2][2][n+1] entries w.
 
     Row k of the pencil matrix is (w00k y0 + w01k y1, w10k y0 + w11k y1).
-    The y0^2 and y1^2 coefficients are the face minors F[*0(k1,k2)] and
-    F[*1(k1,k2)]; the middle coefficient is the 4-term bilinear bracket.
-    hyp223_vanishes and euler.chi_VI both read their answers off the gcd
-    of these forms.
+    c0 and c2 are the face minors F[*0(k1,k2)] and F[*1(k1,k2)], c1 the
+    4-term bilinear bracket, and c1^2 - 4 c0 c2 is H[k1,k2].
     """
-    (w00, w01), (w10, w11) = W.w
+    (w00, w01), (w10, w11) = w
     a00, a01, a10, a11 = w00[k1], w01[k1], w10[k1], w11[k1]
     b00, b01, b10, b11 = w00[k2], w01[k2], w10[k2], w11[k2]
-    return BinaryForm(
-        (
-            a00 * b10 - a10 * b00,
-            a00 * b11 + a01 * b10 - a10 * b01 - a11 * b00,
-            a01 * b11 - a11 * b01,
-        )
+    return (
+        a00 * b10 - a10 * b00,
+        a00 * b11 + a01 * b10 - a10 * b01 - a11 * b00,
+        a01 * b11 - a11 * b01,
     )
+
+
+def pair_det_form(W: ScalingTensor, k1: int, k2: int) -> BinaryForm:
+    """det of the 2x2 pencil matrix of slices (k1, k2) as a quadric in y; `subset_gcd` takes their gcds."""
+    return BinaryForm(pair_det_coeffs(W.w, k1, k2))
 
 
 def eval_hyp222(W: ScalingTensor, k1: int, k2: int) -> Fraction:
@@ -202,15 +203,8 @@ def hyp223_vanishes(W: ScalingTensor, k1: int, k2: int, k3: int) -> bool:
     """
     if not k1 < k2 < k3:
         raise ValueError("require k1 < k2 < k3")
-    forms = pair_forms(W)
-    g = binary_gcd([forms[(k1, k2)], forms[(k1, k3)], forms[(k2, k3)]])
+    g = subset_gcd(W, (k1, k2, k3))
     return g.is_zero or g.degree >= 1
-
-
-def factor_vanishes(W: ScalingTensor, fid: FactorId) -> bool:
-    if fid.kind == "hyp223":
-        return hyp223_vanishes(W, *fid.index)
-    return factor_values(W)[fid] == 0
 
 
 @dataclass(frozen=True)
@@ -246,8 +240,10 @@ class VanishingPattern:
 
 
 def vanishing_pattern(W: ScalingTensor) -> VanishingPattern:
-    """Evaluate every factor and collect the vanishing ones."""
-    return VanishingPattern(W.n, tuple(f for f in all_factors(W.n) if factor_vanishes(W, f)))
+    """The zeros of `factor_values` plus the vanishing 2x2x3 factors."""
+    zeros = [f for f, value in factor_values(W).items() if value == 0]
+    triples = itertools.combinations(range(W.n + 1), 3)
+    return VanishingPattern(W.n, (*zeros, *(hyp223(*ks) for ks in triples if hyp223_vanishes(W, *ks))))
 
 
 # -- values memoized per tensor ------------------------------------------------
@@ -299,6 +295,26 @@ def _build_face_classes(W: ScalingTensor) -> tuple[tuple[int, ...], ...]:
         tuple(ids.setdefault(b / a, len(ids)) for a, b in zip(first, second))
         for first, second in ((w00, w01), (w10, w11), (w00, w10), (w01, w11))
     )
+
+
+def subset_gcd(W: ScalingTensor, ks: tuple[int, ...]) -> BinaryForm:
+    """gcd of the pair forms over the pairs in ks (increasing), kept for every prefix of ks.
+
+    g((k,)) is the zero form, since a single slice has no pairs, and
+    g(ks) = gcd(g(ks[:-1]), the forms pairing ks[-1] with ks[:-1]).  The
+    subset sum meets ks[:-1] before ks, so each subset gcds only its new
+    forms, and a constant g(ks[:-1]) ends the gcd at once.
+    """
+    gcds = W.memo("subset_gcds", lambda W: {(k,): BinaryForm.zero() for k in range(W.n + 1)})
+    if ks not in gcds:
+        forms = pair_forms(W)
+        start = len(ks)
+        while ks[: start - 1] not in gcds:
+            start -= 1
+        for size in range(start, len(ks) + 1):
+            head, last = ks[: size - 1], ks[size - 1]
+            gcds[ks[:size]] = binary_gcd([gcds[head]] + [forms[(k, last)] for k in head])
+    return gcds[ks]
 
 
 def map_factor(fid: FactorId, perm=None, swap: bool = False) -> FactorId:
@@ -405,12 +421,8 @@ def forces_hyperdeterminant(minors) -> bool:
 # -- the n = 1 classification --------------------------------------------------
 
 
-def n1_factor_universe() -> list[FactorId]:
-    """The seven factors for the 2x2x2 case, in canonical order."""
-    return all_factors(1)
-
-
-def _n1_corners() -> list[frozenset[FactorId]]:
+def n1_corners() -> list[frozenset[FactorId]]:
+    """The 8 corner triples: the three minors through one cell, one per axis."""
     return [
         frozenset({face_minor_x(i, 0, 1), face_minor_y(j, 0, 1), slice_minor(k)})
         for i in range(2)
@@ -419,7 +431,8 @@ def _n1_corners() -> list[frozenset[FactorId]]:
     ]
 
 
-def _n1_frames() -> list[frozenset[FactorId]]:
+def n1_frames() -> list[frozenset[FactorId]]:
+    """The 3 cubic frames plus H[0,1]: two of the three minor pairs x, y, slice."""
     h = hyp222(0, 1)
     fx = [face_minor_x(i, 0, 1) for i in range(2)]
     fy = [face_minor_y(j, 0, 1) for j in range(2)]
@@ -441,7 +454,7 @@ def classify_pattern_n1(pattern: VanishingPattern) -> int | None:
     """
     if pattern.n != 1:
         raise ValueError("classification is specific to n = 1")
-    universe = set(n1_factor_universe())
+    universe = set(all_factors(1))
     fs = pattern.factors
     if not fs <= universe:
         raise ValueError("pattern contains factors outside the n=1 universe")
@@ -452,9 +465,9 @@ def classify_pattern_n1(pattern: VanishingPattern) -> int | None:
         return 5
     if size == 2:
         return 4
-    if size == 3 and fs in _n1_corners():
+    if size == 3 and fs in n1_corners():
         return 3
-    if size == 5 and fs in _n1_frames():
+    if size == 5 and fs in n1_frames():
         return 2
     if size == 7:
         return 1

@@ -36,12 +36,13 @@ from functools import partial
 from .factors import (
     FactorId,
     VanishingPattern,
-    _n1_corners,
-    _n1_frames,
+    all_factors,
     face_minor_x,
     face_minor_y,
     hyp222,
-    n1_factor_universe,
+    n1_corners,
+    n1_frames,
+    pair_det_coeffs,
     slice_minor,
 )
 from .realize import first_witness, forced_draw, random_entry, rank_one_slice, scaled_pair
@@ -56,6 +57,7 @@ SIGN_FACTOR_ORDER = (
     slice_minor(1),
     hyp222(0, 1),
 )
+_SIGN_MINOR_CELLS = tuple(f.cells() for f in SIGN_FACTOR_ORDER[:6])
 
 # The only realizable sign patterns with H < 0, in the order
 # (F[0*(0,1)], F[1*(0,1)], F[*0(0,1)], F[*1(0,1)], F[**0], F[**1], H[0,1]).
@@ -84,7 +86,7 @@ class Stratum:
 def enumerate_strata_n1() -> list[Stratum]:
     """All 41 strata in deterministic order (by class, then pattern)."""
     h = hyp222(0, 1)
-    universe = n1_factor_universe()
+    universe = all_factors(1)
     out = [Stratum(VanishingPattern(1, ()), 6, "generic entries", "empty")]
     for f in universe:
         recipe = "tangent quadrics" if f == h else f"solve {f.name} = 0 for one entry"
@@ -96,7 +98,7 @@ def enumerate_strata_n1() -> list[Stratum]:
         else:
             recipe = "solve both minors through designated entries"
         out.append(Stratum(VanishingPattern(1, (f, g)), 4, recipe, "pair"))
-    for corner in _n1_corners():
+    for corner in n1_corners():
         ((i, j, k),) = frozenset.intersection(*(f.variables() for f in corner))
         recipe = f"corner at w[{i}][{j}][{k}]: three independent solves"
         out.append(Stratum(VanishingPattern(1, tuple(corner)), 3, recipe, "corner"))
@@ -105,7 +107,7 @@ def enumerate_strata_n1() -> list[Stratum]:
         "row-scaled singular slices (shared horizontal line)",
         "column-scaled singular slices (shared vertical line)",
     )
-    for frame, recipe in zip(_n1_frames(), frame_recipes):
+    for frame, recipe in zip(n1_frames(), frame_recipes):
         out.append(Stratum(VanishingPattern(1, tuple(frame)), 2, recipe, "frame"))
     out.append(
         Stratum(VanishingPattern(1, tuple(universe)), 1, "proportional singular slices", "full")
@@ -208,20 +210,16 @@ def atlas(seed: int = 0) -> list[tuple[Stratum, ScalingTensor]]:
 
 
 def _sign_vector(e) -> tuple[int, ...] | None:
-    """The seven factor values, as ints, for an integer 2x2x2 tensor."""
-    fx0 = e[0][0][0] * e[0][1][1] - e[0][1][0] * e[0][0][1]
-    fx1 = e[1][0][0] * e[1][1][1] - e[1][1][0] * e[1][0][1]
-    fy0 = e[0][0][0] * e[1][0][1] - e[1][0][0] * e[0][0][1]
-    fy1 = e[0][1][0] * e[1][1][1] - e[1][1][0] * e[0][1][1]
-    s0 = e[0][0][0] * e[1][1][0] - e[0][1][0] * e[1][0][0]
-    s1 = e[0][0][1] * e[1][1][1] - e[0][1][1] * e[1][0][1]
-    a = e[0][0][0] * e[1][1][1] - e[0][0][1] * e[1][1][0]
-    b = e[0][1][0] * e[1][0][1] - e[0][1][1] * e[1][0][0]
-    hh = (a - b) ** 2 - 4 * fx0 * fx1
-    values = (fx0, fx1, fy0, fy1, s0, s1, hh)
-    if any(v == 0 for v in values):
+    """The seven factor values in SIGN_FACTOR_ORDER, as ints, for integer entries e[i][j][k]; None if one is 0."""
+    values = [
+        e[a0][a1][a2] * e[d0][d1][d2] - e[b0][b1][b2] * e[c0][c1][c2]
+        for ((a0, a1, a2), (b0, b1, b2)), ((c0, c1, c2), (d0, d1, d2)) in _SIGN_MINOR_CELLS
+    ]
+    c0, c1, c2 = pair_det_coeffs(e, 0, 1)
+    values.append(c1 * c1 - 4 * c0 * c2)
+    if 0 in values:
         return None
-    return values
+    return tuple(values)
 
 
 def _sign_string(values) -> str:

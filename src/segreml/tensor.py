@@ -23,8 +23,8 @@ is a JSON integer (not a boolean) and w holds exactly 2 x 2 lists of
 n + 1 entries each; anything else is refused, never truncated.
 
 Each tensor carries a private memo of values derived from w (pair forms,
-factor values, face classes, subset gcds), which `factors` and `euler`
-fill on first use through `memo`.  It lives and dies with the tensor and
+factor values, face classes, subset gcds), which only `factors` fills, on
+first use through `memo`; `euler` reads them through `factors`.  It lives and dies with the tensor and
 takes no part in ==, hash, repr or JSON.
 """
 

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import random
 import re
 import time
 from pathlib import Path
 
+from segreml import factors
 from segreml.cli import build_parser, main
 from segreml.realize import realize
+
+from helpers import COUNTEREXAMPLE_W, COUNTEREXAMPLE_W_PRIME, HOOK_EXAMPLE, degenerate_tensor
 
 W313 = {"n": 2, "w": [[["1", "2", "3"], ["3", "1", "4"]], [["2", "4", "6"], ["4", "6", "10"]]]}
 ONES1 = {"n": 1, "w": [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]]}
@@ -242,6 +246,60 @@ def test_analyze_limit_points_to_mldeg(tmp_path, capsys):
     big = _write(tmp_path, "n24.json", realize(24, 650, seed=1).to_json_dict())
     assert main(["mldeg", big]) == 0
     assert capsys.readouterr().out == "650\n"
+
+
+# sha256 of `segreml analyze --json` stdout: factor values, pattern, pair
+# types, the chi(V_I) and term tables and the ML degree.
+ANALYZE_DIGESTS = {
+    "COUNTEREXAMPLE_W": "1f65f29ddcda133e3fd322387a055a0ded1af38a7c773b49bf3be8880b1b97d6",
+    "COUNTEREXAMPLE_W_PRIME": "b7a011a65a39b8646482b9c58166f550cc17f1cc3901aa7aba5fc0a05b56efaf",
+    "HOOK_EXAMPLE": "300884a5181144e920c14e4be7baa97c8644052dc4917ead9ce3bfd1cc76f825",
+    "degenerate_tensor(Random(0), 4)": "509eec31b0405820398fe2b687a03f9c800f0ceede00e51a699446ae7ffb24e5",
+    "degenerate_tensor(Random(1), 4)": "c6ebbc8ea95a05d65124b24a949ce35d6752a5e0368f12e758af257e65adcd2b",
+    "degenerate_tensor(Random(2), 4)": "796af7dc9e65496d06f2326dcf976237cdddcd362029d7a47551ac0fef3b5bd0",
+}
+
+
+def test_analyze_output_is_pinned(tmp_path, capsys):
+    tensors = {"COUNTEREXAMPLE_W": COUNTEREXAMPLE_W, "COUNTEREXAMPLE_W_PRIME": COUNTEREXAMPLE_W_PRIME, "HOOK_EXAMPLE": HOOK_EXAMPLE}
+    for s in range(3):
+        tensors[f"degenerate_tensor(Random({s}), 4)"] = degenerate_tensor(random.Random(s), 4)
+    for name, W in tensors.items():
+        path = _write(tmp_path, "t.json", W.to_json_dict())
+        assert main(["analyze", path, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_DIGESTS[name], name
+
+
+def test_analyze_takes_one_gcd_per_slice_subset(tmp_path, capsys, monkeypatch):
+    # chi(V_I) and the 2x2x3 factors read one subset-gcd table: at n = 4 one
+    # gcd per subset of two or more slices, 2^5 - 1 - 5, and none more for the triples.
+    gcd = factors.binary_gcd
+    calls = []
+
+    def counted(forms):
+        calls.append(forms)
+        return gcd(forms)
+
+    monkeypatch.setattr(factors, "binary_gcd", counted)
+    for r in (10, 17, 30):
+        path = _write(tmp_path, "t.json", realize(4, r, seed=1).to_json_dict())
+        calls.clear()
+        assert main(["analyze", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["mldeg"] == r
+        assert len(calls) == 26, r
+
+
+def test_mldeg_size_limit(tmp_path, capsys):
+    big = _write(tmp_path, "ones401.json", {"n": 401, "w": [[["1"] * 402] * 2] * 2})
+    start = time.perf_counter()
+    assert main(["mldeg", big]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "n <= 400" in err
+    ones24 = _write(tmp_path, "ones24.json", {"n": 24, "w": [[["1"] * 25] * 2] * 2})
+    assert main(["mldeg", ones24]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_realize_size_limit(capsys):

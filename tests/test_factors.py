@@ -20,7 +20,6 @@ from segreml.factors import (
     hyp223,
     hyp223_vanishes,
     map_factor,
-    n1_factor_universe,
     slice_minor,
     vanishing_pattern,
     VanishingPattern,
@@ -333,7 +332,7 @@ def test_classify_pattern_n1():
     assert classify_pattern_n1(pat(hyp222(0, 1))) == 5
     assert classify_pattern_n1(pat(face_minor_x(0, 0, 1), face_minor_y(0, 0, 1), slice_minor(0))) == 3
     assert classify_pattern_n1(pat(face_minor_x(0, 0, 1), face_minor_x(1, 0, 1), slice_minor(0))) is None
-    full = n1_factor_universe()
+    full = all_factors(1)
     assert classify_pattern_n1(pat(*full)) == 1
     for quad in itertools.combinations(full, 4):
         assert classify_pattern_n1(pat(*quad)) is None
@@ -342,7 +341,7 @@ def test_classify_pattern_n1():
 
 
 def test_classification_counts():
-    universe = n1_factor_universe()
+    universe = all_factors(1)
     sizes: dict[int, int] = {}
     for r in range(8):
         for subset in itertools.combinations(universe, r):

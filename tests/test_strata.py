@@ -9,7 +9,7 @@ import pytest
 from segreml import cli
 from segreml.errors import GenerationFailedError
 from segreml.euler import mldeg_value
-from segreml.factors import classify_pattern_n1, vanishing_pattern
+from segreml.factors import classify_pattern_n1, factor_values, vanishing_pattern
 from segreml.realize import force_minors, random_entry
 from segreml.strata import (
     NEGATIVE_H_PATTERNS,
@@ -21,7 +21,7 @@ from segreml.strata import (
     sample_sign_patterns,
     witness_for_stratum,
 )
-from segreml.factors import VanishingPattern, n1_factor_universe
+from segreml.factors import VanishingPattern, all_factors
 from segreml.tensor import ScalingTensor
 
 
@@ -73,7 +73,7 @@ def test_witness_determinism():
 
 def test_witness_rejects_foreign_pattern():
     bogus = Stratum(
-        VanishingPattern(1, tuple(n1_factor_universe()[:4])), 0, "infeasible", "pair"
+        VanishingPattern(1, tuple(all_factors(1)[:4])), 0, "infeasible", "pair"
     )
     with pytest.raises(GenerationFailedError):
         witness_for_stratum(bogus, seed=0)
@@ -82,7 +82,7 @@ def test_witness_rejects_foreign_pattern():
 def test_constrained_sampling_stays_in_the_atlas():
     """Forcing random minor subsets never leaves the 41 feasible patterns."""
     rng = random.Random(23)
-    minors = [f for f in n1_factor_universe() if f.is_minor]
+    minors = [f for f in all_factors(1) if f.is_minor]
     produced = set()
     trials = 0
     while trials < 10_000:
@@ -108,6 +108,26 @@ def test_sign_sampler_basics():
         sample_sign_patterns(0, 20)
     with pytest.raises(ValueError):
         sample_sign_patterns(10, 1)
+
+
+def test_sign_vector_matches_the_factor_values():
+    # small bounds make zero factors common, so the None branch is exercised too
+    from segreml.strata import _sample_entries, _sign_vector
+
+    nones = 0
+    for bound in (2, 5):
+        rng = random.Random(bound)
+        for _ in range(2000):
+            e = _sample_entries(rng, bound)
+            values = factor_values(ScalingTensor.from_entries(1, e))
+            expected = tuple(values[f] for f in SIGN_FACTOR_ORDER)
+            got = _sign_vector(e)
+            if 0 in expected:
+                nones += 1
+                assert got is None, e
+            else:
+                assert got == expected, e
+    assert nones > 100
 
 
 def test_negative_h_targeted_search():
