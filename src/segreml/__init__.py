@@ -8,7 +8,6 @@ from .factors import (
     StructureReport,
     VanishingPattern,
     all_factors,
-    classify_pattern_n1,
     detect_structures,
     eval_hyp222,
     eval_minor,
@@ -31,7 +30,7 @@ from .euler import (
 )
 from .oracle import CountResult, DataVector, count_critical_points, count_critical_points_matrix, oracle_mldeg
 from .realize import alt_hooks, generic_solution, realize
-from .strata import Stratum, enumerate_strata_n1, sample_sign_patterns, witness_for_stratum
+from .strata import Stratum, classify_pattern_n1, enumerate_strata_n1, sample_sign_patterns, witness_for_stratum
 from .tensor import ScalingTensor
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import euler, strata
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .exact import RatMatrix, format_rational, parse_rational
 from .factors import all_factors, factor_values
-from .oracle import DataVector, count_critical_points, oracle_mldeg
+from .oracle import CountResult, DataVector, count_critical_points, oracle_mldeg
 from .realize import realize
 from .tensor import ScalingTensor
 
@@ -31,17 +32,50 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_UNSTABLE = 3
 
+# Each size cap below holds for entries whose longest numerator or denominator
+# has at most SHORT_ENTRY_BITS bits (about 9 digits).  Longer entries make every
+# big-integer product dearer, so each command also has a work function of its
+# size and entry bits, fitted to one-core timings from 3- to 600-digit entries,
+# and admits an input only while its work at max(bits, SHORT_ENTRY_BITS) stays
+# within the work its cap admits at SHORT_ENTRY_BITS.
+SHORT_ENTRY_BITS = 32
 # analyze's term table and realize's verification sum 2^(n+1) - 1 slice subsets,
 # each a gcd step or a face-class lookup on values built once per tensor; at
 # n = 12 analyze takes about 0.7 s and realize about 0.45 s on one core.
 SUBSET_SUM_MAX_N = 12
+
+
+def _subset_sum_work(n: int, bits: int) -> int:
+    # analyze at n = 8 took 0.026 s with 7-digit entries, 0.31 s with 100 digits,
+    # 1.8 s with 300 and 6.7 s with 600
+    return 2 ** (n + 1) * (bits + 110) ** 2
+
+
 # mldeg_value meets every pair of the n + 1 quadrics, O(n^2) work: on generic tensors
 # with 7-digit entries it takes about 0.6 s at n = 100, 2.4 s at n = 200 and 10 s at
 # n = 400 on one core, so the cap is a run of about 10 s.
 MLDEG_MAX_N = 400
+
+
+def _mldeg_work(n: int, bits: int) -> int:
+    # at n = 50 it took 0.18 s with 7-digit entries, 1.1 s with 100 digits,
+    # 5.9 s with 300 and 19 s with 600
+    return (n + 1) ** 2 * (bits + 180) ** 2
+
+
 # matrix-mldeg sums the ranks of (2^(m+1) - 1)(2^(n+1) - 1) submatrices of an
 # (m+1) x (n+1) matrix; m + n = 12 (a 7 x 7 matrix) is its desk-scale limit.
 MATRIX_MLDEG_MAX_DIM = 12
+
+
+def _matrix_mldeg_work(dim: int, bits: int) -> int:
+    # rank scales each row to integers, so its numbers grow with the row and
+    # column count times the entry length: with 3-, 100- and 200-digit entries a
+    # 7 x 7 matrix took 1.3, 6.2 and 14 s, and with 3 and 300 digits a 6 x 6 one
+    # 0.24 and 3.3 s and a 5 x 5 one 0.025 and 0.32 s
+    return 2**dim * ((dim + 2) * bits + 3860) ** 2
+
+
 # signs evaluates seven factors per sampled tensor, about 20 us each on one core,
 # so the cap is a run of about 20 s.
 SIGNS_MAX_SAMPLES = 1_000_000
@@ -70,6 +104,30 @@ def _load_tensor(path: str) -> ScalingTensor:
     return ScalingTensor.from_json_dict(data)
 
 
+def _longest_bits(rows) -> int:
+    """The most bits of any numerator or denominator in the rows of rationals."""
+    return max(max(v.numerator.bit_length(), v.denominator.bit_length()) for row in rows for v in row)
+
+
+def _check_size(doing: str, name: str, size: int, cap: int, work, rows) -> None:
+    """Refuse an input whose work at its entry length exceeds what `cap` admits with short entries.
+
+    `work(size, bits)` is the command's work function (see SHORT_ENTRY_BITS);
+    `doing` says why the work grows with `name`.
+    """
+    bits = max(_longest_bits(rows), SHORT_ENTRY_BITS)
+    budget = work(cap, SHORT_ENTRY_BITS)
+    if work(size, bits) <= budget:
+        return
+    longer = ""
+    if bits > SHORT_ENTRY_BITS:
+        fits = [s for s in range(cap + 1) if work(s, bits) <= budget]
+        longer = f" ({f'{name} <= {fits[-1]}' if fits else f'no {name}'} at its {bits}-bit entries)"
+    raise DimensionMismatchError(
+        f"{doing} and takes {name} <= {cap} with entries of up to {SHORT_ENTRY_BITS} bits{longer}, got {name} = {size}"
+    )
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -81,15 +139,35 @@ def _write_output(text: str, path: str | None) -> None:
             raise DimensionMismatchError(f"cannot write {path}: {exc}") from exc
 
 
+@contextmanager
+def _any_int_length():
+    """Lift the interpreter's int-string limit (Python 3.10.7+) for printing computed values.
+
+    Reading input never runs under it: parse_rational caps entries at
+    MAX_RATIONAL_DIGITS, and json.load keeps refusing longer JSON integers.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _analyze_payload(W: ScalingTensor) -> dict:
     report = euler.mldeg(W)
     vanishing = report.factor_pattern.factors
-    values = factor_values(W)
     factors = []
+    # H[k1,k2] carries about 16 times the digits of the entries
+    with _any_int_length():
+        values = {fid: format_rational(value) for fid, value in factor_values(W).items()}
     for fid in all_factors(W.n):
         entry: dict = {"name": fid.name, "vanishes": fid in vanishing}
         if fid in values:
-            entry["value"] = format_rational(values[fid])
+            entry["value"] = values[fid]
         factors.append(entry)
     chi_table = {}
     for (I, J), value in report.terms.items():
@@ -126,11 +204,10 @@ def _print_analyze_text(payload: dict) -> None:
 
 def _cmd_analyze(args) -> int:
     W = _load_tensor(args.tensor)
-    if W.n > SUBSET_SUM_MAX_N:
-        raise DimensionMismatchError(
-            f"analyze enumerates 2^(n+1) - 1 slice subsets and takes n <= {SUBSET_SUM_MAX_N}, "
-            f"got n = {W.n}; use `segreml mldeg` for the ML degree at large n"
-        )
+    _check_size(
+        "analyze enumerates 2^(n+1) - 1 slice subsets (use `segreml mldeg` for the ML degree at large n)",
+        "n", W.n, SUBSET_SUM_MAX_N, _subset_sum_work, W.w[0] + W.w[1],
+    )
     payload = _analyze_payload(W)
     if args.json:
         sys.stdout.write(canonical_json(payload))
@@ -141,10 +218,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_mldeg(args) -> int:
     W = _load_tensor(args.tensor)
-    if W.n > MLDEG_MAX_N:
-        raise DimensionMismatchError(
-            f"mldeg meets every pair of the n + 1 quadrics and takes n <= {MLDEG_MAX_N}, got n = {W.n}"
-        )
+    _check_size(
+        "mldeg meets every pair of the n + 1 quadrics",
+        "n", W.n, MLDEG_MAX_N, _mldeg_work, W.w[0] + W.w[1],
+    )
     print(euler.mldeg_value(W))
     return EXIT_OK
 
@@ -159,11 +236,10 @@ def _cmd_matrix_mldeg(args) -> int:
     except ValueError as exc:
         raise DimensionMismatchError(f"bad matrix JSON: {exc}") from exc
     M = RatMatrix.from_rows(rows)
-    if M.nrows + M.ncols - 2 > MATRIX_MLDEG_MAX_DIM:
-        raise DimensionMismatchError(
-            f"matrix-mldeg sums the ranks of all submatrices and takes m + n <= "
-            f"{MATRIX_MLDEG_MAX_DIM} for an (m+1) x (n+1) matrix, got {M.nrows} x {M.ncols}"
-        )
+    _check_size(
+        f"matrix-mldeg sums the ranks of all submatrices of an (m+1) x (n+1) matrix, here {M.nrows} x {M.ncols},",
+        "m + n", M.nrows + M.ncols - 2, MATRIX_MLDEG_MAX_DIM, _matrix_mldeg_work, M.entries,
+    )
     print(euler.mldeg_matrix(M))
     return EXIT_OK
 
@@ -173,12 +249,10 @@ def _cmd_oracle(args) -> int:
         raise ValueError(f"oracle takes --trials <= {ORACLE_MAX_TRIALS}, got {args.trials}")
     W = _load_tensor(args.tensor)
     if args.data is not None:
-        u = DataVector.from_json_dict(_load_json(args.data))
-        count = count_critical_points(W, u)
-        result = {"count": count, "stable": True, "trials": [[None, count]]}
-        sys.stdout.write(canonical_json(result))
-        return EXIT_OK
-    result = oracle_mldeg(W, trials=args.trials, seed=args.seed)
+        count = count_critical_points(W, DataVector.from_json_dict(_load_json(args.data)))
+        result = CountResult(count, True, ((None, count),))
+    else:
+        result = oracle_mldeg(W, trials=args.trials, seed=args.seed)
     sys.stdout.write(canonical_json(result.to_json_dict()))
     return EXIT_OK if result.stable else EXIT_UNSTABLE
 

@@ -26,14 +26,19 @@ from typing import Iterable, Sequence
 
 _MAX_FORM_DEGREE = 2
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
+_RATIONAL_RE = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+# The most digits a numerator or denominator may have: the interpreter's
+# default int-string limit, enforced here so that what is admitted does not
+# depend on the interpreter (before Python 3.10.7 there is no such limit).
+MAX_RATIONAL_DIGITS = 4300
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (decimal integers, q > 0) into a Fraction.
 
-    Anything else, including decimals, exponents, a zero denominator and a
-    value that is not a str (such as a JSON number), raises ValueError.
+    Anything else, including decimals, exponents, a zero denominator, more
+    than MAX_RATIONAL_DIGITS digits in p or q and a value that is not a str
+    (such as a JSON number), raises ValueError.
     """
     if not isinstance(text, str):
         raise ValueError(f"{text!r} is not a rational string")
@@ -41,7 +46,9 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"{text!r} is not a rational of the form p or p/q")
-    if match[1] is not None and int(match[1]) == 0:
+    if max(len(match[1]), len(match[2] or "")) > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"{text[:20]!r}... has more than {MAX_RATIONAL_DIGITS} digits in its numerator or denominator")
+    if match[2] is not None and int(match[2]) == 0:
         raise ValueError(f"{text!r} has a zero denominator")
     return Fraction(text)
 

@@ -17,8 +17,8 @@ the gcd of the three pairwise pencil determinants: g(I) of `subset_gcd`,
 the table `euler.chi_VI` also reads.  Only the zero/nonzero flag is used.
 
 A minor is the determinant of its 2x2 array of cells (`FactorId.cells`);
-evaluation, forcing in `realize`, the structure tests and the atlas's
-corners all read that one layout.
+evaluation, forcing in `realize`, the structure tests and the sign
+experiment in `strata` all read that one layout.
 
 The pencil determinants, the values of the minors and of H[k1,k2], the
 face classes and the subset gcds are built once per tensor in its memo
@@ -417,58 +417,3 @@ def forces_hyperdeterminant(minors) -> bool:
     n = max((k for f in ms for k in _slices(f)), default=0)
     return bool(detect_structures(ms, n).square_cups)
 
-
-# -- the n = 1 classification --------------------------------------------------
-
-
-def n1_corners() -> list[frozenset[FactorId]]:
-    """The 8 corner triples: the three minors through one cell, one per axis."""
-    return [
-        frozenset({face_minor_x(i, 0, 1), face_minor_y(j, 0, 1), slice_minor(k)})
-        for i in range(2)
-        for j in range(2)
-        for k in range(2)
-    ]
-
-
-def n1_frames() -> list[frozenset[FactorId]]:
-    """The 3 cubic frames plus H[0,1]: two of the three minor pairs x, y, slice."""
-    h = hyp222(0, 1)
-    fx = [face_minor_x(i, 0, 1) for i in range(2)]
-    fy = [face_minor_y(j, 0, 1) for j in range(2)]
-    sl = [slice_minor(k) for k in range(2)]
-    return [
-        frozenset({*fx, *fy, h}),
-        frozenset({*fx, *sl, h}),
-        frozenset({*fy, *sl, h}),
-    ]
-
-
-def classify_pattern_n1(pattern: VanishingPattern) -> int | None:
-    """Euler characteristic of the n=1 stratum with this pattern, or None.
-
-    Feasible patterns: the empty set (chi 6), the 7 singletons (5), all 21
-    pairs (4), the 8 corner triples (3), the 3 cubic-frame-plus-H
-    quintuples (2), and the full set (1); every other subset of the seven
-    factors is infeasible.
-    """
-    if pattern.n != 1:
-        raise ValueError("classification is specific to n = 1")
-    universe = set(all_factors(1))
-    fs = pattern.factors
-    if not fs <= universe:
-        raise ValueError("pattern contains factors outside the n=1 universe")
-    size = len(fs)
-    if size == 0:
-        return 6
-    if size == 1:
-        return 5
-    if size == 2:
-        return 4
-    if size == 3 and fs in n1_corners():
-        return 3
-    if size == 5 and fs in n1_frames():
-        return 2
-    if size == 7:
-        return 1
-    return None

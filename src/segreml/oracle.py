@@ -207,7 +207,7 @@ class CountResult:
 
     count: int
     stable: bool
-    trials: tuple[tuple[int, int], ...]  # (trial seed, count)
+    trials: tuple[tuple[int | None, int], ...]  # (trial seed, count); seed None for a given data vector
 
     def to_json_dict(self) -> dict:
         return {

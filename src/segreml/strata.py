@@ -3,13 +3,14 @@
 The coefficient space of two bilinear quadrics splits into 41 strata by
 which factors vanish: the empty pattern (chi 6), 7 singletons (5), all 21
 pairs (4), 8 corner triples (3), 3 cubic-frame-plus-H quintuples (2) and
-the full pattern (1).  The corner and frame patterns are the ones
-`factors` classifies by; a corner stratum is named by the one cell its
-three minors share.  Every stratum here carries a constructive witness
-recipe drawn with the witness toolkit of `realize`: minors are zeroed by
-`forced_draw`, the frames and the full pattern come from `scaled_pair`,
-and every candidate passes the exact vanishing-pattern gate of
-`first_witness` before being returned.
+the full pattern (1).  `enumerate_strata_n1` is the only statement of
+this n = 1 classification, and `classify_pattern_n1` looks a pattern up
+in it; a corner stratum is named by the one cell its three minors share.
+Every stratum here carries a constructive witness recipe drawn with the
+witness toolkit of `realize`: minors are zeroed by `forced_draw`, the
+frames and the full pattern come from `scaled_pair`, and every candidate
+passes the exact vanishing-pattern gate of `first_witness` before being
+returned.
 
 Witnesses involving the hyperdeterminant are built geometrically rather
 than by solving H = 0 directly (whose discriminant is rarely a rational
@@ -31,7 +32,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .factors import (
     FactorId,
@@ -40,8 +41,6 @@ from .factors import (
     face_minor_x,
     face_minor_y,
     hyp222,
-    n1_corners,
-    n1_frames,
     pair_det_coeffs,
     slice_minor,
 )
@@ -98,21 +97,39 @@ def enumerate_strata_n1() -> list[Stratum]:
         else:
             recipe = "solve both minors through designated entries"
         out.append(Stratum(VanishingPattern(1, (f, g)), 4, recipe, "pair"))
-    for corner in n1_corners():
-        ((i, j, k),) = frozenset.intersection(*(f.variables() for f in corner))
+    # A corner is the three minors through cell w[i][j][k], one per axis.
+    for i, j, k in itertools.product(range(2), repeat=3):
+        corner = (face_minor_x(i, 0, 1), face_minor_y(j, 0, 1), slice_minor(k))
         recipe = f"corner at w[{i}][{j}][{k}]: three independent solves"
-        out.append(Stratum(VanishingPattern(1, tuple(corner)), 3, recipe, "corner"))
-    frame_recipes = (
-        "proportional nonsingular slices",
-        "row-scaled singular slices (shared horizontal line)",
-        "column-scaled singular slices (shared vertical line)",
-    )
-    for frame, recipe in zip(n1_frames(), frame_recipes):
-        out.append(Stratum(VanishingPattern(1, tuple(frame)), 2, recipe, "frame"))
+        out.append(Stratum(VanishingPattern(1, corner), 3, recipe, "corner"))
+    # A frame is two of the three minor pairs x, y, slice, plus H[0,1].
+    fx = (face_minor_x(0, 0, 1), face_minor_x(1, 0, 1))
+    fy = (face_minor_y(0, 0, 1), face_minor_y(1, 0, 1))
+    sl = (slice_minor(0), slice_minor(1))
+    for frame, recipe in (
+        (fx + fy, "proportional nonsingular slices"),
+        (fx + sl, "row-scaled singular slices (shared horizontal line)"),
+        (fy + sl, "column-scaled singular slices (shared vertical line)"),
+    ):
+        out.append(Stratum(VanishingPattern(1, (*frame, h)), 2, recipe, "frame"))
     out.append(
         Stratum(VanishingPattern(1, tuple(universe)), 1, "proportional singular slices", "full")
     )
     return out
+
+
+@cache
+def _chi_by_pattern() -> dict[frozenset[FactorId], int]:
+    return {s.pattern.factors: s.chi for s in enumerate_strata_n1()}
+
+
+def classify_pattern_n1(pattern: VanishingPattern) -> int | None:
+    """Euler characteristic of the n = 1 stratum with this pattern, or None if no stratum has it."""
+    if pattern.n != 1:
+        raise ValueError("classification is specific to n = 1")
+    if not pattern.factors <= set(all_factors(1)):
+        raise ValueError("pattern contains factors outside the n=1 universe")
+    return _chi_by_pattern().get(pattern.factors)
 
 
 # -- witness construction ------------------------------------------------------

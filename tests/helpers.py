@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import segreml
 from segreml.tensor import ScalingTensor
 
 # The rank-deficient / full-rank counterexample pair: identical vanishing
@@ -91,3 +96,10 @@ def degenerate_tensor(rng: random.Random, n: int) -> ScalingTensor:
         tall = lambda count: [_tall_rational(rng, 100) for _ in range(count)]
         W = W.torus_rescale(tall(2), tall(2), tall(n + 1))
     return W
+
+
+def schema_validator(name: str):
+    """A validator for the `$defs` entry `name` of the formats schema; skips without jsonschema."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(segreml.__file__).parent / "schemas" / "formats.schema.json").read_text())
+    return jsonschema.Draft7Validator({**schema, "$ref": f"#/$defs/{name}"})

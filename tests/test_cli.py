@@ -5,14 +5,19 @@ import hashlib
 import json
 import random
 import re
+import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from segreml import factors
 from segreml.cli import build_parser, main
+from segreml.exact import MAX_RATIONAL_DIGITS
+from segreml.factors import FactorId, factor_values
 from segreml.realize import realize
+from segreml.tensor import ScalingTensor
 
-from helpers import COUNTEREXAMPLE_W, COUNTEREXAMPLE_W_PRIME, HOOK_EXAMPLE, degenerate_tensor
+from helpers import COUNTEREXAMPLE_W, COUNTEREXAMPLE_W_PRIME, HOOK_EXAMPLE, degenerate_tensor, schema_validator
 
 W313 = {"n": 2, "w": [[["1", "2", "3"], ["3", "1", "4"]], [["2", "4", "6"], ["4", "6", "10"]]]}
 ONES1 = {"n": 1, "w": [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]]}
@@ -450,3 +455,78 @@ def test_signs_admission(tmp_path, capsys):
         "-++---+": 1, "--+++-+": 1, "+-+-+-+": 2, "+-+-+++": 1, "+--++-+": 2, "+-++-++": 1, "+--+-++": 1,
         "-+-++++": 1, "+-+--++": 1, "+++-+-+": 1, "-+--+-+": 1, "--+-+-+": 1,
     }
+
+
+def _tall_entries(rng, count, digits):
+    """`count` rational strings whose numerator and denominator have `digits` digits."""
+    lo, hi = 10 ** (digits - 1), 10**digits - 1
+    return [f"{rng.choice(('-', ''))}{rng.randint(lo, hi)}/{rng.randint(lo, hi)}" for _ in range(count)]
+
+
+def _tall_tensor(rng, n, digits):
+    e = iter(_tall_entries(rng, 4 * (n + 1), digits))
+    return {"n": n, "w": [[[next(e) for _ in range(n + 1)] for _ in range(2)] for _ in range(2)]}
+
+
+def test_analyze_prints_values_longer_than_the_int_string_limit(tmp_path, capsys):
+    # with 300-digit entries H[k1,k2] has about 4,800 digits, beyond the
+    # interpreter's default limit for turning an int into a string
+    doc = _tall_tensor(random.Random(5), 2, 300)
+    path = _write(tmp_path, "tall.json", doc)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert main(["analyze", path]) == 0
+    assert "mldeg = 12" in capsys.readouterr().out
+    assert main(["analyze", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        values = factor_values(ScalingTensor.from_json_dict(doc))
+        printed = {FactorId.parse(f["name"]): Fraction(f["value"]) for f in payload["factors"] if "value" in f}
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert printed == values
+    assert max(len(f["value"]) for f in payload["factors"] if "value" in f) > 4300
+    # entries themselves are capped by the reader, whatever the interpreter's limit
+    doc["w"][0][0][0] = "9" * (MAX_RATIONAL_DIGITS + 1)
+    assert main(["analyze", _write(tmp_path, "long.json", doc), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"more than {MAX_RATIONAL_DIGITS} digits" in captured.err
+
+
+def test_size_caps_shrink_with_entry_length(tmp_path, capsys):
+    rng = random.Random(3)
+    slow = (
+        (["mldeg"], _tall_tensor(rng, 100, 300)),
+        (["analyze", "--json"], _tall_tensor(rng, 12, 300)),
+        (["matrix-mldeg"], {"entries": [_tall_entries(rng, 7, 300) for _ in range(7)]}),
+    )
+    for argv, doc in slow:
+        path = _write(tmp_path, "slow.json", doc)
+        start = time.perf_counter()
+        assert main([argv[0], path, *argv[1:]]) == 2
+        assert time.perf_counter() - start < 10
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "-bit entries" in err, err
+    path = _write(tmp_path, "short.json", _tall_tensor(rng, 100, 7))
+    assert main(["mldeg", path]) == 0
+    assert capsys.readouterr().out == f"{101 * 102}\n"
+
+
+def test_outputs_validate_against_the_schema(tmp_path, capsys):
+    tensor = _write(tmp_path, "w.json", W313)
+    data = _write(tmp_path, "u.json", {"u": [[[3, 1, 4], [1, 5, 9]], [[2, 6, 5], [3, 5, 8]]]})
+    runs = (
+        ("analyzeReport", ["analyze", tensor, "--json"]),
+        ("realizeOutput", ["realize", "--n", "2", "--r", "7"]),
+        ("atlas", ["atlas"]),
+        ("signs", ["signs", "--samples", "300", "--bound", "5"]),
+        ("countResult", ["oracle", tensor, "--trials", "2"]),
+        ("countResult", ["oracle", tensor, "--data", data]),
+    )
+    for name, argv in runs:
+        assert main(argv) == 0, argv
+        schema_validator(name).validate(json.loads(capsys.readouterr().out))

@@ -312,7 +312,7 @@ def test_exhaustive_grid_pattern_determines_mldeg():
     Euler characteristic assigned to its vanishing pattern."""
     import itertools
 
-    from segreml.factors import classify_pattern_n1
+    from segreml.strata import classify_pattern_n1
 
     for combo in itertools.product((-2, -1, 1, 2), repeat=8):
         e = [[[combo[0], combo[1]], [combo[2], combo[3]]], [[combo[4], combo[5]], [combo[6], combo[7]]]]

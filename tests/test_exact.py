@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from segreml.exact import (
+    MAX_RATIONAL_DIGITS,
     BinaryForm,
     RatMatrix,
     binary_gcd,
@@ -16,16 +17,35 @@ from segreml.exact import (
     rank,
 )
 
+from helpers import schema_validator
+
+
+CANONICAL = ["3", "-7", "3/4", "-22/7", "0"]
+ACCEPTED = [*CANONICAL, "6/4", " -3/6 ", "9" * MAX_RATIONAL_DIGITS, "1/" + "7" * MAX_RATIONAL_DIGITS]
+REJECTED = [
+    "1/0", "-4/00", "0.5", "1e5", "1e999999999", "+1", "1/-2", "", "1_000", "inf", 3, None,
+    "9" * (MAX_RATIONAL_DIGITS + 1), "1/" + "7" * (MAX_RATIONAL_DIGITS + 1),
+]
+
 
 def test_rational_strings_round_trip():
-    for text in ["3", "-7", "3/4", "-22/7", "0"]:
+    for text in CANONICAL:
         assert format_rational(parse_rational(text)) == text
     assert parse_rational("6/4") == Fraction(3, 2)
     assert format_rational(Fraction(10, 5)) == "2"
     assert parse_rational(" -3/6 ") == Fraction(-1, 2)
-    for text in ["1/0", "-4/00", "0.5", "1e5", "1e999999999", "+1", "1/-2", "", "1_000", "inf", 3, None]:
+    assert parse_rational("9" * MAX_RATIONAL_DIGITS) == 10**MAX_RATIONAL_DIGITS - 1
+    for text in REJECTED:
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+def test_schema_rational_agrees_with_the_reader():
+    validator = schema_validator("rational")
+    for text in ACCEPTED:
+        assert validator.is_valid(text), text[:20]
+    for text in REJECTED:
+        assert not validator.is_valid(text), str(text)[:20]
 
 
 def rank_by_minors(rows):

@@ -9,7 +9,6 @@ import pytest
 from segreml.factors import (
     FactorId,
     all_factors,
-    classify_pattern_n1,
     detect_structures,
     eval_hyp222,
     eval_minor,
@@ -25,7 +24,7 @@ from segreml.factors import (
     VanishingPattern,
 )
 from segreml.realize import _solve_minor, generic_solution, hook_constraint_universe
-from segreml.strata import atlas
+from segreml.strata import atlas, classify_pattern_n1
 from segreml.tensor import ScalingTensor
 
 from helpers import (

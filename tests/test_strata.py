@@ -9,13 +9,14 @@ import pytest
 from segreml import cli
 from segreml.errors import GenerationFailedError
 from segreml.euler import mldeg_value
-from segreml.factors import classify_pattern_n1, factor_values, vanishing_pattern
+from segreml.factors import factor_values, vanishing_pattern
 from segreml.realize import force_minors, random_entry
 from segreml.strata import (
     NEGATIVE_H_PATTERNS,
     SIGN_FACTOR_ORDER,
     Stratum,
     atlas,
+    classify_pattern_n1,
     enumerate_strata_n1,
     find_negative_h_patterns,
     sample_sign_patterns,
@@ -23,6 +24,8 @@ from segreml.strata import (
 )
 from segreml.factors import VanishingPattern, all_factors
 from segreml.tensor import ScalingTensor
+
+from helpers import degenerate_tensor
 
 
 def test_enumeration_counts_and_classes():
@@ -96,6 +99,25 @@ def test_constrained_sampling_stays_in_the_atlas():
         assert chi is not None, pattern.names()
         produced.add(pattern.factors)
     assert len(produced) >= 20  # the sampler reaches a good share of the atlas
+
+
+def test_table_matches_the_engine_on_grid_and_degenerate_tensors():
+    """The table's chi is the ML degree on tensors not built from the table.
+
+    A seeded sample of the +-{1,2} grid (the opt-in sweep in test_euler.py
+    covers all 65,536) plus degeneracy-biased draws.
+    """
+    rng = random.Random(41)
+    draw = lambda: [[[rng.choice((-2, -1, 1, 2)) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    grid = [ScalingTensor.from_entries(1, draw()) for _ in range(2000)]
+    degenerate = [degenerate_tensor(rng, 1) for _ in range(300)]
+    reached = set()
+    for W in grid + degenerate:
+        pattern = vanishing_pattern(W)
+        chi = classify_pattern_n1(pattern)
+        assert chi is not None and chi == mldeg_value(W), pattern.names()
+        reached.add(pattern.factors)
+    assert len(reached) >= 40  # of the 41 strata
 
 
 def test_sign_sampler_basics():
