@@ -14,6 +14,21 @@ A vanishing leading coefficient encodes the projective root (1:0), so a
 nonzero degree-d form always has exactly d roots counted with
 multiplicity.  Degree is capped at two: all determinants of the pencil
 matrices downstream are quadratics, and the cap is enforced structurally.
+
+The cap is what lets `binary_gcd` use closed forms instead of Euclid.  A
+linear form (c0, c1) has the one root (c1 : -c0), so its gcd with f is
+itself when f vanishes there and 1 otherwise.  For two quadratics f and g
+take the cross product of their coefficient vectors,
+
+    v = (f1*g2 - f2*g1, f2*g0 - f0*g2, f0*g1 - f1*g0).
+
+A common root (s : t) makes (s^2, st, t^2) orthogonal to both vectors, so
+it is parallel to v.  Hence: v = 0 means f and g are proportional (gcd f);
+otherwise v1^2 - v0*v2, their Sylvester resultant, is zero exactly when
+they share a root (gcd 1 when it is not), and the shared root is
+(s : t) = (v0 : v1) if v0 != 0, else (v1 : v2) = (0 : 1), giving the gcd
+t*y0 - s*y1.  Two distinct roots cannot be shared without proportionality,
+so the gcd of non-proportional quadratics is never of degree two.
 """
 
 from __future__ import annotations
@@ -88,8 +103,13 @@ class RatMatrix:
     def rank(self) -> int:
         return rank(self)
 
-    def __getitem__(self, pos: tuple[int, int]) -> Fraction:
-        return self.entries[pos[0]][pos[1]]
+
+def integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators: integers with the same span."""
+    scale = 1
+    for x in row:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def rank(matrix: RatMatrix) -> int:
@@ -99,12 +119,7 @@ def rank(matrix: RatMatrix) -> int:
     elimination then stays in Z, which keeps intermediate entries to
     minor-sized integers instead of ever-growing fractions.
     """
-    mat: list[list[int]] = []
-    for row in matrix.entries:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        mat.append([int(x * scale) for x in row])
+    mat = [integer_row(row) for row in matrix.entries]
     nrows, ncols = len(mat), len(mat[0])
     rnk = 0
     prev = 1
@@ -166,67 +181,47 @@ class BinaryForm:
         return c1 * c1 - 4 * c0 * c2
 
 
-def _dehomogenize(f: BinaryForm) -> tuple[int, list[Fraction]]:
-    """Split f = y1^shift * g with g(1:0) != 0; return (shift, g as poly in t=y0/y1).
-
-    The returned coefficient list is descending in t and its leading
-    coefficient is nonzero.  `shift` is the multiplicity of the root (1:0).
-    """
-    coeffs = list(f.coeffs)
-    lead = 0
-    while coeffs[lead] == 0:
-        lead += 1
-    return lead, coeffs[lead:]
+_ONE = BinaryForm((Fraction(1),))
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of dense descending-coefficient division (exact)."""
-    a = list(a)
-    while len(a) >= len(b) and any(c != 0 for c in a):
-        while a and a[0] == 0:
-            a.pop(0)
-        if len(a) < len(b):
-            break
-        q = a[0] / b[0]
-        for i in range(len(b)):
-            a[i] -= q * b[i]
-        a.pop(0)
-    while a and a[0] == 0:
-        a.pop(0)
-    return a
+def _pair_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """gcd of two nonzero forms up to a scalar, by the closed forms in the module docstring."""
+    if f.degree < g.degree:
+        f, g = g, f
+    if g.degree == 0:
+        return _ONE
+    if g.degree == 1:
+        c0, c1 = g.coeffs
+        d = f.degree
+        value = sum(c * c1 ** (d - i) * (-c0) ** i for i, c in enumerate(f.coeffs))
+        return g if value == 0 else _ONE
+    (f0, f1, f2), (g0, g1, g2) = f.coeffs, g.coeffs
+    v0, v1, v2 = f1 * g2 - f2 * g1, f2 * g0 - f0 * g2, f0 * g1 - f1 * g0
+    if v0 == v1 == v2 == 0:
+        return f
+    if v1 * v1 != v0 * v2:
+        return _ONE
+    s, t = (v0, v1) if v0 != 0 else (v1, v2)
+    return BinaryForm((t, -s))
 
 
 def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     """Monic gcd of binary forms; identically-zero inputs are ignored.
 
-    Factors out the shared power of y1 (the root at (1:0)), takes the
-    univariate gcd in t = y0/y1, and re-homogenizes, so the (1:0) root is
-    accounted exactly.  Returns the zero form when every input is zero.
+    Folds `_pair_gcd` over the nonzero inputs, stopping at a constant.
+    Returns the zero form when every input is zero.
     """
     if not forms:
         raise ValueError("binary_gcd requires at least one form")
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
         return BinaryForm.zero()
-    shift, g = _dehomogenize(nonzero[0])
+    g = nonzero[0]
     for f in nonzero[1:]:
-        if len(g) == 1 and shift == 0:
+        if g.degree == 0:
             break
-        s, p = _dehomogenize(f)
-        shift = min(shift, s)
-        while p:
-            g, p = p, _poly_mod(g, p)
-    if not g:
-        # The dehomogenized parts are coprime; only the shared y1 power remains.
-        g = [Fraction(1)]
-    # Re-homogenize y1^shift * sum(g[i] t^(e-i)) with e = len(g)-1: the term
-    # g[i] * y0^(e-i) * y1^(i+shift) lands at index i+shift of a degree
-    # e+shift coefficient tuple.
-    e = len(g) - 1
-    cs = [Fraction(0)] * (e + shift + 1)
-    for i, c in enumerate(g):
-        cs[i + shift] = c
-    return BinaryForm(tuple(cs)).monic()
+        g = _pair_gcd(g, f)
+    return g.monic()
 
 
 def distinct_root_count(f: BinaryForm) -> int | None:

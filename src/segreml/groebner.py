@@ -152,6 +152,8 @@ def groebner_basis(gens, prime: int):
 def leading_monomials(basis, nvars: int):
     """The leading monomials of a basis from groebner_basis, as exponent tuples."""
     return [K.unpack(p[0][0], nvars) for p in basis]
+
+
 def standard_monomial_count(lead_monomials, nvars: int) -> int:
     """Dimension of the quotient by the monomial ideal of the given leads.
 

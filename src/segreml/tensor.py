@@ -63,13 +63,10 @@ class ScalingTensor:
 
     @classmethod
     def from_entries(cls, n: int, entries) -> ScalingTensor:
-        """Validate and build from any nested [2][2][n+1] numeric layout."""
+        """Validate and build from a nested [2][2][n+1] numeric layout; any other shape is refused."""
         try:
-            w = tuple(
-                tuple(tuple(Fraction(entries[i][j][k]) for k in range(n + 1)) for j in range(2))
-                for i in range(2)
-            )
-        except (IndexError, TypeError) as exc:
+            w = tuple(tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in entries)
+        except TypeError as exc:
             raise DimensionMismatchError("tensor entries must be indexed [2][2][n+1]") from exc
         return cls(n, w)
 
@@ -105,25 +102,12 @@ class ScalingTensor:
             raise IndexError(f"slice index {k} out of range")
         return RatMatrix.from_rows([[self.w[0][0][k], self.w[0][1][k]], [self.w[1][0][k], self.w[1][1][k]]])
 
-    def flattening(self, mode: int, indices: Iterable[int] | None = None) -> RatMatrix:
-        """Unfold the subtensor with slice indices `indices` along `mode`.
-
-        Mode 3 has one row per k with columns ordered (00, 01, 10, 11);
-        modes 1 and 2 have two rows (the x- or y-index) with columns (j, k)
-        resp. (i, k), k ascending within each j resp. i.
-        """
-        ks = tuple(sorted(indices)) if indices is not None else tuple(range(self.n + 1))
+    def flattening(self, indices: Iterable[int]) -> RatMatrix:
+        """The mode-3 unfolding of the slices `indices`: one row per k, columns (00, 01, 10, 11)."""
+        ks = tuple(sorted(indices))
         if not ks or any(not 0 <= k <= self.n for k in ks):
             raise IndexError("slice indices out of range")
-        if mode == 3:
-            rows = [[self.w[0][0][k], self.w[0][1][k], self.w[1][0][k], self.w[1][1][k]] for k in ks]
-        elif mode == 1:
-            rows = [[self.w[i][j][k] for j in range(2) for k in ks] for i in range(2)]
-        elif mode == 2:
-            rows = [[self.w[i][j][k] for i in range(2) for k in ks] for j in range(2)]
-        else:
-            raise ValueError("mode must be 1, 2 or 3")
-        return RatMatrix.from_rows(rows)
+        return RatMatrix.from_rows([[self.w[0][0][k], self.w[0][1][k], self.w[1][0][k], self.w[1][1][k]] for k in ks])
 
     # -- symmetries ----------------------------------------------------------
 

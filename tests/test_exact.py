@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -131,6 +132,75 @@ def test_binary_gcd_divides_both():
         d = binary_gcd([f, g])
         assert not d.is_zero and d.degree >= 1
         assert divides(d, f) and divides(d, g)
+
+
+SMALL = [Fraction(v) for v in ("0", "1", "2", "3", "1/2", "2/3", "-1", "-2", "-3", "-1/2", "-2/3")]
+
+
+def sympy_gcd(forms):
+    """Independent reference: the monic gcd coefficients by sympy, () when every form is zero."""
+    import sympy
+
+    y0, y1 = sympy.symbols("y0 y1")
+    polys = [
+        sympy.Poly.from_dict(
+            {(f.degree - i, i): sympy.Rational(c.numerator, c.denominator) for i, c in enumerate(f.coeffs)},
+            y0, y1, domain="QQ",
+        )
+        for f in forms
+    ]
+    g = functools.reduce(lambda a, b: a.gcd(b), polys)
+    if g.is_zero:
+        return ()
+    d = g.total_degree()
+    coeffs = [g.coeff_monomial((d - i, i)) for i in range(d + 1)]
+    lead = next(c for c in coeffs if c != 0)
+    return tuple(Fraction(int(q.p), int(q.q)) for q in (c / lead for c in coeffs))
+
+
+def random_forms(rng):
+    """1-4 forms built from a pool of three linear factors, so that shared roots are common."""
+    pool = [(rng.choice(SMALL), rng.choice(SMALL)) for _ in range(3)]
+    pool = [p for p in pool if p != (0, 0)] or [(Fraction(1), Fraction(0))]
+    forms = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        scale = rng.choice(SMALL[1:])
+        if kind < 0.1:
+            forms.append(BinaryForm.from_coeffs([0] * rng.randint(1, 3)))
+        elif kind < 0.2:
+            forms.append(BinaryForm.from_coeffs([scale]))
+        elif kind < 0.35:
+            forms.append(BinaryForm.from_coeffs([scale * c for c in rng.choice(pool)]))
+        elif kind < 0.5 and forms:
+            forms.append(BinaryForm.from_coeffs([scale * c for c in forms[-1].coeffs]))
+        else:
+            f = linear_product(rng.choice(pool), rng.choice(pool))
+            forms.append(BinaryForm.from_coeffs([scale * c for c in f.coeffs]))
+    return forms
+
+
+def test_binary_gcd_matches_sympy():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(1500):
+        forms = random_forms(rng)
+        want = sympy_gcd(forms)
+        got = binary_gcd(forms)
+        assert (() if got.is_zero else got.coeffs) == want, forms
+        quadratics = [f.monic() for f in forms if f.degree == 2 and not f.is_zero]
+        if len(set(quadratics)) < len(quadratics):
+            seen.add("proportional")
+        if len(want) > 1:
+            seen.add("root (1:0)" if want[0] == 0 else "other root")
+            seen.add("root (0:1)" if want[-1] == 0 else "other root")
+        if len(want) == 3:
+            seen.add("double root" if want[1] ** 2 == 4 * want[0] * want[2] else "two roots")
+        seen.add({(): "zero", (1,): "constant"}.get(want, "nonconstant"))
+    assert seen == {
+        "root (1:0)", "root (0:1)", "other root", "double root", "two roots",
+        "proportional", "zero", "constant", "nonconstant",
+    }
 
 
 def test_distinct_root_counts():
