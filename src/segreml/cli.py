@@ -52,14 +52,16 @@ def _subset_sum_work(n: int, bits: int) -> int:
 
 
 # mldeg_value meets every pair of the n + 1 quadrics, O(n^2) work: on generic tensors
-# with 7-digit entries it takes about 0.6 s at n = 100, 2.4 s at n = 200 and 10 s at
-# n = 400 on one core, so the cap is a run of about 10 s.
+# with 7-digit entries it takes about 0.08 s at n = 100, 0.32 s at n = 200 and 1.3 s
+# at n = 400 on one core.  The cap stays at 400 (a 10 s run of the Fraction engine)
+# until it and _mldeg_work are refitted together.
 MLDEG_MAX_N = 400
 
 
 def _mldeg_work(n: int, bits: int) -> int:
-    # at n = 50 it took 0.18 s with 7-digit entries, 1.1 s with 100 digits,
-    # 5.9 s with 300 and 19 s with 600
+    # at n = 50 it took 0.02 s with 7-digit entries, 0.44 s with 100 digits,
+    # 2.9 s with 300 and 9.4 s with 600; the largest admitted inputs with 300
+    # and 600 digits (n = 71 and 38) took 5.3 and 5.2 s
     return (n + 1) ** 2 * (bits + 180) ** 2
 
 

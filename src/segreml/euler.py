@@ -11,20 +11,26 @@ and `mldeg_value` reads that off the curve arrangement in O(n^2) work:
 where p runs over the torus points where two components meet and m_p is
 the number of components through p.
 
+* Integer slices.  Scaling a slice scales its quadric and moves no curve,
+  line or point, so each slice is first scaled to the primitive integer
+  vector (a, b, c, d) proportional to (w00k, w01k, w10k, w11k) with a > 0,
+  and the whole arrangement is computed in integers.  A torus coordinate
+  is a reduced pair (num, den) with den > 0.
 * Components, deduplicated in slice order.  A nonsingular slice k gives
   one (1,1)-curve (isomorphic to P1 minus four axis points, chi_T = -2),
-  keyed by its slice up to scale.  A singular slice factors as
-  (w00k x0 + w10k x1)(w00k y0 + w01k y1) / w00k and gives the two lines
-  x0/x1 = -w10k/w00k and y0/y1 = -w01k/w00k (each C*, chi_T = 0).
+  keyed by its integer slice.  A singular slice factors as
+  (a x0 + c x1)(a y0 + b y1) / a and gives the two lines x0/x1 = -c/a and
+  y0/y1 = -b/a (each C*, chi_T = 0).
 * Points, kept only inside T.  Two curves j, k meet over the roots of
-  factors.pair_det_form(W, j, k) with y0 y1 != 0, at x = (-B_j(y) : A_j(y))
-  where (A_j, B_j) = (w00j y0 + w01j y1, w10j y0 + w11j y1); a curve meets
-  a line, and an x-line meets a y-line, in at most one point, found by one
-  division.
+  their pencil determinant factors.pair_det_coeffs with y0 y1 != 0, at
+  x = (-B_j(y) : A_j(y)) where (A_j, B_j) = (a y0 + b y1, c y0 + d y1) for
+  slice j; a curve meets a line, and an x-line meets a y-line, in at most
+  one point, found by one division.
 * Point keys.  A rational point is keyed by (t, s) = (y0/y1, x0/x1).  A
   pair of conjugate points over Q(sqrt d) is one key with orbit size 2:
-  (the monic minimal polynomial t^2 + p t + q, s = alpha + beta t reduced
-  modulo it).  Conjugate points always lie in T.
+  the primitive minimal polynomial (c0, c1, c2), c0 > 0, of t, and
+  s = (A + B t) / N reduced modulo it, as the primitive (A, B, N) with
+  N > 0.  Conjugate points always lie in T.
 
 The paper's route is kept as the reference: for I a set of slice indices,
 V_I is the common zero set in P1 x P1 of the q_k, k in I.  Fixing y, the
@@ -73,7 +79,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from .errors import DimensionMismatchError
 # binary_gcd is unused here: perfbench's harness test checks euler.binary_gcd as its sample binding.
 from .exact import RatMatrix, binary_gcd, distinct_root_count, integer_row
@@ -85,7 +90,7 @@ from .factors import (
     factor_values,
     hyp222,
     hyp223_vanishes,
-    pair_det_form,
+    pair_det_coeffs,
     slice_minor,
     subset_gcd,
     vanishing_pattern,
@@ -281,100 +286,109 @@ def mldeg(W: ScalingTensor) -> MLDegreeReport:
 
 
 # A component is ("curve", k) for the smooth (1,1)-curve of slice k, or
-# ("x", c) / ("y", d) for the line x0/x1 = c / y0/y1 = d.
+# ("x", c) / ("y", d) for the line x0/x1 = c / y0/y1 = d, c and d reduced pairs.
 Component = tuple[str, object]
+Ratio = tuple[int, int]
 
 
-def _slice_rows(W: ScalingTensor, k: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Slice k as ((w00k, w01k), (w10k, w11k))."""
+def _integer_slices(W: ScalingTensor) -> tuple:
+    """W's entries as [2][2][n+1] ints, each slice the primitive vector (a, b, c, d) with a > 0."""
     (w00, w01), (w10, w11) = W.w
-    return (w00[k], w01[k]), (w10[k], w11[k])
+    columns = []
+    for k in range(W.n + 1):
+        row = integer_row((w00[k], w01[k], w10[k], w11[k]))
+        content = math.gcd(*row) if row[0] > 0 else -math.gcd(*row)
+        columns.append([x // content for x in row])
+    a, b, c, d = zip(*columns)
+    return (a, b), (c, d)
 
 
-def _components(W: ScalingTensor) -> list[Component]:
+def _components(w) -> list[Component]:
     """Distinct irreducible components of the union of the quadrics, in slice order."""
     found: dict[tuple, Component] = {}  # insertion-ordered, so counts never depend on hashing
-    for k in range(W.n + 1):
-        (w00, w01), (w10, w11) = _slice_rows(W, k)
-        if w00 * w11 != w01 * w10:
-            found.setdefault(("curve", w01 / w00, w10 / w00, w11 / w00), ("curve", k))
+    for k, (a, b, c, d) in enumerate(zip(*w[0], *w[1])):
+        if a * d != b * c:
+            found.setdefault(("curve", a, b, c, d), ("curve", k))
         else:
-            found.setdefault(("x", -w10 / w00), ("x", -w10 / w00))
-            found.setdefault(("y", -w01 / w00), ("y", -w01 / w00))
+            for line in (("x", _ratio(-c, a)), ("y", _ratio(-b, a))):
+                found.setdefault(line, line)
     return list(found.values())
 
 
-def _ratio(num: Fraction, den: Fraction) -> Fraction | None:
-    """num/den when it is a torus coordinate (neither 0 nor infinity), else None."""
-    return num / den if num != 0 and den != 0 else None
+def _ratio(num: int, den: int) -> Ratio | None:
+    """num/den reduced, when it is a torus coordinate (neither 0 nor infinity), else None."""
+    if num == 0 or den == 0:
+        return None
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
 
 
-def _x_on_curve(W: ScalingTensor, k: int, t: Fraction) -> Fraction | None:
+def _x_on_curve(w, k: int, t: Ratio) -> Ratio | None:
     """s = x0/x1 of the point of curve k over y0/y1 = t, if it lies in the torus."""
-    (w00, w01), (w10, w11) = _slice_rows(W, k)
-    return _ratio(-(w10 * t + w11), w00 * t + w01)
+    (w00, w01), (w10, w11) = w
+    tn, td = t
+    return _ratio(-(w10[k] * tn + w11[k] * td), w00[k] * tn + w01[k] * td)
 
 
-def _is_square(q: Fraction) -> bool:
-    return q >= 0 and math.isqrt(q.numerator) ** 2 == q.numerator and math.isqrt(q.denominator) ** 2 == q.denominator
-
-
-def _curve_points(W: ScalingTensor, j: int, k: int) -> list[tuple[tuple, int]]:
+def _curve_points(w, j: int, k: int) -> list[tuple[tuple, int]]:
     """Torus points of curve j ^ curve k as (key, orbit size).
 
-    The curves meet over the roots t = y0/y1 of c0 t^2 + c1 t + c2 =
-    pair_det_form(W, j, k), which is nonzero for distinct smooth curves;
-    roots at t = 0 or infinity leave the torus.  The form is built here,
-    not read from the memo: the arrangement needs one per pair of distinct
-    curves, and the memo's table holds one per pair of slices.
+    The curves meet over the roots t = y0/y1 of c0 t^2 + c1 t + c2, their
+    pencil determinant, which is nonzero for distinct smooth curves; roots
+    at t = 0 or infinity leave the torus.
     """
-    c0, c1, c2 = pair_det_form(W, j, k).coeffs
+    c0, c1, c2 = pair_det_coeffs(w, j, k)
     if c0 == 0 or c2 == 0:
         # One root lies on an axis; the other is the root of the linear rest.
         a, b = (c1, c2) if c0 == 0 else (c0, c1)
-        roots = [-b / a] if a != 0 and b != 0 else []
+        roots = [_ratio(-b, a)]
     else:
         disc = c1 * c1 - 4 * c0 * c2
-        if not _is_square(disc):
+        r = math.isqrt(disc) if disc > 0 else 0
+        if r * r != disc:
             # A conjugate pair over Q(sqrt disc), both in the torus: reduce
-            # s = -(c t + d)/(a t + b) modulo t^2 + p t + q to alpha + beta t.
-            p, q = c1 / c0, c2 / c0
-            (a, b), (c, d) = _slice_rows(W, j)
-            norm = a * a * q - a * b * p + b * b  # (a t + b)(a t' + b), nonzero
-            alpha = -(a * c * q + b * d - a * d * p) / norm
-            beta = (a * d - b * c) / norm
-            return [((p, q, alpha, beta), 2)]
-        r = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
-        roots = {(-c1 + r) / (2 * c0), (-c1 - r) / (2 * c0)}
+            # s = -(c t + d)/(a t + b) modulo c0 t^2 + c1 t + c2 to (A + B t)/N.
+            content = math.gcd(c0, c1, c2) if c0 > 0 else -math.gcd(c0, c1, c2)
+            c0, c1, c2 = c0 // content, c1 // content, c2 // content
+            (w00, w01), (w10, w11) = w
+            a, b, c, d = w00[j], w01[j], w10[j], w11[j]
+            N = a * a * c2 - a * b * c1 + b * b * c0  # c0 (a t + b)(a t' + b), nonzero
+            A = a * d * c1 - a * c * c2 - b * d * c0
+            B = (a * d - b * c) * c0
+            g = math.gcd(A, B, N) if N > 0 else -math.gcd(A, B, N)
+            return [((c0, c1, c2, A // g, B // g, N // g), 2)]
+        roots = {_ratio(-c1 + r, 2 * c0), _ratio(-c1 - r, 2 * c0)}
     points = []
     for t in roots:
-        s = _x_on_curve(W, j, t)
+        s = None if t is None else _x_on_curve(w, j, t)
         if s is not None:
             points.append(((t, s), 1))
     return points
 
 
-def _torus_points(W: ScalingTensor, a: Component, b: Component) -> list[tuple[tuple, int]]:
+def _torus_points(w, a: Component, b: Component) -> list[tuple[tuple, int]]:
     """Points of a ^ b inside the torus as (key, orbit size); a and b are distinct."""
     (ka, va), (kb, vb) = sorted((a, b), key=lambda comp: ("curve", "x", "y").index(comp[0]))
     if ka == kb:
-        return _curve_points(W, va, vb) if ka == "curve" else []  # parallel lines never meet
+        return _curve_points(w, va, vb) if ka == "curve" else []  # parallel lines never meet
     if ka == "x":  # an x-line meets a y-line at (t, s) = (d, c)
         return [((vb, va), 1)]
-    (w00, w01), (w10, w11) = _slice_rows(W, va)
     if kb == "x":
-        t = _ratio(-(vb * w01 + w11), vb * w00 + w10)
+        (w00, w01), (w10, w11) = w
+        sn, sd = vb
+        t = _ratio(-(sn * w01[va] + sd * w11[va]), sn * w00[va] + sd * w10[va])
         return [] if t is None else [((t, vb), 1)]
-    s = _x_on_curve(W, va, vb)
+    s = _x_on_curve(w, va, vb)
     return [] if s is None else [((vb, s), 1)]
 
 
 def _arrangement(W: ScalingTensor) -> tuple[list[Component], dict[tuple, list]]:
     """The components and, per torus intersection point, [orbit size, set of component indices]."""
-    comps = _components(W)
+    w = _integer_slices(W)
+    comps = _components(w)
     points: dict[tuple, list] = {}
     for (i, a), (j, b) in itertools.combinations(enumerate(comps), 2):
-        for key, orbit in _torus_points(W, a, b):
+        for key, orbit in _torus_points(w, a, b):
             points.setdefault(key, [orbit, set()])[1].update((i, j))
     return comps, points
 
