@@ -52,17 +52,20 @@ def _subset_sum_work(n: int, bits: int) -> int:
 
 
 # mldeg_value meets every pair of the n + 1 quadrics, O(n^2) work: on generic tensors
-# with 7-digit entries it takes about 0.08 s at n = 100, 0.32 s at n = 200 and 1.3 s
-# at n = 400 on one core.  The cap stays at 400 (a 10 s run of the Fraction engine)
-# until it and _mldeg_work are refitted together.
-MLDEG_MAX_N = 400
+# with 7-digit entries it takes about 0.09 s at n = 100, 1.7 s at n = 400 and 8.0 s
+# at n = 1000 on one core.  With the longest admitted entries (32-bit numerators
+# and denominators) it takes 8.3-8.6 s at n = 850, 9.2-10.3 s at n = 900 and
+# 12-13 s at n = 1000, so the cap is a run of about 10 s.
+MLDEG_MAX_N = 900
 
 
 def _mldeg_work(n: int, bits: int) -> int:
-    # at n = 50 it took 0.02 s with 7-digit entries, 0.44 s with 100 digits,
-    # 2.9 s with 300 and 9.4 s with 600; the largest admitted inputs with 300
-    # and 600 digits (n = 71 and 38) took 5.3 and 5.2 s
-    return (n + 1) ** 2 * (bits + 180) ** 2
+    # at n = 50 it took 0.020 s with 7-digit entries, 0.092 s with 30 digits,
+    # 0.43 s with 100, 2.8 s with 300 and 9.5 s with 600: a cost per pair
+    # that grows about as bits * (bits + 320).  The largest admitted inputs
+    # with 30, 100, 300 and 600 digits (n = 465, 204, 82 and 43) took 7.0,
+    # 7.4, 7.7 and 7.4 s
+    return (n + 1) ** 2 * bits * (bits + 320)
 
 
 # matrix-mldeg sums the ranks of (2^(m+1) - 1)(2^(n+1) - 1) submatrices of an
@@ -81,8 +84,8 @@ def _matrix_mldeg_work(dim: int, bits: int) -> int:
 # signs evaluates seven factors per sampled tensor, about 20 us each on one core,
 # so the cap is a run of about 20 s.
 SIGNS_MAX_SAMPLES = 1_000_000
-# oracle counts one score system per trial, about 0.27 s each for a generic n = 3
-# tensor (ML degree 20) on one core, so the cap is a run of about 14 s (27 s when
+# oracle counts one score system per trial, about 0.09 s each for a generic n = 4
+# tensor (ML degree 30) on one core, so the cap is a run of about 4.5 s (9 s when
 # a disagreement forces the recount).
 ORACLE_MAX_TRIALS = 50
 
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.set_defaults(func=_cmd_matrix_mldeg)
 
-    p = sub.add_parser("oracle", help="critical-point count over random primes, independent of the engine (n <= 3)")
+    p = sub.add_parser("oracle", help="critical-point count over random primes, independent of the engine (n <= 4)")
     p.add_argument("tensor")
     p.add_argument("--data", help="data-vector JSON; otherwise random trials are drawn")
     p.add_argument("--trials", type=int, default=2)

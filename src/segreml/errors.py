@@ -24,7 +24,7 @@ class GenerationFailedError(SegremlError):
 
 
 class NotZeroDimensionalError(SegremlError):
-    """The saturated score ideal has infinitely many solutions."""
+    """The score ideal has infinitely many solutions."""
 
 
 class ResourceBudgetExceededError(SegremlError):

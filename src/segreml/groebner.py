@@ -16,11 +16,17 @@ clean ResourceBudgetExceededError.
 
 Solution counting for a zero-dimensional ideal is the number of standard
 monomials: monomials outside the leading-term ideal of the reduced basis.
+Counting only the solutions off a hypersurface h = 0 is linear algebra on
+the quotient: the stable rank of the matrix of multiplication by h, built
+from the border normal forms of the reduced basis (`count_solutions`).
 Over F_p this is the count over Q unless p is unlucky for the ideal
 (Arnold, JSC 2003); the oracle compares primes to catch that.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from operator import mul
 
 from .errors import NotZeroDimensionalError, ResourceBudgetExceededError
 from . import _kernel_py as K
@@ -154,15 +160,15 @@ def leading_monomials(basis, nvars: int):
     return [K.unpack(p[0][0], nvars) for p in basis]
 
 
-def standard_monomial_count(lead_monomials, nvars: int) -> int:
-    """Dimension of the quotient by the monomial ideal of the given leads.
+def standard_monomials(lead_monomials, nvars: int) -> list[tuple]:
+    """The exponent tuples outside the monomial ideal of the given leads.
 
     Raises NotZeroDimensionalError unless each variable appears as a pure
     power among the leads (the staircase is finite exactly then).
     """
     lms = list(lead_monomials)
     if any(sum(m) == 0 for m in lms):
-        return 0  # the ideal is the unit ideal
+        return []  # the ideal is the unit ideal
     caps = []
     for v in range(nvars):
         pure = [m[v] for m in lms if all(m[u] == 0 for u in range(nvars) if u != v)]
@@ -172,25 +178,162 @@ def standard_monomial_count(lead_monomials, nvars: int) -> int:
             )
         caps.append(min(pure))
 
-    count = 0
+    out = []
 
-    def walk(v, live):
-        nonlocal count
+    def walk(v, prefix, live):
         if not live:
-            below = 1
-            for u in range(v, nvars):
-                below *= caps[u]
-            count += below
-            return
-        if v == nvars:
-            return  # some lead divides this exponent vector
-        for e in range(caps[v]):
-            walk(v + 1, [m for m in live if m[v] <= e])
+            out.extend(prefix + rest for rest in product(*(range(c) for c in caps[v:])))
+        elif v < nvars:  # at v == nvars some lead divides the prefix
+            for e in range(caps[v]):
+                walk(v + 1, prefix + (e,), [m for m in live if m[v] <= e])
 
-    walk(0, lms)
-    return count
+    walk(0, (), lms)
+    return out
 
 
-def count_solutions(gens, nvars: int, prime: int) -> int:
-    """Standard-monomial count over F_prime of the ideal generated by `gens`, under the default budget."""
-    return standard_monomial_count(leading_monomials(groebner_basis(gens, prime), nvars), nvars)
+def standard_monomial_count(lead_monomials, nvars: int) -> int:
+    """Dimension of the quotient by the monomial ideal of the given leads."""
+    return len(standard_monomials(lead_monomials, nvars))
+
+
+def _echelon(rows, p: int) -> list:
+    """A basis of the span of `rows` over F_p, as (pivot, row) with 0 at every earlier row's pivot."""
+    out = []
+    for v in rows:
+        for pivot, r in out:
+            c = v[pivot]
+            if c:
+                d = r[pivot]
+                v = [(a * d - c * b) % p for a, b in zip(v, r)]
+        pivot = next((i for i, a in enumerate(v) if a), None)
+        if pivot is not None:
+            out.append((pivot, v))
+    return out
+
+
+def _kronecker(p: int, size: int, terms: int):
+    """(pack, times) for size x size matrices over F_p, each a list of rows.
+
+    `pack` turns each row into one int, entry j in bits [j w, (j + 1) w),
+    so `times(rows, packed)`, which is rows @ B for B packed, takes one sum
+    of int multiples of B's packed rows per row (Kronecker substitution)
+    and reads its entries back from the bits, reduced mod p.  The width w
+    holds a sum of `size` products of an entry below p and a packed entry
+    below terms * p^2, so a packed B may also be a combination of up to
+    `terms` packed matrices with coefficients below p.
+    """
+    width = 3 * p.bit_length() + (size * terms).bit_length()
+    mask, offsets = (1 << width) - 1, range(0, width * size, width)
+
+    def pack(rows):
+        return [sum(x << k for x, k in zip(row, offsets)) for row in rows]
+
+    def times(rows, packed):
+        return [[(acc >> k & mask) % p for k in offsets] for acc in (sum(map(mul, row, packed)) for row in rows)]
+
+    return pack, times
+
+
+def _stable_rank(M, p: int) -> int:
+    """The rank of M^k over F_p for every large k.
+
+    The row space of M^(k+1) is the row space of M^k times M; once that
+    step keeps the dimension, it keeps it for good.
+    """
+    pack, times = _kronecker(p, len(M), 1)
+    packed = pack(M)
+    span = _echelon(M, p)
+    while True:
+        image = _echelon(times([r for _, r in span], packed), p)
+        if len(image) == len(span):
+            return len(span)
+        span = image
+
+
+def count_solutions(gens, nvars: int, prime: int, nonzero=()) -> int:
+    """Solutions over F_prime of the ideal of `gens` where no polynomial of `nonzero` vanishes.
+
+    Solutions count with multiplicity.  The quotient A = F_p[x]/I splits
+    into one local algebra per solution, and multiplication by h, the
+    product of `nonzero`, is invertible on those where h does not vanish
+    and nilpotent on the rest.  So the count is the stable rank of the
+    matrix M_h of multiplication by h on A (Cox-Little-O'Shea, *Using
+    Algebraic Geometry*, ch. 2, section 4): saturation by h as linear algebra.
+    Without `nonzero` the count is the standard-monomial count.
+    """
+    basis = groebner_basis(gens, prime)
+    monos = standard_monomials(leading_monomials(basis, nvars), nvars)
+    if not nonzero or not monos:
+        return len(monos)
+    return _stable_rank(_multiplication_matrix(basis, monos, nonzero, prime), prime)
+
+
+def _shift(m: tuple, v: int, by: int = 1) -> tuple:
+    return m[:v] + (m[v] + by,) + m[v + 1 :]
+
+
+def _border_forms(basis, monos, p: int) -> dict:
+    """{x_v * b outside the staircase: the coordinates of its normal form}, for b in `monos`.
+
+    The walk is FGLM's (Faugere-Gianni-Lazard-Mora, JSC 1993), in
+    ascending grevlex order: a border monomial that leads a basis element
+    of the reduced basis has minus that element's tail as normal form.
+    Any other one is x_u times a smaller border monomial m', so its normal
+    form is x_u times the normal form of m', a combination of x_u * b'
+    over standard b' below m', each standard or an earlier border monomial.
+    """
+    nvars, size = len(monos[0]), len(monos)
+    index = {m: i for i, m in enumerate(monos)}
+    packed = {K.pack(m): i for i, m in enumerate(monos)}
+    tails = {K.unpack(g[0][0], nvars): g[1:] for g in basis}
+    border = {_shift(b, v) for b in monos for v in range(nvars)} - index.keys()
+    forms: dict[tuple, list] = {}
+    for m in sorted(border, key=K.pack):
+        form = [0] * size
+        if m in tails:
+            for t, c in tails[m]:
+                form[packed[t]] = p - c
+        else:
+            u = next(u for u in range(nvars) if m[u] and _shift(m, u, -1) in forms)
+            for b, c in zip(monos, forms[_shift(m, u, -1)]):
+                if c:
+                    target = _shift(b, u)
+                    if target in index:
+                        form[index[target]] += c
+                    else:
+                        form = [a + c * f for a, f in zip(form, forms[target])]
+            form = [a % p for a in form]
+        forms[m] = form
+    return forms
+
+
+def _multiplication_matrix(basis, monos, factors, p: int):
+    """The matrix of multiplication by the product of `factors` on the quotient.
+
+    Column j holds the coordinates of the normal form of h * monos[j].
+    The column of M_v at b is the unit vector of x_v * b when that is
+    standard and its border normal form when not; a factor's matrix is a
+    combination of products of those, and M_h is the factors' product.
+    """
+    nvars, size = len(monos[0]), len(monos)
+    index = {m: i for i, m in enumerate(monos)}
+    forms = _border_forms(basis, monos, p)
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+    variables = []
+    for v in range(nvars):
+        cols = (identity[index[m]] if m in index else forms[m] for m in (_shift(b, v) for b in monos))
+        variables.append([list(row) for row in zip(*cols)])
+    pack, times = _kronecker(p, size, max(map(len, factors)))
+    powers = {(0,) * nvars: pack(identity)}
+
+    def power(e):  # the packed matrix of x^e
+        if e not in powers:
+            v = next(v for v, k in enumerate(e) if k)
+            powers[e] = pack(times(variables[v], power(_shift(e, v, -1))))
+        return powers[e]
+
+    M = identity
+    for poly in factors:
+        coeffs = [c % p for _, c in poly]
+        M = times(M, [sum(map(mul, coeffs, rows)) for rows in zip(*(power(e) for e, _ in poly))])
+    return M

@@ -1,49 +1,81 @@
 """Independent ML-degree verification by critical-point counting over F_p.
 
-In the chart x0 = y0 = z0 = 1 the model polynomial is f = f_W(x, y, z) and
+In the chart x0 = y0 = z0 = 1 the model polynomial is f = sum_k z_k q_k
+(z_0 = 1), where slice k is q_k = w00k + w01k y + w10k x + w11k x y, and
 the log-likelihood for data u is
 
-    u_x log x + u_y log y + sum_k u_zk log z_k - u_total log f  (+ const),
+    U_x log x + U_y log y + sum_k U_k log z_k - N log f  (+ const),
 
-so the critical equations are Euler-operator combinations of f itself:
+where U_x sums u over the x = 1 cells, U_y over the y = 1 cells, U_k over
+slice k and N over every cell.
 
-    u_x f - u_total * x f_x,   u_y f - u_total * y f_y,
-    u_zk f - u_total * z_k f_k            (f is linear in each z_k),
+Eliminating the slice coordinates.  f is linear in each z_k, so the
+score of z_k, U_k / z_k = N q_k / f, gives z_k = U_k q_0 / (U_0 q_k).
+Substituted, what is left is the critical points on the 2-torus of
 
-where the marginal u_x sums u over the x=1 cells, etc.  Solutions with a
-zero coordinate or with f = 0 are not critical points of the likelihood;
-one Rabinowitsch variable s with  s * x * y * z_1...z_n * f = 1  removes
-them.  The count of torus critical points (the ML degree for generic u)
-is then the standard-monomial count of the saturated ideal, computed
-over F_p for a random 61-bit prime p (groebner).  Multiplicity from
-non-generic data and an unlucky p both show up as disagreement: each data
-trial has its own prime, a stable answer needs two primes and two data
-draws to agree, and a disagreement is counted again under second primes
-before it is reported.  Fixed data is counted under two primes.
+    x^U_x  y^U_y  prod_c l_c^(-E_c),
 
-Both are scaled products of simplices, Delta_1 x Delta_1 x Delta_n and,
-for matrices, Delta_m x Delta_n, and one builder writes the system for
-either.  Matrix runs are limited to m + n <= 4 and tensor runs to n <= 3;
-beyond that the curve-arrangement count `euler.mldeg_value` is the
-practical route.
+off the zero sets of the components l_c: the distinct irreducible
+factors of the slices.  A slice is one curve unless w00k w11k = w01k
+w10k, when it splits as (w00k + w10k x)(w00k + w01k y) / w00k into an
+x-line and a y-line, both inside the torus since every entry is nonzero.
+Each component is scaled to a primitive integer vector, so proportional
+slices give one curve and a line that recurs across slices is one
+component; its exponent E_c sums U_k over the slices it divides.  This
+is the reduction of Huh (Compositio 2013).  z is a regular function of
+(x, y) at every critical point, so the elimination keeps multiplicities
+and the count equals that of the n + 3-variable system in x, y, z_1..z_n
+and a saturating variable.  The two scores, cleared of denominators, are
+
+    F_v = U_v prod_c l_c - v sum_c E_c (d l_c / d v) prod_(c' != c) l_c'
+
+for v = x, y, with c and c' running over the components that hold v.
+
+Saturation by a multiplication map.  Solutions of F_x = F_y = 0 with a
+zero coordinate or on a component are not critical points of the
+likelihood.  The count keeps the solutions where h = x y prod_c l_c does
+not vanish, with multiplicity: the stable rank of multiplication by h on
+the quotient by (F_x, F_y), computed over F_p for a random 61-bit prime
+p (`groebner.count_solutions`).  That is the ML degree for generic u.
+
+Why it stays independent.  The components are found here from the
+slices by the rank-one test above, not read from `euler`'s arrangement,
+and the count is of the solutions of polynomial equations, not an Euler
+characteristic.  Nothing here comes from `euler`, `factors`, `realize`
+or `strata`, so agreement with `euler.mldeg_value` is evidence for the
+paper's formula, not a restatement of it.
+
+Multiplicity from non-generic data and an unlucky p both show up as
+disagreement: each data trial has its own prime, a stable answer needs
+two primes and two data draws to agree, and a disagreement is counted
+again under second primes before it is reported.  Fixed data is counted
+under two primes.
+
+Both models are scaled products of simplices, Delta_1 x Delta_1 x Delta_n
+and, for matrices, Delta_m x Delta_n, and one builder eliminates the last
+factor of either: for a matrix the components are its distinct column
+hyperplanes, in m variables.  Every score vanishes where two components
+meet, so a matrix with more rows than columns is counted as its
+transpose, and at most two variables remain.  Matrix runs are limited to m + n <= 4 and
+tensor runs to n <= 4; beyond that the curve-arrangement count
+`euler.mldeg_value` is the practical route.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import gcd
-from operator import getitem
+from operator import add, getitem
 
 from .errors import DimensionMismatchError, UnstableCountError
-from .exact import RatMatrix
+from .exact import RatMatrix, integer_row
 from .groebner import count_solutions, random_prime
 from .tensor import ScalingTensor
 
-ORACLE_MAX_N = 3
+ORACLE_MAX_N = 4
 MATRIX_ORACLE_MAX_DIM = 4  # m + n for an (m+1) x (n+1) scaling matrix
 
 
@@ -107,18 +139,21 @@ class DataVector:
 
 @dataclass(frozen=True)
 class ScoreSystem:
-    """Saturated score equations as integer term lists, ready for completion."""
+    """Score equations in the remaining variables, as integer term lists, with the components they saturate by.
+
+    `components` pairs each distinct component l_c (a primitive integer
+    term list) with its exponent E_c; a count keeps the solutions where
+    no variable and no component vanishes.
+    """
 
     nvars: int
     polys: tuple[tuple, ...]
+    components: tuple[tuple[tuple, int], ...]
 
-
-def _integer_poly(terms: dict) -> list:
-    """Clear denominators of a {monomial: Fraction} dict into int terms."""
-    denom = 1
-    for c in terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return [(m, int(c * denom)) for m, c in terms.items() if c != 0]
+    @property
+    def nonzero(self) -> tuple[tuple, ...]:
+        """The factors of h = (product of the variables) * (product of the components)."""
+        return (((1,) * self.nvars, 1),), *(c for c, _ in self.components)
 
 
 def _by_cell(nested, dims) -> dict:
@@ -126,40 +161,93 @@ def _by_cell(nested, dims) -> dict:
     return {cell: reduce(getitem, cell, nested) for cell in product(*(range(d + 1) for d in dims))}
 
 
+def _slice_factors(cells: dict) -> list[dict]:
+    """The irreducible factors of one slice, each as {base cell: coefficient}.
+
+    Over one remaining factor the slice is a linear form.  Over two it is
+    a bilinear form with matrix S[i][j]; when S has rank one (and S[0][0]
+    is nonzero, as every entry is) it splits as (sum_i S[i][0] x_i) *
+    (sum_j S[0][j] y_j) / S[0][0], one line in each factor.  A bilinear
+    form of rank two or more is irreducible.
+    """
+    if len(next(iter(cells))) == 2 and all(c * cells[0, 0] == cells[i, 0] * cells[0, j] for (i, j), c in cells.items()):
+        return [{cell: c for cell, c in cells.items() if cell[1] == 0}, {cell: c for cell, c in cells.items() if cell[0] == 0}]
+    return [cells]
+
+
+def _primitive(terms: dict) -> tuple:
+    """Integer terms divided by their content, the first coefficient made positive: one key per zero set."""
+    monos = sorted(terms)
+    content = gcd(*terms.values()) if terms[monos[0]] > 0 else -gcd(*terms.values())
+    return tuple((m, terms[m] // content) for m in monos)
+
+
+def _times(f: dict, g) -> dict:
+    """The product of two polynomials {exponent tuple: int}."""
+    out: dict = {}
+    for mf, cf in f.items():
+        for mg, cg in g.items():
+            m = tuple(map(add, mf, mg))
+            out[m] = out.get(m, 0) + cf * cg
+    return out
+
+
+def _plus(f: dict, g: dict) -> dict:
+    """The sum of two polynomials {exponent tuple: int}."""
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) + c
+    return out
+
+
 def _simplex_product_system(dims, coeffs: dict, data: dict) -> ScoreSystem:
-    """Score equations plus saturation for a scaled product of simplices.
+    """The score system of a scaled product of simplices, with the last factor eliminated.
 
     Factor t is the simplex of dimension dims[t]; `coeffs` and `data` are
     keyed by cells (i_1, ..., i_r).  In the chart where coordinate 0 of
-    every factor is 1, cell (i_1, ..., i_r) is the product of the i_t-th
-    variable of each factor with i_t >= 1.  Variables run factor by factor,
-    then s; the weight of a variable is the data total of its cells.
+    every factor is 1, slice k sums coeffs[c + (k,)] times the product of
+    the i_t-th variables of the first r - 1 factors over their cells c,
+    with the variables numbered factor by factor.  The scores are the
+    module docstring's F_v, where U_v is the data total of the cells whose
+    product holds v.
     """
-    offsets = [sum(dims[:t]) for t in range(len(dims))]
-    nvars = sum(dims) + 1
-
-    def mono(cell):
+    *base, last = dims
+    offsets = [sum(base[:t]) for t in range(len(base))]
+    nvars = sum(base)
+    monos = {}  # base cell -> its monomial in the remaining variables
+    for cell in product(*(range(d + 1) for d in base)):
         live = {off + i - 1 for off, i in zip(offsets, cell) if i}
-        return tuple(int(v in live) for v in range(nvars))
-
-    f_terms = {mono(cell): c for cell, c in coeffs.items()}
-    total = sum(data.values())
+        monos[cell] = tuple(int(v in live) for v in range(nvars))
+    exponents: dict[tuple, int] = {}
+    for k in range(last + 1):
+        # scaling a slice to integers moves none of its factors
+        row = integer_row([coeffs[cell + (k,)] for cell in monos])
+        weight = sum(data[cell + (k,)] for cell in monos)
+        for factor in _slice_factors(dict(zip(monos, row))):
+            key = _primitive({monos[cell]: c for cell, c in factor.items()})
+            exponents[key] = exponents.get(key, 0) + weight
     polys = []
-    for var in range(nvars - 1):
-        # weight * f - total * (Euler operator in `var` applied to f):
-        # term-by-term multiplier weight - total * exponent.
-        weight = sum(count for cell, count in data.items() if mono(cell)[var])
-        polys.append(_integer_poly({mo: c * (weight - total * mo[var]) for mo, c in f_terms.items()}))
-    # saturation: s * (every variable) * f - 1
-    sat = {tuple(e + 1 for e in mo): c for mo, c in f_terms.items()}
-    sat[(0,) * nvars] = Fraction(-1)
-    polys.append(_integer_poly(sat))
-    return ScoreSystem(nvars, tuple(tuple(p) for p in polys))
+    for v in range(nvars):
+        # v prod_c l_c times the score U_v / v - sum_c E_c (d l_c / d v) / l_c,
+        # over the components that hold v (the others do not move with v):
+        # P = prod_c l_c and G = sum_c E_c v (d l_c / d v) prod_(c' != c) l_c'
+        # over those taken so far.  l_c has degree at most 1 in v, so
+        # v (d l_c / d v) is the part of l_c that holds v.
+        P, G = {(0,) * nvars: 1}, {}
+        for key, E in exponents.items():
+            part = {m: E * c for m, c in key if m[v]}
+            if part:
+                G = _plus(_times(G, dict(key)), _times(P, part))
+                P = _times(P, dict(key))
+        weight = sum(count for cell, count in data.items() if monos[cell[:-1]][v])
+        score = _plus({m: weight * c for m, c in P.items()}, {m: -c for m, c in G.items()})
+        polys.append(tuple((m, c) for m, c in score.items() if c))
+    return ScoreSystem(nvars, tuple(polys), tuple(exponents.items()))
 
 
 def _count(system: ScoreSystem, primes: random.Random) -> int:
-    """The standard-monomial count of `system` over F_p for the next prime p drawn from `primes`."""
-    return count_solutions(system.polys, system.nvars, random_prime(primes))
+    """The solutions of `system` off the zero set of h, over F_p for the next prime p drawn from `primes`."""
+    return count_solutions(system.polys, system.nvars, random_prime(primes), system.nonzero)
 
 
 def _count_two_primes(system: ScoreSystem) -> int:
@@ -172,7 +260,7 @@ def _count_two_primes(system: ScoreSystem) -> int:
 
 
 def score_system(W: ScalingTensor, u: DataVector) -> ScoreSystem:
-    """The n+2 score polynomials (x, y, z_1..z_n) plus saturation for (W, u)."""
+    """The scores of x and y for (W, u), with z_1..z_n eliminated."""
     if u.n != W.n:
         raise DimensionMismatchError("data vector and tensor disagree on n")
     dims = (1, 1, W.n)
@@ -187,12 +275,24 @@ def count_critical_points(W: ScalingTensor, u: DataVector) -> int:
 
 
 def matrix_score_system(M: RatMatrix, u_rows) -> ScoreSystem:
-    """Two-factor analogue for an (m+1) x (n+1) scaling matrix: scores of x_1..x_m, y_1..y_n."""
-    dims = (M.nrows - 1, M.ncols - 1)
+    """Two-factor analogue for an (m+1) x (n+1) scaling matrix, with the larger factor eliminated.
+
+    Every score vanishes where two components do, so the system is
+    zero-dimensional only in at most two variables.  The model and its
+    ML degree are symmetric in the two factors, so a matrix with more
+    rows than columns is counted as its transpose: min(m, n) <= 2
+    variables remain whenever m + n <= MATRIX_ORACLE_MAX_DIM.
+    """
+    if any(x == 0 for row in M.entries for x in row):
+        raise ValueError("scaling matrix entries must be nonzero")
     u = [[_data_entry(x) for x in row] for row in u_rows]
-    if len(u) != dims[0] + 1 or any(len(row) != dims[1] + 1 for row in u):
+    if len(u) != M.nrows or any(len(row) != M.ncols for row in u):
         raise DimensionMismatchError("data matrix shape mismatch")
-    return _simplex_product_system(dims, _by_cell(M.entries, dims), _by_cell(u, dims))
+    w = M.entries
+    if M.nrows > M.ncols:
+        w, u = list(zip(*w)), list(zip(*u))
+    dims = (len(w) - 1, len(w[0]) - 1)
+    return _simplex_product_system(dims, _by_cell(w, dims), _by_cell(u, dims))
 
 
 def count_critical_points_matrix(M: RatMatrix, u_rows) -> int:

@@ -5,6 +5,10 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from math import gcd
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -96,6 +100,51 @@ def degenerate_tensor(rng: random.Random, n: int) -> ScalingTensor:
         tall = lambda count: [_tall_rational(rng, 100) for _ in range(count)]
         W = W.torus_rescale(tall(2), tall(2), tall(n + 1))
     return W
+
+
+def _integer_poly(terms: dict) -> list:
+    """Clear denominators of a {monomial: Fraction} dict into int terms."""
+    denom = 1
+    for c in terms.values():
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    return [(m, int(c * denom)) for m, c in terms.items() if c != 0]
+
+
+def full_score_system(W: ScalingTensor, u) -> tuple[int, tuple]:
+    """The reference system for the oracle: (nvars, polys) of the n + 3-variable system in x, y, z_1..z_n, s.
+
+    In the chart x0 = y0 = z0 = 1, f = f_W(x, y, z) and the scores are the
+    Euler-operator combinations weight_v * f - total * v * f_v, where the
+    weight of a variable is the data total of its cells; one Rabinowitsch
+    variable s with s * x * y * z_1...z_n * f = 1 removes solutions with a
+    zero coordinate or with f = 0.  Its standard-monomial count
+    (`groebner.count_solutions` without `nonzero`) is the number of torus
+    critical points, which `oracle` counts on the system with z eliminated.
+    """
+    dims = (1, 1, W.n)
+    cells = list(product(*(range(d + 1) for d in dims)))
+    coeffs = {cell: reduce(getitem, cell, W.w) for cell in cells}
+    data = {cell: reduce(getitem, cell, u.u) for cell in cells}
+    offsets = [sum(dims[:t]) for t in range(len(dims))]
+    nvars = sum(dims) + 1
+
+    def mono(cell):
+        live = {off + i - 1 for off, i in zip(offsets, cell) if i}
+        return tuple(int(v in live) for v in range(nvars))
+
+    f_terms = {mono(cell): c for cell, c in coeffs.items()}
+    total = sum(data.values())
+    polys = []
+    for var in range(nvars - 1):
+        # weight * f - total * (Euler operator in `var` applied to f):
+        # term-by-term multiplier weight - total * exponent.
+        weight = sum(count for cell, count in data.items() if mono(cell)[var])
+        polys.append(_integer_poly({mo: c * (weight - total * mo[var]) for mo, c in f_terms.items()}))
+    # saturation: s * (every variable) * f - 1
+    sat = {tuple(e + 1 for e in mo): c for mo, c in f_terms.items()}
+    sat[(0,) * nvars] = Fraction(-1)
+    polys.append(_integer_poly(sat))
+    return nvars, tuple(tuple(p) for p in polys)
 
 
 def schema_validator(name: str):

@@ -296,12 +296,12 @@ def test_analyze_takes_one_gcd_per_slice_subset(tmp_path, capsys, monkeypatch):
 
 
 def test_mldeg_size_limit(tmp_path, capsys):
-    big = _write(tmp_path, "ones401.json", {"n": 401, "w": [[["1"] * 402] * 2] * 2})
+    big = _write(tmp_path, "ones901.json", {"n": 901, "w": [[["1"] * 902] * 2] * 2})
     start = time.perf_counter()
     assert main(["mldeg", big]) == 2
     assert time.perf_counter() - start < 10
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "n <= 400" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "n <= 900" in err
     ones24 = _write(tmp_path, "ones24.json", {"n": 24, "w": [[["1"] * 25] * 2] * 2})
     assert main(["mldeg", ones24]) == 0
     assert capsys.readouterr().out == "1\n"

@@ -15,11 +15,14 @@ from segreml.groebner import (
     leading_monomials,
     random_prime,
     standard_monomial_count,
+    standard_monomials,
 )
 from segreml import _kernel_py as K
-from segreml.oracle import DataVector, score_system
+from segreml.oracle import DataVector
 from segreml.realize import realize
 from segreml.tensor import ScalingTensor
+
+from helpers import full_score_system
 
 P = 2**61 - 1  # a Mersenne prime
 
@@ -40,6 +43,43 @@ def test_known_counts():
         [((2, 0), 1), ((1, 1), -1), ((0, 2), 1), ((0, 0), -3)],
     ]
     assert count_solutions(gens, 2, P) == 4
+
+
+def test_counts_off_a_hypersurface():
+    # x^2 (x - 1) = 0, y = 2: a double point at x = 0 and a simple one at x = 1
+    gens = [[((3, 0), 1), ((2, 0), -1)], [((0, 1), 1), ((0, 0), -2)]]
+    x, x_minus_1, y_minus_2 = [((1, 0), 1)], [((1, 0), 1), ((0, 0), -1)], [((0, 1), 1), ((0, 0), -2)]
+    assert count_solutions(gens, 2, P) == 3
+    assert count_solutions(gens, 2, P, [x]) == 1
+    assert count_solutions(gens, 2, P, [x_minus_1]) == 2  # the double point keeps its multiplicity
+    assert count_solutions(gens, 2, P, [x, x_minus_1]) == 0
+    assert count_solutions(gens, 2, P, [y_minus_2]) == 0
+
+
+def test_multiplication_map_saturation_matches_rabinowitsch():
+    # off h = 0 by the stable rank of M_h, and with one more variable s and
+    # the generator s h - 1: the same count with multiplicity
+    rng = random.Random(12)
+    compared = 0
+    while compared < 30:
+        polys = []
+        for _ in range(3):
+            terms = {}
+            for _ in range(rng.randint(2, 4)):
+                mono = (rng.randint(0, 2), rng.randint(0, 2))
+                terms[mono] = terms.get(mono, 0) + rng.choice((-2, -1, 1, 2))
+            polys.append([(m, c) for m, c in terms.items() if c])
+        *gens, h = polys
+        if not all(polys):
+            continue
+        try:
+            expected = count_solutions(gens, 2, P)
+        except NotZeroDimensionalError:
+            continue
+        rabinowitsch = [[(m + (0,), c) for m, c in g] for g in gens]
+        rabinowitsch.append([(m + (1,), c) for m, c in h] + [((0, 0, 0), -1)])
+        assert count_solutions(gens, 2, P, [h]) == count_solutions(rabinowitsch, 3, P) <= expected
+        compared += 1
 
 
 def test_positive_dimensional_rejected():
@@ -181,12 +221,13 @@ def test_standard_monomial_count_vs_enumeration():
         lms = [tuple(c if i == v else 0 for i in range(nvars)) for v, c in enumerate(caps)]
         for _ in range(rng.randint(0, 4)):
             lms.append(tuple(rng.randint(0, 3) for _ in range(nvars)))
-        got = standard_monomial_count(lms, nvars)
-        brute = 0
-        for mono in itertools.product(*(range(c) for c in caps)):
-            if not any(all(l[i] <= mono[i] for i in range(nvars)) for l in lms):
-                brute += 1
-        assert got == brute
+        brute = [
+            mono
+            for mono in itertools.product(*(range(c) for c in caps))
+            if not any(all(l[i] <= mono[i] for i in range(nvars)) for l in lms)
+        ]
+        assert sorted(standard_monomials(lms, nvars)) == brute
+        assert standard_monomial_count(lms, nvars) == len(brute)
 
 
 def test_grevlex_key_matches_first_principles():
@@ -340,9 +381,9 @@ def test_criterion_F_forms_one_pair_per_lcm(monkeypatch):
     assert K.mono_lcm(R, yz, xy) == K.mono_lcm(R, yz, xz) == K.mono_lcm(R, xy, xz)
 
 
-# sha256 of repr(groebner_basis(...)) for the score systems below, under the
-# first prime of random.Random("primes") and data DataVector.random(n,
-# random.Random(9)).  They were computed with the list-merging reducer of
+# sha256 of repr(groebner_basis(...)) for the n + 3-variable reference score
+# systems below (helpers.full_score_system), under the first prime of
+# random.Random("primes") and data DataVector.random(n, random.Random(9)).  They were computed with the list-merging reducer of
 # _reference_normal_form and without one-pair-per-lcm, so they show that
 # the kernel returns the identical reduced basis, not just equal counts.
 PINNED_BASES = (
@@ -370,8 +411,8 @@ def test_reduced_bases_are_pinned():
     prime = random_prime(random.Random("primes"))
     digests = []
     for W in tensors:
-        system = score_system(W, DataVector.random(W.n, random.Random(9)))
-        digests.append(hashlib.sha256(repr(groebner_basis(system.polys, prime)).encode()).hexdigest())
+        _, polys = full_score_system(W, DataVector.random(W.n, random.Random(9)))
+        digests.append(hashlib.sha256(repr(groebner_basis(polys, prime)).encode()).hexdigest())
     assert tuple(digests) == PINNED_BASES
 
 
