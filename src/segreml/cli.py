@@ -10,9 +10,11 @@ exceeded resource budget.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import sys
 from contextlib import contextmanager
+from typing import Callable, NamedTuple
 
 from . import euler, strata
 from .errors import (
@@ -32,62 +34,81 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_UNSTABLE = 3
 
-# Each size cap below holds for entries whose longest numerator or denominator
-# has at most SHORT_ENTRY_BITS bits (about 9 digits).  Longer entries make every
-# big-integer product dearer, so each command also has a work function of its
-# size and entry bits, fitted to one-core timings from 3- to 600-digit entries,
-# and admits an input only while its work at max(bits, SHORT_ENTRY_BITS) stays
-# within the work its cap admits at SHORT_ENTRY_BITS.
+# Admission: one row per command.  `grows` names the input size that drives
+# the command's work, `cap` is the largest size admitted with entries whose
+# longest numerator or denominator has at most SHORT_ENTRY_BITS bits (about 9
+# digits), `work(size, bits)` is the command's cost, and `why` opens the line
+# that a refusal prints.  Longer entries make every big-integer product dearer,
+# so an input is admitted while its work at max(bits, SHORT_ENTRY_BITS) stays
+# within its cap's work at SHORT_ENTRY_BITS (`largest_admitted`).  Each work
+# function is fitted to one-core timings (taskset -c 0, Python 3.11.7, x86-64),
+# and each row's comment gives the command's time at its cap there.
 SHORT_ENTRY_BITS = 32
-# analyze's term table and realize's verification sum 2^(n+1) - 1 slice subsets,
-# each a gcd step or a face-class lookup on values built once per tensor; at
-# n = 12 analyze takes about 0.7 s and realize about 0.45 s on one core.
-SUBSET_SUM_MAX_N = 12
 
 
-def _subset_sum_work(n: int, bits: int) -> int:
-    # analyze at n = 8 took 0.026 s with 7-digit entries, 0.31 s with 100 digits,
-    # 1.8 s with 300 and 6.7 s with 600
-    return 2 ** (n + 1) * (bits + 110) ** 2
+class Admission(NamedTuple):
+    grows: str
+    cap: int
+    work: Callable[[int, int], int]
+    why: str
 
 
-# mldeg_value meets every pair of the n + 1 quadrics, O(n^2) work: on generic tensors
-# with 7-digit entries it takes about 0.09 s at n = 100, 1.7 s at n = 400 and 8.0 s
-# at n = 1000 on one core.  With the longest admitted entries (32-bit numerators
-# and denominators) it takes 8.3-8.6 s at n = 850, 9.2-10.3 s at n = 900 and
-# 12-13 s at n = 1000, so the cap is a run of about 10 s.
-MLDEG_MAX_N = 900
+ADMISSION = {
+    # the term table sums 2^(n+1) - 1 slice subsets, each a gcd step or a face-class
+    # lookup on values built once per tensor: 0.77-0.88 s at n = 12 with 32-bit entries;
+    # at its frontier 0.84 s at n = 12 with 9 digits, 0.22 s at n = 10 with 30,
+    # 0.16 s at n = 8 with 100, 0.31 s at n = 6 with 300 and 0.36 s at n = 4 with 600
+    "analyze": Admission("n", 12, lambda n, bits: 2 ** (n + 1) * (bits + 110) ** 2,
+                         "analyze sums 2^(n+1) - 1 slice subsets (use `segreml mldeg` for the ML degree at large n)"),
+    # every pair of the n + 1 quadrics, at a cost per pair that grows about as
+    # bits * (bits + 320): 9.0-10.0 s at n = 900 with 32-bit entries; at n = 50
+    # 0.020 s with 7 digits, 0.092 s with 30, 0.43 s with 100, 2.8 s with 300 and 9.5 s with 600,
+    # and 7.0-7.7 s at its frontier for 30, 100, 300 and 600 digits (n = 465, 204, 82 and 43)
+    "mldeg": Admission("n", 900, lambda n, bits: (n + 1) ** 2 * bits * (bits + 320),
+                       "mldeg meets every pair of the n + 1 quadrics"),
+    # the ranks of (2^(m+1) - 1)(2^(n+1) - 1) submatrices of an (m+1) x (n+1) matrix,
+    # on rows scaled to integers once: 0.35-0.56 s for its slowest shape at m + n = 12,
+    # 6 x 8 with 32-bit entries.  Timed against it in alternation, the slowest shape
+    # of a size takes as long at about 98 bits for m + n = 11, 225 for 10, 480 for 9,
+    # 1,100 for 8, 2,350 for 7, 6,300 for 6 and 14,000 for 5, so each unit of m + n
+    # admits entries 7/3 times as long, which puts each size's longest admitted
+    # entries at 0.6-0.85 of the cap's time
+    "matrix-mldeg": Admission("m + n", 12, lambda dim, bits: 7**dim * bits // 3**dim,
+                              "matrix-mldeg sums the ranks of all submatrices of an (m+1) x (n+1) matrix"),
+    # one score system per trial: 4.4-4.7 s for 50 trials on a generic n = 4 tensor
+    # (ML degree 30), twice that when a disagreement forces the recount
+    "oracle": Admission("--trials", 50, lambda trials, bits: trials, "oracle counts one score system per trial"),
+    # the verification sums 2^(n+1) - 1 slice subsets as analyze does: 0.32-0.62 s at n = 12
+    "realize": Admission("n", 12, lambda n, bits: 2 ** (n + 1),
+                         "realize verifies its tensor by summing 2^(n+1) - 1 slice subsets"),
+    # seven factors per sampled tensor: 11.7-13.7 s for 1,000,000 samples with --bound 10,
+    # 16.5-16.9 s with --bound 10^20
+    "signs": Admission("--samples", 1_000_000, lambda samples, bits: samples,
+                       "signs evaluates seven factors per sampled tensor"),
+}
 
 
-def _mldeg_work(n: int, bits: int) -> int:
-    # at n = 50 it took 0.020 s with 7-digit entries, 0.092 s with 30 digits,
-    # 0.43 s with 100, 2.8 s with 300 and 9.5 s with 600: a cost per pair
-    # that grows about as bits * (bits + 320).  The largest admitted inputs
-    # with 30, 100, 300 and 600 digits (n = 465, 204, 82 and 43) took 7.0,
-    # 7.4, 7.7 and 7.4 s
-    return (n + 1) ** 2 * bits * (bits + 320)
+def largest_admitted(command: str, bits: int) -> int | None:
+    """The largest size `command` admits with entries of `bits` bits, or None if it admits none."""
+    row = ADMISSION[command]
+    budget = row.work(row.cap, SHORT_ENTRY_BITS)
+    bits = max(bits, SHORT_ENTRY_BITS)
+    fits = bisect.bisect_right(range(row.cap + 1), budget, key=lambda s: row.work(s, bits))
+    return fits - 1 if fits else None
 
 
-# matrix-mldeg sums the ranks of (2^(m+1) - 1)(2^(n+1) - 1) submatrices of an
-# (m+1) x (n+1) matrix; m + n = 12 (a 7 x 7 matrix) is its desk-scale limit.
-MATRIX_MLDEG_MAX_DIM = 12
-
-
-def _matrix_mldeg_work(dim: int, bits: int) -> int:
-    # rank scales each row to integers, so its numbers grow with the row and
-    # column count times the entry length: with 3-, 100- and 200-digit entries a
-    # 7 x 7 matrix took 1.3, 6.2 and 14 s, and with 3 and 300 digits a 6 x 6 one
-    # 0.24 and 3.3 s and a 5 x 5 one 0.025 and 0.32 s
-    return 2**dim * ((dim + 2) * bits + 3860) ** 2
-
-
-# signs evaluates seven factors per sampled tensor, about 20 us each on one core,
-# so the cap is a run of about 20 s.
-SIGNS_MAX_SAMPLES = 1_000_000
-# oracle counts one score system per trial, about 0.09 s each for a generic n = 4
-# tensor (ML degree 30) on one core, so the cap is a run of about 4.5 s (9 s when
-# a disagreement forces the recount).
-ORACLE_MAX_TRIALS = 50
+def _admit(command: str, size: int, rows=()) -> None:
+    """Refuse (exit 2) an input of `size` beyond what `command` admits at the entry length of `rows`."""
+    row = ADMISSION[command]
+    bits = max((max(v.numerator.bit_length(), v.denominator.bit_length()) for r in rows for v in r), default=0)
+    largest = largest_admitted(command, bits)
+    if largest is not None and size <= largest:
+        return
+    entries = f" with entries of up to {SHORT_ENTRY_BITS} bits" if rows else ""
+    if bits > SHORT_ENTRY_BITS:
+        fits = f"{row.grows} <= {largest}" if largest is not None else f"no {row.grows}"
+        entries += f" ({fits} at its {bits}-bit entries)"
+    raise DimensionMismatchError(f"{row.why} and takes {row.grows} <= {row.cap}{entries}, got {row.grows} = {size}")
 
 
 def canonical_json(obj) -> str:
@@ -107,30 +128,6 @@ def _load_tensor(path: str) -> ScalingTensor:
     if isinstance(data, dict) and "tensor" in data and "w" not in data:
         data = data["tensor"]  # accept realize/analyze output wrappers
     return ScalingTensor.from_json_dict(data)
-
-
-def _longest_bits(rows) -> int:
-    """The most bits of any numerator or denominator in the rows of rationals."""
-    return max(max(v.numerator.bit_length(), v.denominator.bit_length()) for row in rows for v in row)
-
-
-def _check_size(doing: str, name: str, size: int, cap: int, work, rows) -> None:
-    """Refuse an input whose work at its entry length exceeds what `cap` admits with short entries.
-
-    `work(size, bits)` is the command's work function (see SHORT_ENTRY_BITS);
-    `doing` says why the work grows with `name`.
-    """
-    bits = max(_longest_bits(rows), SHORT_ENTRY_BITS)
-    budget = work(cap, SHORT_ENTRY_BITS)
-    if work(size, bits) <= budget:
-        return
-    longer = ""
-    if bits > SHORT_ENTRY_BITS:
-        fits = [s for s in range(cap + 1) if work(s, bits) <= budget]
-        longer = f" ({f'{name} <= {fits[-1]}' if fits else f'no {name}'} at its {bits}-bit entries)"
-    raise DimensionMismatchError(
-        f"{doing} and takes {name} <= {cap} with entries of up to {SHORT_ENTRY_BITS} bits{longer}, got {name} = {size}"
-    )
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -209,10 +206,7 @@ def _print_analyze_text(payload: dict) -> None:
 
 def _cmd_analyze(args) -> int:
     W = _load_tensor(args.tensor)
-    _check_size(
-        "analyze enumerates 2^(n+1) - 1 slice subsets (use `segreml mldeg` for the ML degree at large n)",
-        "n", W.n, SUBSET_SUM_MAX_N, _subset_sum_work, W.w[0] + W.w[1],
-    )
+    _admit("analyze", W.n, W.w[0] + W.w[1])
     payload = _analyze_payload(W)
     if args.json:
         sys.stdout.write(canonical_json(payload))
@@ -223,10 +217,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_mldeg(args) -> int:
     W = _load_tensor(args.tensor)
-    _check_size(
-        "mldeg meets every pair of the n + 1 quadrics",
-        "n", W.n, MLDEG_MAX_N, _mldeg_work, W.w[0] + W.w[1],
-    )
+    _admit("mldeg", W.n, W.w[0] + W.w[1])
     print(euler.mldeg_value(W))
     return EXIT_OK
 
@@ -241,17 +232,13 @@ def _cmd_matrix_mldeg(args) -> int:
     except ValueError as exc:
         raise DimensionMismatchError(f"bad matrix JSON: {exc}") from exc
     M = RatMatrix.from_rows(rows)
-    _check_size(
-        f"matrix-mldeg sums the ranks of all submatrices of an (m+1) x (n+1) matrix, here {M.nrows} x {M.ncols},",
-        "m + n", M.nrows + M.ncols - 2, MATRIX_MLDEG_MAX_DIM, _matrix_mldeg_work, M.entries,
-    )
+    _admit("matrix-mldeg", M.nrows + M.ncols - 2, M.entries)
     print(euler.mldeg_matrix(M))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    if args.trials > ORACLE_MAX_TRIALS:
-        raise ValueError(f"oracle takes --trials <= {ORACLE_MAX_TRIALS}, got {args.trials}")
+    _admit("oracle", args.trials)
     W = _load_tensor(args.tensor)
     if args.data is not None:
         count = count_critical_points(W, DataVector.from_json_dict(_load_json(args.data)))
@@ -263,11 +250,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    if args.n > SUBSET_SUM_MAX_N:
-        raise DimensionMismatchError(
-            f"realize verifies its tensor by summing 2^(n+1) - 1 slice subsets and takes "
-            f"n <= {SUBSET_SUM_MAX_N}, got n = {args.n}"
-        )
+    _admit("realize", args.n)
     try:
         W = realize(args.n, args.r, seed=args.seed)
     except ValueError as exc:
@@ -302,8 +285,7 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_signs(args) -> int:
-    if args.samples > SIGNS_MAX_SAMPLES:
-        raise ValueError(f"signs takes --samples <= {SIGNS_MAX_SAMPLES}, got {args.samples}")
+    _admit("signs", args.samples)
     counts = strata.sample_sign_patterns(args.samples, args.bound, seed=args.seed)
     negative = sorted(p for p in counts if p.endswith("-"))
     payload = {

@@ -170,6 +170,7 @@ class BinaryForm:
         """Scale so the leading nonzero coefficient is 1."""
         for c in self.coeffs:
             if c != 0:
+                c = Fraction(c)  # int / Fraction is exact, int / int a float
                 return BinaryForm(tuple(x / c for x in self.coeffs))
         return self
 

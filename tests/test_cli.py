@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from segreml import factors
-from segreml.cli import build_parser, main
+from segreml.cli import ADMISSION, build_parser, largest_admitted, main
 from segreml.exact import MAX_RATIONAL_DIGITS
 from segreml.factors import FactorId, factor_values
 from segreml.realize import realize
@@ -369,6 +369,22 @@ def test_readme_synopsis_matches_parser():
         for name, sub in subparsers.items()
     }
     assert _readme_cli_options() == parsed
+
+
+def test_readme_admission_table_matches_cli():
+    # README's cap table restates cli.ADMISSION; both columns of frontiers come from cli.largest_admitted
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("| command | what grows |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    table = {}
+    for line in lines:
+        command, grows, *sizes = (cell.strip().strip("`") for cell in line.strip("|").split("|")[:5])
+        table[command] = (grows, *(int(size.replace(",", "")) for size in sizes))
+    bits = [(10**digits - 1).bit_length() for digits in (300, 600)]
+    assert bits == [997, 1994]
+    assert table == {
+        command: (row.grows, row.cap, *(largest_admitted(command, b) for b in bits))
+        for command, row in ADMISSION.items()
+    }
 
 
 def test_realize_and_oracle_flow(tmp_path, capsys):

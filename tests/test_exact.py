@@ -109,6 +109,21 @@ def test_binary_gcd_examples():
     assert binary_gcd([BinaryForm.zero(), f]).coeffs == f.monic().coeffs
 
 
+def test_binary_gcd_of_int_forms_is_exact():
+    # forms built from ints directly give the gcd of their from_coeffs twins, never floats
+    rng = random.Random(5)
+    pairs = [((2, 3), (4, 6)), ((1, 0, -4), (1, -2)), ((0, 8, 14), (0, -8, -14)), ((3,), (0, 7))]
+    for _ in range(200):
+        a, b, c = (rng.randint(-9, 9), rng.choice([1, 2, 3, -5])), (rng.randint(-9, 9), 7), (rng.randint(-9, 9), 3)
+        pairs.append((tuple(linear_product(a, b).coeffs), tuple(linear_product(a, c).coeffs)))
+    for f, g in pairs:
+        ints = [BinaryForm(tuple(int(x) for x in f)), BinaryForm(tuple(int(x) for x in g))]
+        got = binary_gcd(ints)
+        assert got == binary_gcd([BinaryForm.from_coeffs(f), BinaryForm.from_coeffs(g)])
+        assert all(type(x) is Fraction for x in got.coeffs), got
+    assert binary_gcd([BinaryForm((2, 3)), BinaryForm((4, 6))]).coeffs == (1, Fraction(3, 2))
+
+
 def linear_product(f, g):
     """(a0 y0 + a1 y1)(b0 y0 + b1 y1) from the two coefficient pairs."""
     (a0, a1), (b0, b1) = f, g
