@@ -81,10 +81,13 @@ ADMISSION = {
     # the verification sums 2^(n+1) - 1 slice subsets as analyze does: 0.32-0.62 s at n = 12
     "realize": Admission("n", 12, lambda n, bits: 2 ** (n + 1),
                          "realize verifies its tensor by summing 2^(n+1) - 1 slice subsets"),
-    # seven factors per sampled tensor: 11.7-13.7 s for 1,000,000 samples with --bound 10,
-    # 16.5-16.9 s with --bound 10^20
-    "signs": Admission("--samples", 1_000_000, lambda samples, bits: samples,
-                       "signs evaluates seven factors per sampled tensor"),
+    # seven factors per sampled tensor, whose entries are as long as --bound, at a cost
+    # per sample that grows about as (bits + 80)(bits + 6600): 11.7-13.7 s for 1,000,000
+    # samples with --bound 10, 16.5-16.9 s with --bound 10^20, and 9.1 s for 2,000 samples
+    # with a 4,000-digit bound; at its cap 15.8-16.7 s with --bound 2^32 - 1, and at its
+    # frontier 6.3-7.0 s with 300 digits, 7.7-9.7 s with 600 and 8.5-10.6 s with 4,000
+    "signs": Admission("--samples", 1_000_000, lambda samples, bits: samples * (bits + 80) * (bits + 6600),
+                       "signs evaluates seven factors per sampled tensor, on entries as long as --bound,"),
 }
 
 
@@ -285,7 +288,7 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_signs(args) -> int:
-    _admit("signs", args.samples)
+    _admit("signs", args.samples, [[args.bound]])
     counts = strata.sample_sign_patterns(args.samples, args.bound, seed=args.seed)
     negative = sorted(p for p in counts if p.endswith("-"))
     payload = {

@@ -12,10 +12,9 @@ where p runs over the torus points where two components meet and m_p is
 the number of components through p.
 
 * Integer slices.  Scaling a slice scales its quadric and moves no curve,
-  line or point, so each slice is first scaled to the primitive integer
-  vector (a, b, c, d) proportional to (w00k, w01k, w10k, w11k) with a > 0,
-  and the whole arrangement is computed in integers.  A torus coordinate
-  is a reduced pair (num, den) with den > 0.
+  line or point, so the arrangement is computed on factors.integer_slices,
+  slice k the primitive integer vector (a, b, c, d) with a > 0.  A torus
+  coordinate is a factors.ratio, a reduced pair (num, den) with den > 0.
 * Components, deduplicated in slice order.  A nonsingular slice k gives
   one (1,1)-curve (isomorphic to P1 minus four axis points, chi_T = -2),
   keyed by its integer slice.  A singular slice factors as
@@ -43,9 +42,9 @@ rows k1 < k2 is factors.pair_det_form(W, k1, k2), the same quadric in y
 whose common roots decide the 2x2x3 factor, and chi(V_I) is computed by
 one exact procedure for every |I| >= 1:
 
-    g  = gcd of pair_det_form(W, k1, k2) over the pairs in I (a binary
-         form of degree <= 2; the zero form when |I| = 1, which has no
-         pairs), read from factors.subset_gcd like the 2x2x3 decision
+    g  = gcd of the integer pair forms (factors.pair_forms, proportional to
+         pair_det_form) over the pairs in I (degree <= 2; the zero form when
+         |I| = 1), read from factors.subset_gcd like the 2x2x3 decision
     r0 = 1 if every row (w_i0k, w_i1k), i in {0, 1}, k in I, is
          proportional to the first (a unique rank-0 point exists), else 0
     chi = 0 if g is a nonzero constant,
@@ -90,7 +89,9 @@ from .factors import (
     factor_values,
     hyp222,
     hyp223_vanishes,
+    integer_slices,
     pair_det_coeffs,
+    ratio,
     slice_minor,
     subset_gcd,
     vanishing_pattern,
@@ -291,18 +292,6 @@ Component = tuple[str, object]
 Ratio = tuple[int, int]
 
 
-def _integer_slices(W: ScalingTensor) -> tuple:
-    """W's entries as [2][2][n+1] ints, each slice the primitive vector (a, b, c, d) with a > 0."""
-    (w00, w01), (w10, w11) = W.w
-    columns = []
-    for k in range(W.n + 1):
-        row = integer_row((w00[k], w01[k], w10[k], w11[k]))
-        content = math.gcd(*row) if row[0] > 0 else -math.gcd(*row)
-        columns.append([x // content for x in row])
-    a, b, c, d = zip(*columns)
-    return (a, b), (c, d)
-
-
 def _components(w) -> list[Component]:
     """Distinct irreducible components of the union of the quadrics, in slice order."""
     found: dict[tuple, Component] = {}  # insertion-ordered, so counts never depend on hashing
@@ -310,24 +299,16 @@ def _components(w) -> list[Component]:
         if a * d != b * c:
             found.setdefault(("curve", a, b, c, d), ("curve", k))
         else:
-            for line in (("x", _ratio(-c, a)), ("y", _ratio(-b, a))):
+            for line in (("x", ratio(-c, a)), ("y", ratio(-b, a))):
                 found.setdefault(line, line)
     return list(found.values())
-
-
-def _ratio(num: int, den: int) -> Ratio | None:
-    """num/den reduced, when it is a torus coordinate (neither 0 nor infinity), else None."""
-    if num == 0 or den == 0:
-        return None
-    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-    return num // g, den // g
 
 
 def _x_on_curve(w, k: int, t: Ratio) -> Ratio | None:
     """s = x0/x1 of the point of curve k over y0/y1 = t, if it lies in the torus."""
     (w00, w01), (w10, w11) = w
     tn, td = t
-    return _ratio(-(w10[k] * tn + w11[k] * td), w00[k] * tn + w01[k] * td)
+    return ratio(-(w10[k] * tn + w11[k] * td), w00[k] * tn + w01[k] * td)
 
 
 def _curve_points(w, j: int, k: int) -> list[tuple[tuple, int]]:
@@ -341,7 +322,7 @@ def _curve_points(w, j: int, k: int) -> list[tuple[tuple, int]]:
     if c0 == 0 or c2 == 0:
         # One root lies on an axis; the other is the root of the linear rest.
         a, b = (c1, c2) if c0 == 0 else (c0, c1)
-        roots = [_ratio(-b, a)]
+        roots = [ratio(-b, a)]
     else:
         disc = c1 * c1 - 4 * c0 * c2
         r = math.isqrt(disc) if disc > 0 else 0
@@ -357,7 +338,7 @@ def _curve_points(w, j: int, k: int) -> list[tuple[tuple, int]]:
             B = (a * d - b * c) * c0
             g = math.gcd(A, B, N) if N > 0 else -math.gcd(A, B, N)
             return [((c0, c1, c2, A // g, B // g, N // g), 2)]
-        roots = {_ratio(-c1 + r, 2 * c0), _ratio(-c1 - r, 2 * c0)}
+        roots = {ratio(-c1 + r, 2 * c0), ratio(-c1 - r, 2 * c0)}
     points = []
     for t in roots:
         s = None if t is None else _x_on_curve(w, j, t)
@@ -376,7 +357,7 @@ def _torus_points(w, a: Component, b: Component) -> list[tuple[tuple, int]]:
     if kb == "x":
         (w00, w01), (w10, w11) = w
         sn, sd = vb
-        t = _ratio(-(sn * w01[va] + sd * w11[va]), sn * w00[va] + sd * w10[va])
+        t = ratio(-(sn * w01[va] + sd * w11[va]), sn * w00[va] + sd * w10[va])
         return [] if t is None else [((t, vb), 1)]
     s = _x_on_curve(w, va, vb)
     return [] if s is None else [((vb, s), 1)]
@@ -384,7 +365,7 @@ def _torus_points(w, a: Component, b: Component) -> list[tuple[tuple, int]]:
 
 def _arrangement(W: ScalingTensor) -> tuple[list[Component], dict[tuple, list]]:
     """The components and, per torus intersection point, [orbit size, set of component indices]."""
-    w = _integer_slices(W)
+    w, _ = integer_slices(W)
     comps = _components(w)
     points: dict[tuple, list] = {}
     for (i, a), (j, b) in itertools.combinations(enumerate(comps), 2):
@@ -414,11 +395,14 @@ def mldeg_matrix(M: RatMatrix) -> int:
     """
     if any(x == 0 for row in M.entries for x in row):
         raise ValueError("scaling matrix entries must be nonzero")
-    m, n = M.nrows, M.ncols
-    # Row scaling keeps every submatrix's rank, so M's rows become coprime
-    # integers once, and each submatrix is cut from those ints.
+    # A submatrix has its transpose's rank, so M is taken with no more columns
+    # than rows, and row scaling keeps every rank: each row becomes coprime
+    # integers once, over as few denominators as the shape allows, and each
+    # submatrix is cut from those ints.
+    entries = M.entries if M.nrows >= M.ncols else tuple(zip(*M.entries))
+    m, n = len(entries), len(entries[0])
     ints = []
-    for row in map(integer_row, M.entries):
+    for row in map(integer_row, entries):
         content = math.gcd(*row)
         ints.append([x // content for x in row])
     total = 0

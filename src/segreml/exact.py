@@ -217,8 +217,10 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
         return BinaryForm.zero()
-    g = nonzero[0]
-    for f in nonzero[1:]:
+    # Scaling a form moves no root, so the fold runs on integer multiples.
+    ints = (BinaryForm(tuple(integer_row(f.coeffs))) for f in nonzero)
+    g = next(ints)
+    for f in ints:
         if g.degree == 0:
             break
         g = _pair_gcd(g, f)

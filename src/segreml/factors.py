@@ -20,10 +20,11 @@ A minor is the determinant of its 2x2 array of cells (`FactorId.cells`);
 evaluation, forcing in `realize`, the structure tests and the sign
 experiment in `strata` all read that one layout.
 
-The pencil determinants, the values of the minors and of H[k1,k2], the
-face classes and the subset gcds are built once per tensor in its memo
-(`pair_forms`, `factor_values`, `face_classes`, `subset_gcd`), which no
-other module fills; every evaluation here and in `euler` reads them.
+Every factor and chi(V_I) is projective in each slice, so the pair forms,
+minors, H[k1,k2], face classes and subset gcds are built from the primitive
+integer slices (`integer_slices`), each once per tensor in its memo, which
+no other module fills; every evaluation here and in `euler` reads them.  A
+value is scaled back to W's entries once, by its slices' scales.
 
 Canonical factor names are the strings "F[**0]", "F[0*(0,1)]",
 "F[*1(1,2)]", "H[0,1]", "H[0,1,2]"; patterns serialize as JSON arrays of
@@ -33,12 +34,14 @@ index.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import BinaryForm, binary_gcd
+from .exact import BinaryForm, binary_gcd, integer_row
 from .tensor import ScalingTensor
 
 _KIND_ORDER = {"slice": 0, "face_x": 1, "face_y": 2, "hyp222": 3, "hyp223": 4}
@@ -159,8 +162,11 @@ def all_factors(n: int) -> list[FactorId]:
 
 
 def eval_minor(W: ScalingTensor, fid: FactorId) -> Fraction:
-    """Exact value of a 2-minor factor: the determinant of its cells."""
-    w = W.w
+    """Exact value of a 2-minor factor on the raw entries: the determinant of its cells."""
+    return _minor(W.w, fid)
+
+
+def _minor(w, fid: FactorId):
     ((a0, a1, a2), (b0, b1, b2)), ((c0, c1, c2), (d0, d1, d2)) = fid.cells()
     return w[a0][a1][a2] * w[d0][d1][d2] - w[b0][b1][b2] * w[c0][c1][c2]
 
@@ -183,7 +189,7 @@ def pair_det_coeffs(w, k1: int, k2: int) -> tuple:
 
 
 def pair_det_form(W: ScalingTensor, k1: int, k2: int) -> BinaryForm:
-    """det of the 2x2 pencil matrix of slices (k1, k2) as a quadric in y; `subset_gcd` takes their gcds."""
+    """det of the 2x2 pencil matrix of slices (k1, k2) as a quadric in y, on the raw entries."""
     return BinaryForm(pair_det_coeffs(W.w, k1, k2))
 
 
@@ -249,50 +255,69 @@ def vanishing_pattern(W: ScalingTensor) -> VanishingPattern:
 # -- values memoized per tensor ------------------------------------------------
 
 
+def _per_tensor(build):
+    """Make `build` a table of W: computed on first use and kept in W's memo under its name."""
+    return functools.wraps(build)(lambda W: W.memo(build.__name__, build))
+
+
+@_per_tensor
+def integer_slices(W: ScalingTensor) -> tuple:
+    """(w, s): w[i][j][k] ints, slice k the primitive (a, b, c, d) with a > 0, and W's slice k is s_k times it."""
+    columns = []
+    for row in map(integer_row, zip(*W.w[0], *W.w[1])):
+        content = math.gcd(*row) if row[0] > 0 else -math.gcd(*row)
+        columns.append([x // content for x in row])
+    a, b, c, d = zip(*columns)
+    return ((a, b), (c, d)), tuple(w00 / a0 for w00, a0 in zip(W.w[0][0], a))
+
+
+def ratio(num: int, den: int) -> tuple[int, int] | None:
+    """num/den reduced with den > 0, when it is a torus coordinate (neither 0 nor infinity), else None."""
+    if num == 0 or den == 0:
+        return None
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
+@_per_tensor
 def pair_forms(W: ScalingTensor) -> dict[tuple[int, int], BinaryForm]:
-    """pair_det_form(W, k1, k2) for every pair k1 < k2, built once per tensor."""
-    return W.memo("pair_forms", _build_pair_forms)
+    """The pencil determinant of every slice pair k1 < k2 on `integer_slices`."""
+    w, _ = integer_slices(W)
+    return {p: BinaryForm(pair_det_coeffs(w, *p)) for p in itertools.combinations(range(W.n + 1), 2)}
 
 
-def _build_pair_forms(W: ScalingTensor) -> dict[tuple[int, int], BinaryForm]:
-    return {p: pair_det_form(W, *p) for p in itertools.combinations(range(W.n + 1), 2)}
-
-
+@_per_tensor
 def factor_values(W: ScalingTensor) -> dict[FactorId, Fraction]:
-    """The value of every minor and every H[k1,k2], built once per tensor.
+    """The value of every minor and every H[k1,k2].
 
-    H[k1,k2] is the discriminant of the pair form of slices k1, k2.  The
+    A minor on slices k1, k2 is s_k1 s_k2 times its value on `integer_slices`,
+    H[k1,k2] (s_k1 s_k2)^2 times the discriminant of their pair form.  The
     2x2x3 factors are decided, not evaluated, so they have no entry.
     """
-    return W.memo("factor_values", _build_factor_values)
+    w, s = integer_slices(W)
+    scale = {ks: s[ks[0]] * s[ks[1]] for ks in itertools.combinations_with_replacement(range(W.n + 1), 2)}
+    values = {}
+    for fid in all_factors(W.n):
+        if fid.is_minor:  # row 0 of its cells lies on one slice, row 1 on the other
+            ((_, _, k1), _), ((_, _, k2), _) = fid.cells()
+            values[fid] = scale[k1, k2] * _minor(w, fid)
+    return values | {hyp222(*ks): scale[ks] ** 2 * form.discriminant() for ks, form in pair_forms(W).items()}
 
 
-def _build_factor_values(W: ScalingTensor) -> dict[FactorId, Fraction]:
-    forms = pair_forms(W)
-    return {
-        fid: eval_minor(W, fid) if fid.is_minor else forms[fid.index].discriminant()
-        for fid in all_factors(W.n)
-        if fid.kind != "hyp223"
-    }
-
-
+@_per_tensor
 def face_classes(W: ScalingTensor) -> tuple[tuple[int, ...], ...]:
-    """Proportionality class ids of the face rows, built once per tensor.
+    """Proportionality class ids of the face rows.
 
     One tuple per face, in the order x0, x1, y0, y1, indexed by slice.  The
     row of slice k on face x_i is (w_i0k, w_i1k), on face y_j it is
     (w_0jk, w_1jk); its class id stands for the ratio w_i1k/w_i0k resp.
-    w_1jk/w_0jk.  Two rows are proportional iff their ids are equal, and
-    the ids are shared by all four faces, so rows of x0 and x1 compare too.
+    w_1jk/w_0jk, a `ratio` of integer slices.  Two rows are proportional iff
+    their ids are equal; ids are shared by all faces, so x0 and x1 rows compare.
     """
-    return W.memo("face_classes", _build_face_classes)
-
-
-def _build_face_classes(W: ScalingTensor) -> tuple[tuple[int, ...], ...]:
-    (w00, w01), (w10, w11) = W.w
-    ids: dict[Fraction, int] = {}
+    ((w00, w01), (w10, w11)), _ = integer_slices(W)
+    ids: dict[tuple[int, int], int] = {}
     return tuple(
-        tuple(ids.setdefault(b / a, len(ids)) for a, b in zip(first, second))
+        tuple(ids.setdefault(ratio(b, a), len(ids)) for a, b in zip(first, second))
         for first, second in ((w00, w01), (w10, w11), (w00, w10), (w01, w11))
     )
 

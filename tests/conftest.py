@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import os
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+# Hypothesis caches the constants of the source it reads even with database=None; keep that cache out of the tree.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", str(pathlib.Path(tempfile.gettempdir()) / "segreml-hypothesis"))
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 

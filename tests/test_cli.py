@@ -473,6 +473,15 @@ def test_signs_admission(tmp_path, capsys):
     }
 
 
+def test_signs_admission_reads_the_bound(capsys):
+    # each sample's products grow with the bound's length: a million samples at 4,000 digits would take about an hour
+    start = time.perf_counter()
+    assert main(["signs", "--samples", "1000000", "--bound", "1" + "0" * 3999]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "-bit entries" in err, err
+
+
 def _tall_entries(rng, count, digits):
     """`count` rational strings whose numerator and denominator have `digits` digits."""
     lo, hi = 10 ** (digits - 1), 10**digits - 1

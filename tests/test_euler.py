@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from helpers import (
     COUNTEREXAMPLE_W,
     COUNTEREXAMPLE_W_PRIME,
     HOOK_EXAMPLE,
+    _tall_rational,
     all_ones,
     degenerate_tensor,
     random_positive_tensor,
@@ -187,6 +189,35 @@ def test_mldeg_matrix_values():
     assert mldeg_matrix(RatMatrix.from_rows([[1, 2, 3, 7], [5, 11, 13, 17]])) == 4
     with pytest.raises(ValueError):
         mldeg_matrix(RatMatrix.from_rows([[1, 0], [1, 1]]))
+
+
+def _rank_sum(M: RatMatrix) -> int:
+    """The signed rank sum over all submatrices, on M's own Fraction entries."""
+    total = 0
+    for rsize in range(1, M.nrows + 1):
+        for rows in itertools.combinations(M.entries, rsize):
+            for csize in range(1, M.ncols + 1):
+                for cols in itertools.combinations(range(M.ncols), csize):
+                    total += (-1) ** (rsize + csize) * RatMatrix(tuple(tuple(row[c] for c in cols) for row in rows)).rank()
+    return total
+
+
+def test_mldeg_matrix_of_the_transpose():
+    """A wide matrix and its transpose have the same ML degree, with rank-deficient submatrices too."""
+    rng = random.Random(37)
+    degenerate = 0
+    for rows, cols in ((1, 4), (2, 3), (2, 5), (3, 4), (2, 7), (3, 6), (4, 5), (3, 7), (4, 6), (5, 5)):
+        # small entries repeat, so some minors vanish; the row and column scalars make entries of about 30 digits
+        pool = [Fraction(v) for v in (-2, -1, 1, 2, 3)]
+        r = [_tall_rational(rng, 15) for _ in range(rows)]
+        c = [_tall_rational(rng, 15) for _ in range(cols)]
+        M = RatMatrix(tuple(tuple(r[i] * c[j] * rng.choice(pool) for j in range(cols)) for i in range(rows)))
+        value = mldeg_matrix(M)
+        assert value == mldeg_matrix(RatMatrix(tuple(zip(*M.entries)))), M.entries
+        if rows + cols <= 7:
+            assert value == _rank_sum(M), M.entries
+        degenerate += value < math.comb(rows + cols - 2, rows - 1)
+    assert degenerate >= 3
 
 
 def test_point_formula_examples():

@@ -3,27 +3,38 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import segreml.exact
+from segreml.euler import chi_VI, mldeg_value
 from segreml.factors import (
     FactorId,
     all_factors,
     detect_structures,
     eval_hyp222,
     eval_minor,
+    face_classes,
     face_minor_x,
     face_minor_y,
+    factor_values,
     forces_hyperdeterminant,
     hyp222,
     hyp223,
     hyp223_vanishes,
+    integer_slices,
     map_factor,
+    pair_det_form,
+    pair_forms,
     slice_minor,
+    subset_gcd,
     vanishing_pattern,
     VanishingPattern,
 )
-from segreml.realize import _solve_minor, generic_solution, hook_constraint_universe
+from segreml.realize import _solve_minor, generic_solution, hook_constraint_universe, realize
 from segreml.strata import atlas, classify_pattern_n1
 from segreml.tensor import ScalingTensor
 
@@ -362,3 +373,59 @@ def test_pattern_relabeling_under_symmetries():
         assert {map_factor(f, perm=perm) for f in permuted.vanishing} == vanishing_pattern(W).factors
         swapped = vanishing_pattern(W.swap_xy())
         assert {map_factor(f, swap=True) for f in swapped.vanishing} == vanishing_pattern(W).factors
+
+
+def test_integer_view_is_built_once_and_read_by_every_table(monkeypatch):
+    """integer_slices holds primitive slices with a > 0, the pair forms are ints, and mldeg_value rescales nothing."""
+    real = segreml.exact.integer_row
+    calls = []
+
+    def counting(row):
+        calls.append(row)
+        return real(row)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("segreml") and getattr(module, "integer_row", None) is real:
+            monkeypatch.setattr(module, "integer_row", counting)
+    rng = random.Random(23)
+    for W in [COUNTEREXAMPLE_W] + [degenerate_tensor(rng, rng.choice((1, 2, 3, 4))) for _ in range(40)]:
+        W = ScalingTensor(W.n, W.w)  # a new memo
+        calls.clear()
+        vanishing_pattern(W)
+        assert len(calls) >= W.n + 1  # the counter sees the slices being scaled
+        calls.clear()
+        mldeg_value(W)
+        assert calls == []
+        w, scales = integer_slices(W)
+        for k, slice_ints in enumerate(zip(*w[0], *w[1])):
+            assert all(type(x) is int for x in slice_ints) and slice_ints[0] > 0 and math.gcd(*slice_ints) == 1
+            assert [scales[k] * x for x in slice_ints] == [W.w[i][j][k] for i in range(2) for j in range(2)]
+        assert all(type(c) is int for form in pair_forms(W).values() for c in form.coeffs)
+
+
+@st.composite
+def _small_tensors(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return degenerate_tensor(draw(st.randoms(use_true_random=False)), n)
+    return realize(n, draw(st.integers(1, (n + 1) * (n + 2))), seed=draw(st.integers(0, 3)))
+
+
+_TALL = st.integers(10**29, 10**30)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_small_tensors(), st.lists(st.tuples(st.sampled_from((-1, 1)), _TALL, _TALL), min_size=5, max_size=5))
+def test_slice_scales_change_no_decision(W, scalars):
+    """Rescaling each slice by a tall rational leaves the integer view and every decision; values match the raw entries."""
+    V = W.torus_rescale((1, 1), (1, 1), [sign * Fraction(p, q) for sign, p, q in scalars[: W.n + 1]])
+    assert integer_slices(V)[0] == integer_slices(W)[0]
+    assert face_classes(V) == face_classes(W)
+    subsets = [ks for size in range(1, W.n + 2) for ks in itertools.combinations(range(W.n + 1), size)]
+    assert [subset_gcd(V, ks) for ks in subsets] == [subset_gcd(W, ks) for ks in subsets]
+    assert vanishing_pattern(V) == vanishing_pattern(W)
+    assert [chi_VI(V, ks) for ks in subsets] == [chi_VI(W, ks) for ks in subsets]
+    for X in (W, V):
+        for fid, value in factor_values(X).items():
+            reference = eval_minor(X, fid) if fid.is_minor else pair_det_form(X, *fid.index).discriminant()
+            assert value == reference, (X.to_json_dict(), fid)
