@@ -1,9 +1,10 @@
 """Exact scalars, exact matrix rank, and binary forms of degree at most two.
 
 Everything in this package computes over the rationals; no floats appear
-anywhere.  Scalars are `fractions.Fraction` (always in canonical form:
-positive denominator, reduced).  They serialize as decimal strings "p/q",
-or "p" when the denominator is 1.
+anywhere.  Scalars are read and printed as canonical `fractions.Fraction`,
+serialized as decimal strings "p/q", or "p" when the denominator is 1; in
+between, a slice, a matrix row or a gcd is kept as its `primitive` integer
+vector, the one normal form of a vector known up to a scalar.
 
 A homogeneous binary form of degree d in (y0, y1) is stored by its
 coefficient tuple (c0, ..., cd), meaning
@@ -112,6 +113,14 @@ def integer_row(row: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
+def primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector divided by its content, first nonzero entry positive; the zero vector as it is."""
+    content = gcd(*ints)
+    if content and next(x for x in ints if x) < 0:
+        content = -content
+    return tuple(x // content for x in ints) if content else tuple(ints)
+
+
 def rank(matrix: RatMatrix) -> int:
     """Exact rank over Q by fraction-free (Bareiss) elimination.
 
@@ -142,21 +151,17 @@ def rank(matrix: RatMatrix) -> int:
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Homogeneous form in (y0, y1) of structural degree len(coeffs)-1 <= 2."""
+    """Homogeneous form in (y0, y1) of structural degree len(coeffs)-1 <= 2, with int or Fraction coefficients."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.coeffs) <= _MAX_FORM_DEGREE + 1:
             raise ValueError("binary forms are capped at degree 2")
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence) -> BinaryForm:
-        return cls(tuple(Fraction(c) for c in coeffs))
-
-    @classmethod
     def zero(cls) -> BinaryForm:
-        return cls((Fraction(0),))
+        return cls((0,))
 
     @property
     def degree(self) -> int:
@@ -166,15 +171,7 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def monic(self) -> BinaryForm:
-        """Scale so the leading nonzero coefficient is 1."""
-        for c in self.coeffs:
-            if c != 0:
-                c = Fraction(c)  # int / Fraction is exact, int / int a float
-                return BinaryForm(tuple(x / c for x in self.coeffs))
-        return self
-
-    def discriminant(self) -> Fraction:
+    def discriminant(self):
         """c1^2 - 4*c0*c2 of a degree-2 form."""
         if self.degree != 2:
             raise ValueError("discriminant requires a degree-2 form")
@@ -182,7 +179,7 @@ class BinaryForm:
         return c1 * c1 - 4 * c0 * c2
 
 
-_ONE = BinaryForm((Fraction(1),))
+_ONE = BinaryForm((1,))
 
 
 def _pair_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -207,7 +204,7 @@ def _pair_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 
 def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
-    """Monic gcd of binary forms; identically-zero inputs are ignored.
+    """The gcd of binary forms as a `primitive` form of ints; identically-zero inputs are ignored.
 
     Folds `_pair_gcd` over the nonzero inputs, stopping at a constant.
     Returns the zero form when every input is zero.
@@ -224,7 +221,7 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
         if g.degree == 0:
             break
         g = _pair_gcd(g, f)
-    return g.monic()
+    return BinaryForm(primitive(g.coeffs))
 
 
 def distinct_root_count(f: BinaryForm) -> int | None:

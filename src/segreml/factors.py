@@ -23,8 +23,8 @@ experiment in `strata` all read that one layout.
 Every factor and chi(V_I) is projective in each slice, so the pair forms,
 minors, H[k1,k2], face classes and subset gcds are built from the primitive
 integer slices (`integer_slices`), each once per tensor in its memo, which
-no other module fills; every evaluation here and in `euler` reads them.  A
-value is scaled back to W's entries once, by its slices' scales.
+no other module fills; every evaluation here and in `euler` reads them.
+Only `factor_values` scales a value back to W's entries, by its slices' scales.
 
 Canonical factor names are the strings "F[**0]", "F[0*(0,1)]",
 "F[*1(1,2)]", "H[0,1]", "H[0,1,2]"; patterns serialize as JSON arrays of
@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import BinaryForm, binary_gcd, integer_row
+from .exact import BinaryForm, binary_gcd, integer_row, primitive
 from .tensor import ScalingTensor
 
 _KIND_ORDER = {"slice": 0, "face_x": 1, "face_y": 2, "hyp222": 3, "hyp223": 4}
@@ -262,13 +262,9 @@ def _per_tensor(build):
 
 @_per_tensor
 def integer_slices(W: ScalingTensor) -> tuple:
-    """(w, s): w[i][j][k] ints, slice k the primitive (a, b, c, d) with a > 0, and W's slice k is s_k times it."""
-    columns = []
-    for row in map(integer_row, zip(*W.w[0], *W.w[1])):
-        content = math.gcd(*row) if row[0] > 0 else -math.gcd(*row)
-        columns.append([x // content for x in row])
-    a, b, c, d = zip(*columns)
-    return ((a, b), (c, d)), tuple(w00 / a0 for w00, a0 in zip(W.w[0][0], a))
+    """w[i][j][k] ints: slice k is the `primitive` (a, b, c, d), a > 0, proportional to W's slice k."""
+    a, b, c, d = zip(*(primitive(integer_row(row)) for row in zip(*W.w[0], *W.w[1])))
+    return (a, b), (c, d)
 
 
 def ratio(num: int, den: int) -> tuple[int, int] | None:
@@ -282,7 +278,7 @@ def ratio(num: int, den: int) -> tuple[int, int] | None:
 @_per_tensor
 def pair_forms(W: ScalingTensor) -> dict[tuple[int, int], BinaryForm]:
     """The pencil determinant of every slice pair k1 < k2 on `integer_slices`."""
-    w, _ = integer_slices(W)
+    w = integer_slices(W)
     return {p: BinaryForm(pair_det_coeffs(w, *p)) for p in itertools.combinations(range(W.n + 1), 2)}
 
 
@@ -290,11 +286,12 @@ def pair_forms(W: ScalingTensor) -> dict[tuple[int, int], BinaryForm]:
 def factor_values(W: ScalingTensor) -> dict[FactorId, Fraction]:
     """The value of every minor and every H[k1,k2].
 
-    A minor on slices k1, k2 is s_k1 s_k2 times its value on `integer_slices`,
-    H[k1,k2] (s_k1 s_k2)^2 times the discriminant of their pair form.  The
-    2x2x3 factors are decided, not evaluated, so they have no entry.
+    With W's slice k = s_k times slice k of `integer_slices`, a minor on slices
+    k1, k2 is s_k1 s_k2 times its integer value, H[k1,k2] (s_k1 s_k2)^2 times
+    the discriminant of their pair form; 2x2x3 factors are decided, not valued.
     """
-    w, s = integer_slices(W)
+    w = integer_slices(W)
+    s = [w00 / a for w00, a in zip(W.w[0][0], w[0][0])]
     scale = {ks: s[ks[0]] * s[ks[1]] for ks in itertools.combinations_with_replacement(range(W.n + 1), 2)}
     values = {}
     for fid in all_factors(W.n):
@@ -314,7 +311,7 @@ def face_classes(W: ScalingTensor) -> tuple[tuple[int, ...], ...]:
     w_1jk/w_0jk, a `ratio` of integer slices.  Two rows are proportional iff
     their ids are equal; ids are shared by all faces, so x0 and x1 rows compare.
     """
-    ((w00, w01), (w10, w11)), _ = integer_slices(W)
+    (w00, w01), (w10, w11) = integer_slices(W)
     ids: dict[tuple[int, int], int] = {}
     return tuple(
         tuple(ids.setdefault(ratio(b, a), len(ids)) for a, b in zip(first, second))
@@ -323,7 +320,7 @@ def face_classes(W: ScalingTensor) -> tuple[tuple[int, ...], ...]:
 
 
 def subset_gcd(W: ScalingTensor, ks: tuple[int, ...]) -> BinaryForm:
-    """gcd of the pair forms over the pairs in ks (increasing), kept for every prefix of ks.
+    """Primitive int gcd of the pair forms over the pairs in ks (increasing), kept for every prefix of ks.
 
     g((k,)) is the zero form, since a single slice has no pairs, and
     g(ks) = gcd(g(ks[:-1]), the forms pairing ks[-1] with ks[:-1]).  The
@@ -332,13 +329,9 @@ def subset_gcd(W: ScalingTensor, ks: tuple[int, ...]) -> BinaryForm:
     """
     gcds = W.memo("subset_gcds", lambda W: {(k,): BinaryForm.zero() for k in range(W.n + 1)})
     if ks not in gcds:
+        head, last = ks[:-1], ks[-1]
         forms = pair_forms(W)
-        start = len(ks)
-        while ks[: start - 1] not in gcds:
-            start -= 1
-        for size in range(start, len(ks) + 1):
-            head, last = ks[: size - 1], ks[size - 1]
-            gcds[ks[:size]] = binary_gcd([gcds[head]] + [forms[(k, last)] for k in head])
+        gcds[ks] = binary_gcd([subset_gcd(W, head)] + [forms[k, last] for k in head])
     return gcds[ks]
 
 

@@ -22,11 +22,11 @@ with w[i][j][k] rational strings ("p/q" or "p").  The shape is exact: n
 is a JSON integer (not a boolean) and w holds exactly 2 x 2 lists of
 n + 1 entries each; anything else is refused, never truncated.
 
-Each tensor carries a private memo of values derived from w (its integer
-slices, and the pair forms, factor values, face classes and subset gcds
-built from them), which only `factors` fills, on first use through `memo`;
-`euler` reads them through `factors`.  It lives and dies with the tensor
-and takes no part in ==, hash, repr or JSON.
+Each tensor carries a private memo of values derived from w (its primitive
+integer slices, and the pair forms, factor values, face classes and
+primitive subset gcds built from them), which only `factors` fills, on
+first use through `memo`, and `euler` reads through `factors`.  It lives
+and dies with the tensor and takes no part in ==, hash, repr or JSON.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 from segreml import factors
 from segreml.cli import ADMISSION, build_parser, largest_admitted, main
 from segreml.exact import MAX_RATIONAL_DIGITS
@@ -179,6 +181,40 @@ def _mutate(rng, kind, doc) -> str:
     return json.dumps(doc).replace(f'"{marker}"', raw)
 
 
+def _mutate_several(draw, kind, doc) -> str:
+    """2-4 mutations of a document, one after the other, as JSON text; `draw` is hypothesis's.
+
+    A mutation moves n by one, deletes or duplicates a list item, or puts raw
+    JSON text in place of a leaf, a valid nonzero rational among them so that
+    some documents keep their exact shape; raw texts replace their markers last.
+    """
+    doc = copy.deepcopy(doc)
+    raws = {}
+    for step in range(draw(st.integers(2, 4))):
+        marker = f"@@mutated{step}@@"
+        lists = [v for _, v in _nodes(doc) if isinstance(v, list) and v]
+        leaves = [p for p, v in _nodes(doc) if not isinstance(v, (dict, list))]
+        op = draw(st.sampled_from(("n", "delete", "duplicate", "leaf", "leaf")))
+        if op == "n" and type(doc.get("n")) is int:
+            raws[marker] = str(doc["n"] + draw(st.sampled_from((-1, 1))))
+            doc["n"] = marker
+        elif op in ("delete", "duplicate") and lists:
+            target = draw(st.sampled_from(lists))
+            k = draw(st.integers(0, len(target) - 1))
+            if op == "delete":
+                del target[k]
+            else:
+                target.insert(k, copy.deepcopy(target[k]))
+        elif leaves:
+            *head, last = draw(st.sampled_from(leaves))
+            _at(doc, head)[last] = marker
+            raws[marker] = draw(st.sampled_from(_BAD_LEAVES + ('"-3/6"', '"22/7"', '"-1"')))
+    text = json.dumps(doc)
+    for marker, raw in raws.items():
+        text = text.replace(f'"{marker}"', raw)
+    return text
+
+
 def test_mutated_documents_exit_0_only_with_the_exact_shape(tmp_path, capsys):
     """Seeded fuzz over tensor, matrix and data documents: exit 2 with one error line, or exit 0 on an exact shape."""
     from segreml.errors import SegremlError
@@ -222,6 +258,45 @@ def test_mutated_documents_exit_0_only_with_the_exact_shape(tmp_path, capsys):
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, text
             refused += 1
     assert answered >= 10 and refused >= 200
+
+
+def test_documents_with_several_mutations_exit_0_only_with_the_exact_shape(tmp_path, capsys):
+    """Hypothesis fuzz: 2-4 mutations per tensor or matrix document, read by analyze, mldeg, oracle and matrix-mldeg."""
+    bases = [
+        ("tensor", ONES1),
+        ("tensor", W313),
+        ("tensor", realize(3, 14, seed=2).to_json_dict()),
+        ("matrix", {"entries": [["1", "2", "3"], ["5", "7", "11"]]}),
+        ("matrix", _hilbert(3)),
+    ]
+    path = str(tmp_path / "doc.json")
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def check(data):
+        kind, doc = data.draw(st.sampled_from(bases))
+        text = _mutate_several(data.draw, kind, doc)
+        exact = _exact_shape(kind, json.loads(text))
+        Path(path).write_text(text)
+        if kind == "matrix":
+            commands = [["matrix-mldeg", path]]
+        else:
+            commands = [["analyze", path, "--json"], ["mldeg", path]]
+            commands += [["oracle", path, "--trials", "2"]] if doc["n"] == 1 else []
+        for argv in commands:
+            rc = main(argv)
+            captured = capsys.readouterr()
+            seen.add((argv[0], rc))
+            if rc == 0:
+                assert exact, (argv, text)
+            else:
+                assert rc == 2 and not exact, (argv, rc, text)
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (argv, text)
+
+    check()
+    # every consumer both answered and refused some document
+    assert seen == {(command, rc) for command in ("analyze", "mldeg", "oracle", "matrix-mldeg") for rc in (0, 2)}
 
 
 def test_malformed_data_vector_exit_code(tmp_path, capsys):

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segreml.exact import (
     MAX_RATIONAL_DIGITS,
@@ -14,7 +16,9 @@ from segreml.exact import (
     binary_gcd,
     distinct_root_count,
     format_rational,
+    integer_row,
     parse_rational,
+    primitive,
     rank,
 )
 
@@ -98,19 +102,19 @@ def test_rank_handles_fractions():
 
 
 def test_binary_gcd_examples():
-    f = BinaryForm.from_coeffs([0, 8, 14])
-    g = BinaryForm.from_coeffs([0, -8, -14])
+    f = BinaryForm((0, 8, 14))
+    g = BinaryForm((0, -8, -14))
     got = binary_gcd([f, g])
-    # y1*(4 y0 + 7 y1) up to scalar, monic-normalized
-    assert got.coeffs == (Fraction(0), Fraction(1), Fraction(7, 4))
-    assert binary_gcd([BinaryForm.from_coeffs([1, 0, 0]), BinaryForm.from_coeffs([0, 0, 1])]).degree == 0
+    # y1*(4 y0 + 7 y1) up to a unit, as its primitive integer form
+    assert got.coeffs == (0, 4, 7)
+    assert binary_gcd([BinaryForm((1, 0, 0)), BinaryForm((0, 0, 1))]).degree == 0
     assert binary_gcd([BinaryForm.zero(), BinaryForm.zero()]).is_zero
     # zero inputs are ignored alongside nonzero ones
-    assert binary_gcd([BinaryForm.zero(), f]).coeffs == f.monic().coeffs
+    assert binary_gcd([BinaryForm.zero(), f]).coeffs == (0, 4, 7)
 
 
 def test_binary_gcd_of_int_forms_is_exact():
-    # forms built from ints directly give the gcd of their from_coeffs twins, never floats
+    # forms of ints give the gcd of their Fraction twins, as ints, never floats
     rng = random.Random(5)
     pairs = [((2, 3), (4, 6)), ((1, 0, -4), (1, -2)), ((0, 8, 14), (0, -8, -14)), ((3,), (0, 7))]
     for _ in range(200):
@@ -119,15 +123,15 @@ def test_binary_gcd_of_int_forms_is_exact():
     for f, g in pairs:
         ints = [BinaryForm(tuple(int(x) for x in f)), BinaryForm(tuple(int(x) for x in g))]
         got = binary_gcd(ints)
-        assert got == binary_gcd([BinaryForm.from_coeffs(f), BinaryForm.from_coeffs(g)])
-        assert all(type(x) is Fraction for x in got.coeffs), got
-    assert binary_gcd([BinaryForm((2, 3)), BinaryForm((4, 6))]).coeffs == (1, Fraction(3, 2))
+        assert got == binary_gcd([BinaryForm(tuple(map(Fraction, f))), BinaryForm(tuple(map(Fraction, g)))])
+        assert all(type(x) is int for x in got.coeffs), got
+    assert binary_gcd([BinaryForm((2, 3)), BinaryForm((4, 6))]).coeffs == (2, 3)
 
 
 def linear_product(f, g):
     """(a0 y0 + a1 y1)(b0 y0 + b1 y1) from the two coefficient pairs."""
     (a0, a1), (b0, b1) = f, g
-    return BinaryForm.from_coeffs([a0 * b0, a0 * b1 + a1 * b0, a1 * b1])
+    return BinaryForm((a0 * b0, a0 * b1 + a1 * b0, a1 * b1))
 
 
 def test_binary_gcd_divides_both():
@@ -137,8 +141,8 @@ def test_binary_gcd_divides_both():
         return (rng.randint(-9, 9), rng.choice([v for v in range(-9, 10) if v]))
 
     def divides(d, f):
-        # gcd of {d, f} must be d itself (monic) when d | f
-        return binary_gcd([d, f]).coeffs == d.monic().coeffs
+        # gcd of {d, f} must be d itself (primitive) when d | f
+        return binary_gcd([d, f]).coeffs == primitive(d.coeffs)
 
     for _ in range(1000):
         shared = random_linear()
@@ -153,7 +157,7 @@ SMALL = [Fraction(v) for v in ("0", "1", "2", "3", "1/2", "2/3", "-1", "-2", "-3
 
 
 def sympy_gcd(forms):
-    """Independent reference: the monic gcd coefficients by sympy, () when every form is zero."""
+    """Independent reference: the primitive integer gcd coefficients by sympy, () when every form is zero."""
     import sympy
 
     y0, y1 = sympy.symbols("y0 y1")
@@ -170,7 +174,9 @@ def sympy_gcd(forms):
     d = g.total_degree()
     coeffs = [g.coeff_monomial((d - i, i)) for i in range(d + 1)]
     lead = next(c for c in coeffs if c != 0)
-    return tuple(Fraction(int(q.p), int(q.q)) for q in (c / lead for c in coeffs))
+    monic = [c / lead for c in coeffs]
+    scale = sympy.Rational(math.lcm(*(int(q.q) for q in monic)), math.gcd(*(int(q.p) for q in monic)))
+    return tuple(int(q * scale) for q in monic)
 
 
 def random_forms(rng):
@@ -182,16 +188,16 @@ def random_forms(rng):
         kind = rng.random()
         scale = rng.choice(SMALL[1:])
         if kind < 0.1:
-            forms.append(BinaryForm.from_coeffs([0] * rng.randint(1, 3)))
+            forms.append(BinaryForm((Fraction(0),) * rng.randint(1, 3)))
         elif kind < 0.2:
-            forms.append(BinaryForm.from_coeffs([scale]))
+            forms.append(BinaryForm((scale,)))
         elif kind < 0.35:
-            forms.append(BinaryForm.from_coeffs([scale * c for c in rng.choice(pool)]))
+            forms.append(BinaryForm(tuple(scale * c for c in rng.choice(pool))))
         elif kind < 0.5 and forms:
-            forms.append(BinaryForm.from_coeffs([scale * c for c in forms[-1].coeffs]))
+            forms.append(BinaryForm(tuple(scale * c for c in forms[-1].coeffs)))
         else:
             f = linear_product(rng.choice(pool), rng.choice(pool))
-            forms.append(BinaryForm.from_coeffs([scale * c for c in f.coeffs]))
+            forms.append(BinaryForm(tuple(scale * c for c in f.coeffs)))
     return forms
 
 
@@ -203,7 +209,7 @@ def test_binary_gcd_matches_sympy():
         want = sympy_gcd(forms)
         got = binary_gcd(forms)
         assert (() if got.is_zero else got.coeffs) == want, forms
-        quadratics = [f.monic() for f in forms if f.degree == 2 and not f.is_zero]
+        quadratics = [primitive(integer_row(f.coeffs)) for f in forms if f.degree == 2 and not f.is_zero]
         if len(set(quadratics)) < len(quadratics):
             seen.add("proportional")
         if len(want) > 1:
@@ -219,10 +225,10 @@ def test_binary_gcd_matches_sympy():
 
 
 def test_distinct_root_counts():
-    assert distinct_root_count(BinaryForm.from_coeffs([0, 8, 14])) == 2
-    assert distinct_root_count(BinaryForm.from_coeffs([0, 0, 1])) == 1  # y1^2
-    assert distinct_root_count(BinaryForm.from_coeffs([3])) == 0
-    assert distinct_root_count(BinaryForm.from_coeffs([0, 5])) == 1
+    assert distinct_root_count(BinaryForm((0, 8, 14))) == 2
+    assert distinct_root_count(BinaryForm((0, 0, 1))) == 1  # y1^2
+    assert distinct_root_count(BinaryForm((3,))) == 0
+    assert distinct_root_count(BinaryForm((0, 5))) == 1
     assert distinct_root_count(BinaryForm.zero()) is None
 
 
@@ -240,10 +246,44 @@ def test_distinct_roots_of_linear_products():
 
 def test_degree_cap_is_enforced():
     with pytest.raises(ValueError):
-        BinaryForm.from_coeffs([1, 2, 3, 4])
+        BinaryForm((1, 2, 3, 4))
 
 
 def test_discriminant():
-    assert BinaryForm.from_coeffs([0, 8, 14]).discriminant() == 64
+    assert BinaryForm((0, 8, 14)).discriminant() == 64
     with pytest.raises(ValueError):
-        BinaryForm.from_coeffs([1, 2]).discriminant()
+        BinaryForm((1, 2)).discriminant()
+
+
+_NONZERO = st.fractions(max_denominator=10**30).filter(bool)
+_INTS = st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=5)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_INTS, _NONZERO)
+def test_primitive_is_the_integer_normal_form(v, lam):
+    """primitive(integer_row(lam*v)) is primitive(v); it is idempotent, of content 1 and first nonzero entry > 0."""
+    p = primitive(v)
+    assert primitive(integer_row([lam * x for x in v])) == p
+    assert primitive(p) == p and all(type(x) is int for x in p)
+    if any(v):
+        assert math.gcd(*p) == 1 and next(x for x in p if x) > 0
+    else:
+        assert p == tuple(v)
+
+
+_LINEAR = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+_INT_FORMS = st.one_of(
+    st.integers(-5, 5).map(lambda c: (c,)),
+    _LINEAR,
+    st.tuples(_LINEAR, _LINEAR).map(lambda fg: linear_product(*fg).coeffs),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_INT_FORMS, _INT_FORMS, _NONZERO, _NONZERO)
+def test_binary_gcd_is_a_primitive_int_form_under_scaling(f, g, lam, mu):
+    """binary_gcd([lam f, mu g]) is binary_gcd([f, g]), a primitive form of ints."""
+    got = binary_gcd([BinaryForm(tuple(lam * c for c in f)), BinaryForm(tuple(mu * c for c in g))])
+    assert got == binary_gcd([BinaryForm(f), BinaryForm(g)])
+    assert all(type(c) is int for c in got.coeffs) and got.coeffs == primitive(got.coeffs)

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import segreml.exact
+from segreml.cli import _analyze_payload
 from segreml.euler import chi_VI, mldeg_value
+from segreml.exact import primitive
 from segreml.factors import (
     FactorId,
     all_factors,
@@ -396,10 +398,11 @@ def test_integer_view_is_built_once_and_read_by_every_table(monkeypatch):
         calls.clear()
         mldeg_value(W)
         assert calls == []
-        w, scales = integer_slices(W)
+        w = integer_slices(W)
         for k, slice_ints in enumerate(zip(*w[0], *w[1])):
             assert all(type(x) is int for x in slice_ints) and slice_ints[0] > 0 and math.gcd(*slice_ints) == 1
-            assert [scales[k] * x for x in slice_ints] == [W.w[i][j][k] for i in range(2) for j in range(2)]
+            scale = W.w[0][0][k] / slice_ints[0]
+            assert [scale * x for x in slice_ints] == [W.w[i][j][k] for i in range(2) for j in range(2)]
         assert all(type(c) is int for form in pair_forms(W).values() for c in form.coeffs)
 
 
@@ -419,7 +422,7 @@ _TALL = st.integers(10**29, 10**30)
 def test_slice_scales_change_no_decision(W, scalars):
     """Rescaling each slice by a tall rational leaves the integer view and every decision; values match the raw entries."""
     V = W.torus_rescale((1, 1), (1, 1), [sign * Fraction(p, q) for sign, p, q in scalars[: W.n + 1]])
-    assert integer_slices(V)[0] == integer_slices(W)[0]
+    assert integer_slices(V) == integer_slices(W)
     assert face_classes(V) == face_classes(W)
     subsets = [ks for size in range(1, W.n + 2) for ks in itertools.combinations(range(W.n + 1), size)]
     assert [subset_gcd(V, ks) for ks in subsets] == [subset_gcd(W, ks) for ks in subsets]
@@ -429,3 +432,18 @@ def test_slice_scales_change_no_decision(W, scalars):
         for fid, value in factor_values(X).items():
             reference = eval_minor(X, fid) if fid.is_minor else pair_det_form(X, *fid.index).discriminant()
             assert value == reference, (X.to_json_dict(), fid)
+
+
+_HUNDRED_DIGITS = st.integers(10**99, 10**100)
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(_small_tensors(), st.lists(st.tuples(st.sampled_from((-1, 1)), _HUNDRED_DIGITS, _HUNDRED_DIGITS), min_size=5, max_size=5))
+def test_memoized_subset_gcds_are_primitive_ints(W, scalars):
+    """After analyze's payload on 100-digit slice scalars, every subset gcd in the memo is a primitive int form."""
+    V = W.torus_rescale((1, 1), (1, 1), [sign * Fraction(p, q) for sign, p, q in scalars[: W.n + 1]])
+    _analyze_payload(V)
+    gcds = V.memo("subset_gcds", lambda V: pytest.fail("analyze filled no subset gcds"))
+    assert len(gcds) == 2 ** (W.n + 1) - 1
+    for form in gcds.values():
+        assert all(type(c) is int for c in form.coeffs) and form.coeffs == primitive(form.coeffs), form
