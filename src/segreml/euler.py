@@ -15,16 +15,16 @@ the number of components through p.
   line or point, so the arrangement is computed on factors.integer_slices,
   slice k the primitive integer vector (a, b, c, d) with a > 0.  A torus
   coordinate is a factors.ratio, a reduced pair (num, den) with den > 0.
-* Components, deduplicated in slice order.  A nonsingular slice k gives
-  one (1,1)-curve (isomorphic to P1 minus four axis points, chi_T = -2),
-  keyed by its integer slice.  A singular slice factors as
-  (a x0 + c x1)(a y0 + b y1) / a and gives the two lines x0/x1 = -c/a and
-  y0/y1 = -b/a (each C*, chi_T = 0).
-* Points, kept only inside T.  Two curves j, k meet over the roots of
-  their pencil determinant factors.pair_det_coeffs with y0 y1 != 0, at
-  x = (-B_j(y) : A_j(y)) where (A_j, B_j) = (a y0 + b y1, c y0 + d y1) for
-  slice j; a curve meets a line, and an x-line meets a y-line, in at most
-  one point, found by one division.
+* One rule.  Every component is a primitive integer (1,1)-form, the
+  distinct ones kept in slice order.  A nonsingular slice gives its integer
+  slice, a smooth curve (P1 minus four axis points, chi_T = -2).  A
+  singular slice factors as (a x0 + c x1)(a y0 + b y1) / a, and each of its
+  lines x0/x1 = -c/a and y0/y1 = -b/a (C*, chi_T = 0) becomes the form it
+  makes with the axis it misses, (0, a, 0, c) = (a x0 + c x1) y1 and
+  (0, 0, a, b) = x1 (a y0 + b y1), made primitive; inside T each form cuts
+  out its line alone.  Any two forms meet in T over the roots t = y0/y1,
+  t != 0, infinity, of their pencil determinant factors.pair_det_coeffs, at
+  x = (-B(t) : A(t)) for a nonzero pencil row (A, B) = (a t + b, c t + d).
 * Point keys.  A rational point is keyed by (t, s) = (y0/y1, x0/x1).  A
   pair of conjugate points over Q(sqrt d) is one key with orbit size 2:
   the primitive minimal polynomial (c0, c1, c2), c0 > 0, of t, and
@@ -286,38 +286,32 @@ def mldeg(W: ScalingTensor) -> MLDegreeReport:
     return MLDegreeReport(total, (-1) ** (W.n + 1) * total, terms, vanishing_pattern(W))
 
 
-# A component is ("curve", k) for the smooth (1,1)-curve of slice k, or
-# ("x", c) / ("y", d) for the line x0/x1 = c / y0/y1 = d, c and d reduced pairs.
-Component = tuple[str, object]
-Ratio = tuple[int, int]
+Form = tuple[int, int, int, int]  # a component: a primitive integer (1,1)-form (w00, w01, w10, w11)
 
 
-def _components(w) -> list[Component]:
-    """Distinct irreducible components of the union of the quadrics, in slice order."""
-    found: dict[tuple, Component] = {}  # insertion-ordered, so counts never depend on hashing
-    for k, (a, b, c, d) in enumerate(zip(*w[0], *w[1])):
-        if a * d != b * c:
-            found.setdefault(("curve", a, b, c, d), ("curve", k))
-        else:
-            for line in (("x", ratio(-c, a)), ("y", ratio(-b, a))):
-                found.setdefault(line, line)
-    return list(found.values())
-
-
-def _x_on_curve(w, k: int, t: Ratio) -> Ratio | None:
-    """s = x0/x1 of the point of curve k over y0/y1 = t, if it lies in the torus."""
-    (w00, w01), (w10, w11) = w
-    tn, td = t
-    return ratio(-(w10[k] * tn + w11[k] * td), w00[k] * tn + w01[k] * td)
+def _components(w) -> list[Form]:
+    """Distinct components of the union of the quadrics, in slice order."""
+    forms = []
+    for a, b, c, d in zip(*w[0], *w[1]):
+        # A singular slice is (a x0 + c x1)(a y0 + b y1) / a: the x-line times y1, the y-line times x1.
+        forms += [(a, b, c, d)] if a * d != b * c else [primitive((0, a, 0, c)), primitive((0, 0, a, b))]
+    return list(dict.fromkeys(forms))  # insertion-ordered, so counts never depend on hashing
 
 
 def _curve_points(w, j: int, k: int) -> list[tuple[tuple, int]]:
-    """Torus points of curve j ^ curve k as (key, orbit size).
+    """Torus points of form j ^ form k as (key, orbit size).
 
-    The curves meet over the roots t = y0/y1 of c0 t^2 + c1 t + c2, their
-    pencil determinant, which is nonzero for distinct smooth curves; roots
-    at t = 0 or infinity leave the torus.
+    The forms meet over the roots t = y0/y1 of c0 t^2 + c1 t + c2, their
+    pencil determinant; roots at t = 0 or infinity leave the torus.  A line
+    makes the determinant degenerate: a curve and an x-line give c0 = 0, so
+    one root; a curve (a, b, c, d) and a y-line (0, 0, a', b') give the
+    discriminant (ab' - ba')^2, so two rational roots, one of them where the
+    curve meets x1 = 0, outside the torus; an x-line and a y-line give one
+    root; two x-lines give a nonzero constant and two y-lines the zero form,
+    so parallel lines never meet, and conjugate points come only from two
+    curves.
     """
+    (w00, w01), (w10, w11) = w
     c0, c1, c2 = pair_det_coeffs(w, j, k)
     if c0 == 0 or c2 == 0:
         # One root lies on an axis; the other is the root of the linear rest.
@@ -333,7 +327,6 @@ def _curve_points(w, j: int, k: int) -> list[tuple[tuple, int]]:
             # in this inner loop the call made mldeg_value 30-45 % slower (n = 8-10).
             content = math.gcd(c0, c1, c2) if c0 > 0 else -math.gcd(c0, c1, c2)
             c0, c1, c2 = c0 // content, c1 // content, c2 // content
-            (w00, w01), (w10, w11) = w
             a, b, c, d = w00[j], w01[j], w10[j], w11[j]
             N = a * a * c2 - a * b * c1 + b * b * c0  # c0 (a t + b)(a t' + b), nonzero
             A = a * d * c1 - a * c * c2 - b * d * c0
@@ -342,38 +335,29 @@ def _curve_points(w, j: int, k: int) -> list[tuple[tuple, int]]:
             return [((c0, c1, c2, A // g, B // g, N // g), 2)]
         roots = {ratio(-c1 + r, 2 * c0), ratio(-c1 - r, 2 * c0)}
     points = []
-    for t in roots:
-        s = None if t is None else _x_on_curve(w, j, t)
+    for tn, td in filter(None, roots):
+        # x = (-B : A) off a nonzero pencil row (A, B); the two rows are
+        # proportional at t, and only a y-line's row vanishes, at its own root.
+        for i in (j, k):
+            A, B = w00[i] * tn + w01[i] * td, w10[i] * tn + w11[i] * td
+            if A or B:
+                break
+        s = ratio(-B, A)
         if s is not None:
-            points.append(((t, s), 1))
+            points.append((((tn, td), s), 1))
     return points
 
 
-def _torus_points(w, a: Component, b: Component) -> list[tuple[tuple, int]]:
-    """Points of a ^ b inside the torus as (key, orbit size); a and b are distinct."""
-    (ka, va), (kb, vb) = sorted((a, b), key=lambda comp: ("curve", "x", "y").index(comp[0]))
-    if ka == kb:
-        return _curve_points(w, va, vb) if ka == "curve" else []  # parallel lines never meet
-    if ka == "x":  # an x-line meets a y-line at (t, s) = (d, c)
-        return [((vb, va), 1)]
-    if kb == "x":
-        (w00, w01), (w10, w11) = w
-        sn, sd = vb
-        t = ratio(-(sn * w01[va] + sd * w11[va]), sn * w00[va] + sd * w10[va])
-        return [] if t is None else [((t, vb), 1)]
-    s = _x_on_curve(w, va, vb)
-    return [] if s is None else [((vb, s), 1)]
-
-
-def _arrangement(W: ScalingTensor) -> tuple[list[Component], dict[tuple, list]]:
+def _arrangement(W: ScalingTensor) -> tuple[list[Form], dict[tuple, list]]:
     """The components and, per torus intersection point, [orbit size, set of component indices]."""
-    w = integer_slices(W)
-    comps = _components(w)
+    forms = _components(integer_slices(W))
+    w00, w01, w10, w11 = zip(*forms)
+    w = (w00, w01), (w10, w11)
     points: dict[tuple, list] = {}
-    for (i, a), (j, b) in itertools.combinations(enumerate(comps), 2):
-        for key, orbit in _torus_points(w, a, b):
-            points.setdefault(key, [orbit, set()])[1].update((i, j))
-    return comps, points
+    for j, k in itertools.combinations(range(len(forms)), 2):
+        for key, orbit in _curve_points(w, j, k):
+            points.setdefault(key, [orbit, set()])[1].update((j, k))
+    return forms, points
 
 
 def mldeg_value(W: ScalingTensor) -> int:
@@ -384,8 +368,8 @@ def mldeg_value(W: ScalingTensor) -> int:
     of distinct components through p (see the module docstring).  Agrees
     with `mldeg(W).mldeg`, the inclusion-exclusion sum.
     """
-    comps, points = _arrangement(W)
-    smooth = sum(kind == "curve" for kind, _ in comps)
+    forms, points = _arrangement(W)
+    smooth = sum(a * d != b * c for a, b, c, d in forms)
     return 2 * smooth + sum(orbit * (len(through) - 1) for orbit, through in points.values())
 
 

@@ -102,6 +102,38 @@ def degenerate_tensor(rng: random.Random, n: int) -> ScalingTensor:
     return W
 
 
+def line_heavy_tensor(rng: random.Random, n: int) -> ScalingTensor:
+    """Slices built on two or three shared x-lines and y-lines.
+
+    A line u0 x0 + u1 x1 = 0 (or v0 y0 + v1 y1 = 0) is drawn from entries in
+    +-{1, 2, 3, 1/2, 2/3}.  Each slice is a rank-one slice u (x) v (one x-line
+    and one y-line), a rescaled copy of an earlier slice (a factor of 1
+    duplicates it), or a curve through the crossing of one x-line and one
+    y-line; so lines recur, parallel lines abound and crossings carry three
+    or more components.
+    """
+    pick = lambda: rng.choice((-1, 1)) * rng.choice((Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(2, 3)))
+    xs = [(pick(), pick()) for _ in range(rng.randint(2, 3))]
+    ys = [(pick(), pick()) for _ in range(rng.randint(2, 3))]
+    slices = []
+    while len(slices) < n + 1:
+        u, v = rng.choice(xs), rng.choice(ys)
+        choice = rng.random()
+        if choice < 0.4:
+            s = [[u[i] * v[j] for j in range(2)] for i in range(2)]
+        elif choice < 0.6 and slices:
+            lam = rng.choice((1, pick()))
+            s = [[lam * e for e in row] for row in rng.choice(slices)]
+        else:  # q vanishes at x = (-u1, u0), y = (-v1, v0): solve for w11
+            x, y = (-u[1], u[0]), (-v[1], v[0])
+            s = [[pick(), pick()], [pick(), 0]]
+            s[1][1] = -sum(s[i][j] * x[i] * y[j] for i, j in ((0, 0), (0, 1), (1, 0))) / (x[1] * y[1])
+            if s[1][1] == 0:
+                continue
+        slices.append(s)
+    return ScalingTensor.from_slices(slices)
+
+
 def _integer_poly(terms: dict) -> list:
     """Clear denominators of a {monomial: Fraction} dict into int terms."""
     denom = 1

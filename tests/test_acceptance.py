@@ -39,6 +39,9 @@ from helpers import (
     COUNTEREXAMPLE_W,
     COUNTEREXAMPLE_W_PRIME,
     HOOK_EXAMPLE,
+    _tall_rational,
+    degenerate_tensor,
+    line_heavy_tensor,
     random_positive_tensor,
     random_rational_tensor,
     random_tensor,
@@ -322,6 +325,20 @@ def test_criterion_8_symmetry_laws():
         swapped = W.swap_xy()
         assert mldeg_value(swapped) == base_mldeg
         assert {map_factor(f, swap=True) for f in vanishing_pattern(swapped).vanishing} == base_pattern
+
+    # Degeneracy-biased and line-heavy tensors with n up to 6, rescaled by 100-digit scalars.
+    rng = random.Random(808)
+    tall = lambda count: [_tall_rational(rng, 100) for _ in range(count)]
+    for i in range(300):
+        n = 1 + i % 6
+        W = (line_heavy_tensor if i % 2 else degenerate_tensor)(rng, n)
+        base_mldeg = mldeg_value(W)
+        perm = list(range(n + 1))
+        rng.shuffle(perm)
+        assert mldeg_value(W.torus_rescale(tall(2), tall(2), tall(n + 1))) == base_mldeg
+        assert mldeg_value(W.permute_slices(perm)) == base_mldeg
+        assert mldeg_value(W.swap_xy()) == base_mldeg
+        assert mldeg_value(W.duplicate_last_slice()) == base_mldeg
 
 
 def test_criterion_9_two_simplex_formula():

@@ -185,9 +185,11 @@ def _mutate_several(draw, kind, doc) -> str:
     """2-4 mutations of a document, one after the other, as JSON text; `draw` is hypothesis's.
 
     A mutation moves n by one, deletes or duplicates a list item, or puts raw
-    JSON text in place of a leaf, a valid nonzero rational among them so that
-    some documents keep their exact shape; raw texts replace their markers last.
+    JSON text in place of a leaf, a valid leaf of the kind among them (a
+    nonzero rational, or a count for data) so that some documents keep their
+    exact shape; raw texts replace their markers last.
     """
+    valid = ("7", "12", "1", "0", "-2") if kind == "data" else ('"-3/6"', '"22/7"', '"-1"')
     doc = copy.deepcopy(doc)
     raws = {}
     for step in range(draw(st.integers(2, 4))):
@@ -208,7 +210,7 @@ def _mutate_several(draw, kind, doc) -> str:
         elif leaves:
             *head, last = draw(st.sampled_from(leaves))
             _at(doc, head)[last] = marker
-            raws[marker] = draw(st.sampled_from(_BAD_LEAVES + ('"-3/6"', '"22/7"', '"-1"')))
+            raws[marker] = draw(st.sampled_from(_BAD_LEAVES + valid))
     text = json.dumps(doc)
     for marker, raw in raws.items():
         text = text.replace(f'"{marker}"', raw)
@@ -297,6 +299,34 @@ def test_documents_with_several_mutations_exit_0_only_with_the_exact_shape(tmp_p
     check()
     # every consumer both answered and refused some document
     assert seen == {(command, rc) for command in ("analyze", "mldeg", "oracle", "matrix-mldeg") for rc in (0, 2)}
+
+
+def test_data_vectors_with_several_mutations_exit_0_only_with_the_exact_shape(tmp_path, capsys):
+    """Hypothesis fuzz: 2-4 mutations per data document, read by oracle --data over a generic n = 1 tensor."""
+    bases = [{"u": [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]}, {"u": [[[3, 1], [4, 1]], [[5, 9], [2, 6]]]}]
+    tensor = _write(tmp_path, "generic.json", realize(1, 6, seed=1).to_json_dict())
+    path = str(tmp_path / "u.json")
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def check(data):
+        text = _mutate_several(data.draw, "data", data.draw(st.sampled_from(bases)))
+        doc = json.loads(text)
+        # the tensor has n = 1, so its data vector is exactly 2 x 2 x 2
+        exact = _exact_shape("data", doc) and _first_lengths(doc["u"], 3) == (2, 2, 2)
+        Path(path).write_text(text)
+        rc = main(["oracle", tensor, "--data", path])
+        captured = capsys.readouterr()
+        seen.add(rc)
+        if rc == 0:
+            assert exact, text
+        else:
+            assert rc == 2 and not exact, (rc, text)
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, text
+
+    check()
+    assert seen == {0, 2}
 
 
 def test_malformed_data_vector_exit_code(tmp_path, capsys):

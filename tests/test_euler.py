@@ -34,6 +34,7 @@ from helpers import (
     _tall_rational,
     all_ones,
     degenerate_tensor,
+    line_heavy_tensor,
     random_positive_tensor,
     random_tensor,
 )
@@ -296,6 +297,23 @@ def test_arrangement_agrees_with_inclusion_exclusion():
     tensors += [_degenerate_tensor(rng, rng.randint(1, 4)) for _ in range(2000)]
     for W in tensors:
         assert mldeg_value(W) == mldeg(W).mldeg, W.to_json_dict()
+    # Line-heavy and degeneracy-biased draws, n = 1..6: every kind of component pair meets.
+    rng = random.Random(23)
+    seen = set()
+    for i in range(300):
+        W = (line_heavy_tensor if i % 3 else degenerate_tensor)(rng, 1 + i % 6)
+        assert mldeg_value(W) == mldeg(W).mldeg, W.to_json_dict()
+        forms, points = _arrangement(W)
+        # a curve has w00 != 0; an x-line is (0, a, 0, c) times y1, a y-line x1 times (0, 0, a, b)
+        kinds = ["curve" if w00 else "x" if w10 == 0 else "y" for w00, _, w10, _ in forms]
+        seen.update(("parallel", a) for a, b in itertools.combinations(kinds, 2) if a == b != "curve")
+        for _, through in points.values():
+            seen.update(itertools.combinations([kinds[c] for c in sorted(through)], 2))
+            if len(through) >= 3 and any(kinds[c] != "curve" for c in through):
+                seen.add("m_p >= 3 on a line")
+    expected = {("x", "y"), ("curve", "x"), ("x", "curve"), ("curve", "y"), ("y", "curve")}
+    expected |= {("parallel", "x"), ("parallel", "y"), "m_p >= 3 on a line"}
+    assert expected <= seen, expected - seen
 
 
 def _pencil_tensor(rng: random.Random) -> ScalingTensor:
@@ -337,7 +355,7 @@ def test_arrangement_beyond_inclusion_exclusion():
             assert mldeg_value(W.swap_xy()) == r
 
 
-@pytest.mark.skipif(not os.environ.get("SEGREML_EXHAUSTIVE"), reason="~30s grid sweep; set SEGREML_EXHAUSTIVE=1")
+@pytest.mark.skipif(not os.environ.get("SEGREML_EXHAUSTIVE"), reason="~12s grid sweep; set SEGREML_EXHAUSTIVE=1")
 def test_exhaustive_grid_pattern_determines_mldeg():
     """Over every tensor with entries in +-{1,2}, the ML degree equals the
     Euler characteristic assigned to its vanishing pattern."""
