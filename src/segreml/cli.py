@@ -26,7 +26,7 @@ from .errors import (
 )
 from .exact import RatMatrix, format_rational, parse_rational
 from .factors import all_factors, factor_values
-from .oracle import CountResult, DataVector, count_critical_points, oracle_mldeg
+from .oracle import ORACLE_MAX_N, CountResult, DataVector, count_critical_points, oracle_mldeg
 from .realize import realize
 from .tensor import ScalingTensor
 
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.set_defaults(func=_cmd_matrix_mldeg)
 
-    p = sub.add_parser("oracle", help="critical-point count over random primes, independent of the engine (n <= 4)")
+    p = sub.add_parser("oracle", help=f"critical-point count over random primes, independent of the engine (n <= {ORACLE_MAX_N})")
     p.add_argument("tensor")
     p.add_argument("--data", help="data-vector JSON; otherwise random trials are drawn")
     p.add_argument("--trials", type=int, default=2)

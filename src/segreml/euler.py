@@ -38,13 +38,16 @@ system is T_I(y) x = 0 for the |I| x 2 pencil matrix whose k-th row is
     (w00k y0 + w01k y1,  w10k y0 + w11k y1),
 
 so V_I lives over the locus where T_I(y) drops rank.  The 2x2 minor of
-rows k1 < k2 is factors.pair_det_form(W, k1, k2), the same quadric in y
-whose common roots decide the 2x2x3 factor, and chi(V_I) is computed by
-one exact procedure for every |I| >= 1:
+rows k1 < k2 is the quadric in y whose common roots decide the 2x2x3
+factor.  It is read as factors.pair_forms(W)[(k1, k2)], the minor on the
+primitive integer slices (factors.integer_slices); the raw-entry
+factors.pair_det_form(W, k1, k2) is proportional to it and is the
+reference the tests compare against.  chi(V_I) is computed by one exact
+procedure for every |I| >= 1:
 
-    g  = primitive gcd of the int pair forms (factors.pair_forms, proportional
-         to pair_det_form) over the pairs in I (degree <= 2; the zero form when
-         |I| = 1), read from factors.subset_gcd like the 2x2x3 decision
+    g  = primitive gcd of the pair forms over the pairs in I (degree <= 2;
+         the zero form when |I| = 1), read from factors.subset_gcd like the
+         2x2x3 decision
     r0 = 1 if every row (w_i0k, w_i1k), i in {0, 1}, k in I, is
          proportional to the first (a unique rank-0 point exists), else 0
     chi = 0 if g is a nonzero constant,

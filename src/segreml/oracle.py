@@ -261,6 +261,8 @@ def _count_two_primes(system: ScoreSystem) -> int:
 
 def score_system(W: ScalingTensor, u: DataVector) -> ScoreSystem:
     """The scores of x and y for (W, u), with z_1..z_n eliminated."""
+    if W.n > ORACLE_MAX_N:
+        raise DimensionMismatchError(f"the critical-point oracle is limited to n <= {ORACLE_MAX_N}")
     if u.n != W.n:
         raise DimensionMismatchError("data vector and tensor disagree on n")
     dims = (1, 1, W.n)
@@ -269,8 +271,6 @@ def score_system(W: ScalingTensor, u: DataVector) -> ScoreSystem:
 
 def count_critical_points(W: ScalingTensor, u: DataVector) -> int:
     """Number of torus critical points of the likelihood for data u, under two primes that must agree."""
-    if W.n > ORACLE_MAX_N:
-        raise DimensionMismatchError(f"the critical-point oracle is limited to n <= {ORACLE_MAX_N}")
     return _count_two_primes(score_system(W, u))
 
 
@@ -329,8 +329,6 @@ def oracle_mldeg(W: ScalingTensor, trials: int = 2, seed: int = 0) -> CountResul
     """
     if trials < 2:
         raise ValueError("at least two data trials are required")
-    if W.n > ORACLE_MAX_N:
-        raise DimensionMismatchError(f"the critical-point oracle is limited to n <= {ORACLE_MAX_N}")
     rng = random.Random(seed)
     seeds = [rng.randrange(2**32) for _ in range(trials)]
     systems = [score_system(W, DataVector.random(W.n, random.Random(s))) for s in seeds]

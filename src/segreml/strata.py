@@ -135,25 +135,19 @@ def classify_pattern_n1(pattern: VanishingPattern) -> int | None:
 # -- witness construction ------------------------------------------------------
 
 
-def _double_line_slice(kind: str, side: int, base: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Coefficients of the degenerate (1,1)-form used for axis tangencies.
+def _double_line_slice(kind: str, side: int, base: list[list[Fraction]]) -> tuple[tuple, tuple]:
+    """The factors (u, v) of the degenerate (1,1)-form u(x) v(y) used for axis tangencies.
 
-    For a face minor on side i of the x-axis the form is the product of
-    the line {x = (1-i : i)} with the y-line through the root of row i of
-    the base slice; mirrored for y-face minors.  Adding a multiple of it
-    to the base quadric keeps the relevant face minor zero and makes the
-    intersection a double point on that axis.
+    For a face minor on side i of the x-axis, u is the line that vanishes
+    at the contact x = (1-i : i), that is x_{1-i}, and v is row i of the
+    base slice, the y-line through its root; mirrored for y-face minors.
+    Adding a multiple of u v to the base quadric keeps the relevant face
+    minor zero and makes the intersection a double point on that axis.
     """
+    axis = (Fraction(side), Fraction(1 - side))
     if kind == "face_x":
-        # F[i*] = 0 puts the contact at x = (1-i : i); the vanishing line
-        # there is x_{1-i}, times the y-line through the root of row i.
-        row = base[side]
-        zero = [Fraction(0), Fraction(0)]
-        return [zero, list(row)] if side == 0 else [list(row), zero]
-    col = [base[0][side], base[1][side]]
-    if side == 0:
-        return [[Fraction(0), col[0]], [Fraction(0), col[1]]]
-    return [[col[0], Fraction(0)], [col[1], Fraction(0)]]
+        return axis, tuple(base[side])
+    return (base[0][side], base[1][side]), axis
 
 
 def _tangency_witness(rng: random.Random, minor: FactorId | None) -> ScalingTensor | None:
@@ -189,11 +183,11 @@ def _tangency_witness(rng: random.Random, minor: FactorId | None) -> ScalingTens
         y_star = -(s0[0][0] + s0[1][0] * x_star) / denom
         if y_star == 0:
             return None
-        # (x - x*)(y - y*) in slice layout [[const, y],[x, xy]].
-        g = [[x_star * y_star, -x_star], [-y_star, Fraction(1)]]
+        u, v = (-x_star, Fraction(1)), (-y_star, Fraction(1))  # (x - x*)(y - y*)
     else:
-        g = _double_line_slice(minor.kind, minor.index[0], s0)
-    s1 = [[alpha * s0[i][j] + beta * g[i][j] for j in range(2)] for i in range(2)]
+        u, v = _double_line_slice(minor.kind, minor.index[0], s0)
+    # u v in slice layout [[const, y], [x, xy]]
+    s1 = [[alpha * s0[i][j] + beta * u[i] * v[j] for j in range(2)] for i in range(2)]
     if any(x == 0 for row in s1 for x in row):
         return None
     return ScalingTensor.from_slices([s0, s1])

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,15 @@ from segreml.oracle import (
     score_system,
 )
 
-from helpers import COUNTEREXAMPLE_W, COUNTEREXAMPLE_W_PRIME, all_ones, degenerate_tensor, full_score_system, random_tensor
+from helpers import (
+    COUNTEREXAMPLE_W,
+    COUNTEREXAMPLE_W_PRIME,
+    all_ones,
+    degenerate_tensor,
+    full_score_system,
+    line_heavy_tensor,
+    random_tensor,
+)
 
 
 def test_data_vector_validation():
@@ -81,12 +93,23 @@ def test_reduced_count_matches_the_full_system_and_the_engine():
     # realize outputs and degeneracy-biased tensors with generic data
     rng = random.Random(15)
     prime = random_prime(random.Random("primes"))
+    cases = []
     for n, draws in ((1, 10), (2, 10), (3, 3)):
         for _ in range(draws):
             realized = realize(n, rng.randint(1, degree_bound(n)), seed=rng.randrange(1000))
             for W in (realized, degenerate_tensor(rng, n)):
-                reduced, reference = _reduced_and_reference(W, DataVector.random(n, rng), prime)
-                assert reduced == reference == mldeg_value(W), W
+                cases.append((W, DataVector.random(n, rng)))
+    # line-heavy tensors: lines recur across slices and crossings carry three
+    # or more components, where the oracle's own rank-one split and the
+    # engine's line forms could disagree
+    rng = random.Random(17)
+    for n, draws in ((1, 20), (2, 20), (3, 6)):
+        for _ in range(draws):
+            W = line_heavy_tensor(rng, n)
+            cases.append((W, DataVector.random(n, rng)))
+    for W, u in cases:
+        reduced, reference = _reduced_and_reference(W, u, prime)
+        assert reduced == reference == mldeg_value(W), W
 
 
 def test_merged_components():
@@ -126,10 +149,22 @@ def test_merged_components():
 def test_oracle_shares_no_code_with_the_engine():
     # the count is independent evidence for the ML degree only while the
     # oracle finds its components itself
+    engine = {"euler", "factors", "realize", "strata"}
     tree = ast.parse(inspect.getsource(segreml.oracle))
     modules = {node.module.rpartition(".")[2] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     modules |= {alias.name.rpartition(".")[2] for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
-    assert modules and not modules & {"euler", "factors", "realize", "strata"}
+    assert modules and not modules & engine
+    # and at run time: a fresh interpreter that imports the oracle loads no engine module
+    src = Path(segreml.oracle.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, segreml.oracle; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "segreml.oracle" in loaded and not loaded & {f"segreml.{m}" for m in engine}, sorted(loaded)
 
 
 def test_all_ones_has_one_critical_point():
