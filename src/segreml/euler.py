@@ -89,10 +89,10 @@ from .factors import (
     face_classes,
     face_minor_x,
     face_minor_y,
-    factor_values,
     hyp222,
     hyp223_vanishes,
     integer_slices,
+    integer_values,
     pair_det_coeffs,
     ratio,
     slice_minor,
@@ -121,7 +121,7 @@ def classify_type(W: ScalingTensor, i: int, j: int) -> PairType:
     """Type of the slice-pair pencil, read off the six minors and H[i,j]."""
     if not i < j:
         raise ValueError("require i < j")
-    values = factor_values(W)
+    values = integer_values(W)
     if values[hyp222(i, j)] != 0:
         return PairType.I
     si = values[slice_minor(i)] == 0
@@ -414,7 +414,7 @@ def mldeg_point_formula(W: ScalingTensor) -> int | None:
     for ks in itertools.combinations(range(W.n + 1), 3):
         if hyp223_vanishes(W, *ks):
             return None
-    values = factor_values(W)
+    values = integer_values(W)
     singles = 0
     for k in range(W.n + 1):
         singles += -2 if values[slice_minor(k)] != 0 else -1

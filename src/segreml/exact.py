@@ -64,9 +64,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"{text!r} is not a rational of the form p or p/q")
     if max(len(match[1]), len(match[2] or "")) > MAX_RATIONAL_DIGITS:
         raise ValueError(f"{text[:20]!r}... has more than {MAX_RATIONAL_DIGITS} digits in its numerator or denominator")
-    if match[2] is not None and int(match[2]) == 0:
+    numerator, denominator = int(match[1]), int(match[2] or 1)
+    if denominator == 0:
         raise ValueError(f"{text!r} has a zero denominator")
-    return Fraction(text)
+    return Fraction(-numerator if text[0] == "-" else numerator, denominator)
 
 
 def format_rational(value: Fraction) -> str:
@@ -214,8 +215,9 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
         return BinaryForm.zero()
-    # Scaling a form moves no root, so the fold runs on integer multiples.
-    ints = (BinaryForm(tuple(integer_row(f.coeffs))) for f in nonzero)
+    # Scaling a form moves no root, so the fold runs on integer multiples;
+    # a form of ints (every pair form and memoized gcd) is one already.
+    ints = (f if all(type(c) is int for c in f.coeffs) else BinaryForm(tuple(integer_row(f.coeffs))) for f in nonzero)
     g = next(ints)
     for f in ints:
         if g.degree == 0:

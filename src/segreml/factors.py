@@ -24,7 +24,9 @@ Every factor and chi(V_I) is projective in each slice, so the pair forms,
 minors, H[k1,k2], face classes and subset gcds are built from the primitive
 integer slices (`integer_slices`), each once per tensor in its memo, which
 no other module fills; every evaluation here and in `euler` reads them.
-Only `factor_values` scales a value back to W's entries, by its slices' scales.
+Every zero test reads the integer table `integer_values`; only
+`factor_values`, which `analyze` prints, scales a value back to W's
+entries, by its slices' scales.
 
 Canonical factor names are the strings "F[**0]", "F[0*(0,1)]",
 "F[*1(1,2)]", "H[0,1]", "H[0,1,2]"; patterns serialize as JSON arrays of
@@ -147,15 +149,16 @@ def hyp223(k1: int, k2: int, k3: int) -> FactorId:
     return FactorId("hyp223", (k1, k2, k3))
 
 
-def all_factors(n: int) -> list[FactorId]:
-    """Every factor for a 2 x 2 x (n+1) tensor, in canonical order."""
+@functools.cache
+def all_factors(n: int) -> tuple[FactorId, ...]:
+    """Every factor for a 2 x 2 x (n+1) tensor, in canonical order; built once per n."""
     out = [slice_minor(k) for k in range(n + 1)]
     pairs = list(itertools.combinations(range(n + 1), 2))
     out += [face_minor_x(i, k1, k2) for i in range(2) for (k1, k2) in pairs]
     out += [face_minor_y(j, k1, k2) for j in range(2) for (k1, k2) in pairs]
     out += [hyp222(k1, k2) for (k1, k2) in pairs]
     out += [hyp223(k1, k2, k3) for (k1, k2, k3) in itertools.combinations(range(n + 1), 3)]
-    return sorted(out, key=FactorId.sort_key)
+    return tuple(sorted(out, key=FactorId.sort_key))
 
 
 # -- evaluation --------------------------------------------------------------
@@ -246,8 +249,8 @@ class VanishingPattern:
 
 
 def vanishing_pattern(W: ScalingTensor) -> VanishingPattern:
-    """The zeros of `factor_values` plus the vanishing 2x2x3 factors."""
-    zeros = [f for f, value in factor_values(W).items() if value == 0]
+    """The zeros of `integer_values` plus the vanishing 2x2x3 factors."""
+    zeros = [f for f, value in integer_values(W).items() if value == 0]
     triples = itertools.combinations(range(W.n + 1), 3)
     return VanishingPattern(W.n, (*zeros, *(hyp223(*ks) for ks in triples if hyp223_vanishes(W, *ks))))
 
@@ -283,22 +286,35 @@ def pair_forms(W: ScalingTensor) -> dict[tuple[int, int], BinaryForm]:
 
 
 @_per_tensor
-def factor_values(W: ScalingTensor) -> dict[FactorId, Fraction]:
-    """The value of every minor and every H[k1,k2].
+def integer_values(W: ScalingTensor) -> dict[FactorId, int]:
+    """The int value of every minor on `integer_slices`, and of every H[k1,k2] as the discriminant of its pair form.
 
-    With W's slice k = s_k times slice k of `integer_slices`, a minor on slices
-    k1, k2 is s_k1 s_k2 times its integer value, H[k1,k2] (s_k1 s_k2)^2 times
-    the discriminant of their pair form; 2x2x3 factors are decided, not valued.
+    Each is the factor's value on W divided by a nonzero product of slice
+    scales (see `factor_values`), so every zero test reads this table.
     """
     w = integer_slices(W)
-    s = [w00 / a for w00, a in zip(W.w[0][0], w[0][0])]
+    values = {fid: _minor(w, fid) for fid in all_factors(W.n) if fid.is_minor}
+    return values | {hyp222(*ks): form.discriminant() for ks, form in pair_forms(W).items()}
+
+
+@_per_tensor
+def factor_values(W: ScalingTensor) -> dict[FactorId, Fraction]:
+    """The value of every minor and every H[k1,k2] on W's entries, for printing.
+
+    With W's slice k = s_k times slice k of `integer_slices`, a minor on slices
+    k1, k2 is s_k1 s_k2 times its `integer_values` entry, H[k1,k2] (s_k1 s_k2)^2
+    times it; 2x2x3 factors are decided, not valued.
+    """
+    s = [w00 / a for w00, a in zip(W.w[0][0], integer_slices(W)[0][0])]
     scale = {ks: s[ks[0]] * s[ks[1]] for ks in itertools.combinations_with_replacement(range(W.n + 1), 2)}
     values = {}
-    for fid in all_factors(W.n):
+    for fid, value in integer_values(W).items():
         if fid.is_minor:  # row 0 of its cells lies on one slice, row 1 on the other
             ((_, _, k1), _), ((_, _, k2), _) = fid.cells()
-            values[fid] = scale[k1, k2] * _minor(w, fid)
-    return values | {hyp222(*ks): scale[ks] ** 2 * form.discriminant() for ks, form in pair_forms(W).items()}
+            values[fid] = scale[k1, k2] * value
+        else:
+            values[fid] = scale[fid.index] ** 2 * value
+    return values
 
 
 @_per_tensor

@@ -23,10 +23,11 @@ is a JSON integer (not a boolean) and w holds exactly 2 x 2 lists of
 n + 1 entries each; anything else is refused, never truncated.
 
 Each tensor carries a private memo of values derived from w (its primitive
-integer slices, and the pair forms, factor values, face classes and
-primitive subset gcds built from them), which only `factors` fills, on
-first use through `memo`, and `euler` reads through `factors`.  It lives
-and dies with the tensor and takes no part in ==, hash, repr or JSON.
+integer slices, and the pair forms, integer and scaled factor values, face
+classes and primitive subset gcds built from them), which only `factors`
+fills, on first use through `memo`, and `euler` reads through `factors`.
+It lives and dies with the tensor and takes no part in ==, hash, repr or
+JSON.
 """
 
 from __future__ import annotations
@@ -64,9 +65,14 @@ class ScalingTensor:
 
     @classmethod
     def from_entries(cls, n: int, entries) -> ScalingTensor:
-        """Validate and build from a nested [2][2][n+1] numeric layout; any other shape is refused."""
+        """Validate and build from a nested [2][2][n+1] numeric layout; any other shape is refused.
+
+        An entry that is a Fraction already is kept as it is, not copied.
+        """
         try:
-            w = tuple(tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in entries)
+            w = tuple(
+                tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in plane) for plane in entries
+            )
         except TypeError as exc:
             raise DimensionMismatchError("tensor entries must be indexed [2][2][n+1]") from exc
         return cls(n, w)

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+import segreml.euler
+import segreml.factors
 from segreml.euler import (
     PairType,
     _arrangement,
@@ -20,6 +22,7 @@ from segreml.euler import (
     mldeg_matrix,
     mldeg_point_formula,
     mldeg_value,
+    pair_types,
 )
 from segreml.exact import RatMatrix, binary_gcd, distinct_root_count
 from segreml.factors import all_factors, hyp223_vanishes, pair_det_form, vanishing_pattern
@@ -369,3 +372,18 @@ def test_exhaustive_grid_pattern_determines_mldeg():
         chi = classify_pattern_n1(vanishing_pattern(W))
         assert chi is not None
         assert mldeg_value(W) == chi
+
+
+def test_zero_tests_never_read_the_scaled_values(monkeypatch):
+    """The vanishing pattern, the pair types and the point formula answer with factor_values raising, on fresh tensors."""
+    rng = random.Random(31)
+    tensors = [degenerate_tensor(rng, n) for n in (1, 2, 3, 4) for _ in range(5)] + [W for _, W in atlas(seed=5)]
+    answer = lambda W: (vanishing_pattern(W), pair_types(W), mldeg_point_formula(W))
+    expected = [answer(W) for W in tensors]
+
+    def scaled(W):
+        raise AssertionError("a zero test read factor_values")
+
+    for module in (segreml.factors, segreml.euler):
+        monkeypatch.setattr(module, "factor_values", scaled, raising=False)
+    assert [answer(ScalingTensor(W.n, W.w)) for W in tensors] == expected  # new memos

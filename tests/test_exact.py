@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import segreml.exact
 from segreml.exact import (
     MAX_RATIONAL_DIGITS,
     BinaryForm,
@@ -43,6 +44,51 @@ def test_rational_strings_round_trip():
     for text in REJECTED:
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+@st.composite
+def _digit_strings(draw, nonzero=False):
+    """1 to MAX_RATIONAL_DIGITS decimal digits, often with leading zeros."""
+    length = draw(st.one_of(st.integers(1, 12), st.integers(1, MAX_RATIONAL_DIGITS), st.just(MAX_RATIONAL_DIGITS)))
+    significant = draw(st.integers(1, length))
+    return str(draw(st.integers(int(nonzero), 10**significant - 1))).zfill(length)
+
+
+@st.composite
+def _rational_texts(draw):
+    """Rational strings parse_rational accepts: -? p (/q)?, q nonzero, with surrounding whitespace."""
+    space = st.text(" \t\n\r\f\v", max_size=3)
+    text = draw(st.sampled_from(("", "-"))) + draw(_digit_strings())
+    if draw(st.booleans()):
+        text += "/" + draw(_digit_strings(nonzero=True))
+    return draw(space) + text + draw(space)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_rational_texts())
+def test_parse_rational_reads_what_fraction_reads(text):
+    value = parse_rational(text)
+    assert type(value) is Fraction and value == Fraction(text.strip())
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_digit_strings(), st.integers(1, 3), st.integers(1, 5))
+def test_parse_rational_refusals(digits, zeros, extra):
+    """Zero denominators, '+', decimals, exponents, over-long digit strings and non-str values are refused."""
+    refused = [
+        f"{digits}/{'0' * zeros}",
+        "+" + digits,
+        f"{digits}.5",
+        f"{digits}e3",
+        digits.zfill(MAX_RATIONAL_DIGITS + extra),
+        "1/" + digits.zfill(MAX_RATIONAL_DIGITS + extra),
+        int(digits),
+        Fraction(int(digits)),
+        digits.encode(),
+    ]
+    for value in refused:
+        with pytest.raises(ValueError):
+            parse_rational(value)
 
 
 def test_schema_rational_agrees_with_the_reader():
@@ -126,6 +172,17 @@ def test_binary_gcd_of_int_forms_is_exact():
         assert got == binary_gcd([BinaryForm(tuple(map(Fraction, f))), BinaryForm(tuple(map(Fraction, g)))])
         assert all(type(x) is int for x in got.coeffs), got
     assert binary_gcd([BinaryForm((2, 3)), BinaryForm((4, 6))]).coeffs == (2, 3)
+
+
+def test_binary_gcd_takes_int_forms_as_they_are(monkeypatch):
+    """Forms of ints enter the fold without integer_row; a Fraction form is still cleared of its denominators."""
+    real = segreml.exact.integer_row
+    seen = []
+    monkeypatch.setattr(segreml.exact, "integer_row", lambda row: seen.append(row) or real(row))
+    assert binary_gcd([BinaryForm((2, -2, -4)), BinaryForm((1, 1))]).coeffs == (1, 1)
+    assert seen == []
+    assert binary_gcd([BinaryForm((Fraction(1, 2), Fraction(1, 2))), BinaryForm((2, -2, -4))]).coeffs == (1, 1)
+    assert len(seen) == 1
 
 
 def linear_product(f, g):

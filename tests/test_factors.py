@@ -28,6 +28,7 @@ from segreml.factors import (
     hyp223,
     hyp223_vanishes,
     integer_slices,
+    integer_values,
     map_factor,
     pair_det_form,
     pair_forms,
@@ -44,7 +45,9 @@ from helpers import (
     COUNTEREXAMPLE_W,
     COUNTEREXAMPLE_W_PRIME,
     all_ones,
+    _tall_rational,
     degenerate_tensor,
+    line_heavy_tensor,
     random_rational_tensor,
     random_tensor,
 )
@@ -55,7 +58,8 @@ def test_factor_names_round_trip_and_order():
         factors = all_factors(n)
         pairs = math.comb(n + 1, 2)
         assert len(factors) == (n + 1) + 4 * pairs + pairs + math.comb(n + 1, 3)
-        assert factors == sorted(factors, key=FactorId.sort_key)
+        assert factors == tuple(sorted(factors, key=FactorId.sort_key))
+        assert all_factors(n) is factors  # built once per n, immutable
         for fid in factors:
             assert FactorId.parse(fid.name) == fid
     assert slice_minor(0).name == "F[**0]"
@@ -432,6 +436,37 @@ def test_slice_scales_change_no_decision(W, scalars):
         for fid, value in factor_values(X).items():
             reference = eval_minor(X, fid) if fid.is_minor else pair_det_form(X, *fid.index).discriminant()
             assert value == reference, (X.to_json_dict(), fid)
+
+
+def _raw_values(W: ScalingTensor) -> dict:
+    """Every minor and H[k1,k2] evaluated on W's Fraction entries: the cells' determinant, the raw pair form's discriminant."""
+    return {
+        fid: eval_minor(W, fid) if fid.is_minor else pair_det_form(W, *fid.index).discriminant()
+        for fid in all_factors(W.n)
+        if fid.kind != "hyp223"
+    }
+
+
+def test_integer_values_vanish_where_the_raw_entries_do():
+    """integer_values has the zero set of the raw evaluation, and factor_values is its value, on degenerate draws and rescales."""
+    rng = random.Random(2021)
+    tensors = [draw(rng, n) for draw in (degenerate_tensor, line_heavy_tensor) for n in range(1, 7) for _ in range(3)]
+    tensors += [realize(n, r, seed=n + r) for n in range(1, 5) for r in range(1, (n + 1) * (n + 2) + 1)]
+    tensors += [witness for seed in range(4) for _, witness in atlas(seed=seed)]
+    tall = lambda count: [_tall_rational(rng, 100) for _ in range(count)]
+    tensors += [W.torus_rescale(tall(2), tall(2), tall(W.n + 1)) for W in tensors]
+    h_zeros = 0
+    for W in tensors:
+        W = ScalingTensor(W.n, W.w)  # a new memo
+        raw = _raw_values(W)
+        ints = integer_values(W)
+        assert ints.keys() == raw.keys() and all(type(v) is int for v in ints.values())
+        zeros = {fid for fid, value in raw.items() if value == 0}
+        assert {fid for fid, value in ints.items() if value == 0} == zeros, W.to_json_dict()
+        assert {fid for fid in vanishing_pattern(W).factors if fid.kind != "hyp223"} == zeros
+        assert factor_values(W) == raw, W.to_json_dict()
+        h_zeros += sum(fid.kind == "hyp222" for fid in zeros)
+    assert h_zeros > 0  # the draws reach vanishing discriminants
 
 
 _HUNDRED_DIGITS = st.integers(10**99, 10**100)
