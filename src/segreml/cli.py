@@ -2,9 +2,9 @@
 
 Subcommands: analyze, mldeg, matrix-mldeg, oracle, realize, atlas, signs.
 All file interchange uses canonical JSON (sorted keys, compact separators,
-rationals as "p/q" strings); see schemas/formats.schema.json for the
-shapes.  Exit codes: 0 success, 2 invalid input, 3 oracle instability or
-exceeded resource budget.
+rationals as "p/q" strings); see src/segreml/schemas/formats.schema.json
+for the shapes.  Exit codes: 0 success, 2 invalid input, 3 oracle
+instability or exceeded resource budget.
 """
 
 from __future__ import annotations
@@ -241,13 +241,13 @@ def _cmd_matrix_mldeg(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _admit("oracle", args.trials)
-    W = _load_tensor(args.tensor)
-    if args.data is not None:
+    if args.data is None:  # only the random-data path reads --trials
+        _admit("oracle", args.trials)
+        result = oracle_mldeg(_load_tensor(args.tensor), trials=args.trials, seed=args.seed)
+    else:
+        W = _load_tensor(args.tensor)
         count = count_critical_points(W, DataVector.from_json_dict(_load_json(args.data)))
         result = CountResult(count, True, ((None, count),))
-    else:
-        result = oracle_mldeg(W, trials=args.trials, seed=args.seed)
     sys.stdout.write(canonical_json(result.to_json_dict()))
     return EXIT_OK if result.stable else EXIT_UNSTABLE
 

@@ -40,10 +40,9 @@ system is T_I(y) x = 0 for the |I| x 2 pencil matrix whose k-th row is
 so V_I lives over the locus where T_I(y) drops rank.  The 2x2 minor of
 rows k1 < k2 is the quadric in y whose common roots decide the 2x2x3
 factor.  It is read as factors.pair_forms(W)[(k1, k2)], the minor on the
-primitive integer slices (factors.integer_slices); the raw-entry
-factors.pair_det_form(W, k1, k2) is proportional to it and is the
-reference the tests compare against.  chi(V_I) is computed by one exact
-procedure for every |I| >= 1:
+primitive integer slices (factors.integer_slices); the same minor on the
+raw entries is proportional to it and is the reference the tests compare
+against.  chi(V_I) is computed by one exact procedure for every |I| >= 1:
 
     g  = primitive gcd of the pair forms over the pairs in I (degree <= 2;
          the zero form when |I| = 1), read from factors.subset_gcd like the
@@ -56,8 +55,10 @@ procedure for every |I| >= 1:
 
 For a single slice r0 = 1 exactly when the slice is singular, so the rule
 gives chi(V_{k}) = 4 - rank(slice k).  The closed forms for |I| in {2, 3}
-(pair types I..V and the triple case analysis) are kept as independent
-cross-checks.
+(pair types I..V and the triple case analysis) and the pairs-only ML
+degree of an arrangement with no triple point are independent
+cross-checks that only the tests run (tests/references.py); `analyze`
+prints the pair types.
 
 `mldeg` evaluates the inclusion-exclusion sum over subsets I and
 coordinate-hyperplane sets X_J; with two P1 factors the outer sign is +1:
@@ -90,7 +91,6 @@ from .factors import (
     face_minor_x,
     face_minor_y,
     hyp222,
-    hyp223_vanishes,
     integer_slices,
     integer_values,
     pair_det_coeffs,
@@ -111,10 +111,6 @@ class PairType(enum.Enum):
     IV_ROWS = "IV_rows"
     IV_COLS = "IV_cols"
     V = "V"
-
-    @property
-    def chi(self) -> int:
-        return {"I": 2, "II": 2, "III": 3, "IV_rows": 2, "IV_cols": 2, "V": 1}[self.value]
 
 
 def classify_type(W: ScalingTensor, i: int, j: int) -> PairType:
@@ -158,50 +154,6 @@ def chi_VI(W: ScalingTensor, I) -> int:
         return 2 + r0
     roots = distinct_root_count(g)  # an int, since g is nonzero
     return roots + r0 if roots else 0
-
-
-def chi_VI_closed_form(W: ScalingTensor, I) -> int:
-    """chi(V_I) for |I| in {2, 3} via the explicit case analyses.
-
-    Pairs go through the type table.  Triples: nonvanishing 2x2x3
-    hyperdeterminant means empty; otherwise any type-V pair gives 1; a
-    type-II pair gives 2 when the two other pairs are type II/III and 1
-    otherwise; all-III gives 3; III/IV mixtures with no type I give 2; with
-    two type-I pairs the third decides (IV with proportional columns gives
-    1, proportional rows or III gives 2); with three type-I pairs the
-    mode-3 flattening rank decides (rank < 3 gives 2, rank 3 gives 1).
-    """
-    ks = tuple(sorted(I))
-    if len(ks) == 2:
-        return classify_type(W, *ks).chi
-    if len(ks) != 3:
-        raise ValueError("closed forms cover |I| in {2, 3} only")
-    if not hyp223_vanishes(W, *ks):
-        return 0
-    pairs = list(itertools.combinations(ks, 2))
-    types = {p: classify_type(W, *p) for p in pairs}
-    tlist = list(types.values())
-    if PairType.V in tlist:
-        return 1
-    if PairType.II in tlist:
-        for p in pairs:
-            if types[p] == PairType.II:
-                others = [types[q] for q in pairs if q != p]
-                if all(t in (PairType.II, PairType.III) for t in others):
-                    return 2
-                return 1
-    if all(t == PairType.III for t in tlist):
-        return 3
-    if PairType.I not in tlist:
-        # Some type IV, the rest III or IV: rank one at every y.
-        return 2
-    n_one = sum(1 for t in tlist if t == PairType.I)
-    if n_one == 1:
-        return 2
-    if n_one == 2:
-        third = next(t for t in tlist if t != PairType.I)
-        return 1 if third == PairType.IV_COLS else 2
-    return 2 if W.flattening(ks).rank() < 3 else 1
 
 
 def chi_VI_XJ(W: ScalingTensor, I, J) -> int:
@@ -399,29 +351,6 @@ def mldeg_matrix(M: RatMatrix) -> int:
                     sub = RatMatrix(tuple(tuple(ints[r][c] for c in cols) for r in rows))
                     total += (-1) ** (rsize + csize) * sub.rank()
     return total
-
-
-def mldeg_point_formula(W: ScalingTensor) -> int | None:
-    """Quadric-arrangement shortcut: None when some 2x2x3 factor vanishes.
-
-    The special case of `mldeg_value` where every m_p <= 2: when no triple
-    of quadrics meets, inclusion-exclusion truncates at pairs,
-    mldeg = -(sum_k chi(Q_k) - sum_{j<k} |Q_j ^ Q_k| in the torus), with
-    chi(Q_k) = -2 for a nonsingular slice and -1 for a singular one (two
-    lines, chi_T = 0 each, meeting in one torus point), and the pairwise
-    torus counts assembled from chi(V_{jk}) and the axis-intersection ranks.
-    """
-    for ks in itertools.combinations(range(W.n + 1), 3):
-        if hyp223_vanishes(W, *ks):
-            return None
-    values = integer_values(W)
-    singles = 0
-    for k in range(W.n + 1):
-        singles += -2 if values[slice_minor(k)] != 0 else -1
-    pair_counts = 0
-    for jk in itertools.combinations(range(W.n + 1), 2):
-        pair_counts += _inner_sum(W, jk)
-    return -(singles - pair_counts)
 
 
 def pair_types(W: ScalingTensor) -> dict[tuple[int, int], PairType]:

@@ -1,4 +1,4 @@
-"""Factors of the principal A-determinant and their vanishing combinatorics.
+"""Factors of the principal A-determinant and their vanishing patterns.
 
 For the scaled Segre product P1 x P1 x Pn the principal A-determinant is
 the product of
@@ -17,8 +17,8 @@ the gcd of the three pairwise pencil determinants: g(I) of `subset_gcd`,
 the table `euler.chi_VI` also reads.  Only the zero/nonzero flag is used.
 
 A minor is the determinant of its 2x2 array of cells (`FactorId.cells`);
-evaluation, forcing in `realize`, the structure tests and the sign
-experiment in `strata` all read that one layout.
+evaluation, forcing in `realize` and the sign experiment in `strata` all
+read that one layout.
 
 Every factor and chi(V_I) is projective in each slice, so the pair forms,
 minors, H[k1,k2], face classes and subset gcds are built from the primitive
@@ -29,9 +29,9 @@ Every zero test reads the integer table `integer_values`; only
 entries, by its slices' scales.
 
 Canonical factor names are the strings "F[**0]", "F[0*(0,1)]",
-"F[*1(1,2)]", "H[0,1]", "H[0,1,2]"; patterns serialize as JSON arrays of
+"F[*1(1,2)]", "H[0,1]", "H[0,1,2]"; patterns are printed as JSON arrays of
 those names, sorted slice < face-x < face-y < H22 < H223 and then by
-index.
+index.  Names are only written: no command reads one back.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,13 +46,6 @@ from .exact import BinaryForm, binary_gcd, integer_row, primitive
 from .tensor import ScalingTensor
 
 _KIND_ORDER = {"slice": 0, "face_x": 1, "face_y": 2, "hyp222": 3, "hyp223": 4}
-
-_NAME_RE = re.compile(
-    r"^(?:F\[\*\*(?P<slice>\d+)\]"
-    r"|F\[(?P<xi>[01])\*\((?P<xk1>\d+),(?P<xk2>\d+)\)\]"
-    r"|F\[\*(?P<yj>[01])\((?P<yk1>\d+),(?P<yk2>\d+)\)\]"
-    r"|H\[(?P<h1>\d+),(?P<h2>\d+)(?:,(?P<h3>\d+))?\])$"
-)
 
 
 @dataclass(frozen=True)
@@ -91,22 +83,6 @@ class FactorId:
             j, k1, k2 = self.index
             return f"F[*{j}({k1},{k2})]"
         return "H[" + ",".join(str(k) for k in self.index) + "]"
-
-    @classmethod
-    def parse(cls, name: str) -> FactorId:
-        m = _NAME_RE.match(name.strip())
-        if not m:
-            raise ValueError(f"unrecognized factor name {name!r}")
-        g = m.groupdict()
-        if g["slice"] is not None:
-            return slice_minor(int(g["slice"]))
-        if g["xi"] is not None:
-            return face_minor_x(int(g["xi"]), int(g["xk1"]), int(g["xk2"]))
-        if g["yj"] is not None:
-            return face_minor_y(int(g["yj"]), int(g["yk1"]), int(g["yk2"]))
-        if g["h3"] is not None:
-            return hyp223(int(g["h1"]), int(g["h2"]), int(g["h3"]))
-        return hyp222(int(g["h1"]), int(g["h2"]))
 
     def cells(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """The minor's 2x2 array of positions (i, j, k), laid out as W[..k], W[i.(k1,k2)], W[.j(k1,k2)] in `tensor`."""
@@ -191,11 +167,6 @@ def pair_det_coeffs(w, k1: int, k2: int) -> tuple:
     )
 
 
-def pair_det_form(W: ScalingTensor, k1: int, k2: int) -> BinaryForm:
-    """det of the 2x2 pencil matrix of slices (k1, k2) as a quadric in y, on the raw entries."""
-    return BinaryForm(pair_det_coeffs(W.w, k1, k2))
-
-
 def eval_hyp222(W: ScalingTensor, k1: int, k2: int) -> Fraction:
     """The 2x2x2 hyperdeterminant of slices (k1, k2): the discriminant of their pair form."""
     if not k1 < k2:
@@ -236,10 +207,6 @@ class VanishingPattern:
 
     def names(self) -> list[str]:
         return [f.name for f in self.vanishing]
-
-    @classmethod
-    def from_names(cls, n: int, names) -> VanishingPattern:
-        return cls(n, tuple(FactorId.parse(s) for s in names))
 
     def __contains__(self, fid: FactorId) -> bool:
         return fid in self.factors
@@ -349,105 +316,3 @@ def subset_gcd(W: ScalingTensor, ks: tuple[int, ...]) -> BinaryForm:
         forms = pair_forms(W)
         gcds[ks] = binary_gcd([subset_gcd(W, head)] + [forms[k, last] for k in head])
     return gcds[ks]
-
-
-def map_factor(fid: FactorId, perm=None, swap: bool = False) -> FactorId:
-    """Relabel a factor id under a slice permutation and/or the x-y swap.
-
-    Applying this to the pattern of W.permute_slices(perm) (or W.swap_xy())
-    recovers the pattern of W.
-    """
-    kind = fid.kind
-    if swap:
-        kind = {"face_x": "face_y", "face_y": "face_x"}.get(kind, kind)
-    if perm is None:
-        idx = fid.index
-    elif kind == "slice":
-        idx = (perm[fid.index[0]],)
-    elif kind in ("face_x", "face_y"):
-        side, k1, k2 = fid.index
-        idx = (side, *sorted((perm[k1], perm[k2])))
-    else:
-        idx = tuple(sorted(perm[k] for k in fid.index))
-    return FactorId(kind, idx)
-
-
-# -- combinatorial structures -------------------------------------------------
-
-
-def _slices(f: FactorId) -> set[int]:
-    """The slice indices of a minor's cells: {k} or {k1, k2}."""
-    return {k for _, _, k in f.variables()}
-
-
-def _same_face(f: FactorId, g: FactorId) -> bool:
-    return f.kind == g.kind and f.kind in ("face_x", "face_y") and f.index[0] == g.index[0]
-
-
-def _disjoint(f: FactorId, g: FactorId) -> bool:
-    return not (f.variables() & g.variables())
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Hooks, mirrors, square cups and cubic frames among a set of minors."""
-
-    hooks: tuple[frozenset[FactorId], ...]
-    mirrors: tuple[frozenset[FactorId], ...]
-    square_cups: tuple[frozenset[FactorId], ...]
-    cubic_frames: tuple[frozenset[FactorId], ...]
-
-
-def detect_structures(minors, n: int) -> StructureReport:
-    """Find all structure instances among the given vanishing minors.
-
-    Accepts a VanishingPattern or any iterable of factor ids; factors
-    other than minors are ignored.  A hook is a pair of minors not on the
-    same face sharing exactly two variables.  A mirror is a
-    variable-disjoint pair inside a common 2x2x2 subtensor.  A square cup
-    is a mirror plus any third minor of the same subtensor, and a cubic
-    frame is two disjoint pairs of minors of one subtensor.
-    """
-    if isinstance(minors, VanishingPattern):
-        minors = minors.vanishing
-    ms = sorted({f for f in minors if f.is_minor}, key=FactorId.sort_key)
-    hooks = []
-    mirrors = []
-    for f, g in itertools.combinations(ms, 2):
-        if not _same_face(f, g) and len(f.variables() & g.variables()) == 2:
-            hooks.append(frozenset({f, g}))
-        if _disjoint(f, g) and len(_slices(f) | _slices(g)) <= 2:
-            mirrors.append(frozenset({f, g}))
-    cups = set()
-    frames = set()
-    for k1, k2 in itertools.combinations(range(n + 1), 2):
-        local = [f for f in ms if _slices(f) <= {k1, k2}]
-        for triple in itertools.combinations(local, 3):
-            if any(_disjoint(f, g) for f, g in itertools.combinations(triple, 2)):
-                cups.add(frozenset(triple))
-        for quad in itertools.combinations(local, 4):
-            for f1, f2 in itertools.combinations(quad, 2):
-                f3, f4 = (x for x in quad if x not in (f1, f2))
-                if _disjoint(f1, f2) and _disjoint(f3, f4):
-                    frames.add(frozenset(quad))
-                    break
-    ordered = lambda sets: tuple(sorted(sets, key=lambda s: sorted(f.sort_key() for f in s)))
-    return StructureReport(ordered(hooks), ordered(mirrors), ordered(cups), ordered(frames))
-
-
-def forces_hyperdeterminant(minors) -> bool:
-    """Whether vanishing of this minor set forces a hyperdeterminant factor.
-
-    True exactly when the set contains a square cup, or two minors on the
-    same face whose slice pairs overlap (two of the three minors of a face
-    of some 2x2x3 subtensor).  Face pairs with disjoint slice indices force
-    nothing; in particular alternating-hook families never trigger this.
-    """
-    if isinstance(minors, VanishingPattern):
-        minors = minors.vanishing
-    ms = {f for f in minors if f.is_minor}
-    if any(_same_face(f, g) and _slices(f) & _slices(g) for f, g in itertools.combinations(ms, 2)):
-        return True
-    n = max((k for f in ms for k in _slices(f)), default=0)
-    return bool(detect_structures(ms, n).square_cups)
-

@@ -51,14 +51,13 @@ two primes and two data draws to agree, and a disagreement is counted
 again under second primes before it is reported.  Fixed data is counted
 under two primes.
 
-Both models are scaled products of simplices, Delta_1 x Delta_1 x Delta_n
-and, for matrices, Delta_m x Delta_n, and one builder eliminates the last
-factor of either: for a matrix the components are its distinct column
-hyperplanes, in m variables.  Every score vanishes where two components
-meet, so a matrix with more rows than columns is counted as its
-transpose, and at most two variables remain.  Matrix runs are limited to m + n <= 4 and
-tensor runs to n <= 4; beyond that the curve-arrangement count
-`euler.mldeg_value` is the practical route.
+The model is a scaled product of simplices, Delta_1 x Delta_1 x Delta_n,
+and the builder `_simplex_product_system` eliminates the last factor of
+any such product.  The tests also run it on Delta_m x Delta_n, the
+scaling-matrix model, whose components are its distinct column
+hyperplanes in m variables (tests/references.py).  Tensor runs are
+limited to n <= 4, refused in `score_system`; beyond that the
+curve-arrangement count `euler.mldeg_value` is the practical route.
 """
 
 from __future__ import annotations
@@ -71,12 +70,11 @@ from math import gcd
 from operator import add, getitem
 
 from .errors import DimensionMismatchError, UnstableCountError
-from .exact import RatMatrix, integer_row
+from .exact import integer_row
 from .groebner import count_solutions, random_prime
 from .tensor import ScalingTensor
 
 ORACLE_MAX_N = 4
-MATRIX_ORACLE_MAX_DIM = 4  # m + n for an (m+1) x (n+1) scaling matrix
 
 
 def _data_entry(x) -> int:
@@ -272,33 +270,6 @@ def score_system(W: ScalingTensor, u: DataVector) -> ScoreSystem:
 def count_critical_points(W: ScalingTensor, u: DataVector) -> int:
     """Number of torus critical points of the likelihood for data u, under two primes that must agree."""
     return _count_two_primes(score_system(W, u))
-
-
-def matrix_score_system(M: RatMatrix, u_rows) -> ScoreSystem:
-    """Two-factor analogue for an (m+1) x (n+1) scaling matrix, with the larger factor eliminated.
-
-    Every score vanishes where two components do, so the system is
-    zero-dimensional only in at most two variables.  The model and its
-    ML degree are symmetric in the two factors, so a matrix with more
-    rows than columns is counted as its transpose: min(m, n) <= 2
-    variables remain whenever m + n <= MATRIX_ORACLE_MAX_DIM.
-    """
-    if any(x == 0 for row in M.entries for x in row):
-        raise ValueError("scaling matrix entries must be nonzero")
-    u = [[_data_entry(x) for x in row] for row in u_rows]
-    if len(u) != M.nrows or any(len(row) != M.ncols for row in u):
-        raise DimensionMismatchError("data matrix shape mismatch")
-    w = M.entries
-    if M.nrows > M.ncols:
-        w, u = list(zip(*w)), list(zip(*u))
-    dims = (len(w) - 1, len(w[0]) - 1)
-    return _simplex_product_system(dims, _by_cell(w, dims), _by_cell(u, dims))
-
-
-def count_critical_points_matrix(M: RatMatrix, u_rows) -> int:
-    if (M.nrows - 1) + (M.ncols - 1) > MATRIX_ORACLE_MAX_DIM:
-        raise DimensionMismatchError(f"matrix oracle limited to m + n <= {MATRIX_ORACLE_MAX_DIM}")
-    return _count_two_primes(matrix_score_system(M, u_rows))
 
 
 @dataclass(frozen=True)

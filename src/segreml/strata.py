@@ -4,8 +4,9 @@ The coefficient space of two bilinear quadrics splits into 41 strata by
 which factors vanish: the empty pattern (chi 6), 7 singletons (5), all 21
 pairs (4), 8 corner triples (3), 3 cubic-frame-plus-H quintuples (2) and
 the full pattern (1).  `enumerate_strata_n1` is the only statement of
-this n = 1 classification, and `classify_pattern_n1` looks a pattern up
-in it; a corner stratum is named by the one cell its three minors share.
+this n = 1 classification (the tests look patterns up in it through
+tests/references.py); a corner stratum is named by the one cell its
+three minors share.
 Every stratum here carries a constructive witness recipe drawn with the
 witness toolkit of `realize`: minors are zeroed by `forced_draw`, the
 frames and the full pattern come from `scaled_pair`, and every candidate
@@ -22,7 +23,8 @@ first.  All constructions stay rational.
 
 The module also hosts the sign-pattern sampling experiment over the seven
 factor values (F[0*(0,1)], F[1*(0,1)], F[*0(0,1)], F[*1(0,1)], F[**0],
-F[**1], H[0,1]), in that order.
+F[**1], H[0,1]), in that order; the targeted search for the four
+patterns with H < 0 is a test reference (tests/references.py).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 
 from .factors import (
     FactorId,
@@ -57,14 +59,6 @@ SIGN_FACTOR_ORDER = (
     hyp222(0, 1),
 )
 _SIGN_MINOR_CELLS = tuple(f.cells() for f in SIGN_FACTOR_ORDER[:6])
-
-# The only realizable sign patterns with H < 0, in the order
-# (F[0*(0,1)], F[1*(0,1)], F[*0(0,1)], F[*1(0,1)], F[**0], F[**1], H[0,1]).
-# Confirmed by exhaustive exact enumeration over all entries in +-{1,2,3}:
-# that grid realizes 68 patterns in total, these four on the H < 0 side.
-NEGATIVE_H_PATTERNS = frozenset({"-------", "++++---", "++--++-", "--++++-"})
-NEGATIVE_H_BUDGET = 200_000
-NEGATIVE_H_BOUND = 10
 
 
 @dataclass(frozen=True)
@@ -116,20 +110,6 @@ def enumerate_strata_n1() -> list[Stratum]:
         Stratum(VanishingPattern(1, tuple(universe)), 1, "proportional singular slices", "full")
     )
     return out
-
-
-@cache
-def _chi_by_pattern() -> dict[frozenset[FactorId], int]:
-    return {s.pattern.factors: s.chi for s in enumerate_strata_n1()}
-
-
-def classify_pattern_n1(pattern: VanishingPattern) -> int | None:
-    """Euler characteristic of the n = 1 stratum with this pattern, or None if no stratum has it."""
-    if pattern.n != 1:
-        raise ValueError("classification is specific to n = 1")
-    if not pattern.factors <= set(all_factors(1)):
-        raise ValueError("pattern contains factors outside the n=1 universe")
-    return _chi_by_pattern().get(pattern.factors)
 
 
 # -- witness construction ------------------------------------------------------
@@ -260,36 +240,3 @@ def sample_sign_patterns(samples: int, bound: int, seed: int = 0) -> dict[str, i
         key = _sign_string(values)
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def find_negative_h_patterns(seed: int = 0) -> dict[str, list[list[list[int]]]]:
-    """Locate integer witnesses for every sign pattern with negative H.
-
-    Any sample with H < 0 realizes one such pattern; sign flips of one
-    x-row, one y-column or one slice map it onto the others (they scale
-    each factor by a monomial in the flips, so exact vanishing and H are
-    preserved).  Draws up to NEGATIVE_H_BUDGET tensors with entries in
-    [-NEGATIVE_H_BOUND, NEGATIVE_H_BOUND] without 0.  Returns pattern ->
-    witness entries.
-    """
-    rng = random.Random(seed)
-    found: dict[str, list[list[list[int]]]] = {}
-    for _ in range(NEGATIVE_H_BUDGET):
-        e = _sample_entries(rng, NEGATIVE_H_BOUND)
-        values = _sign_vector(e)
-        if values is None or values[-1] > 0:
-            continue
-        for flip_x, flip_y, flip_z in itertools.product((1, -1), repeat=3):
-            flipped = [
-                [
-                    [e[i][j][k] * (flip_x if i else 1) * (flip_y if j else 1) * (flip_z if k else 1) for k in range(2)]
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-            fv = _sign_vector(flipped)
-            if fv is not None and fv[-1] < 0:
-                found.setdefault(_sign_string(fv), flipped)
-        if len(found) >= 4:
-            break
-    return found

@@ -14,22 +14,18 @@ from fractions import Fraction
 
 from segreml.euler import (
     chi_VI,
-    chi_VI_closed_form,
     degree_bound,
     mldeg,
     mldeg_matrix,
-    mldeg_point_formula,
     mldeg_value,
 )
 from segreml.exact import RatMatrix
-from segreml.factors import map_factor, vanishing_pattern
-from segreml.oracle import count_critical_points_matrix, oracle_mldeg
+from segreml.factors import vanishing_pattern
+from segreml.oracle import oracle_mldeg
 from segreml.realize import random_entry, realize
 from segreml.strata import (
-    NEGATIVE_H_PATTERNS,
     atlas,
     enumerate_strata_n1,
-    find_negative_h_patterns,
     sample_sign_patterns,
     witness_for_stratum,
 )
@@ -45,6 +41,14 @@ from helpers import (
     random_positive_tensor,
     random_rational_tensor,
     random_tensor,
+)
+from references import (
+    NEGATIVE_H_PATTERNS,
+    chi_VI_closed_form,
+    count_critical_points_matrix,
+    find_negative_h_patterns,
+    map_factor,
+    mldeg_point_formula,
 )
 
 EXPECTED_PATTERN = ["F[*0(0,1)]", "F[*0(0,2)]", "F[*0(1,2)]", "H[0,1,2]"]

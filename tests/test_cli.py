@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from segreml import factors
 from segreml.cli import ADMISSION, build_parser, largest_admitted, main
 from segreml.exact import MAX_RATIONAL_DIGITS
-from segreml.factors import FactorId, factor_values
+from segreml.factors import factor_values
 from segreml.realize import realize
 from segreml.tensor import ScalingTensor
 
@@ -430,6 +430,14 @@ def test_oracle_trials_limit(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "--trials <= 50" in err
 
 
+def test_oracle_data_reads_no_trials(tmp_path, capsys):
+    # --trials drives only the random-data path, so --data admits any value of it
+    tensor = _write(tmp_path, "ones.json", ONES1)
+    data = _write(tmp_path, "u.json", {"u": [[[1, 1], [1, 1]], [[1, 1], [1, 1]]]})
+    assert main(["oracle", tensor, "--data", data, "--trials", "1000000000"]) == 0
+    assert capsys.readouterr().out == '{"count":1,"stable":true,"trials":[[null,1]]}\n'
+
+
 def test_matrix_mldeg(tmp_path, capsys):
     path = _write(tmp_path, "m.json", {"entries": [["1", "2", "3"], ["5", "7", "11"]]})
     assert main(["matrix-mldeg", path]) == 0
@@ -612,8 +620,8 @@ def test_analyze_prints_values_longer_than_the_int_string_limit(tmp_path, capsys
         assert sys.get_int_max_str_digits() == limit
         sys.set_int_max_str_digits(0)
     try:
-        values = factor_values(ScalingTensor.from_json_dict(doc))
-        printed = {FactorId.parse(f["name"]): Fraction(f["value"]) for f in payload["factors"] if "value" in f}
+        values = {fid.name: value for fid, value in factor_values(ScalingTensor.from_json_dict(doc)).items()}
+        printed = {f["name"]: Fraction(f["value"]) for f in payload["factors"] if "value" in f}
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -15,17 +15,15 @@ from segreml.euler import (
     _arrangement,
     chi_VI,
     chi_VI_XJ,
-    chi_VI_closed_form,
     classify_type,
     degree_bound,
     mldeg,
     mldeg_matrix,
-    mldeg_point_formula,
     mldeg_value,
     pair_types,
 )
 from segreml.exact import RatMatrix, binary_gcd, distinct_root_count
-from segreml.factors import all_factors, hyp223_vanishes, pair_det_form, vanishing_pattern
+from segreml.factors import all_factors, hyp223_vanishes, vanishing_pattern
 from segreml.realize import _solve_minor, realize
 from segreml.strata import atlas
 from segreml.tensor import ScalingTensor
@@ -41,6 +39,7 @@ from helpers import (
     random_positive_tensor,
     random_tensor,
 )
+from references import chi_VI_closed_form, mldeg_point_formula, pair_det_form
 
 
 def test_pencil_minors():
@@ -347,7 +346,7 @@ def test_arrangement_beyond_inclusion_exclusion():
     """At n where the subset sum cannot run: realize's target and the model symmetries."""
     rng = random.Random(19)
     scalars = lambda count: [rng.choice(_POOL) * rng.choice((1, 5, Fraction(1, 7))) for _ in range(count)]
-    for n, targets in ((12, (1, 100, 182)), (16, (150, 306)), (24, (300, 650))):
+    for n, targets in ((12, (1, 100, 182)), (16, (150, 306)), (24, (300, 650)), (40, (1, 861, 1722)), (60, (1, 1891, 3782))):
         for r in targets:
             W = realize(n, r, seed=n)
             assert mldeg_value(W) == r
@@ -364,7 +363,7 @@ def test_exhaustive_grid_pattern_determines_mldeg():
     Euler characteristic assigned to its vanishing pattern."""
     import itertools
 
-    from segreml.strata import classify_pattern_n1
+    from references import classify_pattern_n1
 
     for combo in itertools.product((-2, -1, 1, 2), repeat=8):
         e = [[[combo[0], combo[1]], [combo[2], combo[3]]], [[combo[4], combo[5]], [combo[6], combo[7]]]]

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import inspect
+import json
 import os
 import random
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import segreml.oracle
+from segreml.cli import main
 from segreml.errors import DimensionMismatchError, UnstableCountError
 from segreml.euler import degree_bound, mldeg_value
 from segreml.exact import RatMatrix
@@ -21,8 +24,6 @@ from segreml.tensor import ScalingTensor
 from segreml.oracle import (
     DataVector,
     count_critical_points,
-    count_critical_points_matrix,
-    matrix_score_system,
     oracle_mldeg,
     score_system,
 )
@@ -36,6 +37,7 @@ from helpers import (
     line_heavy_tensor,
     random_tensor,
 )
+from references import count_critical_points_matrix, matrix_score_system
 
 
 def test_data_vector_validation():
@@ -179,6 +181,15 @@ def test_oracle_examples():
     result = oracle_mldeg(all_ones(2), trials=3, seed=2)
     assert result.count == 1 and result.stable
     assert len(result.trials) == 3
+
+
+def test_oracle_output_is_pinned(tmp_path, capsys):
+    # sha256 of `segreml oracle t.json --trials 2 --seed 9` stdout, t.json holding realize(2, 8, seed=0)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(realize(2, 8, seed=0).to_json_dict()))
+    assert main(["oracle", str(path), "--trials", "2", "--seed", "9"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "3e80c2a72f4a5dbb0d8ddeefdddb23e163d9c83d2b8b54c935c054e59596e6a1"
 
 
 def test_oracle_matches_engine_on_random_n1():

@@ -130,12 +130,10 @@ def test_first_witness_gives_up_after_the_budget():
 
 
 def test_hook_pairs_are_hooks():
-    # each consecutive cube contributes a two-variable-sharing pair
-    from segreml.factors import detect_structures
-
+    # each consecutive cube contributes a hook: a minor of each face kind, sharing exactly two entries
     for n in (2, 3, 4):
         hooks = alt_hooks(n)
         for c in range(n):
-            pair = hooks[2 * c : 2 * c + 2]
-            report = detect_structures(pair, n)
-            assert len(report.hooks) == 1
+            f, g = hooks[2 * c : 2 * c + 2]
+            assert {f.kind, g.kind} == {"face_x", "face_y"}
+            assert len(f.variables() & g.variables()) == 2

@@ -12,13 +12,10 @@ from segreml.euler import mldeg_value
 from segreml.factors import factor_values, vanishing_pattern
 from segreml.realize import force_minors, random_entry
 from segreml.strata import (
-    NEGATIVE_H_PATTERNS,
     SIGN_FACTOR_ORDER,
     Stratum,
     atlas,
-    classify_pattern_n1,
     enumerate_strata_n1,
-    find_negative_h_patterns,
     sample_sign_patterns,
     witness_for_stratum,
 )
@@ -26,6 +23,7 @@ from segreml.factors import VanishingPattern, all_factors
 from segreml.tensor import ScalingTensor
 
 from helpers import degenerate_tensor
+from references import NEGATIVE_H_PATTERNS, classify_pattern_n1, find_negative_h_patterns
 
 
 def test_enumeration_counts_and_classes():
@@ -67,6 +65,13 @@ def test_atlas_output_is_pinned(capsys):
     assert cli.main(["atlas", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == "5c67a8f2fac31dfb759137c261de1ab2b79d27c4348e65a6532eafee6aea04aa"
+
+
+def test_signs_output_is_pinned(capsys):
+    # sha256 of `segreml signs --samples 2000 --bound 5 --seed 3` stdout: the tally of 67 sign patterns
+    assert cli.main(["signs", "--samples", "2000", "--bound", "5", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "fc5c329464ce2cd7635a4f6f3844225ce3d91dd8dcd6f1249f3292ceb2084223"
 
 
 def test_witness_determinism():
