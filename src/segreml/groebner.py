@@ -26,6 +26,7 @@ Over F_p this is the count over Q unless p is unlucky for the ideal
 from __future__ import annotations
 
 from itertools import product
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .errors import NotZeroDimensionalError, ResourceBudgetExceededError
@@ -40,6 +41,20 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # provided a base that is 0 mod n is skipped.
 _WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _WITNESS_LIMIT = 2**64
+
+
+def _odd_primes_product(limit: int) -> int:
+    """The product of the odd primes below `limit`, by a sieve."""
+    sieve = bytearray([1]) * limit
+    for q in range(3, isqrt(limit) + 1, 2):
+        if sieve[q]:
+            sieve[q * q :: 2 * q] = bytes(len(range(q * q, limit, 2 * q)))
+    return prod(q for q in range(3, limit, 2) if sieve[q])
+
+
+# A candidate sharing a factor with this product is composite (it is odd and
+# above 1000), so one gcd rejects most candidates before any modular power.
+_ODD_PRIMES_BELOW_1000 = _odd_primes_product(1000)
 
 
 def is_prime(n: int) -> bool:
@@ -70,7 +85,7 @@ def random_prime(rng) -> int:
     """A prime of exactly PRIME_BITS bits drawn from the random.Random `rng`."""
     while True:
         n = rng.getrandbits(PRIME_BITS) | (1 << (PRIME_BITS - 1)) | 1
-        if is_prime(n):
+        if gcd(n, _ODD_PRIMES_BELOW_1000) == 1 and is_prime(n):
             return n
 
 
@@ -312,8 +327,10 @@ def _multiplication_matrix(basis, monos, factors, p: int):
 
     Column j holds the coordinates of the normal form of h * monos[j].
     The column of M_v at b is the unit vector of x_v * b when that is
-    standard and its border normal form when not; a factor's matrix is a
-    combination of products of those, and M_h is the factors' product.
+    standard and its border normal form when not, so M_v is read off the
+    border forms and the matrix of x^e takes one product per degree above
+    one.  M_h starts as the first factor's matrix, a combination of those,
+    and takes one product for each further factor.
     """
     nvars, size = len(monos[0]), len(monos)
     index = {m: i for i, m in enumerate(monos)}
@@ -323,17 +340,29 @@ def _multiplication_matrix(basis, monos, factors, p: int):
     for v in range(nvars):
         cols = (identity[index[m]] if m in index else forms[m] for m in (_shift(b, v) for b in monos))
         variables.append([list(row) for row in zip(*cols)])
+    one = (0,) * nvars
+    matrices = {one: identity, **{_shift(one, v): M_v for v, M_v in enumerate(variables)}}  # x^e -> its matrix
     pack, times = _kronecker(p, size, max(map(len, factors)))
-    powers = {(0,) * nvars: pack(identity)}
+    packed = {}
 
-    def power(e):  # the packed matrix of x^e
-        if e not in powers:
+    def matrix(e):
+        if e not in matrices:
             v = next(v for v, k in enumerate(e) if k)
-            powers[e] = pack(times(variables[v], power(_shift(e, v, -1))))
-        return powers[e]
+            matrices[e] = times(variables[v], packed_matrix(_shift(e, v, -1)))
+        return matrices[e]
 
-    M = identity
-    for poly in factors:
+    def packed_matrix(e):
+        if e not in packed:
+            packed[e] = pack(matrix(e))
+        return packed[e]
+
+    first, *rest = factors
+    coeffs = [c % p for _, c in first]
+    M = [
+        [sum(map(mul, coeffs, entries)) % p for entries in zip(*rows)]
+        for rows in zip(*(matrix(e) for e, _ in first))
+    ]
+    for poly in rest:
         coeffs = [c % p for _, c in poly]
-        M = times(M, [sum(map(mul, coeffs, rows)) for rows in zip(*(power(e) for e, _ in poly))])
+        M = times(M, [sum(map(mul, coeffs, rows)) for rows in zip(*(packed_matrix(e) for e, _ in poly))])
     return M

@@ -51,12 +51,17 @@ two primes and two data draws to agree, and a disagreement is counted
 again under second primes before it is reported.  Fixed data is counted
 under two primes.
 
+The components, their slices and the products P_v and Q_(v,c) of the
+two scores depend on the tensor alone, so `score_model` finds them once
+and every data trial only forms E_c, U_v and F_v = U_v P_v - sum_c E_c
+Q_(v,c).
+
 The model is a scaled product of simplices, Delta_1 x Delta_1 x Delta_n,
-and the builder `_simplex_product_system` eliminates the last factor of
+and the builder `_simplex_product_model` eliminates the last factor of
 any such product.  The tests also run it on Delta_m x Delta_n, the
 scaling-matrix model, whose components are its distinct column
 hyperplanes in m variables (tests/references.py).  Tensor runs are
-limited to n <= 4, refused in `score_system`; beyond that the
+limited to n <= 4, refused in `score_model`; beyond that the
 curve-arrangement count `euler.mldeg_value` is the practical route.
 """
 
@@ -190,24 +195,22 @@ def _times(f: dict, g) -> dict:
     return out
 
 
-def _plus(f: dict, g: dict) -> dict:
-    """The sum of two polynomials {exponent tuple: int}."""
-    out = dict(f)
-    for m, c in g.items():
-        out[m] = out.get(m, 0) + c
-    return out
+def _simplex_product_model(dims, coeffs: dict):
+    """The score system of a scaled product of simplices, with the last factor eliminated, as a function of the data.
 
-
-def _simplex_product_system(dims, coeffs: dict, data: dict) -> ScoreSystem:
-    """The score system of a scaled product of simplices, with the last factor eliminated.
-
-    Factor t is the simplex of dimension dims[t]; `coeffs` and `data` are
-    keyed by cells (i_1, ..., i_r).  In the chart where coordinate 0 of
-    every factor is 1, slice k sums coeffs[c + (k,)] times the product of
-    the i_t-th variables of the first r - 1 factors over their cells c,
-    with the variables numbered factor by factor.  The scores are the
-    module docstring's F_v, where U_v is the data total of the cells whose
-    product holds v.
+    Factor t is the simplex of dimension dims[t]; `coeffs` is keyed by
+    cells (i_1, ..., i_r).  In the chart where coordinate 0 of every
+    factor is 1, slice k sums coeffs[c + (k,)] times the product of the
+    i_t-th variables of the first r - 1 factors over their cells c, with
+    the variables numbered factor by factor.  The scores are the module
+    docstring's F_v, where U_v is the data total of the cells whose
+    product holds v.  Everything the data does not touch is found here
+    once: the components, the slices that split into each, and over the
+    monomials of F_v the coefficients of P_v = prod_c l_c and of each
+    Q_(v,c) = v (d l_c / d v) prod_(c' != c) l_c', for c and c' among
+    the components that hold v.  The returned function, given data
+    nested like the coefficients, forms only E_c, U_v and F_v = U_v P_v
+    - sum_c E_c Q_(v,c).
     """
     *base, last = dims
     offsets = [sum(base[:t]) for t in range(len(base))]
@@ -216,31 +219,53 @@ def _simplex_product_system(dims, coeffs: dict, data: dict) -> ScoreSystem:
     for cell in product(*(range(d + 1) for d in base)):
         live = {off + i - 1 for off, i in zip(offsets, cell) if i}
         monos[cell] = tuple(int(v in live) for v in range(nvars))
-    exponents: dict[tuple, int] = {}
+    index: dict[tuple, int] = {}  # component -> its position, in order of first appearance
+    slices = []  # (the cells of slice k, the positions of its factors)
     for k in range(last + 1):
         # scaling a slice to integers moves none of its factors
         row = integer_row([coeffs[cell + (k,)] for cell in monos])
-        weight = sum(data[cell + (k,)] for cell in monos)
-        for factor in _slice_factors(dict(zip(monos, row))):
-            key = _primitive({monos[cell]: c for cell, c in factor.items()})
-            exponents[key] = exponents.get(key, 0) + weight
-    polys = []
+        held = [
+            index.setdefault(_primitive({monos[cell]: c for cell, c in factor.items()}), len(index))
+            for factor in _slice_factors(dict(zip(monos, row)))
+        ]
+        slices.append(([cell + (k,) for cell in monos], held))
+    components = tuple(index)
+    scores = []  # per variable: (cells whose product holds it, monomials of F_v, P_v, [(c, Q_(v,c))])
     for v in range(nvars):
-        # v prod_c l_c times the score U_v / v - sum_c E_c (d l_c / d v) / l_c,
-        # over the components that hold v (the others do not move with v):
-        # P = prod_c l_c and G = sum_c E_c v (d l_c / d v) prod_(c' != c) l_c'
-        # over those taken so far.  l_c has degree at most 1 in v, so
-        # v (d l_c / d v) is the part of l_c that holds v.
-        P, G = {(0,) * nvars: 1}, {}
-        for key, E in exponents.items():
-            part = {m: E * c for m, c in key if m[v]}
+        # Over the components that hold v (the others do not move with v),
+        # taken in order: P is the product so far and Q[c] its cofactor of
+        # l_c with l_c replaced by v (d l_c / d v), the part of l_c that
+        # holds v since l_c has degree at most 1 in v.
+        P, Q = {(0,) * nvars: 1}, {}
+        for c, terms in enumerate(components):
+            part = {m: a for m, a in terms if m[v]}
             if part:
-                G = _plus(_times(G, dict(key)), _times(P, part))
-                P = _times(P, dict(key))
-        weight = sum(count for cell, count in data.items() if monos[cell[:-1]][v])
-        score = _plus({m: weight * c for m, c in P.items()}, {m: -c for m, c in G.items()})
-        polys.append(tuple((m, c) for m, c in score.items() if c))
-    return ScoreSystem(nvars, tuple(polys), tuple(exponents.items()))
+                form = dict(terms)
+                Q = {d: _times(q, form) for d, q in Q.items()}
+                Q[c] = _times(P, part)
+                P = _times(P, form)
+        monomials = list(dict.fromkeys([*P, *(m for q in Q.values() for m in q)]))
+        holders = [cell + (k,) for cell, m in monos.items() if m[v] for k in range(last + 1)]
+        columns = [(c, [q.get(m, 0) for m in monomials]) for c, q in Q.items()]
+        scores.append((holders, monomials, [P.get(m, 0) for m in monomials], columns))
+
+    def system(data) -> ScoreSystem:
+        data = _by_cell(data, dims)
+        exponents = [0] * len(components)
+        for cells, held in slices:
+            weight = sum(data[cell] for cell in cells)
+            for c in held:
+                exponents[c] += weight
+        polys = []
+        for cells, monomials, P, columns in scores:
+            weight = sum(data[cell] for cell in cells)
+            score = [weight * a for a in P]
+            for c, q in columns:
+                score = [a - exponents[c] * b for a, b in zip(score, q)]
+            polys.append(tuple((m, a) for m, a in zip(monomials, score) if a))
+        return ScoreSystem(nvars, tuple(polys), tuple(zip(components, exponents)))
+
+    return system
 
 
 def _count(system: ScoreSystem, primes: random.Random) -> int:
@@ -257,14 +282,20 @@ def _count_two_primes(system: ScoreSystem) -> int:
     return first
 
 
-def score_system(W: ScalingTensor, u: DataVector) -> ScoreSystem:
-    """The scores of x and y for (W, u), with z_1..z_n eliminated."""
+def score_model(W: ScalingTensor):
+    """The scores of x and y for W, with z_1..z_n eliminated, as a function of the nested data."""
     if W.n > ORACLE_MAX_N:
         raise DimensionMismatchError(f"the critical-point oracle is limited to n <= {ORACLE_MAX_N}")
+    dims = (1, 1, W.n)
+    return _simplex_product_model(dims, _by_cell(W.w, dims))
+
+
+def score_system(W: ScalingTensor, u: DataVector) -> ScoreSystem:
+    """The scores of x and y for (W, u), with z_1..z_n eliminated."""
+    system = score_model(W)
     if u.n != W.n:
         raise DimensionMismatchError("data vector and tensor disagree on n")
-    dims = (1, 1, W.n)
-    return _simplex_product_system(dims, _by_cell(W.w, dims), _by_cell(u.u, dims))
+    return system(u.u)
 
 
 def count_critical_points(W: ScalingTensor, u: DataVector) -> int:
@@ -302,7 +333,8 @@ def oracle_mldeg(W: ScalingTensor, trials: int = 2, seed: int = 0) -> CountResul
         raise ValueError("at least two data trials are required")
     rng = random.Random(seed)
     seeds = [rng.randrange(2**32) for _ in range(trials)]
-    systems = [score_system(W, DataVector.random(W.n, random.Random(s))) for s in seeds]
+    system = score_model(W)
+    systems = [system(DataVector.random(W.n, random.Random(s)).u) for s in seeds]
     primes = [random.Random(f"primes {s}") for s in seeds]
     counts = [_count(*run) for run in zip(systems, primes)]
     if len(set(counts)) > 1:  # an unlucky prime or a non-generic draw: count every trial again

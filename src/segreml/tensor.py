@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import DimensionMismatchError, ZeroEntryError
 from .exact import RatMatrix, format_rational, parse_rational
@@ -108,13 +108,6 @@ class ScalingTensor:
         if not 0 <= k <= self.n:
             raise IndexError(f"slice index {k} out of range")
         return RatMatrix.from_rows([[self.w[0][0][k], self.w[0][1][k]], [self.w[1][0][k], self.w[1][1][k]]])
-
-    def flattening(self, indices: Iterable[int]) -> RatMatrix:
-        """The mode-3 unfolding of the slices `indices`: one row per k, columns (00, 01, 10, 11)."""
-        ks = tuple(sorted(indices))
-        if not ks or any(not 0 <= k <= self.n for k in ks):
-            raise IndexError("slice indices out of range")
-        return RatMatrix.from_rows([[self.w[0][0][k], self.w[0][1][k], self.w[1][0][k], self.w[1][1][k]] for k in ks])
 
     # -- symmetries ----------------------------------------------------------
 

@@ -4,7 +4,8 @@ Each restates a result of the paper by a route the commands do not take,
 so the tests can hold the engine to it:
 
 * `chi_VI_closed_form`: chi(V_I) for |I| in {2, 3} by the pair-type table
-  and the triple case analysis (criterion 6), against `euler.chi_VI`;
+  and the triple case analysis (criterion 6), against `euler.chi_VI`, with
+  `flattening`, the mode-3 unfolding that decides three type-I pairs;
 * `mldeg_point_formula`: the ML degree truncated at pairs when no 2x2x3
   factor vanishes (criterion 2), against `euler.mldeg_value`;
 * `pair_det_form` and `map_factor`: the pencil determinant on the raw
@@ -35,7 +36,7 @@ from segreml.factors import (
     pair_det_coeffs,
     slice_minor,
 )
-from segreml.oracle import ScoreSystem, _by_cell, _count_two_primes, _data_entry, _simplex_product_system
+from segreml.oracle import ScoreSystem, _by_cell, _count_two_primes, _data_entry, _simplex_product_model
 from segreml.strata import _sample_entries, _sign_string, _sign_vector, enumerate_strata_n1
 from segreml.tensor import ScalingTensor
 
@@ -49,6 +50,14 @@ PAIR_TYPE_CHI = {
     PairType.IV_COLS: 2,
     PairType.V: 1,
 }
+
+
+def flattening(W: ScalingTensor, indices) -> RatMatrix:
+    """The mode-3 unfolding of the slices `indices`: one row per k, columns (00, 01, 10, 11)."""
+    ks = tuple(sorted(indices))
+    if not ks or any(not 0 <= k <= W.n for k in ks):
+        raise IndexError("slice indices out of range")
+    return RatMatrix.from_rows([[W.w[0][0][k], W.w[0][1][k], W.w[1][0][k], W.w[1][1][k]] for k in ks])
 
 
 def chi_VI_closed_form(W: ScalingTensor, I) -> int:
@@ -92,7 +101,7 @@ def chi_VI_closed_form(W: ScalingTensor, I) -> int:
     if n_one == 2:
         third = next(t for t in tlist if t != PairType.I)
         return 1 if third == PairType.IV_COLS else 2
-    return 2 if W.flattening(ks).rank() < 3 else 1
+    return 2 if flattening(W, ks).rank() < 3 else 1
 
 
 def mldeg_point_formula(W: ScalingTensor) -> int | None:
@@ -229,7 +238,7 @@ def matrix_score_system(M: RatMatrix, u_rows) -> ScoreSystem:
     if M.nrows > M.ncols:
         w, u = list(zip(*w)), list(zip(*u))
     dims = (len(w) - 1, len(w[0]) - 1)
-    return _simplex_product_system(dims, _by_cell(w, dims), _by_cell(u, dims))
+    return _simplex_product_model(dims, _by_cell(w, dims))(u)
 
 
 def count_critical_points_matrix(M: RatMatrix, u_rows) -> int:

