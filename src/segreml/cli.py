@@ -254,10 +254,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_realize(args) -> int:
     _admit("realize", args.n)
-    try:
-        W = realize(args.n, args.r, seed=args.seed)
-    except ValueError as exc:
-        raise DimensionMismatchError(str(exc)) from exc
+    W = realize(args.n, args.r, seed=args.seed)
     report = euler.mldeg(W)
     payload = {
         "tensor": W.to_json_dict(),

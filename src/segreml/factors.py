@@ -202,9 +202,6 @@ class VanishingPattern:
     def factors(self) -> frozenset[FactorId]:
         return frozenset(self.vanishing)
 
-    def is_empty(self) -> bool:
-        return not self.vanishing
-
     def names(self) -> list[str]:
         return [f.name for f in self.vanishing]
 

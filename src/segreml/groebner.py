@@ -1,5 +1,19 @@
 """Buchberger completion over F_p and standard-monomial counting.
 
+A monomial x^e in N variables is one int,
+
+    K(e) = deg(e) * B^N - sum_i e_i * B^i,      B = 2^16,
+
+so grevlex order is int order and a monomial product is an int add.  The
+low N fields of -K hold the exponents E; bit 15 of each field is a guard
+bit, so x^a divides x^b exactly when ((E_b | G) - E_a) & G == G for the
+mask G of guard bits, and lcm is a per-field maximum.  Both need every
+exponent below 2^15: generators and S-pairs from total degree 2^15 on
+raise ResourceBudgetExceededError, and reduction never raises a degree.
+A term list is a list of (packed monomial, coefficient in [1, p)) pairs,
+sorted descending and monic.  The prime and the packing width travel as
+one `Ring` value, built per basis computation.
+
 The driver runs Buchberger's algorithm under grevlex with the complete
 Gebauer-Moeller installation (JSC 1988), in Becker-Weispfenning's UPDATE
 form.  A new pair is dropped when another new pair's lcm properly divides
@@ -7,12 +21,17 @@ its lcm (the chain criterion), when its leads are coprime (the product
 criterion), or when an earlier new pair has the same lcm (one pair per
 lcm, and none when any pair with that lcm has coprime leads).  An old
 pair is dropped when the new lead divides its lcm and the new lead's lcm
-with each of its two elements differs from it.  The reduction kernel in
-_kernel_py runs the inner loops.  Integer generators are reduced mod a
-prime p, packed and made monic as they are read, so no coefficient
-outgrows p; each pair stores the lcm of its leads.  A budget on the basis
-size and the packed-exponent degree limit convert runaway inputs into a
-clean ResourceBudgetExceededError.
+with each of its two elements differs from it.  Integer generators are
+reduced mod a prime p, packed and made monic as they are read, so no
+coefficient outgrows p; each pair stores the lcm of its leads.  A budget
+on the basis size and the packed-exponent degree limit convert runaway
+inputs into a clean ResourceBudgetExceededError.
+
+The inner loops are the reduction kernel.  `spair` merges two shifted
+term lists with `combine`.  `normal_form` keeps its live terms in a dict
+from monomial to coefficient plus a max-heap of their monomials
+(Monagan-Pearce heap division, CASC 2007), so each reduction step touches
+only the reducer's tail instead of re-merging the whole work list.
 
 Solution counting for a zero-dimensional ideal is the number of standard
 monomials: monomials outside the leading-term ideal of the reduced basis.
@@ -25,44 +44,185 @@ Over F_p this is the count over Q unless p is unlucky for the ideal
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import product
 from math import gcd, isqrt, prod
 from operator import mul
 
 from .errors import NotZeroDimensionalError, ResourceBudgetExceededError
-from . import _kernel_py as K
+
+FIELD_BITS = 16
+DEGREE_LIMIT = 1 << (FIELD_BITS - 1)  # the guard bit: every total degree stays below it
+
+
+class Ring:
+    """F_p[x_1..x_N] with monomials packed into N fields of FIELD_BITS bits; not changed once built."""
+
+    __slots__ = ("p", "nvars", "shift", "mask", "guard", "top")
+
+    def __init__(self, p: int, nvars: int):
+        self.p, self.nvars, self.shift = p, nvars, FIELD_BITS * nvars
+        self.mask = (1 << self.shift) - 1  # B^N - 1, the exponent fields of -K
+        self.guard = sum(DEGREE_LIMIT << (FIELD_BITS * i) for i in range(nvars))  # bit 15 of every field
+        self.top = (DEGREE_LIMIT - 1) << self.shift  # K(m) > top exactly when deg(m) >= DEGREE_LIMIT
+
+
+def _degree_error(deg) -> ResourceBudgetExceededError:
+    return ResourceBudgetExceededError(f"monomial degree {deg} reaches the packed-exponent limit {DEGREE_LIMIT}")
+
+
+def pack(exps) -> int:
+    """K(e) for an exponent tuple e of nonnegative ints."""
+    deg = sum(exps)
+    if deg >= DEGREE_LIMIT:
+        raise _degree_error(deg)
+    return (deg << (FIELD_BITS * len(exps))) - sum(e << (FIELD_BITS * i) for i, e in enumerate(exps))
+
+
+def unpack(mono: int, nvars: int) -> tuple:
+    """The exponent tuple of a packed monomial in nvars variables."""
+    e = -mono & ((1 << (FIELD_BITS * nvars)) - 1)
+    return tuple((e >> (FIELD_BITS * i)) & 0xFFFF for i in range(nvars))
+
+
+def mono_divides(R: Ring, a: int, b: int) -> bool:
+    """Whether x^a divides x^b."""
+    g = R.guard
+    return (((-b & R.mask) | g) - (-a & R.mask)) & g == g
+
+
+def mono_lcm(R: Ring, a: int, b: int) -> int:
+    """Per-field maximum of the exponents of two monomials of degree below 2^15, repacked."""
+    ea, eb = -a & R.mask, -b & R.mask
+    ge = ((((ea | R.guard) - eb) & R.guard) >> (FIELD_BITS - 1)) * 0xFFFF  # fields where a >= b
+    e = (ea & ge) | (eb & ~ge)
+    # the degree, at most 2 * (2^15 - 1) < B - 1, is the sum of the fields,
+    # which is their remainder mod B - 1 because B = 1 mod B - 1
+    return ((e % 0xFFFF) << R.shift) - e
+
+
+def from_int_terms(R: Ring, terms) -> list:
+    """An integer term list with distinct exponent tuples, packed, reduced mod p and made monic."""
+    return make_monic(R, sorted(((pack(m), c % R.p) for m, c in terms if c % R.p), reverse=True))
+
+
+def make_monic(R: Ring, terms):
+    """Scale a term list so that its leading coefficient is 1."""
+    if not terms or terms[0][1] == 1:
+        return terms
+    p = R.p
+    inv = pow(terms[0][1], -1, p)
+    return [(m, c * inv % p) for m, c in terms]
+
+
+def combine(f, cf, sf, g, cg, sg, p):
+    """cf * x^sf * f + cg * x^sg * g over F_p, merged into descending order.
+
+    sf and sg are packed shifts, 0 for none.
+    """
+    f = [(m + sf, cf * c % p) for m, c in f]
+    out = []
+    i = j = 0
+    nf, ng = len(f), len(g)
+    while i < nf and j < ng:
+        mf = f[i][0]
+        mg = g[j][0] + sg
+        if mf > mg:
+            out.append(f[i])
+            i += 1
+        elif mg > mf:
+            out.append((mg, cg * g[j][1] % p))
+            j += 1
+        else:
+            c = (f[i][1] + cg * g[j][1]) % p
+            if c:
+                out.append((mf, c))
+            i += 1
+            j += 1
+    out += f[i:]
+    out += [(m + sg, cg * c % p) for m, c in g[j:]]
+    return out
+
+
+def spair(f, g, R: Ring):
+    """S-polynomial x^(L - lm f) f - x^(L - lm g) g of two monic term lists, L their lead lcm."""
+    lmf, lmg = f[0][0], g[0][0]
+    lcm = mono_lcm(R, lmf, lmg)
+    if lcm > R.top:
+        raise _degree_error(sum(unpack(lcm, R.nvars)))
+    return combine(f, 1, lcm - lmf, g, R.p - 1, lcm - lmg, R.p)
+
+
+def normal_form(f, basis, R: Ring):
+    """Full remainder of f modulo the monic term lists in `basis`, made monic.
+
+    Every monomial of the result is outside the leading-term ideal of the
+    basis.  Each step pops the largest live term and either moves it to
+    the remainder or cancels it with the first basis element, in basis
+    order, whose lead divides it.  A monomial enters the heap (negated, for
+    heapq) once, when it enters the dict; a coefficient that cancels to 0
+    stays until its monomial is popped.  Reduction never raises a degree:
+    the shifted tail lies below the term it cancels.
+    """
+    p, mask, guard = R.p, R.mask, R.guard
+    reducers = [(-g[0][0] & mask, g[0][0], g[1:]) for g in basis]
+    coeff = dict(f)
+    heap = [-m for m, _ in f]  # f is sorted descending, so this is already a heap
+    out = []
+    while heap:
+        m = -heappop(heap)
+        c = coeff.pop(m)
+        if not c:
+            continue
+        e = (-m & mask) | guard
+        for eg, lm, tail in reducers:
+            if (e - eg) & guard == guard:
+                shift, scale = m - lm, p - c
+                for mt, ct in tail:
+                    mt += shift
+                    if mt in coeff:
+                        coeff[mt] = (coeff[mt] + scale * ct) % p
+                    else:
+                        coeff[mt] = scale * ct % p
+                        heappush(heap, -mt)
+                break
+        else:
+            out.append((m, c))
+    return make_monic(R, out)
+
 
 DEFAULT_MAX_BASIS = 600
 PRIME_BITS = 61
-# Trial division by these primes settles every n below 43^2 and rejects most
-# composites before any modular power.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with Sinclair's seven bases is exact below 2^64 (Sinclair 2011),
 # provided a base that is 0 mod n is skipped.
 _WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _WITNESS_LIMIT = 2**64
+_SIEVE_LIMIT = 1000
 
 
-def _odd_primes_product(limit: int) -> int:
-    """The product of the odd primes below `limit`, by a sieve."""
-    sieve = bytearray([1]) * limit
-    for q in range(3, isqrt(limit) + 1, 2):
+def _primes_below(limit: int) -> frozenset:
+    """The primes below `limit`, by a sieve."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for q in range(2, isqrt(limit) + 1):
         if sieve[q]:
-            sieve[q * q :: 2 * q] = bytes(len(range(q * q, limit, 2 * q)))
-    return prod(q for q in range(3, limit, 2) if sieve[q])
+            sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    return frozenset(q for q in range(limit) if sieve[q])
 
 
-# A candidate sharing a factor with this product is composite (it is odd and
-# above 1000), so one gcd rejects most candidates before any modular power.
-_ODD_PRIMES_BELOW_1000 = _odd_primes_product(1000)
+_SIEVED_PRIMES = _primes_below(_SIEVE_LIMIT)
+# An n of at least _SIEVE_LIMIT sharing a factor with this product is
+# composite, so one gcd rejects most composites before any modular power.
+_SIEVED_PRODUCT = prod(_SIEVED_PRIMES)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n below _WITNESS_LIMIT."""
+    """Deterministic primality test for n below _WITNESS_LIMIT: a sieve, a gcd, then Miller-Rabin."""
     if n >= _WITNESS_LIMIT:
         raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
-    if n < 2 or any(n % q == 0 for q in _SMALL_PRIMES):
-        return n in _SMALL_PRIMES
+    if n < _SIEVE_LIMIT:
+        return n in _SIEVED_PRIMES
+    if gcd(n, _SIEVED_PRODUCT) != 1:
+        return False
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
     for a in _WITNESSES:
@@ -85,7 +245,7 @@ def random_prime(rng) -> int:
     """A prime of exactly PRIME_BITS bits drawn from the random.Random `rng`."""
     while True:
         n = rng.getrandbits(PRIME_BITS) | (1 << (PRIME_BITS - 1)) | 1
-        if gcd(n, _ODD_PRIMES_BELOW_1000) == 1 and is_prime(n):
+        if is_prime(n):
             return n
 
 
@@ -98,8 +258,8 @@ def groebner_basis(gens, prime: int):
     """
     gens = [list(g) for g in gens]
     nvars = next((len(m) for g in gens for m, _ in g), 0)
-    R = K.Ring(prime, nvars)
-    divides, lcm = K.mono_divides, K.mono_lcm
+    R = Ring(prime, nvars)
+    divides, lcm = mono_divides, mono_lcm
     polys: list[list] = []
     lead: list[int] = []
     basis: list[int] = []  # ids, ascending
@@ -135,7 +295,7 @@ def groebner_basis(gens, prime: int):
         update(len(polys) - 1)
 
     for gen in gens:
-        p = K.from_int_terms(R, gen)
+        p = from_int_terms(R, gen)
         if p:
             add(p)
 
@@ -143,10 +303,10 @@ def groebner_basis(gens, prime: int):
         pair = min(pairs, key=pairs.__getitem__)
         del pairs[pair]
         i, j = pair
-        s = K.spair(polys[i], polys[j], R)
+        s = spair(polys[i], polys[j], R)
         if not s:
             continue
-        h = K.normal_form(s, [polys[g] for g in basis], R)
+        h = normal_form(s, [polys[g] for g in basis], R)
         if not h:
             continue
         add(h)
@@ -163,7 +323,7 @@ def groebner_basis(gens, prime: int):
             minimal.append(g)
     reduced = []
     for g in minimal:
-        h = K.normal_form(polys[g], [polys[f] for f in minimal if f != g], R)
+        h = normal_form(polys[g], [polys[f] for f in minimal if f != g], R)
         if h:
             reduced.append(h)
     reduced.sort(key=lambda p: p[0][0])
@@ -172,7 +332,7 @@ def groebner_basis(gens, prime: int):
 
 def leading_monomials(basis, nvars: int):
     """The leading monomials of a basis from groebner_basis, as exponent tuples."""
-    return [K.unpack(p[0][0], nvars) for p in basis]
+    return [unpack(p[0][0], nvars) for p in basis]
 
 
 def standard_monomials(lead_monomials, nvars: int) -> list[tuple]:
@@ -227,9 +387,9 @@ def _echelon(rows, p: int) -> list:
 
 
 def _kronecker(p: int, size: int, terms: int):
-    """(pack, times) for size x size matrices over F_p, each a list of rows.
+    """(pack_rows, times) for size x size matrices over F_p, each a list of rows.
 
-    `pack` turns each row into one int, entry j in bits [j w, (j + 1) w),
+    `pack_rows` turns each row into one int, entry j in bits [j w, (j + 1) w),
     so `times(rows, packed)`, which is rows @ B for B packed, takes one sum
     of int multiples of B's packed rows per row (Kronecker substitution)
     and reads its entries back from the bits, reduced mod p.  The width w
@@ -240,13 +400,13 @@ def _kronecker(p: int, size: int, terms: int):
     width = 3 * p.bit_length() + (size * terms).bit_length()
     mask, offsets = (1 << width) - 1, range(0, width * size, width)
 
-    def pack(rows):
+    def pack_rows(rows):
         return [sum(x << k for x, k in zip(row, offsets)) for row in rows]
 
     def times(rows, packed):
         return [[(acc >> k & mask) % p for k in offsets] for acc in (sum(map(mul, row, packed)) for row in rows)]
 
-    return pack, times
+    return pack_rows, times
 
 
 def _stable_rank(M, p: int) -> int:
@@ -255,8 +415,8 @@ def _stable_rank(M, p: int) -> int:
     The row space of M^(k+1) is the row space of M^k times M; once that
     step keeps the dimension, it keeps it for good.
     """
-    pack, times = _kronecker(p, len(M), 1)
-    packed = pack(M)
+    pack_rows, times = _kronecker(p, len(M), 1)
+    packed = pack_rows(M)
     span = _echelon(M, p)
     while True:
         image = _echelon(times([r for _, r in span], packed), p)
@@ -299,11 +459,11 @@ def _border_forms(basis, monos, p: int) -> dict:
     """
     nvars, size = len(monos[0]), len(monos)
     index = {m: i for i, m in enumerate(monos)}
-    packed = {K.pack(m): i for i, m in enumerate(monos)}
-    tails = {K.unpack(g[0][0], nvars): g[1:] for g in basis}
+    packed = {pack(m): i for i, m in enumerate(monos)}
+    tails = {unpack(g[0][0], nvars): g[1:] for g in basis}
     border = {_shift(b, v) for b in monos for v in range(nvars)} - index.keys()
     forms: dict[tuple, list] = {}
-    for m in sorted(border, key=K.pack):
+    for m in sorted(border, key=pack):
         form = [0] * size
         if m in tails:
             for t, c in tails[m]:
@@ -342,7 +502,7 @@ def _multiplication_matrix(basis, monos, factors, p: int):
         variables.append([list(row) for row in zip(*cols)])
     one = (0,) * nvars
     matrices = {one: identity, **{_shift(one, v): M_v for v, M_v in enumerate(variables)}}  # x^e -> its matrix
-    pack, times = _kronecker(p, size, max(map(len, factors)))
+    pack_rows, times = _kronecker(p, size, max(map(len, factors)))
     packed = {}
 
     def matrix(e):
@@ -353,7 +513,7 @@ def _multiplication_matrix(basis, monos, factors, p: int):
 
     def packed_matrix(e):
         if e not in packed:
-            packed[e] = pack(matrix(e))
+            packed[e] = pack_rows(matrix(e))
         return packed[e]
 
     first, *rest = factors

@@ -1,11 +1,11 @@
 """The reduction kernel module and its name, as the benchmark harness reads them.
 
-`groebner` imports `_kernel_py` directly; this module only re-exports it.
+The kernel lives in `groebner`; this module only re-exports that module.
 """
 
 from __future__ import annotations
 
-from . import _kernel_py as kernel
+from . import groebner as kernel
 
 
 def kernel_name() -> str:

@@ -123,10 +123,6 @@ class DataVector:
     def n(self) -> int:
         return len(self.u[0][0]) - 1
 
-    @property
-    def total(self) -> int:
-        return sum(x for plane in self.u for row in plane for x in row)
-
     def to_json_dict(self) -> dict:
         return {"u": [[list(row) for row in plane] for plane in self.u]}
 

@@ -1,4 +1,4 @@
-"""The 2 x 2 x (n+1) scaling tensor: views, symmetries, and JSON interchange.
+"""The 2 x 2 x (n+1) scaling tensor and its JSON interchange.
 
 Index convention: w[i][j][k] with i, j in {0, 1} and k in {0, ..., n}.
 A *slice* is the 2x2 matrix at fixed k,
@@ -22,12 +22,10 @@ with w[i][j][k] rational strings ("p/q" or "p").  The shape is exact: n
 is a JSON integer (not a boolean) and w holds exactly 2 x 2 lists of
 n + 1 entries each; anything else is refused, never truncated.
 
-Each tensor carries a private memo of values derived from w (its primitive
-integer slices, and the pair forms, integer and scaled factor values, face
-classes and primitive subset gcds built from them), which only `factors`
-fills, on first use through `memo`, and `euler` reads through `factors`.
-It lives and dies with the tensor and takes no part in ==, hash, repr or
-JSON.
+Each tensor carries a private memo of values derived from w, which only
+`factors` fills, on first use through `memo`, and `euler` reads through
+`factors`.  It lives and dies with the tensor and takes no part in ==,
+hash, repr or JSON.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatchError, ZeroEntryError
-from .exact import RatMatrix, format_rational, parse_rational
+from .exact import format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ class ScalingTensor:
             n, [[[slices[k][i][j] for k in range(n + 1)] for j in range(2)] for i in range(2)]
         )
 
-    # -- access ------------------------------------------------------------
+    # -- memo --------------------------------------------------------------
 
     @cached_property
     def _memo(self) -> dict:
@@ -100,53 +98,6 @@ class ScalingTensor:
         except KeyError:
             value = self._memo[key] = build(self)
             return value
-
-    def entry(self, i: int, j: int, k: int) -> Fraction:
-        return self.w[i][j][k]
-
-    def slice(self, k: int) -> RatMatrix:
-        if not 0 <= k <= self.n:
-            raise IndexError(f"slice index {k} out of range")
-        return RatMatrix.from_rows([[self.w[0][0][k], self.w[0][1][k]], [self.w[1][0][k], self.w[1][1][k]]])
-
-    # -- symmetries ----------------------------------------------------------
-
-    def torus_rescale(self, a: Sequence, b: Sequence, c: Sequence) -> ScalingTensor:
-        """w'_{ijk} = a_i * b_j * c_k * w_{ijk}; every scalar must be nonzero."""
-        a = [Fraction(x) for x in a]
-        b = [Fraction(x) for x in b]
-        c = [Fraction(x) for x in c]
-        if len(a) != 2 or len(b) != 2 or len(c) != self.n + 1:
-            raise DimensionMismatchError("scalar vectors must have lengths 2, 2, n+1")
-        if any(x == 0 for x in a + b + c):
-            raise ValueError("torus scalars must be nonzero")
-        return ScalingTensor.from_entries(
-            self.n,
-            [[[a[i] * b[j] * c[k] * self.w[i][j][k] for k in range(self.n + 1)] for j in range(2)] for i in range(2)],
-        )
-
-    def permute_slices(self, perm: Sequence[int]) -> ScalingTensor:
-        """Reorder slices: the k-th slice of the result is slice perm[k]."""
-        if sorted(perm) != list(range(self.n + 1)):
-            raise ValueError("perm must be a permutation of 0..n")
-        return ScalingTensor.from_entries(
-            self.n,
-            [[[self.w[i][j][perm[k]] for k in range(self.n + 1)] for j in range(2)] for i in range(2)],
-        )
-
-    def swap_xy(self) -> ScalingTensor:
-        """Transpose the first two modes: w'_{ijk} = w_{jik}."""
-        return ScalingTensor.from_entries(
-            self.n,
-            [[[self.w[j][i][k] for k in range(self.n + 1)] for j in range(2)] for i in range(2)],
-        )
-
-    def duplicate_last_slice(self) -> ScalingTensor:
-        """Append a copy of slice n, producing a tensor with n+2 slices."""
-        return ScalingTensor.from_entries(
-            self.n + 1,
-            [[list(self.w[i][j]) + [self.w[i][j][self.n]] for j in range(2)] for i in range(2)],
-        )
 
     # -- interchange ---------------------------------------------------------
 

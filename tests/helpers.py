@@ -10,10 +10,12 @@ from itertools import product
 from math import gcd
 from operator import getitem
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
 import segreml
+from segreml.errors import DimensionMismatchError
 from segreml.tensor import ScalingTensor
 
 # The rank-deficient / full-rank counterexample pair: identical vanishing
@@ -34,6 +36,47 @@ HOOK_EXAMPLE = ScalingTensor.from_slices(
 
 def all_ones(n: int) -> ScalingTensor:
     return ScalingTensor.from_entries(n, [[[1] * (n + 1)] * 2] * 2)
+
+
+def torus_rescale(W: ScalingTensor, a: Sequence, b: Sequence, c: Sequence) -> ScalingTensor:
+    """w'_{ijk} = a_i * b_j * c_k * w_{ijk}; every scalar must be nonzero."""
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    c = [Fraction(x) for x in c]
+    if len(a) != 2 or len(b) != 2 or len(c) != W.n + 1:
+        raise DimensionMismatchError("scalar vectors must have lengths 2, 2, n+1")
+    if any(x == 0 for x in a + b + c):
+        raise ValueError("torus scalars must be nonzero")
+    return ScalingTensor.from_entries(
+        W.n,
+        [[[a[i] * b[j] * c[k] * W.w[i][j][k] for k in range(W.n + 1)] for j in range(2)] for i in range(2)],
+    )
+
+
+def permute_slices(W: ScalingTensor, perm: Sequence[int]) -> ScalingTensor:
+    """Reorder slices: the k-th slice of the result is slice perm[k]."""
+    if sorted(perm) != list(range(W.n + 1)):
+        raise ValueError("perm must be a permutation of 0..n")
+    return ScalingTensor.from_entries(
+        W.n,
+        [[[W.w[i][j][perm[k]] for k in range(W.n + 1)] for j in range(2)] for i in range(2)],
+    )
+
+
+def swap_xy(W: ScalingTensor) -> ScalingTensor:
+    """Transpose the first two modes: w'_{ijk} = w_{jik}."""
+    return ScalingTensor.from_entries(
+        W.n,
+        [[[W.w[j][i][k] for k in range(W.n + 1)] for j in range(2)] for i in range(2)],
+    )
+
+
+def duplicate_last_slice(W: ScalingTensor) -> ScalingTensor:
+    """Append a copy of slice n, producing a tensor with n+2 slices."""
+    return ScalingTensor.from_entries(
+        W.n + 1,
+        [[list(W.w[i][j]) + [W.w[i][j][W.n]] for j in range(2)] for i in range(2)],
+    )
 
 
 def random_tensor(rng: random.Random, n: int, bound: int = 20) -> ScalingTensor:
@@ -98,7 +141,7 @@ def degenerate_tensor(rng: random.Random, n: int) -> ScalingTensor:
     W = ScalingTensor.from_entries(n, w)
     if rng.random() < 0.5:
         tall = lambda count: [_tall_rational(rng, 100) for _ in range(count)]
-        W = W.torus_rescale(tall(2), tall(2), tall(n + 1))
+        W = torus_rescale(W, tall(2), tall(2), tall(n + 1))
     return W
 
 

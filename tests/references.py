@@ -138,8 +138,8 @@ def pair_det_form(W: ScalingTensor, k1: int, k2: int) -> BinaryForm:
 def map_factor(fid: FactorId, perm=None, swap: bool = False) -> FactorId:
     """Relabel a factor id under a slice permutation and/or the x-y swap.
 
-    Applying this to the pattern of W.permute_slices(perm) (or W.swap_xy())
-    recovers the pattern of W.
+    Applying this to the pattern of helpers.permute_slices(W, perm) (or
+    helpers.swap_xy(W)) recovers the pattern of W.
     """
     kind = fid.kind
     if swap:

@@ -540,6 +540,7 @@ def test_oracle_data_primes_must_agree(tmp_path, capsys, monkeypatch):
 
 def test_realize_out_of_range(capsys):
     assert main(["realize", "--n", "1", "--r", "7"]) == 2
+    assert capsys.readouterr() == ("", "error: r must be in [1, 6] for n = 1\n")
 
 
 def test_unwritable_output_exit_code(tmp_path, capsys):

@@ -44,8 +44,11 @@ from helpers import (
     _tall_rational,
     degenerate_tensor,
     line_heavy_tensor,
+    permute_slices,
     random_rational_tensor,
     random_tensor,
+    swap_xy,
+    torus_rescale,
 )
 from references import classify_pattern_n1, map_factor, pair_det_form
 
@@ -115,7 +118,7 @@ def test_minor_cells_follow_the_tensor_layouts():
 def test_hyp222_examples():
     assert eval_hyp222(COUNTEREXAMPLE_W, 0, 1) == 64
     assert eval_hyp222(all_ones(1), 0, 1) == 0
-    rank_one = all_ones(1).torus_rescale((1, 2), (1, 3), (1, 5))
+    rank_one = torus_rescale(all_ones(1), (1, 2), (1, 3), (1, 5))
     assert eval_hyp222(rank_one, 0, 1) == 0
 
 
@@ -217,7 +220,7 @@ def test_hyp223_matches_chart_emptiness_oracle():
 def test_vanishing_patterns():
     rng = random.Random(1)
     generic = random_tensor(rng, 2, bound=50)
-    assert vanishing_pattern(generic).is_empty()
+    assert not vanishing_pattern(generic).vanishing
     assert len(vanishing_pattern(all_ones(1))) == 7
     expected = {
         face_minor_y(0, 0, 1),
@@ -321,9 +324,9 @@ def test_pattern_relabeling_under_symmetries():
         W = random_tensor(rng, n, bound=4)
         perm = list(range(n + 1))
         rng.shuffle(perm)
-        permuted = vanishing_pattern(W.permute_slices(perm))
+        permuted = vanishing_pattern(permute_slices(W, perm))
         assert {map_factor(f, perm=perm) for f in permuted.vanishing} == vanishing_pattern(W).factors
-        swapped = vanishing_pattern(W.swap_xy())
+        swapped = vanishing_pattern(swap_xy(W))
         assert {map_factor(f, swap=True) for f in swapped.vanishing} == vanishing_pattern(W).factors
 
 
@@ -371,7 +374,7 @@ _TALL = st.integers(10**29, 10**30)
 @given(_small_tensors(), st.lists(st.tuples(st.sampled_from((-1, 1)), _TALL, _TALL), min_size=5, max_size=5))
 def test_slice_scales_change_no_decision(W, scalars):
     """Rescaling each slice by a tall rational leaves the integer view and every decision; values match the raw entries."""
-    V = W.torus_rescale((1, 1), (1, 1), [sign * Fraction(p, q) for sign, p, q in scalars[: W.n + 1]])
+    V = torus_rescale(W, (1, 1), (1, 1), [sign * Fraction(p, q) for sign, p, q in scalars[: W.n + 1]])
     assert integer_slices(V) == integer_slices(W)
     assert face_classes(V) == face_classes(W)
     subsets = [ks for size in range(1, W.n + 2) for ks in itertools.combinations(range(W.n + 1), size)]
@@ -400,7 +403,7 @@ def test_integer_values_vanish_where_the_raw_entries_do():
     tensors += [realize(n, r, seed=n + r) for n in range(1, 5) for r in range(1, (n + 1) * (n + 2) + 1)]
     tensors += [witness for seed in range(4) for _, witness in atlas(seed=seed)]
     tall = lambda count: [_tall_rational(rng, 100) for _ in range(count)]
-    tensors += [W.torus_rescale(tall(2), tall(2), tall(W.n + 1)) for W in tensors]
+    tensors += [torus_rescale(W, tall(2), tall(2), tall(W.n + 1)) for W in tensors]
     h_zeros = 0
     for W in tensors:
         W = ScalingTensor(W.n, W.w)  # a new memo
@@ -422,7 +425,7 @@ _HUNDRED_DIGITS = st.integers(10**99, 10**100)
 @given(_small_tensors(), st.lists(st.tuples(st.sampled_from((-1, 1)), _HUNDRED_DIGITS, _HUNDRED_DIGITS), min_size=5, max_size=5))
 def test_memoized_subset_gcds_are_primitive_ints(W, scalars):
     """After analyze's payload on 100-digit slice scalars, every subset gcd in the memo is a primitive int form."""
-    V = W.torus_rescale((1, 1), (1, 1), [sign * Fraction(p, q) for sign, p, q in scalars[: W.n + 1]])
+    V = torus_rescale(W, (1, 1), (1, 1), [sign * Fraction(p, q) for sign, p, q in scalars[: W.n + 1]])
     _analyze_payload(V)
     gcds = V.memo("subset_gcds", lambda V: pytest.fail("analyze filled no subset gcds"))
     assert len(gcds) == 2 ** (W.n + 1) - 1

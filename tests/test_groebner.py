@@ -17,7 +17,6 @@ from segreml.groebner import (
     standard_monomial_count,
     standard_monomials,
 )
-from segreml import _kernel_py as K
 from segreml.oracle import DataVector
 from segreml.realize import realize
 from segreml.tensor import ScalingTensor
@@ -111,13 +110,13 @@ def test_buchberger_criterion_on_random_systems():
             gens.append([(m, c) for m, c in terms.items() if c])
         if not all(gens):
             continue
-        R = K.Ring(P, nvars)
+        R = groebner.Ring(P, nvars)
         gb = groebner_basis([list(g) for g in gens], P)
         assert gb
         for g in gens:
-            assert not K.normal_form(K.from_int_terms(R, g), gb, R)
+            assert not groebner.normal_form(groebner.from_int_terms(R, g), gb, R)
         for f, g in itertools.combinations(gb, 2):
-            assert not K.normal_form(K.spair(f, g, R), gb, R)
+            assert not groebner.normal_form(groebner.spair(f, g, R), gb, R)
         checked += 1
     assert checked == 24
 
@@ -150,7 +149,7 @@ def test_budget_errors(monkeypatch):
 
 def test_packed_exponent_limit():
     # A total degree of 2^15 would reach the guard bit of the packed exponents.
-    limit = K.DEGREE_LIMIT
+    limit = groebner.DEGREE_LIMIT
     assert limit == 2**15
     with pytest.raises(ResourceBudgetExceededError, match="packed-exponent limit"):
         groebner_basis([[((limit, 0), 1), ((0, 0), -1)]], P)
@@ -177,29 +176,29 @@ def test_packed_monomials_match_tuple_definitions():
     rng = random.Random(31)
     for _ in range(4000):
         n = rng.choice((1, 2, 3, 5))
-        R = K.Ring(P, n)
+        R = groebner.Ring(P, n)
         a, b = exps(rng, n), exps(rng, n)
-        if max(sum(a), sum(b)) >= K.DEGREE_LIMIT:
+        if max(sum(a), sum(b)) >= groebner.DEGREE_LIMIT:
             with pytest.raises(ResourceBudgetExceededError):
-                K.pack(a if sum(a) >= K.DEGREE_LIMIT else b)
+                groebner.pack(a if sum(a) >= groebner.DEGREE_LIMIT else b)
             continue
-        ka, kb = K.pack(a), K.pack(b)
+        ka, kb = groebner.pack(a), groebner.pack(b)
         assert (ka, kb) == (packed(a), packed(b))
-        assert K.unpack(ka, n) == a and K.unpack(kb, n) == b
+        assert groebner.unpack(ka, n) == a and groebner.unpack(kb, n) == b
         assert packed(tuple(x + y for x, y in zip(a, b))) == ka + kb  # a product is an int add
-        assert K.mono_divides(R, ka, kb) == all(x <= y for x, y in zip(a, b))
+        assert groebner.mono_divides(R, ka, kb) == all(x <= y for x, y in zip(a, b))
         lcm = tuple(max(x, y) for x, y in zip(a, b))
-        assert K.mono_lcm(R, ka, kb) == packed(lcm)
+        assert groebner.mono_lcm(R, ka, kb) == packed(lcm)
         # the driver's coprime test: the lcm of the leads is their product
-        assert (K.mono_lcm(R, ka, kb) == ka + kb) == all(x == 0 or y == 0 for x, y in zip(a, b))
+        assert (groebner.mono_lcm(R, ka, kb) == ka + kb) == all(x == 0 or y == 0 for x, y in zip(a, b))
     # the extremes of one field, next to a full neighbour
-    R = K.Ring(P, 3)
+    R = groebner.Ring(P, 3)
     top, half = 2**15 - 1, 2**14
-    assert K.mono_divides(R, K.pack((0, top, 0)), K.pack((0, top, 0)))
-    assert not K.mono_divides(R, K.pack((0, top, 0)), K.pack((1, top - 1, 0)))
-    assert K.mono_divides(R, K.pack((half - 1, 0, 0)), K.pack((half, half - 1, 0)))
-    assert K.mono_lcm(R, K.pack((top, 0, 0)), K.pack((0, top, 0))) == packed((top, top, 0))
-    assert K.mono_lcm(R, K.pack((top, 0, 0)), K.pack((top - 1, 1, 0))) == packed((top, 1, 0))
+    assert groebner.mono_divides(R, groebner.pack((0, top, 0)), groebner.pack((0, top, 0)))
+    assert not groebner.mono_divides(R, groebner.pack((0, top, 0)), groebner.pack((1, top - 1, 0)))
+    assert groebner.mono_divides(R, groebner.pack((half - 1, 0, 0)), groebner.pack((half, half - 1, 0)))
+    assert groebner.mono_lcm(R, groebner.pack((top, 0, 0)), groebner.pack((0, top, 0))) == packed((top, top, 0))
+    assert groebner.mono_lcm(R, groebner.pack((top, 0, 0)), groebner.pack((top - 1, 1, 0))) == packed((top, 1, 0))
 
 
 def test_primes():
@@ -260,7 +259,7 @@ def test_grevlex_key_matches_first_principles():
             diff = [x - y for x, y in zip(a, b)]
             last = next(d for d in reversed(diff) if d != 0)
             expected = last < 0
-        assert (K.pack(a) > K.pack(b)) == expected
+        assert (groebner.pack(a) > groebner.pack(b)) == expected
 
 
 def _reference_normal_form(f, basis, R):
@@ -295,18 +294,18 @@ def _reference_normal_form(f, basis, R):
             out.append(work.pop(0))
         else:
             work = merge(work, p - c, g, m - g[0][0])
-    return K.make_monic(R, out)
+    return groebner.make_monic(R, out)
 
 
 def _naive_buchberger(gens, nvars):
     """Criteria-free completion over F_P: every pair, no pruning, the reference reducer (test oracle)."""
-    R = K.Ring(P, nvars)
-    basis = [K.from_int_terms(R, g) for g in gens]
+    R = groebner.Ring(P, nvars)
+    basis = [groebner.from_int_terms(R, g) for g in gens]
     basis = [g for g in basis if g]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
         i, j = pairs.pop()
-        h = _reference_normal_form(K.spair(basis[i], basis[j], R), basis, R)
+        h = _reference_normal_form(groebner.spair(basis[i], basis[j], R), basis, R)
         if h:
             basis.append(h)
             pairs.extend((len(basis) - 1, t) for t in range(len(basis) - 1))
@@ -314,7 +313,7 @@ def _naive_buchberger(gens, nvars):
     basis.sort(key=lambda p: p[0][0])
     minimal = []
     for g in basis:
-        if not any(K.mono_divides(R, h[0][0], g[0][0]) for h in minimal):
+        if not any(groebner.mono_divides(R, h[0][0], g[0][0]) for h in minimal):
             minimal.append(g)
     reduced = []
     for g in minimal:
@@ -345,24 +344,24 @@ def test_normal_form_matches_the_reference_reducer():
     for trial in range(400):
         p = (3, 5, 7, P)[trial % 4]
         nvars = rng.choice((1, 2, 3))
-        R = K.Ring(p, nvars)
-        basis = [K.from_int_terms(R, _random_poly(rng, nvars, rng.randint(1, 4), 3, p)) for _ in range(rng.randint(1, 4))]
+        R = groebner.Ring(p, nvars)
+        basis = [groebner.from_int_terms(R, _random_poly(rng, nvars, rng.randint(1, 4), 3, p)) for _ in range(rng.randint(1, 4))]
         basis = [g for g in basis if g]
         if not basis:
             continue
         if trial % 3 == 0:
-            basis = groebner_basis([[(K.unpack(m, nvars), c) for m, c in g] for g in basis], p)
+            basis = groebner_basis([[(groebner.unpack(m, nvars), c) for m, c in g] for g in basis], p)
             if not basis:
                 continue
-        f = K.from_int_terms(R, _random_poly(rng, nvars, rng.randint(1, 8), 5, p))
+        f = groebner.from_int_terms(R, _random_poly(rng, nvars, rng.randint(1, 8), 5, p))
         if trial % 2 == 0:  # a combination of basis elements, plus f on every fourth trial
             total = dict(f) if trial % 4 == 0 else {}
             for g in rng.sample(basis, min(2, len(basis))):
-                for m, c in K.from_int_terms(R, _random_poly(rng, nvars, 3, 2, p)):
+                for m, c in groebner.from_int_terms(R, _random_poly(rng, nvars, 3, 2, p)):
                     for mg, cg in g:
                         total[m + mg] = (total.get(m + mg, 0) + c * cg) % p
             f = sorted(((m, c) for m, c in total.items() if c), reverse=True)
-        got = K.normal_form(f, basis, R)
+        got = groebner.normal_form(f, basis, R)
         assert got == _reference_normal_form(f, basis, R), (p, f, basis)
         zeros += not got
     assert zeros >= 100
@@ -377,22 +376,22 @@ def test_criterion_F_forms_one_pair_per_lcm(monkeypatch):
         [((1, 0, 1), 1), ((0, 1, 0), -5), ((0, 0, 1), 1)],
         [((0, 1, 1), 1), ((1, 0, 0), 7), ((0, 0, 0), 11)],
     ]
-    R = K.Ring(P, 3)
-    xy, xz, yz = (K.pack(m) for m in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    R = groebner.Ring(P, 3)
+    xy, xz, yz = (groebner.pack(m) for m in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
     formed = []
-    spair = K.spair
+    spair = groebner.spair
 
     def counted(f, g, ring):
         formed.append(frozenset((f[0][0], g[0][0])))
         return spair(f, g, ring)
 
-    monkeypatch.setattr(K, "spair", counted)
+    monkeypatch.setattr(groebner, "spair", counted)
     gb = groebner_basis(gens, P)
     assert formed.count(frozenset((xz, xy))) == 1
     assert formed.count(frozenset((yz, xy))) + formed.count(frozenset((yz, xz))) == 1
     monkeypatch.undo()
     assert gb == _naive_buchberger(gens, 3)
-    assert K.mono_lcm(R, yz, xy) == K.mono_lcm(R, yz, xz) == K.mono_lcm(R, xy, xz)
+    assert groebner.mono_lcm(R, yz, xy) == groebner.mono_lcm(R, yz, xz) == groebner.mono_lcm(R, xy, xz)
 
 
 # sha256 of repr(groebner_basis(...)) for the n + 3-variable reference score
@@ -462,5 +461,5 @@ def test_basis_is_interreduced():
     for p in gb:
         assert p[0][1] == 1  # monic
         for mono, _ in p[1:]:
-            mono = K.unpack(mono, 2)
+            mono = groebner.unpack(mono, 2)
             assert not any(all(a <= b for a, b in zip(lm, mono)) for lm in lms)

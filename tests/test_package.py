@@ -1,21 +1,27 @@
-"""Design check: every public function and class in src/segreml is run by some command.
+"""Design check: every function, class and method in src/segreml is run by some command.
 
 The walk starts at `cli.main` and follows, through the module-level
 definitions of `src/segreml`, every name a definition reads and every
-`module.attr` read through a module imported as a name.  A class counts
-as reached with all its methods, whose reads are followed too, so methods
-are not checked on their own.  Annotations are skipped: every module has
+`module.attr` read through a module imported as a name.  A class is
+reached with its dunder methods.  Any other method of a reached class is
+reached only when some reached definition reads its name as an attribute
+(`x.name` for any x); its reads are then followed too.  Private functions
+are checked like public ones.  Annotations are skipped: every module has
 `from __future__ import annotations`, so none of them is evaluated.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import shutil
+from functools import reduce
 from pathlib import Path
 
 import segreml
 
 SRC = Path(segreml.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Definitions no command runs, kept because the benchmark harness reads them.
 PERFBENCH_HELD = {
@@ -26,14 +32,22 @@ PERFBENCH_HELD = {
 }
 
 
-def _package() -> tuple[dict, dict]:
-    """{(module, name): node} for every module-level binding, and {module: {name: (module, name or None)}} for relative imports."""
+def _is_method(node) -> bool:
+    """Whether a statement of a class body is a method the walk checks on its own: any def but a dunder."""
+    return isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__"))
+
+
+def _package(src: Path) -> tuple[dict, dict]:
+    """{(module, name): node} for every module-level binding and every method ("Class.method") under `src`,
+    and {module: {name: (module, name or None)}} for relative imports."""
     definitions, imports = {}, {}
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(src.glob("*.py")):
         module, tree = path.stem, ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 definitions[module, node.name] = node
+                if isinstance(node, ast.ClassDef):
+                    definitions.update(((module, f"{node.name}.{m.name}"), m) for m in node.body if _is_method(m))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                     definitions.update(((module, n.id), node) for n in ast.walk(target) if isinstance(n, ast.Name))
@@ -47,12 +61,20 @@ def _package() -> tuple[dict, dict]:
     return definitions, imports
 
 
+def _own_parts(node) -> list:
+    """What runs when a definition is reached: a class without the methods the walk checks on their own."""
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords, *(s for s in node.body if not _is_method(s))]
+    return [node]
+
+
 def _reads(node):
-    """(name, attr or None) for every name `node` reads, and the attribute read off it; annotations skipped."""
+    """(name, attr) for every name `node` reads, with the attribute read off it or None,
+    and (None, attr) for every attribute read off anything else; annotations skipped."""
     if isinstance(node, ast.Name):
         yield node.id, None
-    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-        yield node.value.id, node.attr
+    elif isinstance(node, ast.Attribute):
+        yield (node.value.id if isinstance(node.value, ast.Name) else None), node.attr
     for field, value in ast.iter_fields(node):
         if field in ("annotation", "returns"):
             continue
@@ -61,9 +83,10 @@ def _reads(node):
                 yield from _reads(child)
 
 
-def unreached_definitions() -> set[tuple[str, str]]:
-    """The public module-level functions and classes of src/segreml that no walk from `cli.main` reaches."""
-    definitions, imports = _package()
+def unreached_definitions(src: Path = SRC) -> set[tuple[str, str]]:
+    """The module-level functions and classes, and the methods, under `src` that no walk from `cli.main` reaches."""
+    definitions, imports = _package(src)
+    methods = {key: key[1].split(".") for key in definitions if "." in key[1]}
 
     def resolve(module, name, attr):
         if name in imports[module]:
@@ -75,24 +98,87 @@ def unreached_definitions() -> set[tuple[str, str]]:
             return resolve(module, name, attr)
         return (module, name) if (module, name) in definitions else None
 
-    seen, stack = set(), [("cli", "main")]
+    seen, attributes, stack = set(), set(), [("cli", "main")]
     while stack:
         key = stack.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        for name, attr in _reads(definitions[key]):
-            found = resolve(key[0], name, attr)
-            if found is not None:
-                stack.append(found)
+        if key not in seen:
+            seen.add(key)
+            for part in _own_parts(definitions[key]):
+                for name, attr in _reads(part):
+                    attributes.add(attr)
+                    found = None if name is None else resolve(key[0], name, attr)
+                    if found is not None:
+                        stack.append(found)
+        if not stack:  # the methods of reached classes whose names reached definitions read
+            stack = [
+                key
+                for key, (cls, name) in methods.items()
+                if key not in seen and (key[0], cls) in seen and name in attributes
+            ]
     return {
         key
         for key, node in definitions.items()
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not key[1].startswith("_") and key not in seen
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and key not in seen
     }
 
 
-def test_every_public_definition_is_reached_from_cli_main():
+def test_every_definition_is_reached_from_cli_main():
     unreached = unreached_definitions()
     assert unreached - PERFBENCH_HELD == set(), "no command reaches these; delete them or move them next to their tests"
     assert PERFBENCH_HELD - unreached == set(), "a command reaches these now; drop them from PERFBENCH_HELD"
+
+
+def test_the_walk_reports_an_unused_method_and_private_function(tmp_path):
+    src = tmp_path / "segreml"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    tensor = src / "tensor.py"
+    anchor = "    def to_json_dict(self) -> dict:\n"
+    text = tensor.read_text()
+    assert text.count(anchor) == 1
+    unused = "    def unused_method(self) -> int:\n        return self.n\n\n"
+    tensor.write_text(text.replace(anchor, unused + anchor) + "\n\ndef _unused_function() -> int:\n    return 0\n")
+    assert unreached_definitions(src) - PERFBENCH_HELD == {
+        ("tensor", "ScalingTensor.unused_method"),
+        ("tensor", "_unused_function"),
+    }
+
+
+def _perfbench_reads() -> tuple[tuple, set]:
+    """perfbench/tracing.py's FUNCTIONS, and the names perfbench/run.py imports from segreml.kernels, read with ast."""
+    tracing = ast.parse((PERFBENCH / "tracing.py").read_text())
+    functions = next(
+        ast.literal_eval(node.value)
+        for node in tracing.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in node.targets)
+    )
+    run = ast.parse((PERFBENCH / "run.py").read_text())
+    kernels = {
+        alias.name
+        for node in ast.walk(run)
+        if isinstance(node, ast.ImportFrom) and node.module == "segreml.kernels"
+        for alias in node.names
+    }
+    return functions, kernels
+
+
+def _resolves(owner, dotted: str) -> bool:
+    try:
+        reduce(getattr, dotted.split("."), owner)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_perfbench_reads_the_held_names_and_finds_every_traced_one():
+    functions, kernels = _perfbench_reads()
+    read = {(module.removeprefix("segreml."), attr) for _, module, attr in functions if module is not None}
+    read |= {("kernels", name) for name in kernels}
+    assert PERFBENCH_HELD - read == set(), "perfbench no longer reads these; drop them from PERFBENCH_HELD"
+    shim = importlib.import_module("segreml.kernels")
+    missing = [
+        (module, attr)
+        for _, module, attr in functions
+        if not _resolves(shim.kernel if module is None else importlib.import_module(module), attr)
+    ]
+    missing += [("segreml.kernels", name) for name in kernels if not _resolves(shim, name)]
+    assert missing == [], "perfbench traces or imports these, but segreml does not define them"

@@ -70,7 +70,7 @@ def test_realize_full_range():
 
 def test_realize_special_cases():
     top = realize(2, 12, seed=0)
-    assert vanishing_pattern(top).is_empty()
+    assert not vanishing_pattern(top).vanishing
     low = realize(2, 1, seed=0)
     assert low.n == 2 and mldeg_value(low) == 1
     frame = realize(1, 2, seed=0)
