@@ -84,7 +84,7 @@ import math
 from dataclasses import dataclass
 from .errors import DimensionMismatchError
 # binary_gcd is unused here: perfbench's harness test checks euler.binary_gcd as its sample binding.
-from .exact import RatMatrix, binary_gcd, distinct_root_count, integer_row, primitive
+from .exact import RatMatrix, binary_gcd, distinct_root_count, integer_row, primitive, rank
 from .factors import (
     VanishingPattern,
     face_classes,
@@ -180,17 +180,7 @@ def chi_VI_XJ(W: ScalingTensor, I, J) -> int:
     return int(all(classes[k] == first for k in ks))
 
 
-_ALL_J = [
-    ((), ()),
-    ((0,), ()),
-    ((1,), ()),
-    ((), (0,)),
-    ((), (1,)),
-    ((0,), (0,)),
-    ((0,), (1,)),
-    ((1,), (0,)),
-    ((1,), (1,)),
-]
+_ALL_J = list(itertools.product(((), (0,), (1,)), repeat=2))
 
 
 @dataclass(frozen=True)
@@ -349,7 +339,7 @@ def mldeg_matrix(M: RatMatrix) -> int:
             for csize in range(1, n + 1):
                 for cols in itertools.combinations(range(n), csize):
                     sub = RatMatrix(tuple(tuple(ints[r][c] for c in cols) for r in rows))
-                    total += (-1) ** (rsize + csize) * sub.rank()
+                    total += (-1) ** (rsize + csize) * rank(sub)
     return total
 
 

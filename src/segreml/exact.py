@@ -102,9 +102,6 @@ class RatMatrix:
     def ncols(self) -> int:
         return len(self.entries[0])
 
-    def rank(self) -> int:
-        return rank(self)
-
 
 def integer_row(row: Sequence[Fraction]) -> list[int]:
     """The row times the lcm of its denominators: integers with the same span."""

@@ -45,7 +45,14 @@ from fractions import Fraction
 from .exact import BinaryForm, binary_gcd, integer_row, primitive
 from .tensor import ScalingTensor
 
-_KIND_ORDER = {"slice": 0, "face_x": 1, "face_y": 2, "hyp222": 3, "hyp223": 4}
+# kind -> (sort rank, index count, name format)
+_KINDS = {
+    "slice": (0, 1, "F[**{}]"),
+    "face_x": (1, 3, "F[{}*({},{})]"),
+    "face_y": (2, 3, "F[*{}({},{})]"),
+    "hyp222": (3, 2, "H[{},{}]"),
+    "hyp223": (4, 3, "H[{},{},{}]"),
+}
 
 
 @dataclass(frozen=True)
@@ -56,11 +63,10 @@ class FactorId:
     index: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        expected = {"slice": 1, "face_x": 3, "face_y": 3, "hyp222": 2, "hyp223": 3}
-        if self.kind not in expected:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown factor kind {self.kind!r}")
-        if len(self.index) != expected[self.kind]:
-            raise ValueError(f"{self.kind} takes {expected[self.kind]} indices")
+        if len(self.index) != _KINDS[self.kind][1]:
+            raise ValueError(f"{self.kind} takes {_KINDS[self.kind][1]} indices")
         ks = self.index[1:] if self.kind in ("face_x", "face_y") else self.index
         if self.kind != "slice" and list(ks) != sorted(set(ks)):
             raise ValueError("slice indices must be strictly increasing")
@@ -70,19 +76,11 @@ class FactorId:
         return self.kind in ("slice", "face_x", "face_y")
 
     def sort_key(self) -> tuple:
-        return (_KIND_ORDER[self.kind], self.index)
+        return (_KINDS[self.kind][0], self.index)
 
     @property
     def name(self) -> str:
-        if self.kind == "slice":
-            return f"F[**{self.index[0]}]"
-        if self.kind == "face_x":
-            i, k1, k2 = self.index
-            return f"F[{i}*({k1},{k2})]"
-        if self.kind == "face_y":
-            j, k1, k2 = self.index
-            return f"F[*{j}({k1},{k2})]"
-        return "H[" + ",".join(str(k) for k in self.index) + "]"
+        return _KINDS[self.kind][2].format(*self.index)
 
     def cells(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """The minor's 2x2 array of positions (i, j, k), laid out as W[..k], W[i.(k1,k2)], W[.j(k1,k2)] in `tensor`."""

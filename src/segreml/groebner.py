@@ -14,18 +14,17 @@ A term list is a list of (packed monomial, coefficient in [1, p)) pairs,
 sorted descending and monic.  The prime and the packing width travel as
 one `Ring` value, built per basis computation.
 
-The driver runs Buchberger's algorithm under grevlex with the complete
-Gebauer-Moeller installation (JSC 1988), in Becker-Weispfenning's UPDATE
-form.  A new pair is dropped when another new pair's lcm properly divides
-its lcm (the chain criterion), when its leads are coprime (the product
-criterion), or when an earlier new pair has the same lcm (one pair per
-lcm, and none when any pair with that lcm has coprime leads).  An old
-pair is dropped when the new lead divides its lcm and the new lead's lcm
-with each of its two elements differs from it.  Integer generators are
-reduced mod a prime p, packed and made monic as they are read, so no
-coefficient outgrows p; each pair stores the lcm of its leads.  A budget
-on the basis size and the packed-exponent degree limit convert runaway
-inputs into a clean ResourceBudgetExceededError.
+`groebner_basis` runs Buchberger's algorithm under grevlex with three of
+the Gebauer-Moeller criteria (JSC 1988), in Becker-Weispfenning's UPDATE
+form.  A new pair is dropped when its leads are coprime (the product
+criterion) or when another new pair's lcm properly divides its lcm (the
+chain criterion).  An old pair is dropped when the new lead divides its
+lcm and the new lead's lcm with each of its two elements differs from it
+(the old-pair criterion).  Integer generators are reduced mod a prime p,
+packed and made monic as they are read, so no coefficient outgrows p;
+each pair stores the lcm of its leads.  A budget on the basis size and
+the packed-exponent degree limit convert runaway inputs into a clean
+ResourceBudgetExceededError.
 
 The inner loops are the reduction kernel.  `spair` merges two shifted
 term lists with `combine`.  `normal_form` keeps its live terms in a dict
@@ -271,15 +270,11 @@ def groebner_basis(gens, prime: int):
         nonlocal basis, pairs
         lmh = lead[h]
         with_h = {g: lcm(R, lmh, lead[g]) for g in basis}
-        by_lcm = {}  # lcm -> the first surviving g, or None once a coprime pair has it
-        for g, lg in with_h.items():
-            if lg == lmh + lead[g]:
-                # coprime leads; if a proper divisor of lg is another lcm,
-                # chain drops every pair with lcm lg anyway
-                by_lcm[lg] = None
-            elif not any(lf != lg and divides(R, lf, lg) for lf in with_h.values()):
-                by_lcm.setdefault(lg, g)
-        new = {(h, g): lg for lg, g in by_lcm.items() if g is not None}
+        new = {
+            (h, g): lg
+            for g, lg in with_h.items()
+            if lg != lmh + lead[g] and not any(lf != lg and divides(R, lf, lg) for lf in with_h.values())
+        }
         pairs = {
             (g1, g2): l12
             for (g1, g2), l12 in pairs.items()

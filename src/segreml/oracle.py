@@ -71,11 +71,10 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from math import gcd
 from operator import add, getitem
 
 from .errors import DimensionMismatchError, UnstableCountError
-from .exact import integer_row
+from .exact import integer_row, primitive
 from .groebner import count_solutions, random_prime
 from .tensor import ScalingTensor
 
@@ -177,8 +176,7 @@ def _slice_factors(cells: dict) -> list[dict]:
 def _primitive(terms: dict) -> tuple:
     """Integer terms divided by their content, the first coefficient made positive: one key per zero set."""
     monos = sorted(terms)
-    content = gcd(*terms.values()) if terms[monos[0]] > 0 else -gcd(*terms.values())
-    return tuple((m, terms[m] // content) for m in monos)
+    return tuple(zip(monos, primitive([terms[m] for m in monos])))
 
 
 def _times(f: dict, g) -> dict:

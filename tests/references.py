@@ -26,7 +26,7 @@ from functools import cache
 
 from segreml.errors import DimensionMismatchError
 from segreml.euler import PairType, _inner_sum, classify_type
-from segreml.exact import BinaryForm, RatMatrix
+from segreml.exact import BinaryForm, RatMatrix, rank
 from segreml.factors import (
     FactorId,
     VanishingPattern,
@@ -101,7 +101,7 @@ def chi_VI_closed_form(W: ScalingTensor, I) -> int:
     if n_one == 2:
         third = next(t for t in tlist if t != PairType.I)
         return 1 if third == PairType.IV_COLS else 2
-    return 2 if flattening(W, ks).rank() < 3 else 1
+    return 2 if rank(flattening(W, ks)) < 3 else 1
 
 
 def mldeg_point_formula(W: ScalingTensor) -> int | None:

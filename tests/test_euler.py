@@ -22,7 +22,7 @@ from segreml.euler import (
     mldeg_value,
     pair_types,
 )
-from segreml.exact import RatMatrix, binary_gcd, distinct_root_count
+from segreml.exact import RatMatrix, binary_gcd, distinct_root_count, rank
 from segreml.factors import all_factors, hyp223_vanishes, vanishing_pattern
 from segreml.realize import _solve_minor, realize
 from segreml.strata import atlas
@@ -132,7 +132,7 @@ def _chi_VI_from_entries(W, ks):
     p, q = W.w[0][0][ks[0]], W.w[0][1][ks[0]]
     r0 = int(all(p * c1[k] == q * c0[k] for c0, c1 in W.w for k in ks))
     if len(ks) == 1:
-        return 4 - RatMatrix.from_rows([[W.w[i][j][ks[0]] for j in range(2)] for i in range(2)]).rank(), r0
+        return 4 - rank(RatMatrix.from_rows([[W.w[i][j][ks[0]] for j in range(2)] for i in range(2)])), r0
     g = binary_gcd([pair_det_form(W, a, b) for a, b in itertools.combinations(ks, 2)])
     if g.is_zero:
         return 2 + r0, r0
@@ -158,7 +158,7 @@ def test_face_classes_match_bareiss_and_row_proportionality():
                     j = 1 - J[1][0]
                     rows = [[W.w[0][j][k], W.w[1][j][k]] for k in ks]
                 value = chi_VI_XJ(W, ks, J)
-                assert value == 2 - RatMatrix.from_rows(rows).rank(), (W.to_json_dict(), ks, J)
+                assert value == 2 - rank(RatMatrix.from_rows(rows)), (W.to_json_dict(), ks, J)
                 seen_terms.add((len(ks) > 1, value))
             chi, r0 = _chi_VI_from_entries(W, ks)
             assert chi_VI(W, ks) == chi, (W.to_json_dict(), ks)
@@ -205,7 +205,7 @@ def _rank_sum(M: RatMatrix) -> int:
         for rows in itertools.combinations(M.entries, rsize):
             for csize in range(1, M.ncols + 1):
                 for cols in itertools.combinations(range(M.ncols), csize):
-                    total += (-1) ** (rsize + csize) * RatMatrix(tuple(tuple(row[c] for c in cols) for row in rows)).rank()
+                    total += (-1) ** (rsize + csize) * rank(RatMatrix(tuple(tuple(row[c] for c in cols) for row in rows)))
     return total
 
 

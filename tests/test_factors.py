@@ -67,6 +67,13 @@ def test_factor_names_and_order():
     assert hyp223(0, 1, 2).name == "H[0,1,2]"
     with pytest.raises(ValueError):
         face_minor_x(0, 1, 1)
+    # the kind order, pinned apart from FactorId.sort_key
+    kinds = [f.kind for f in all_factors(2)]
+    assert kinds == ["slice"] * 3 + ["face_x"] * 6 + ["face_y"] * 6 + ["hyp222"] * 3 + ["hyp223"]
+    with pytest.raises(ValueError, match="unknown factor kind"):
+        FactorId("hyp224", (0, 1, 2))
+    with pytest.raises(ValueError, match="takes 2 indices"):
+        FactorId("hyp222", (0, 1, 2))
 
 
 def test_eval_minor_examples():

@@ -17,7 +17,7 @@ from segreml.groebner import (
     standard_monomial_count,
     standard_monomials,
 )
-from segreml.oracle import DataVector
+from segreml.oracle import DataVector, score_system
 from segreml.realize import realize
 from segreml.tensor import ScalingTensor
 
@@ -367,17 +367,8 @@ def test_normal_form_matches_the_reference_reducer():
     assert zeros >= 100
 
 
-def test_criterion_F_forms_one_pair_per_lcm(monkeypatch):
-    # Leads xy, xz and yz: when yz arrives, its pairs with xy and with xz both
-    # have lcm xyz, so only one of them is formed; the old pair (xz, xy) has
-    # that lcm too, but it stays, because yz divides it with lcm(xy, yz) equal.
-    gens = [
-        [((1, 1, 0), 1), ((1, 0, 0), 2), ((0, 0, 0), -3)],
-        [((1, 0, 1), 1), ((0, 1, 0), -5), ((0, 0, 1), 1)],
-        [((0, 1, 1), 1), ((1, 0, 0), 7), ((0, 0, 0), 11)],
-    ]
-    R = groebner.Ring(P, 3)
-    xy, xz, yz = (groebner.pack(m) for m in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+def _counting_spair(monkeypatch) -> list:
+    """Route groebner.spair through a wrapper that records the two leads of every S-pair formed."""
     formed = []
     spair = groebner.spair
 
@@ -386,19 +377,70 @@ def test_criterion_F_forms_one_pair_per_lcm(monkeypatch):
         return spair(f, g, ring)
 
     monkeypatch.setattr(groebner, "spair", counted)
+    return formed
+
+
+def test_old_pair_criterion_keeps_a_pair_the_new_lead_cannot_replace(monkeypatch):
+    # Leads xy, xz and yz: when yz arrives, the old pair (xz, xy) has lcm xyz,
+    # which yz divides, but it stays, because lcm(xy, yz) is xyz too; it is
+    # formed exactly once.
+    gens = [
+        [((1, 1, 0), 1), ((1, 0, 0), 2), ((0, 0, 0), -3)],
+        [((1, 0, 1), 1), ((0, 1, 0), -5), ((0, 0, 1), 1)],
+        [((0, 1, 1), 1), ((1, 0, 0), 7), ((0, 0, 0), 11)],
+    ]
+    R = groebner.Ring(P, 3)
+    xy, xz, yz = (groebner.pack(m) for m in ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    formed = _counting_spair(monkeypatch)
     gb = groebner_basis(gens, P)
     assert formed.count(frozenset((xz, xy))) == 1
-    assert formed.count(frozenset((yz, xy))) + formed.count(frozenset((yz, xz))) == 1
     monkeypatch.undo()
     assert gb == _naive_buchberger(gens, 3)
     assert groebner.mono_lcm(R, yz, xy) == groebner.mono_lcm(R, yz, xz) == groebner.mono_lcm(R, xy, xz)
 
 
+def _pinned_tensors() -> list:
+    """The benchmark's four oracle tensors (the paper's counterexample pair and two generic tensors), then realize(2, 8, seed) for seeds 0..3."""
+    slices = (
+        [[[1, 3], [2, 4]], [[2, 1], [4, 6]], [[3, 4], [6, 10]]],
+        [[[1, 3], [2, 4]], [[2, 1], [4, 6]], [[3, 3], [6, 1]]],
+        [[[1, 2], [3, 5]], [[7, 11], [13, 17]], [[19, 23], [29, 31]]],
+        [[[1, 2], [3, 5]], [[7, 11], [13, 17]]],
+    )
+    return [ScalingTensor.from_slices(s) for s in slices] + [realize(2, 8, seed=s) for s in range(4)]
+
+
+def test_pair_criteria_work_is_pinned(monkeypatch):
+    # The S-pairs that the product, chain and old-pair criteria leave on the
+    # oracle's reduced two-variable systems, with the counts they give: 70 on
+    # the pinned tensors, where dropping the chain criterion raises it, and
+    # two n = 1 atlas witnesses where the old-pair criterion (F[1*(0,1)] = 0,
+    # 9 pairs without it) and the product criterion (both slice minors 0,
+    # 1 pair without it) each save one.
+    prime = random_prime(random.Random("primes"))
+    formed = _counting_spair(monkeypatch)
+
+    def run(W):
+        start = len(formed)
+        system = score_system(W, DataVector.random(W.n, random.Random(9)))
+        return count_solutions(system.polys, system.nvars, prime, system.nonzero), len(formed) - start
+
+    pinned = [run(W) for W in _pinned_tensors()]
+    assert [count for count, _ in pinned] == [8, 9, 12, 6, 8, 8, 8, 8]
+    assert sum(spairs for _, spairs in pinned) == 70
+    witnesses = (
+        [[["31/6", "59"], ["47/6", "23/4"]], [["61/6", "59/3"], ["11/4", "649/122"]]],
+        [[["47/4", "29/6"], ["2/5", "47/6"]], [["7/4", "71/7"], ["14/235", "3337/203"]]],
+    )
+    assert [run(ScalingTensor.from_json_dict({"n": 1, "w": w})) for w in witnesses] == [(5, 8), (4, 0)]
+
+
 # sha256 of repr(groebner_basis(...)) for the n + 3-variable reference score
-# systems below (helpers.full_score_system), under the first prime of
-# random.Random("primes") and data DataVector.random(n, random.Random(9)).  They were computed with the list-merging reducer of
-# _reference_normal_form and without one-pair-per-lcm, so they show that
-# the kernel returns the identical reduced basis, not just equal counts.
+# systems of the pinned tensors (helpers.full_score_system), under the first
+# prime of random.Random("primes") and data DataVector.random(n, random.Random(9)).
+# They were computed with the list-merging reducer of _reference_normal_form,
+# so they show that the kernel returns the identical reduced basis, not just
+# equal counts.
 PINNED_BASES = (
     "1cfbeada5500a07f1535617b0ac500a9b3898b0f730dc6d90d36da5723929cc2",
     "f1b45e3a0385425c991dc236ea84578a0d95b187cb8ab6212d57fdd2bf47062e",
@@ -412,18 +454,9 @@ PINNED_BASES = (
 
 
 def test_reduced_bases_are_pinned():
-    # the benchmark's four oracle tensors (the paper's counterexample pair and
-    # two generic tensors), then realize(2, 8, seed) for seeds 0..3
-    slices = (
-        [[[1, 3], [2, 4]], [[2, 1], [4, 6]], [[3, 4], [6, 10]]],
-        [[[1, 3], [2, 4]], [[2, 1], [4, 6]], [[3, 3], [6, 1]]],
-        [[[1, 2], [3, 5]], [[7, 11], [13, 17]], [[19, 23], [29, 31]]],
-        [[[1, 2], [3, 5]], [[7, 11], [13, 17]]],
-    )
-    tensors = [ScalingTensor.from_slices(s) for s in slices] + [realize(2, 8, seed=s) for s in range(4)]
     prime = random_prime(random.Random("primes"))
     digests = []
-    for W in tensors:
+    for W in _pinned_tensors():
         _, polys = full_score_system(W, DataVector.random(W.n, random.Random(9)))
         digests.append(hashlib.sha256(repr(groebner_basis(polys, prime)).encode()).hexdigest())
     assert tuple(digests) == PINNED_BASES

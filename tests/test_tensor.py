@@ -7,6 +7,7 @@ import pytest
 
 from segreml.errors import DimensionMismatchError, ZeroEntryError
 from segreml.euler import mldeg
+from segreml.exact import rank
 from segreml.factors import eval_minor, face_minor_x, face_minor_y, vanishing_pattern
 from segreml.realize import realize
 from segreml.tensor import ScalingTensor
@@ -58,7 +59,7 @@ def test_flattening_mode3():
         [2, 1, 4, 6],
         [3, 4, 6, 10],
     ]
-    assert flat.rank() == 2
+    assert rank(flat) == 2
 
 
 def test_index_conventions_vs_prose_labels():
