@@ -35,10 +35,19 @@ only the reducer's tail instead of re-merging the whole work list.
 Solution counting for a zero-dimensional ideal is the number of standard
 monomials: monomials outside the leading-term ideal of the reduced basis.
 Counting only the solutions off a hypersurface h = 0 is linear algebra on
-the quotient: the stable rank of the matrix of multiplication by h, built
-from the border normal forms of the reduced basis (`count_solutions`).
+the quotient: the stable rank of multiplication by h, taken on its
+transpose M_h^T (`count_solutions`).  Row j of the transposed map of a
+variable is the coordinate vector of that variable times the j-th
+standard monomial: a unit vector, or a border normal form from FGLM's
+walk, so a product with that map copies every row but the border ones.
 Over F_p this is the count over Q unless p is unlucky for the ideal
 (Arnold, JSC 2003); the oracle compares primes to catch that.
+
+That linear algebra runs on packed vectors (`Vectors`): D entries mod p
+in one int (Kronecker substitution), so a combination of rows is a sum of
+int multiples, and a field is reduced mod p only where it is read.
+Elimination (`_echelon`) reads one field per pivot and each row once,
+after its eliminations.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import product
 from math import gcd, isqrt, prod
-from operator import mul
+from operator import lshift, mul
 
 from .errors import NotZeroDimensionalError, ResourceBudgetExceededError
 
@@ -366,55 +375,81 @@ def standard_monomial_count(lead_monomials, nvars: int) -> int:
     return len(standard_monomials(lead_monomials, nvars))
 
 
-def _echelon(rows, p: int) -> list:
-    """A basis of the span of `rows` over F_p, as (pivot, row) with 0 at every earlier row's pivot."""
+class Vectors:
+    """F_p^size with each vector packed into one int, entry j in bits [j w, (j + 1) w); not changed once built.
+
+    A field may hold any nonnegative int whose residue mod p is its entry,
+    so a sum of vectors is one int sum (Kronecker substitution) and a
+    field is reduced only where it is read.  The width w holds
+    size * terms * p^3, above every field formed here: a product row sums
+    `size` products of an entry below p with a field of a combination of
+    up to `terms` reduced rows (below terms * p^2), and elimination then
+    adds below p^2 per step for at most size - 1 steps, since
+    size * terms * (p - 1)^3 + (size - 1) * (p - 1)^2 < size * terms * p^3.
+    """
+
+    __slots__ = ("p", "width", "mask", "shifts")
+
+    def __init__(self, p: int, size: int, terms: int):
+        self.p = p
+        self.width = 3 * p.bit_length() + (size * terms).bit_length()
+        self.mask = (1 << self.width) - 1
+        self.shifts = range(0, self.width * size, self.width)  # the bit offset of each entry
+
+
+def _entries(V: Vectors, x: int) -> list:
+    """The entries of a packed vector, reduced mod p."""
+    p, mask = V.p, V.mask
+    return [(x >> k & mask) % p for k in V.shifts]
+
+
+def _packed(V: Vectors, entries) -> int:
+    """The packed vector of `entries`, each below 2^w."""
+    return sum(map(lshift, entries, V.shifts))
+
+
+def _times(rows, packed) -> list:
+    """rows @ B for rows as entry lists and B as packed rows: one sum of int multiples per row, left packed."""
+    return [sum(map(mul, row, packed)) for row in rows]
+
+
+def _echelon(rows, V: Vectors) -> list:
+    """A basis of the span of the packed `rows` over F_p, as entry lists reduced mod p.
+
+    Each row reads its entry c at the pivot of every earlier basis row r
+    and adds (p - c) / d * r, d being r's pivot entry, so its fields grow
+    by less than p^2 per step; it is read back once, after its
+    eliminations.  The inverse of d is taken when a later row first needs it.
+    """
+    p, mask, shifts = V.p, V.mask, V.shifts
+    pivots = []  # (bit offset of the pivot, packed row with entries below p, its pivot entry)
+    inverses = {}  # bit offset of a pivot -> the inverse of its entry
     out = []
     for v in rows:
-        for pivot, r in out:
-            c = v[pivot]
+        for shift, r, d in pivots:
+            c = (v >> shift & mask) % p
             if c:
-                d = r[pivot]
-                v = [(a * d - c * b) % p for a, b in zip(v, r)]
-        pivot = next((i for i, a in enumerate(v) if a), None)
-        if pivot is not None:
-            out.append((pivot, v))
+                if shift not in inverses:
+                    inverses[shift] = pow(d, -1, p)
+                v += (p - c) * inverses[shift] % p * r
+        row = _entries(V, v)
+        for j, a in enumerate(row):
+            if a:
+                pivots.append((shifts[j], _packed(V, row), a))
+                out.append(row)
+                break
     return out
 
 
-def _kronecker(p: int, size: int, terms: int):
-    """(pack_rows, times) for size x size matrices over F_p, each a list of rows.
-
-    `pack_rows` turns each row into one int, entry j in bits [j w, (j + 1) w),
-    so `times(rows, packed)`, which is rows @ B for B packed, takes one sum
-    of int multiples of B's packed rows per row (Kronecker substitution)
-    and reads its entries back from the bits, reduced mod p.  The width w
-    holds a sum of `size` products of an entry below p and a packed entry
-    below terms * p^2, so a packed B may also be a combination of up to
-    `terms` packed matrices with coefficients below p.
-    """
-    width = 3 * p.bit_length() + (size * terms).bit_length()
-    mask, offsets = (1 << width) - 1, range(0, width * size, width)
-
-    def pack_rows(rows):
-        return [sum(x << k for x, k in zip(row, offsets)) for row in rows]
-
-    def times(rows, packed):
-        return [[(acc >> k & mask) % p for k in offsets] for acc in (sum(map(mul, row, packed)) for row in rows)]
-
-    return pack_rows, times
-
-
-def _stable_rank(M, p: int) -> int:
-    """The rank of M^k over F_p for every large k.
+def _stable_rank(M, V: Vectors) -> int:
+    """The rank of M^k over F_p for every large k, for M as packed rows with fields below terms * p^2.
 
     The row space of M^(k+1) is the row space of M^k times M; once that
     step keeps the dimension, it keeps it for good.
     """
-    pack_rows, times = _kronecker(p, len(M), 1)
-    packed = pack_rows(M)
-    span = _echelon(M, p)
+    span = _echelon(M, V)
     while True:
-        image = _echelon(times([r for _, r in span], packed), p)
+        image = _echelon(_times(span, M), V)
         if len(image) == len(span):
             return len(span)
         span = image
@@ -435,15 +470,16 @@ def count_solutions(gens, nvars: int, prime: int, nonzero=()) -> int:
     monos = standard_monomials(leading_monomials(basis, nvars), nvars)
     if not nonzero or not monos:
         return len(monos)
-    return _stable_rank(_multiplication_matrix(basis, monos, nonzero, prime), prime)
+    V = Vectors(prime, len(monos), max(map(len, nonzero)))
+    return _stable_rank(_multiplication_matrix(basis, monos, nonzero, V), V)
 
 
 def _shift(m: tuple, v: int, by: int = 1) -> tuple:
     return m[:v] + (m[v] + by,) + m[v + 1 :]
 
 
-def _border_forms(basis, monos, p: int) -> dict:
-    """{x_v * b outside the staircase: the coordinates of its normal form}, for b in `monos`.
+def _border_forms(basis, monos, V: Vectors) -> dict:
+    """{x_v * b outside the staircase: its normal form, packed}, for b in `monos`.
 
     The walk is FGLM's (Faugere-Gianni-Lazard-Mora, JSC 1993), in
     ascending grevlex order: a border monomial that leads a basis element
@@ -451,73 +487,69 @@ def _border_forms(basis, monos, p: int) -> dict:
     Any other one is x_u times a smaller border monomial m', so its normal
     form is x_u times the normal form of m', a combination of x_u * b'
     over standard b' below m', each standard or an earlier border monomial.
+    That combination takes one int operation per nonzero coordinate of m'
+    and is reduced mod p once.
     """
-    nvars, size = len(monos[0]), len(monos)
+    p, shifts = V.p, V.shifts
+    nvars = len(monos[0])
     index = {m: i for i, m in enumerate(monos)}
-    packed = {pack(m): i for i, m in enumerate(monos)}
+    offset = {pack(m): k for m, k in zip(monos, shifts)}
     tails = {unpack(g[0][0], nvars): g[1:] for g in basis}
     border = {_shift(b, v) for b in monos for v in range(nvars)} - index.keys()
-    forms: dict[tuple, list] = {}
+    forms: dict[tuple, int] = {}
     for m in sorted(border, key=pack):
-        form = [0] * size
         if m in tails:
-            for t, c in tails[m]:
-                form[packed[t]] = p - c
+            forms[m] = sum((p - c) << offset[t] for t, c in tails[m])
         else:
             u = next(u for u in range(nvars) if m[u] and _shift(m, u, -1) in forms)
-            for b, c in zip(monos, forms[_shift(m, u, -1)]):
+            acc = 0
+            for b, c in zip(monos, _entries(V, forms[_shift(m, u, -1)])):
                 if c:
                     target = _shift(b, u)
-                    if target in index:
-                        form[index[target]] += c
-                    else:
-                        form = [a + c * f for a, f in zip(form, forms[target])]
-            form = [a % p for a in form]
-        forms[m] = form
+                    acc += c << shifts[index[target]] if target in index else c * forms[target]
+            forms[m] = _packed(V, _entries(V, acc))
     return forms
 
 
-def _multiplication_matrix(basis, monos, factors, p: int):
-    """The matrix of multiplication by the product of `factors` on the quotient.
+def _multiplication_matrix(basis, monos, factors, V: Vectors) -> list:
+    """M_h^T, the transpose of multiplication by the product h of `factors` on the quotient, as packed rows.
 
-    Column j holds the coordinates of the normal form of h * monos[j].
-    The column of M_v at b is the unit vector of x_v * b when that is
-    standard and its border normal form when not, so M_v is read off the
-    border forms and the matrix of x^e takes one product per degree above
-    one.  M_h starts as the first factor's matrix, a combination of those,
-    and takes one product for each further factor.
+    Every field is below terms * p^2.  Row j of the map of x_v holds the
+    coordinates of x_v * b_j: a unit vector when that is standard and its
+    border form when not.  The map of x^e is that of x_v times that of
+    x^(e - v): its row j copies row i of the latter where x_v * b_j = b_i
+    is standard and combines rows, reduced mod p, only at the border.  A
+    factor's map combines its monomials' maps, packed as it stands.  M_h^T
+    is the first factor's map times one product per further factor, whose
+    rows stay packed until the next product reads them; the last one is
+    reduced mod p once, for the stable rank's products.
     """
-    nvars, size = len(monos[0]), len(monos)
+    nvars = len(monos[0])
     index = {m: i for i, m in enumerate(monos)}
-    forms = _border_forms(basis, monos, p)
-    identity = [[int(i == j) for j in range(size)] for i in range(size)]
-    variables = []
-    for v in range(nvars):
-        cols = (identity[index[m]] if m in index else forms[m] for m in (_shift(b, v) for b in monos))
-        variables.append([list(row) for row in zip(*cols)])
+    forms = _border_forms(basis, monos, V)
+    identity = [1 << k for k in V.shifts]
     one = (0,) * nvars
-    matrices = {one: identity, **{_shift(one, v): M_v for v, M_v in enumerate(variables)}}  # x^e -> its matrix
-    pack_rows, times = _kronecker(p, size, max(map(len, factors)))
-    packed = {}
+    matrices = {one: identity}  # x^e -> the packed rows of its map
+    for v in range(nvars):
+        targets = (_shift(b, v) for b in monos)
+        matrices[_shift(one, v)] = [identity[index[t]] if t in index else forms[t] for t in targets]
 
     def matrix(e):
         if e not in matrices:
             v = next(v for v, k in enumerate(e) if k)
-            matrices[e] = times(variables[v], packed_matrix(_shift(e, v, -1)))
+            X = matrix(_shift(e, v, -1))
+            matrices[e] = [
+                X[index[t]] if t in index else _packed(V, _entries(V, sum(map(mul, _entries(V, forms[t]), X))))
+                for t in (_shift(b, v) for b in monos)
+            ]
         return matrices[e]
 
-    def packed_matrix(e):
-        if e not in packed:
-            packed[e] = pack_rows(matrix(e))
-        return packed[e]
+    def combination(poly):
+        coeffs = [c % V.p for _, c in poly]
+        return [sum(map(mul, coeffs, rows)) for rows in zip(*(matrix(e) for e, _ in poly))]
 
     first, *rest = factors
-    coeffs = [c % p for _, c in first]
-    M = [
-        [sum(map(mul, coeffs, entries)) % p for entries in zip(*rows)]
-        for rows in zip(*(matrix(e) for e, _ in first))
-    ]
+    M = combination(first)
     for poly in rest:
-        coeffs = [c % p for _, c in poly]
-        M = times(M, [sum(map(mul, coeffs, rows)) for rows in zip(*(packed_matrix(e) for e, _ in poly))])
-    return M
+        M = _times([_entries(V, r) for r in M], combination(poly))
+    return [_packed(V, _entries(V, r)) for r in M] if rest else M

@@ -33,10 +33,15 @@ for v = x, y, with c and c' running over the components that hold v.
 
 Saturation by a multiplication map.  Solutions of F_x = F_y = 0 with a
 zero coordinate or on a component are not critical points of the
-likelihood.  The count keeps the solutions where h = x y prod_c l_c does
-not vanish, with multiplicity: the stable rank of multiplication by h on
-the quotient by (F_x, F_y), computed over F_p for a random 61-bit prime
-p (`groebner.count_solutions`).  That is the ML degree for generic u.
+likelihood.  The count keeps the solutions where h = prod_c l_c does not
+vanish, with multiplicity: the stable rank of multiplication by h on the
+quotient by (F_x, F_y), computed over F_p for a random 61-bit prime p
+(`groebner.count_solutions`).  That is the ML degree for generic u.  h
+needs no factor x y.  At v = 0 the score is F_v = U_v P_v, so when p does
+not divide U_v a solution with v = 0 lies on a component that holds v,
+where h vanishes already.  A prime that divides U_v reduces F_v to v
+times a form of lower degree, which generally makes it unlucky for a
+count with x y as well; the two-prime check below covers either count.
 
 Why it stays independent.  The components are found here from the
 slices by the rank-one test above, not read from `euler`'s arrangement,
@@ -141,7 +146,8 @@ class ScoreSystem:
 
     `components` pairs each distinct component l_c (a primitive integer
     term list) with its exponent E_c; a count keeps the solutions where
-    no variable and no component vanishes.
+    no component vanishes, which are also off the coordinate hyperplanes
+    (the module docstring's lemma).
     """
 
     nvars: int
@@ -150,8 +156,8 @@ class ScoreSystem:
 
     @property
     def nonzero(self) -> tuple[tuple, ...]:
-        """The factors of h = (product of the variables) * (product of the components)."""
-        return (((1,) * self.nvars, 1),), *(c for c, _ in self.components)
+        """The factors of h = product of the components."""
+        return tuple(c for c, _ in self.components)
 
 
 def _by_cell(nested, dims) -> dict:

@@ -33,6 +33,13 @@ HOOK_EXAMPLE = ScalingTensor.from_slices(
     [[[2, 5], [1, 2]], [[2, 5], [2, 2]], [[1, 1], [1, 1]]]
 )
 
+# Two conjugate point pairs over one t-polynomial: slices 0 and 1 meet over
+# t^2 = 2 at s = 1 + t, slices 2 and 3 at s = 1 + 2t.  ML degree 18; a
+# conjugate-point key that drops its B term merges the two pairs and reads 20.
+TWIN_CONJUGATES_W = ScalingTensor.from_slices(
+    [[[1, 1], [-2, -3]], [[1, 2], [-3, -4]], [[1, 1], [-3, -5]], [[1, 3], [-7, -7]]]
+)
+
 
 def all_ones(n: int) -> ScalingTensor:
     return ScalingTensor.from_entries(n, [[[1] * (n + 1)] * 2] * 2)

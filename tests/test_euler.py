@@ -32,6 +32,7 @@ from helpers import (
     COUNTEREXAMPLE_W,
     COUNTEREXAMPLE_W_PRIME,
     HOOK_EXAMPLE,
+    TWIN_CONJUGATES_W,
     _tall_rational,
     all_ones,
     degenerate_tensor,
@@ -299,6 +300,7 @@ def test_arrangement_agrees_with_inclusion_exclusion():
     tensors = [witness for seed in range(3) for _, witness in atlas(seed=seed)]
     tensors += [realize(n, r) for n in range(1, 5) for r in range(1, degree_bound(n) + 1)]
     tensors += [realize(n, r, seed=1) for n in (6, 7, 8) for r in (n + 3, degree_bound(n))]
+    tensors.append(TWIN_CONJUGATES_W)  # two conjugate pairs share a t-polynomial
     rng = random.Random(17)
     tensors += [_degenerate_tensor(rng, rng.randint(1, 4)) for _ in range(2000)]
     for W in tensors:

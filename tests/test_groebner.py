@@ -89,6 +89,33 @@ def test_multiplication_map_saturation_matches_rabinowitsch():
         compared += 1
 
 
+def test_packed_width_holds_the_worst_case():
+    # D = 98 (n = 6) and p = 2^61 - 1 with every entry p - 1: a product row
+    # reaches D * terms * (p - 1)^3 in every field, and D - 1 eliminations
+    # with multipliers p - 1 each add (p - 1)^2 on top; every field must
+    # read back exactly, with no carry into its neighbour.
+    p, size = P, 98
+    for terms in (1, 4):
+        V = groebner.Vectors(p, size, terms)
+        full = groebner._packed(V, [p - 1] * size)
+        combined = [sum((p - 1) * full for _ in range(terms))] * size
+        (row,) = groebner._times([[p - 1] * size], combined)
+        fields = lambda x: [x >> k & V.mask for k in V.shifts]
+        assert fields(row) == [size * terms * (p - 1) ** 3] * size
+        assert groebner._entries(V, row) == [size * terms * (p - 1) ** 3 % p] * size
+        for _ in range(size - 1):
+            row += (p - 1) * full
+        assert fields(row) == [size * terms * (p - 1) ** 3 + (size - 1) * (p - 1) ** 2] * size
+        # The same growth inside _echelon: pivot row i has 1 at i and p - 1
+        # after it, and the last row's fields start as high as a product
+        # leaves them, each chosen so that every multiplier is p - 1.
+        pivots = [groebner._packed(V, [0] * i + [1] + [p - 1] * (size - 1 - i)) for i in range(size - 1)]
+        top = size * terms * (p - 1) ** 3
+        last = groebner._packed(V, [top - (top - 1 + i) % p for i in range(size)])
+        basis = groebner._echelon(pivots + [last], V)
+        assert len(basis) == size and basis[-1] == [0] * (size - 1) + [1]
+
+
 def test_positive_dimensional_rejected():
     with pytest.raises(NotZeroDimensionalError):
         count_solutions([[((1, 1), 1)]], 2, P)  # xy = 0 is a curve pair

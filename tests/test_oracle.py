@@ -20,10 +20,14 @@ from segreml.euler import degree_bound, mldeg_value
 from segreml.exact import RatMatrix
 from segreml.groebner import count_solutions, random_prime
 from segreml.realize import realize
+from segreml.strata import atlas
 from segreml.tensor import ScalingTensor
 from segreml.oracle import (
     CountResult,
     DataVector,
+    _by_cell,
+    _count_two_primes,
+    _simplex_product_model,
     count_critical_points,
     oracle_mldeg,
     score_model,
@@ -33,6 +37,7 @@ from segreml.oracle import (
 from helpers import (
     COUNTEREXAMPLE_W,
     COUNTEREXAMPLE_W_PRIME,
+    TWIN_CONJUGATES_W,
     all_ones,
     degenerate_tensor,
     full_score_system,
@@ -65,7 +70,7 @@ def test_score_system_structure():
     assert system.nvars == 2  # x, y; z1 is eliminated
     assert system.components == (((((0, 0), 1), ((1, 0), 1)), 8), ((((0, 0), 1), ((0, 1), 1)), 8))
     assert [dict(score) for score in system.polys] == [{(0, 0): 4, (1, 0): -4}, {(0, 0): 4, (0, 1): -4}]
-    assert system.nonzero == ((((1, 1), 1),), *(c for c, _ in system.components))
+    assert system.nonzero == tuple(c for c, _ in system.components)  # h is the product of the components
 
 
 def test_score_system_weights_per_coordinate():
@@ -172,6 +177,31 @@ def test_merged_components():
     assert count_critical_points(COUNTEREXAMPLE_W_PRIME, u) == 9
 
 
+def test_h_needs_no_coordinate_factor():
+    # At v = 0 the score F_v is U_v P_v, so a solution with x = 0 or y = 0
+    # lies on a component that holds v, and h = prod l_c already saturates
+    # it away: adding x y as a factor of h changes no count.  The count off
+    # the axes alone falls below the plain count on enough of the systems
+    # to show that solutions on an axis occur.
+    prime = 2**61 - 1
+    rng = random.Random(26)
+    tensors = [W for seed in range(3) for _, W in atlas(seed=seed)]
+    for n, draws in ((1, 40), (2, 40), (3, 20)):
+        for _ in range(draws):
+            tensors += [degenerate_tensor(rng, n), line_heavy_tensor(rng, n)]
+            if n < 3:
+                tensors.append(realize(n, rng.randint(1, degree_bound(n)), seed=rng.randrange(1000)))
+    assert len(tensors) >= 400
+    on_axis = 0
+    for W in tensors:
+        system = score_system(W, DataVector.random(W.n, rng))
+        count = lambda factors: count_solutions(system.polys, system.nvars, prime, factors)
+        xy = (((1,) * system.nvars, 1),)
+        assert count(system.nonzero) == count((xy, *system.nonzero)), W.to_json_dict()
+        on_axis += count([(((1, 0), 1),), (((0, 1), 1),)]) < count(())
+    assert on_axis >= 100, on_axis
+
+
 def test_oracle_shares_no_code_with_the_engine():
     # the count is independent evidence for the ML degree only while the
     # oracle finds its components itself
@@ -205,6 +235,10 @@ def test_oracle_examples():
     result = oracle_mldeg(all_ones(2), trials=3, seed=2)
     assert result.count == 1 and result.stable
     assert len(result.trials) == 3
+    # two conjugate pairs over one t-polynomial, told apart by the curve
+    # arrangement's point key alone; this count shares no code with that key
+    result = oracle_mldeg(TWIN_CONJUGATES_W, 2, 0)
+    assert result.count == 18 and result.stable
 
 
 def test_oracle_output_is_pinned(tmp_path, capsys):
@@ -370,3 +404,17 @@ def test_matrix_oracle_matches_rank_formula_up_to_3x3():
     for M in cases:
         u = [[rng.randint(1, 200) for _ in range(M.ncols)] for _ in range(M.nrows)]
         assert count_critical_points_matrix(M, u) == mldeg_matrix(M)
+
+
+@pytest.mark.skipif(not os.environ.get("SEGREML_EXHAUSTIVE"), reason="~4 s at n = 5, 6; set SEGREML_EXHAUSTIVE=1")
+def test_exhaustive_oracle_beyond_its_cap():
+    # The oracle past ORACLE_MAX_N: each model is built directly, since
+    # score_model refuses n > 4, and counted under two primes.
+    rng = random.Random(56)
+    for n in (5, 6):
+        dims = (1, 1, n)
+        for _ in range(5):
+            realized = realize(n, rng.randint(1, degree_bound(n)), seed=rng.randrange(1000))
+            for W in (realized, degenerate_tensor(rng, n), line_heavy_tensor(rng, n)):
+                system = _simplex_product_model(dims, _by_cell(W.w, dims))(DataVector.random(n, rng).u)
+                assert _count_two_primes(system) == mldeg_value(W), W.to_json_dict()
