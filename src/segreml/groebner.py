@@ -43,6 +43,13 @@ walk, so a product with that map copies every row but the border ones.
 Over F_p this is the count over Q unless p is unlucky for the ideal
 (Arnold, JSC 2003); the oracle compares primes to catch that.
 
+The primes have PRIME_BITS = 30 bits, so a reduced coefficient, a
+pivot inverse and every Miller-Rabin modulus is one CPython digit
+(`sys.int_info.bits_per_digit` is 30): a product of two reduced
+coefficients is at most two digits before its reduction.  A wider prime
+only lowers the chance of an unlucky one, which the oracle's second
+prime already catches.
+
 That linear algebra runs on packed vectors (`Vectors`): D entries mod p
 in one int (Kronecker substitution), so a combination of rows is a sum of
 int multiples, and a field is reduced mod p only where it is read.
@@ -200,7 +207,7 @@ def normal_form(f, basis, R: Ring):
 
 
 DEFAULT_MAX_BASIS = 600
-PRIME_BITS = 61
+PRIME_BITS = 30  # 2^29 < p < 2^30: one CPython digit
 # Miller-Rabin with Sinclair's seven bases is exact below 2^64 (Sinclair 2011),
 # provided a base that is 0 mod n is skipped.
 _WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)

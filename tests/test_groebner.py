@@ -90,12 +90,15 @@ def test_multiplication_map_saturation_matches_rabinowitsch():
 
 
 def test_packed_width_holds_the_worst_case():
-    # D = 98 (n = 6) and p = 2^61 - 1 with every entry p - 1: a product row
-    # reaches D * terms * (p - 1)^3 in every field, and D - 1 eliminations
-    # with multipliers p - 1 each add (p - 1)^2 on top; every field must
-    # read back exactly, with no carry into its neighbour.
-    p, size = P, 98
-    for terms in (1, 4):
+    # D = 98 (n = 6) with every entry p - 1, for the largest prime below
+    # 2^30 (the size of the oracle's primes) and for 2^61 - 1: a product
+    # row reaches D * terms * (p - 1)^3 in every field, and D - 1
+    # eliminations with multipliers p - 1 each add (p - 1)^2 on top; every
+    # field must read back exactly, with no carry into its neighbour.
+    largest = 2**30 - 35
+    assert is_prime(largest) and not any(map(is_prime, range(largest + 1, 2**30)))
+    size = 98
+    for p, terms in itertools.product((largest, P), (1, 4)):
         V = groebner.Vectors(p, size, terms)
         full = groebner._packed(V, [p - 1] * size)
         combined = [sum((p - 1) * full for _ in range(terms))] * size
@@ -244,13 +247,13 @@ def test_primes():
         with pytest.raises(ValueError):
             is_prime(n)
     drawn = [random_prime(random.Random(s)) for s in range(20)]
-    assert all(q.bit_length() == 61 and is_prime(q) for q in drawn)
+    assert all(q.bit_length() == groebner.PRIME_BITS and is_prime(q) for q in drawn)
     assert len(set(drawn)) == 20 and random_prime(random.Random(3)) == drawn[3]
     # the oracle's prime streams: the first 8 primes of the fixed stream and of
     # each trial seed's stream for seeds 0..19
     streams = [random.Random("primes")] + [random.Random(f"primes {s}") for s in range(20)]
     stream = " ".join(str(random_prime(rng)) for rng in streams for _ in range(8))
-    assert hashlib.sha256(stream.encode()).hexdigest() == "276c8f99fa8fd7d2b9e93708ea5d81440289b51a7385ea1195e4c2e19163f86c"
+    assert hashlib.sha256(stream.encode()).hexdigest() == "a3baa2c61991648a51344f9d8132b1ba50425ac3825c56a554a1a46ab459dbea"
 
 
 def test_standard_monomial_count_vs_enumeration():
@@ -463,8 +466,8 @@ def test_pair_criteria_work_is_pinned(monkeypatch):
 
 
 # sha256 of repr(groebner_basis(...)) for the n + 3-variable reference score
-# systems of the pinned tensors (helpers.full_score_system), under the first
-# prime of random.Random("primes") and data DataVector.random(n, random.Random(9)).
+# systems of the pinned tensors (helpers.full_score_system), under the 61-bit
+# prime PINNED_PRIME and data DataVector.random(n, random.Random(9)).
 # They were computed with the list-merging reducer of _reference_normal_form,
 # so they show that the kernel returns the identical reduced basis, not just
 # equal counts.
@@ -480,12 +483,15 @@ PINNED_BASES = (
 )
 
 
+# the first prime of random.Random("primes") when the oracle drew 61-bit primes
+PINNED_PRIME = 1267140332980906253
+
+
 def test_reduced_bases_are_pinned():
-    prime = random_prime(random.Random("primes"))
     digests = []
     for W in _pinned_tensors():
         _, polys = full_score_system(W, DataVector.random(W.n, random.Random(9)))
-        digests.append(hashlib.sha256(repr(groebner_basis(polys, prime)).encode()).hexdigest())
+        digests.append(hashlib.sha256(repr(groebner_basis(polys, PINNED_PRIME)).encode()).hexdigest())
     assert tuple(digests) == PINNED_BASES
 
 

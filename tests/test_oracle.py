@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,7 @@ from helpers import (
     full_score_system,
     line_heavy_tensor,
     random_tensor,
+    torus_rescale,
 )
 from references import count_critical_points_matrix, matrix_score_system
 
@@ -200,6 +202,31 @@ def test_h_needs_no_coordinate_factor():
         assert count(system.nonzero) == count((xy, *system.nonzero)), W.to_json_dict()
         on_axis += count([(((1, 0), 1),), (((0, 1), 1),)]) < count(())
     assert on_axis >= 100, on_axis
+
+
+def test_drawn_primes_count_as_a_61_bit_prime():
+    # Unlucky primes at the oracle's size: each seeded system at n = 1..3,
+    # some torus-rescaled by 30-digit rationals, counts the same under five
+    # drawn 30-bit primes as under 2^61 - 1.
+    rng = random.Random(27)
+    primes = random.Random("primes 27")
+    tall = lambda count: [Fraction(rng.randrange(10**29, 10**30), rng.randrange(10**29, 10**30)) for _ in range(count)]
+    tensors = []
+    for n, draws in ((1, 24), (2, 16), (3, 4)):
+        for i in range(draws):
+            realized = realize(n, rng.randint(1, degree_bound(n)), seed=rng.randrange(1000))
+            tensors += [realized, degenerate_tensor(rng, n), line_heavy_tensor(rng, n)]
+            if i < 2:
+                tensors.append(torus_rescale(realized, tall(2), tall(2), tall(n + 1)))
+    for W in tensors:
+        system = score_system(W, DataVector.random(W.n, rng))
+        expected = count_solutions(system.polys, system.nvars, 2**61 - 1, system.nonzero)
+        for _ in range(5):
+            prime = random_prime(primes)
+            assert prime < 2**30 and count_solutions(system.polys, system.nvars, prime, system.nonzero) == expected, (
+                W.to_json_dict(),
+                prime,
+            )
 
 
 def test_oracle_shares_no_code_with_the_engine():
@@ -406,7 +433,7 @@ def test_matrix_oracle_matches_rank_formula_up_to_3x3():
         assert count_critical_points_matrix(M, u) == mldeg_matrix(M)
 
 
-@pytest.mark.skipif(not os.environ.get("SEGREML_EXHAUSTIVE"), reason="~4 s at n = 5, 6; set SEGREML_EXHAUSTIVE=1")
+@pytest.mark.skipif(not os.environ.get("SEGREML_EXHAUSTIVE"), reason="~3 s at n = 5, 6; set SEGREML_EXHAUSTIVE=1")
 def test_exhaustive_oracle_beyond_its_cap():
     # The oracle past ORACLE_MAX_N: each model is built directly, since
     # score_model refuses n > 4, and counted under two primes.
