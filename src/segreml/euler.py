@@ -200,12 +200,11 @@ class MLDegreeReport:
         return out
 
 
-def _inner_sum(W: ScalingTensor, ks: tuple[int, ...], terms=None) -> int:
+def _inner_sum(W: ScalingTensor, ks: tuple[int, ...], terms: dict) -> int:
     total = 0
     for J in _ALL_J:
         value = chi_VI_XJ(W, ks, J)
-        if terms is not None:
-            terms[(ks, J)] = value
+        terms[(ks, J)] = value
         total += (-1) ** (len(J[0]) + len(J[1])) * value
     return total
 

@@ -4,15 +4,21 @@ A monomial x^e in N variables is one int,
 
     K(e) = deg(e) * B^N - sum_i e_i * B^i,      B = 2^16,
 
-so grevlex order is int order and a monomial product is an int add.  The
-low N fields of -K hold the exponents E; bit 15 of each field is a guard
-bit, so x^a divides x^b exactly when ((E_b | G) - E_a) & G == G for the
-mask G of guard bits, and lcm is a per-field maximum.  Both need every
+so grevlex order is int order and a monomial product is an int add;
+multiplying by x_v adds K(x_v) = B^N - B^v (`Ring.steps`).  The low N
+fields of -K hold the exponents E; bit 15 of each field is a guard bit,
+so x^a divides x^b exactly when ((E_b | G) - E_a) & G == G for the mask
+G of guard bits, and lcm is a per-field maximum.  Both need every
 exponent below 2^15: generators and S-pairs from total degree 2^15 on
 raise ResourceBudgetExceededError, and reduction never raises a degree.
 A term list is a list of (packed monomial, coefficient in [1, p)) pairs,
 sorted descending and monic.  The prime and the packing width travel as
 one `Ring` value, built per basis computation.
+
+This is the module's one monomial format.  The entry points
+(`groebner_basis`, `count_solutions` and `standard_monomial_count`) read
+exponent tuples, raise ValueError on one without N entries and pack each
+once; nothing past them handles a tuple.
 
 `groebner_basis` runs Buchberger's algorithm under grevlex with three of
 the Gebauer-Moeller criteria (JSC 1988), in Becker-Weispfenning's UPDATE
@@ -34,6 +40,9 @@ only the reducer's tail instead of re-merging the whole work list.
 
 Solution counting for a zero-dimensional ideal is the number of standard
 monomials: monomials outside the leading-term ideal of the reduced basis.
+One ascending walk (`staircase`) lists them with the border monomials,
+the products of a variable and a standard monomial that a lead divides,
+degree by degree, testing each against the packed leads.
 Counting only the solutions off a hypersurface h = 0 is linear algebra on
 the quotient: the stable rank of multiplication by h, taken on its
 transpose M_h^T (`count_solutions`).  Row j of the transposed map of a
@@ -60,7 +69,6 @@ after its eliminations.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import product
 from math import gcd, isqrt, prod
 from operator import lshift, mul
 
@@ -73,13 +81,14 @@ DEGREE_LIMIT = 1 << (FIELD_BITS - 1)  # the guard bit: every total degree stays 
 class Ring:
     """F_p[x_1..x_N] with monomials packed into N fields of FIELD_BITS bits; not changed once built."""
 
-    __slots__ = ("p", "nvars", "shift", "mask", "guard", "top")
+    __slots__ = ("p", "nvars", "shift", "mask", "guard", "top", "steps")
 
     def __init__(self, p: int, nvars: int):
         self.p, self.nvars, self.shift = p, nvars, FIELD_BITS * nvars
         self.mask = (1 << self.shift) - 1  # B^N - 1, the exponent fields of -K
         self.guard = sum(DEGREE_LIMIT << (FIELD_BITS * i) for i in range(nvars))  # bit 15 of every field
         self.top = (DEGREE_LIMIT - 1) << self.shift  # K(m) > top exactly when deg(m) >= DEGREE_LIMIT
+        self.steps = tuple((1 << self.shift) - (1 << (FIELD_BITS * v)) for v in range(nvars))  # K(x_v)
 
 
 def _degree_error(deg) -> ResourceBudgetExceededError:
@@ -92,12 +101,6 @@ def pack(exps) -> int:
     if deg >= DEGREE_LIMIT:
         raise _degree_error(deg)
     return (deg << (FIELD_BITS * len(exps))) - sum(e << (FIELD_BITS * i) for i, e in enumerate(exps))
-
-
-def unpack(mono: int, nvars: int) -> tuple:
-    """The exponent tuple of a packed monomial in nvars variables."""
-    e = -mono & ((1 << (FIELD_BITS * nvars)) - 1)
-    return tuple((e >> (FIELD_BITS * i)) & 0xFFFF for i in range(nvars))
 
 
 def mono_divides(R: Ring, a: int, b: int) -> bool:
@@ -114,6 +117,13 @@ def mono_lcm(R: Ring, a: int, b: int) -> int:
     # the degree, at most 2 * (2^15 - 1) < B - 1, is the sum of the fields,
     # which is their remainder mod B - 1 because B = 1 mod B - 1
     return ((e % 0xFFFF) << R.shift) - e
+
+
+def _check_lengths(monos, nvars: int):
+    """Raise ValueError unless every exponent tuple of `monos` has nvars entries."""
+    for m in monos:
+        if len(m) != nvars:
+            raise ValueError(f"exponent tuple {m} does not have {nvars} entries")
 
 
 def from_int_terms(R: Ring, terms) -> list:
@@ -164,7 +174,7 @@ def spair(f, g, R: Ring):
     lmf, lmg = f[0][0], g[0][0]
     lcm = mono_lcm(R, lmf, lmg)
     if lcm > R.top:
-        raise _degree_error(sum(unpack(lcm, R.nvars)))
+        raise _degree_error((lcm + R.mask) >> R.shift)
     return combine(f, 1, lcm - lmf, g, R.p - 1, lcm - lmg, R.p)
 
 
@@ -273,6 +283,7 @@ def groebner_basis(gens, prime: int):
     """
     gens = [list(g) for g in gens]
     nvars = next((len(m) for g in gens for m, _ in g), 0)
+    _check_lengths((m for g in gens for m, _ in g), nvars)
     R = Ring(prime, nvars)
     divides, lcm = mono_divides, mono_lcm
     polys: list[list] = []
@@ -341,45 +352,35 @@ def groebner_basis(gens, prime: int):
     return reduced
 
 
-def leading_monomials(basis, nvars: int):
-    """The leading monomials of a basis from groebner_basis, as exponent tuples."""
-    return [unpack(p[0][0], nvars) for p in basis]
+def staircase(R: Ring, leads) -> tuple[list, list]:
+    """The standard and the border monomials of the monomial ideal of the packed `leads`, each ascending.
 
-
-def standard_monomials(lead_monomials, nvars: int) -> list[tuple]:
-    """The exponent tuples outside the monomial ideal of the given leads.
-
+    The walk goes degree by degree from 1: each product of a variable and
+    a standard monomial of the last degree is a border monomial when a
+    lead divides it and standard when none does, and the walk stops at the
+    first degree with no standard monomial.  The unit ideal has neither.
     Raises NotZeroDimensionalError unless each variable appears as a pure
     power among the leads (the staircase is finite exactly then).
     """
-    lms = list(lead_monomials)
-    if any(sum(m) == 0 for m in lms):
-        return []  # the ideal is the unit ideal
-    caps = []
-    for v in range(nvars):
-        pure = [m[v] for m in lms if all(m[u] == 0 for u in range(nvars) if u != v)]
-        if not pure:
-            raise NotZeroDimensionalError(
-                f"no pure power of variable {v} among the leading terms"
-            )
-        caps.append(min(pure))
-
-    out = []
-
-    def walk(v, prefix, live):
-        if not live:
-            out.extend(prefix + rest for rest in product(*(range(c) for c in caps[v:])))
-        elif v < nvars:  # at v == nvars some lead divides the prefix
-            for e in range(caps[v]):
-                walk(v + 1, prefix + (e,), [m for m in live if m[v] <= e])
-
-    walk(0, (), lms)
-    return out
+    if 0 in leads:
+        return [], []  # the ideal is the unit ideal
+    for v, step in enumerate(R.steps):
+        if not any(m == ((m + R.mask) >> R.shift) * step for m in leads):  # x_v^d is d * K(x_v)
+            raise NotZeroDimensionalError(f"no pure power of variable {v} among the leading terms")
+    standard, border, layer = [0], [], [0]
+    while layer:
+        above, layer = sorted({m + step for m in layer for step in R.steps}), []
+        for m in above:
+            (border if any(mono_divides(R, lm, m) for lm in leads) else layer).append(m)
+        standard += layer
+    return standard, border
 
 
 def standard_monomial_count(lead_monomials, nvars: int) -> int:
-    """Dimension of the quotient by the monomial ideal of the given leads."""
-    return len(standard_monomials(lead_monomials, nvars))
+    """Dimension of the quotient by the monomial ideal of the given leads, as exponent tuples."""
+    lead_monomials = list(lead_monomials)
+    _check_lengths(lead_monomials, nvars)
+    return len(staircase(Ring(0, nvars), [pack(m) for m in lead_monomials])[0])
 
 
 class Vectors:
@@ -473,20 +474,19 @@ def count_solutions(gens, nvars: int, prime: int, nonzero=()) -> int:
     Algebraic Geometry*, ch. 2, section 4): saturation by h as linear algebra.
     Without `nonzero` the count is the standard-monomial count.
     """
+    _check_lengths((m for g in (*gens, *nonzero) for m, _ in g), nvars)
+    factors = [[(pack(m), c % prime) for m, c in f] for f in nonzero]
+    R = Ring(prime, nvars)
     basis = groebner_basis(gens, prime)
-    monos = standard_monomials(leading_monomials(basis, nvars), nvars)
-    if not nonzero or not monos:
-        return len(monos)
-    V = Vectors(prime, len(monos), max(map(len, nonzero)))
-    return _stable_rank(_multiplication_matrix(basis, monos, nonzero, V), V)
+    standard, border = staircase(R, [g[0][0] for g in basis])
+    if not factors or not standard:
+        return len(standard)
+    V = Vectors(prime, len(standard), max(map(len, factors)))
+    return _stable_rank(_multiplication_matrix(R, basis, standard, border, factors, V), V)
 
 
-def _shift(m: tuple, v: int, by: int = 1) -> tuple:
-    return m[:v] + (m[v] + by,) + m[v + 1 :]
-
-
-def _border_forms(basis, monos, V: Vectors) -> dict:
-    """{x_v * b outside the staircase: its normal form, packed}, for b in `monos`.
+def _border_forms(R: Ring, basis, border, index, V: Vectors) -> dict:
+    """{m: its normal form, packed} for each border monomial m; `index` numbers the standard monomials in order.
 
     The walk is FGLM's (Faugere-Gianni-Lazard-Mora, JSC 1993), in
     ascending grevlex order: a border monomial that leads a basis element
@@ -498,61 +498,52 @@ def _border_forms(basis, monos, V: Vectors) -> dict:
     and is reduced mod p once.
     """
     p, shifts = V.p, V.shifts
-    nvars = len(monos[0])
-    index = {m: i for i, m in enumerate(monos)}
-    offset = {pack(m): k for m, k in zip(monos, shifts)}
-    tails = {unpack(g[0][0], nvars): g[1:] for g in basis}
-    border = {_shift(b, v) for b in monos for v in range(nvars)} - index.keys()
-    forms: dict[tuple, int] = {}
-    for m in sorted(border, key=pack):
+    tails = {g[0][0]: g[1:] for g in basis}
+    forms: dict[int, int] = {}
+    for m in border:
         if m in tails:
-            forms[m] = sum((p - c) << offset[t] for t, c in tails[m])
+            forms[m] = sum((p - c) << shifts[index[t]] for t, c in tails[m])
         else:
-            u = next(u for u in range(nvars) if m[u] and _shift(m, u, -1) in forms)
+            step = next(step for step in R.steps if mono_divides(R, step, m) and m - step in forms)
             acc = 0
-            for b, c in zip(monos, _entries(V, forms[_shift(m, u, -1)])):
+            for b, c in zip(index, _entries(V, forms[m - step])):
                 if c:
-                    target = _shift(b, u)
+                    target = b + step
                     acc += c << shifts[index[target]] if target in index else c * forms[target]
             forms[m] = _packed(V, _entries(V, acc))
     return forms
 
 
-def _multiplication_matrix(basis, monos, factors, V: Vectors) -> list:
+def _multiplication_matrix(R: Ring, basis, standard, border, factors, V: Vectors) -> list:
     """M_h^T, the transpose of multiplication by the product h of `factors` on the quotient, as packed rows.
 
-    Every field is below terms * p^2.  Row j of the map of x_v holds the
-    coordinates of x_v * b_j: a unit vector when that is standard and its
-    border form when not.  The map of x^e is that of x_v times that of
-    x^(e - v): its row j copies row i of the latter where x_v * b_j = b_i
-    is standard and combines rows, reduced mod p, only at the border.  A
-    factor's map combines its monomials' maps, packed as it stands.  M_h^T
-    is the first factor's map times one product per further factor, whose
-    rows stay packed until the next product reads them; the last one is
-    reduced mod p once, for the stable rank's products.
+    Every field is below terms * p^2.  Row j of the map of x^e holds the
+    coordinates of x^e * b_j, and the map of x^e is that of x_v times that
+    of x^(e - v), for the first v with x_v dividing x^e: its row j copies
+    row i of the latter where x_v * b_j = b_i is standard and combines
+    that map's rows by the border form of x_v * b_j, reduced mod p, where
+    it is not.  Over the identity, the map of 1, this builds the variable
+    maps.  A factor's map combines its monomials' maps, packed as it
+    stands.  M_h^T is the first factor's map times one product per further
+    factor, whose rows stay packed until the next product reads them; the
+    last one is reduced mod p once, for the stable rank's products.
     """
-    nvars = len(monos[0])
-    index = {m: i for i, m in enumerate(monos)}
-    forms = _border_forms(basis, monos, V)
-    identity = [1 << k for k in V.shifts]
-    one = (0,) * nvars
-    matrices = {one: identity}  # x^e -> the packed rows of its map
-    for v in range(nvars):
-        targets = (_shift(b, v) for b in monos)
-        matrices[_shift(one, v)] = [identity[index[t]] if t in index else forms[t] for t in targets]
+    index = {m: i for i, m in enumerate(standard)}
+    forms = {m: _entries(V, f) for m, f in _border_forms(R, basis, border, index, V).items()}
+    matrices = {0: [1 << k for k in V.shifts]}  # packed monomial x^e -> the packed rows of its map
 
     def matrix(e):
         if e not in matrices:
-            v = next(v for v, k in enumerate(e) if k)
-            X = matrix(_shift(e, v, -1))
+            step = next(step for step in R.steps if mono_divides(R, step, e))
+            X = matrix(e - step)
             matrices[e] = [
-                X[index[t]] if t in index else _packed(V, _entries(V, sum(map(mul, _entries(V, forms[t]), X))))
-                for t in (_shift(b, v) for b in monos)
+                X[index[t]] if t in index else _packed(V, _entries(V, sum(map(mul, forms[t], X))))
+                for t in (b + step for b in standard)
             ]
         return matrices[e]
 
     def combination(poly):
-        coeffs = [c % V.p for _, c in poly]
+        coeffs = [c for _, c in poly]
         return [sum(map(mul, coeffs, rows)) for rows in zip(*(matrix(e) for e, _ in poly))]
 
     first, *rest = factors

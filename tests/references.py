@@ -123,7 +123,7 @@ def mldeg_point_formula(W: ScalingTensor) -> int | None:
         singles += -2 if values[slice_minor(k)] != 0 else -1
     pair_counts = 0
     for jk in itertools.combinations(range(W.n + 1), 2):
-        pair_counts += _inner_sum(W, jk)
+        pair_counts += _inner_sum(W, jk, {})
     return -(singles - pair_counts)
 
 

@@ -12,10 +12,8 @@ from segreml.groebner import (
     count_solutions,
     groebner_basis,
     is_prime,
-    leading_monomials,
     random_prime,
     standard_monomial_count,
-    standard_monomials,
 )
 from segreml.oracle import DataVector, score_system
 from segreml.realize import realize
@@ -24,6 +22,12 @@ from segreml.tensor import ScalingTensor
 from helpers import full_score_system
 
 P = 2**61 - 1  # a Mersenne prime
+
+
+def _unpack(mono: int, nvars: int) -> tuple:
+    """The exponent tuple e of a packed monomial K(e) = deg(e) B^N - sum_i e_i B^i, B = 2^16."""
+    e = -mono % 2 ** (16 * nvars)
+    return tuple(e >> (16 * i) & 0xFFFF for i in range(nvars))
 
 
 def test_known_counts():
@@ -124,6 +128,22 @@ def test_positive_dimensional_rejected():
         count_solutions([[((1, 1), 1)]], 2, P)  # xy = 0 is a curve pair
 
 
+def test_exponent_tuples_of_the_wrong_length_are_refused():
+    x2_minus_1, y_minus_x = [((2, 0), 1), ((0, 0), -1)], [((0, 1), 1), ((1, 0), -1)]
+    # two 2-variable generators counted as one variable
+    with pytest.raises(ValueError, match="does not have 1 entries"):
+        count_solutions([x2_minus_1, y_minus_x], 1, P)
+    # a 3-variable factor on a 2-variable system
+    with pytest.raises(ValueError, match="does not have 2 entries"):
+        count_solutions([x2_minus_1, y_minus_x], 2, P, [[((1, 0, 0), 1)]])
+    # generators of 2 and of 1 variables
+    with pytest.raises(ValueError, match="does not have 2 entries"):
+        groebner_basis([x2_minus_1, [((2,), 1), ((0,), -4)]], P)
+    with pytest.raises(ValueError, match="does not have 2 entries"):
+        standard_monomial_count([(2, 0), (0, 2, 0)], 2)
+    assert count_solutions([x2_minus_1, y_minus_x], 2, P, [[((1, 0), 1), ((0, 0), -1)]]) == 1
+
+
 def test_buchberger_criterion_on_random_systems():
     # A basis G of the ideal is a Groebner basis iff every generator and
     # every S-polynomial of two elements of G reduces to zero modulo G.
@@ -214,7 +234,7 @@ def test_packed_monomials_match_tuple_definitions():
             continue
         ka, kb = groebner.pack(a), groebner.pack(b)
         assert (ka, kb) == (packed(a), packed(b))
-        assert groebner.unpack(ka, n) == a and groebner.unpack(kb, n) == b
+        assert _unpack(ka, n) == a and _unpack(kb, n) == b
         assert packed(tuple(x + y for x, y in zip(a, b))) == ka + kb  # a product is an int add
         assert groebner.mono_divides(R, ka, kb) == all(x <= y for x, y in zip(a, b))
         lcm = tuple(max(x, y) for x, y in zip(a, b))
@@ -256,21 +276,51 @@ def test_primes():
     assert hashlib.sha256(stream.encode()).hexdigest() == "a3baa2c61991648a51344f9d8132b1ba50425ac3825c56a554a1a46ab459dbea"
 
 
-def test_standard_monomial_count_vs_enumeration():
+def test_staircase_matches_brute_force():
+    # The standard monomials outside random monomial ideals with a pure
+    # power of every variable, and the border monomials x_v * b outside the
+    # staircase, against enumeration of the box of the pure powers; each
+    # walk output is packed and ascending.  Every seventh ideal (and any
+    # other with the lead 1) is the unit ideal, which has neither.
     rng = random.Random(8)
-    for _ in range(50):
-        nvars = rng.choice((2, 3))
+    border_off_the_leads = 0
+    for trial in range(70):
+        nvars = rng.choice((1, 2, 3))
         caps = [rng.randint(1, 4) for _ in range(nvars)]
         lms = [tuple(c if i == v else 0 for i in range(nvars)) for v, c in enumerate(caps)]
         for _ in range(rng.randint(0, 4)):
             lms.append(tuple(rng.randint(0, 3) for _ in range(nvars)))
-        brute = [
-            mono
-            for mono in itertools.product(*(range(c) for c in caps))
-            if not any(all(l[i] <= mono[i] for i in range(nvars)) for l in lms)
+        if trial % 7 == 0:
+            lms.append((0,) * nvars)
+        in_ideal = lambda mono: any(all(l[i] <= mono[i] for i in range(nvars)) for l in lms)
+        box = list(itertools.product(*(range(c + 1) for c in caps)))
+        brute = [mono for mono in box if not in_ideal(mono)]
+        below = lambda mono, v: mono[:v] + (mono[v] - 1,) + mono[v + 1 :]
+        brute_border = [
+            mono for mono in box if in_ideal(mono) and any(mono[v] and below(mono, v) in brute for v in range(nvars))
         ]
-        assert sorted(standard_monomials(lms, nvars)) == brute
+        standard, border = groebner.staircase(groebner.Ring(P, nvars), [groebner.pack(m) for m in lms])
+        assert standard == sorted(standard) and border == sorted(border)
+        assert sorted(_unpack(m, nvars) for m in standard) == brute
+        assert sorted(_unpack(m, nvars) for m in border) == brute_border
         assert standard_monomial_count(lms, nvars) == len(brute)
+        assert (not brute) == ((0,) * nvars in lms)
+        border_off_the_leads += any(_unpack(m, nvars) not in lms for m in border)
+    assert border_off_the_leads >= 20
+    # FGLM's second case: x^2 = y and y^2 = 1 have the leads x^2 and y^2,
+    # and x^2 y and x y^2 are border monomials that lead no basis element,
+    # with the normal forms 1 and x.  Four points: (+-1, 1) and (+-i, -1).
+    R = groebner.Ring(P, 2)
+    standard, border = groebner.staircase(R, [groebner.pack((0, 2)), groebner.pack((2, 0))])
+    assert [_unpack(m, 2) for m in standard] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [_unpack(m, 2) for m in border] == [(0, 2), (2, 0), (1, 2), (2, 1)]
+    gens = [[((2, 0), 1), ((0, 1), -1)], [((0, 2), 1), ((0, 0), -1)]]
+    assert count_solutions(gens, 2, P) == 4
+    assert count_solutions(gens, 2, P, [[((1, 0), 1), ((0, 0), -1)]]) == 3
+    assert count_solutions(gens, 2, P, [[((0, 1), 1), ((0, 0), -1)]]) == 2
+    assert count_solutions(gens, 2, P, [[((1, 1), 1), ((0, 0), 1)]]) == 3  # xy + 1 vanishes at (-1, 1) only
+    with pytest.raises(NotZeroDimensionalError, match="variable 1"):
+        groebner.staircase(R, [groebner.pack((2, 0)), groebner.pack((1, 1))])
 
 
 def test_grevlex_key_matches_first_principles():
@@ -380,7 +430,7 @@ def test_normal_form_matches_the_reference_reducer():
         if not basis:
             continue
         if trial % 3 == 0:
-            basis = groebner_basis([[(groebner.unpack(m, nvars), c) for m, c in g] for g in basis], p)
+            basis = groebner_basis([[(_unpack(m, nvars), c) for m, c in g] for g in basis], p)
             if not basis:
                 continue
         f = groebner.from_int_terms(R, _random_poly(rng, nvars, rng.randint(1, 8), 5, p))
@@ -518,7 +568,7 @@ def test_reduced_basis_matches_naive_buchberger():
 def test_basis_is_interreduced():
     gens = [[((2, 0), 1), ((0, 1), 1)], [((1, 1), 1), ((1, 0), 1)], [((0, 2), 1), ((1, 0), -1)]]
     gb = groebner_basis(gens, P)
-    lms = leading_monomials(gb, 2)
+    lms = [_unpack(p[0][0], 2) for p in gb]
     for i, lm in enumerate(lms):
         for j, other in enumerate(lms):
             if i != j:
@@ -527,5 +577,5 @@ def test_basis_is_interreduced():
     for p in gb:
         assert p[0][1] == 1  # monic
         for mono, _ in p[1:]:
-            mono = groebner.unpack(mono, 2)
+            mono = _unpack(mono, 2)
             assert not any(all(a <= b for a, b in zip(lm, mono)) for lm in lms)

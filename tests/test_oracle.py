@@ -263,9 +263,11 @@ def test_oracle_examples():
     assert result.count == 1 and result.stable
     assert len(result.trials) == 3
     # two conjugate pairs over one t-polynomial, told apart by the curve
-    # arrangement's point key alone; this count shares no code with that key
+    # arrangement's point key alone; this count shares no code with that key,
+    # and the arrangement must reach it
     result = oracle_mldeg(TWIN_CONJUGATES_W, 2, 0)
     assert result.count == 18 and result.stable
+    assert mldeg_value(TWIN_CONJUGATES_W) == result.count
 
 
 def test_oracle_output_is_pinned(tmp_path, capsys):
