@@ -75,8 +75,9 @@ ADMISSION = {
     # entries at 0.6-0.85 of the cap's time
     "matrix-mldeg": Admission("m + n", 12, lambda dim, bits: 7**dim * bits // 3**dim,
                               "matrix-mldeg sums the ranks of all submatrices of an (m+1) x (n+1) matrix"),
-    # one score system per trial: 1.1-1.3 s for 50 trials on a generic n = 4 tensor
-    # (ML degree 30), twice that when a disagreement forces the recount
+    # one score system per trial, the trials counted in pairs: 0.62-0.98 s, median 0.75 s,
+    # for 50 trials on a generic n = 4 tensor (ML degree 30), twice that when a
+    # disagreement forces the recount
     "oracle": Admission("--trials", 50, lambda trials, bits: trials, "oracle counts one score system per trial"),
     # the verification sums 2^(n+1) - 1 slice subsets as analyze does: 0.32-0.62 s at n = 12
     "realize": Admission("n", 12, lambda n, bits: 2 ** (n + 1),

@@ -12,7 +12,8 @@ G of guard bits, and lcm is a per-field maximum.  Both need every
 exponent below 2^15: generators and S-pairs from total degree 2^15 on
 raise ResourceBudgetExceededError, and reduction never raises a degree.
 A term list is a list of (packed monomial, coefficient in [1, p)) pairs,
-sorted descending and monic.  The prime and the packing width travel as
+sorted descending and monic (a basis joined over several primes has
+coefficients mod their product, its lead still first).  The prime and the packing width travel as
 one `Ring` value, built per basis computation.
 
 This is the module's one monomial format.  The entry points
@@ -52,16 +53,25 @@ walk, so a product with that map copies every row but the border ones.
 Over F_p this is the count over Q unless p is unlucky for the ideal
 (Arnold, JSC 2003); the oracle compares primes to catch that.
 
-The primes have PRIME_BITS = 30 bits, so a reduced coefficient, a
-pivot inverse and every Miller-Rabin modulus is one CPython digit
-(`sys.int_info.bits_per_digit` is 30): a product of two reduced
-coefficients is at most two digits before its reduction.  A wider prime
-only lowers the chance of an unlucky one, which the oracle's second
-prime already catches.
+`count_solutions` counts under a tuple of primes, and each prime gets its
+own Groebner basis.  When the primes are distinct and their reduced bases
+have the same leads, as they do for all but unlucky primes, the
+staircase and the linear algebra run once, modulo the product N of the
+primes, on the bases joined by the Chinese remainder theorem: Z/N is the
+product of the fields F_p.  Elimination there accepts only pivots that
+are units mod N, and falls back to one count per prime on any other.
 
-That linear algebra runs on packed vectors (`Vectors`): D entries mod p
+The primes have PRIME_BITS = 30 bits, so every coefficient of
+Buchberger's algorithm, reduced mod p, and every Miller-Rabin modulus is
+one CPython digit (`sys.int_info.bits_per_digit` is 30): a product of
+two reduced coefficients is at most two digits before its reduction.
+The linear algebra of a pair of primes runs mod p1 * p2, two digits.  A
+wider prime only lowers the chance of an unlucky one, which the oracle's
+second prime already catches.
+
+That linear algebra runs on packed vectors (`Vectors`): D entries mod N
 in one int (Kronecker substitution), so a combination of rows is a sum of
-int multiples, and a field is reduced mod p only where it is read.
+int multiples, and a field is reduced mod N only where it is read.
 Elimination (`_echelon`) reads one field per pivot and each row once,
 after its eliminations.
 """
@@ -384,8 +394,9 @@ def standard_monomial_count(lead_monomials, nvars: int) -> int:
 
 
 class Vectors:
-    """F_p^size with each vector packed into one int, entry j in bits [j w, (j + 1) w); not changed once built.
+    """(Z/p)^size with each vector packed into one int, entry j in bits [j w, (j + 1) w); not changed once built.
 
+    The modulus p is a prime or a product of distinct primes (`count_solutions`).
     A field may hold any nonnegative int whose residue mod p is its entry,
     so a sum of vectors is one int sum (Kronecker substitution) and a
     field is reduced only where it is read.  The width w holds
@@ -421,13 +432,19 @@ def _times(rows, packed) -> list:
     return [sum(map(mul, row, packed)) for row in rows]
 
 
+class _NonUnitPivot(Exception):
+    """A pivot that is zero mod some prime factor of the modulus but not mod all of them."""
+
+
 def _echelon(rows, V: Vectors) -> list:
-    """A basis of the span of the packed `rows` over F_p, as entry lists reduced mod p.
+    """A basis of the span of the packed `rows` mod p, as entry lists reduced mod p.
 
     Each row reads its entry c at the pivot of every earlier basis row r
     and adds (p - c) / d * r, d being r's pivot entry, so its fields grow
     by less than p^2 per step; it is read back once, after its
     eliminations.  The inverse of d is taken when a later row first needs it.
+    A pivot must be a unit mod p, which every nonzero entry is when p is
+    prime; any other raises _NonUnitPivot.
     """
     p, mask, shifts = V.p, V.mask, V.shifts
     pivots = []  # (bit offset of the pivot, packed row with entries below p, its pivot entry)
@@ -443,6 +460,8 @@ def _echelon(rows, V: Vectors) -> list:
         row = _entries(V, v)
         for j, a in enumerate(row):
             if a:
+                if gcd(a, p) != 1:
+                    raise _NonUnitPivot
                 pivots.append((shifts[j], _packed(V, row), a))
                 out.append(row)
                 break
@@ -450,7 +469,7 @@ def _echelon(rows, V: Vectors) -> list:
 
 
 def _stable_rank(M, V: Vectors) -> int:
-    """The rank of M^k over F_p for every large k, for M as packed rows with fields below terms * p^2.
+    """The rank of M^k mod p for every large k, for M as packed rows with fields below terms * p^2.
 
     The row space of M^(k+1) is the row space of M^k times M; once that
     step keeps the dimension, it keeps it for good.
@@ -463,8 +482,36 @@ def _stable_rank(M, V: Vectors) -> int:
         span = image
 
 
-def count_solutions(gens, nvars: int, prime: int, nonzero=()) -> int:
-    """Solutions over F_prime of the ideal of `gens` where no polynomial of `nonzero` vanishes.
+def crt_idempotents(primes) -> list:
+    """The e_i that are 1 mod primes[i] and 0 mod the other primes, which are distinct (Chinese remainder theorem).
+
+    x = sum_i x_i e_i mod prod(primes) is the residue that is x_i mod each primes[i].
+    """
+    N = prod(primes)
+    return [N // p * pow(N // p, -1, p) for p in primes]
+
+
+def _crt_combine(systems, primes) -> list:
+    """The term lists mod N = prod(primes) whose reductions mod primes[i] are those of systems[i].
+
+    The primes are distinct and the systems have one length; a monomial
+    missing from a term list has coefficient 0 there.  Monomials keep
+    their order of first appearance, so a basis element's lead stays
+    first, and a coefficient 0 mod N is dropped.
+    """
+    N, idempotents = prod(primes), crt_idempotents(primes)
+    combined = []
+    for term_lists in zip(*systems):
+        coeffs: dict = {}
+        for terms, e in zip(term_lists, idempotents):
+            for m, c in terms:
+                coeffs[m] = coeffs.get(m, 0) + c * e
+        combined.append([(m, c % N) for m, c in coeffs.items() if c % N])
+    return combined
+
+
+def count_solutions(gens, nvars: int, primes, nonzero=()) -> tuple:
+    """For each p in `primes`, the solutions over F_p of the ideal of `gens` where no polynomial of `nonzero` vanishes.
 
     Solutions count with multiplicity.  The quotient A = F_p[x]/I splits
     into one local algebra per solution, and multiplication by h, the
@@ -473,15 +520,43 @@ def count_solutions(gens, nvars: int, prime: int, nonzero=()) -> int:
     matrix M_h of multiplication by h on A (Cox-Little-O'Shea, *Using
     Algebraic Geometry*, ch. 2, section 4): saturation by h as linear algebra.
     Without `nonzero` the count is the standard-monomial count.
+
+    Each prime gets its own reduced basis.  When the primes are distinct
+    and the bases have the same leads, the linear algebra runs once, mod
+    the product N of the primes, on the bases combined by `_crt_combine`:
+    Z/N is the product of the fields F_p, and its ring operations are
+    theirs at once.  A pivot that is a unit mod N is nonzero mod every p,
+    so each field takes the same pivots and reaches the same rank.  A pivot
+    that is not splits the count (dynamic evaluation, Della Dora-
+    Dicrescenzo-Duval, EUROCAL 1985): each prime is then counted alone, as
+    it is when the leads differ or a prime repeats.  A single prime is the
+    case N = p, where every nonzero pivot is a unit.
     """
     _check_lengths((m for g in (*gens, *nonzero) for m, _ in g), nvars)
-    factors = [[(pack(m), c % prime) for m, c in f] for f in nonzero]
-    R = Ring(prime, nvars)
-    basis = groebner_basis(gens, prime)
-    standard, border = staircase(R, [g[0][0] for g in basis])
+    factors = [[(pack(m), c) for m, c in f] for f in nonzero]
+    R = Ring(0, nvars)  # the walk, the border forms and the maps read only its monomial packing
+    bases, stairs = [], {}  # stairs: leads -> (standard, border)
+    for p in primes:
+        basis = groebner_basis(gens, p)
+        leads = tuple(g[0][0] for g in basis)
+        if leads not in stairs:
+            stairs[leads] = staircase(R, leads)
+        bases.append((basis, stairs[leads]))
+    if len(stairs) == 1 and len(set(primes)) == len(primes):
+        joint = _crt_combine([basis for basis, _ in bases], primes)
+        try:
+            return (_quotient_count(R, prod(primes), joint, *bases[0][1], factors),) * len(primes)
+        except _NonUnitPivot:
+            pass
+    return tuple(_quotient_count(R, p, basis, *stair, factors) for p, (basis, stair) in zip(primes, bases))
+
+
+def _quotient_count(R: Ring, modulus: int, basis, standard, border, factors) -> int:
+    """The stable rank of M_h mod `modulus` on the quotient by the reduced `basis`; its dimension without factors."""
     if not factors or not standard:
         return len(standard)
-    V = Vectors(prime, len(standard), max(map(len, factors)))
+    factors = [[(m, c % modulus) for m, c in f] for f in factors]
+    V = Vectors(modulus, len(standard), max(map(len, factors)))
     return _stable_rank(_multiplication_matrix(R, basis, standard, border, factors, V), V)
 
 
@@ -518,26 +593,30 @@ def _multiplication_matrix(R: Ring, basis, standard, border, factors, V: Vectors
     """M_h^T, the transpose of multiplication by the product h of `factors` on the quotient, as packed rows.
 
     Every field is below terms * p^2.  Row j of the map of x^e holds the
-    coordinates of x^e * b_j, and the map of x^e is that of x_v times that
-    of x^(e - v), for the first v with x_v dividing x^e: its row j copies
-    row i of the latter where x_v * b_j = b_i is standard and combines
-    that map's rows by the border form of x_v * b_j, reduced mod p, where
-    it is not.  Over the identity, the map of 1, this builds the variable
-    maps.  A factor's map combines its monomials' maps, packed as it
-    stands.  M_h^T is the first factor's map times one product per further
-    factor, whose rows stay packed until the next product reads them; the
-    last one is reduced mod p once, for the stable rank's products.
+    coordinates of x^e * b_j.  For a variable x_v that row is a unit
+    vector where x_v * b_j is standard and its packed border form where it
+    is not.  Any other map is that of x_v times that of x^(e - v), for the
+    first v with x_v dividing x^e: its row j copies row i of the latter
+    where x_v * b_j = b_i is standard and combines that map's rows by the
+    border form of x_v * b_j, reduced mod p, where it is not.  A factor's
+    map combines its monomials' maps, packed as it stands.  M_h^T is the
+    first factor's map times one product per further factor, whose rows
+    stay packed until the next product reads them; the last one is
+    reduced mod p once, for the stable rank's products.
     """
     index = {m: i for i, m in enumerate(standard)}
-    forms = {m: _entries(V, f) for m, f in _border_forms(R, basis, border, index, V).items()}
-    matrices = {0: [1 << k for k in V.shifts]}  # packed monomial x^e -> the packed rows of its map
+    packed = _border_forms(R, basis, border, index, V)
+    unit = [1 << k for k in V.shifts]
+    matrices = {0: unit}  # packed monomial x^e -> the packed rows of its map
+    for step in R.steps:
+        matrices[step] = [unit[index[t]] if t in index else packed[t] for t in (b + step for b in standard)]
 
     def matrix(e):
         if e not in matrices:
             step = next(step for step in R.steps if mono_divides(R, step, e))
             X = matrix(e - step)
             matrices[e] = [
-                X[index[t]] if t in index else _packed(V, _entries(V, sum(map(mul, forms[t], X))))
+                X[index[t]] if t in index else _packed(V, _entries(V, sum(map(mul, _entries(V, packed[t]), X))))
                 for t in (b + step for b in standard)
             ]
         return matrices[e]

@@ -16,10 +16,10 @@ import pytest
 
 import segreml.oracle
 from segreml.cli import main
-from segreml.errors import DimensionMismatchError, UnstableCountError
+from segreml.errors import DimensionMismatchError, NotZeroDimensionalError, UnstableCountError
 from segreml.euler import degree_bound, mldeg_value
 from segreml.exact import RatMatrix
-from segreml.groebner import count_solutions, random_prime
+from segreml.groebner import count_solutions, groebner_basis, is_prime, random_prime
 from segreml.realize import realize
 from segreml.strata import atlas
 from segreml.tensor import ScalingTensor
@@ -101,7 +101,9 @@ def _reduced_and_reference(W, u, prime):
     """The count on the two-variable system and on the n + 3-variable reference, over F_prime."""
     system = score_system(W, u)
     nvars, polys = full_score_system(W, u)
-    return count_solutions(system.polys, system.nvars, prime, system.nonzero), count_solutions(polys, nvars, prime)
+    (reduced,) = count_solutions(system.polys, system.nvars, (prime,), system.nonzero)
+    (reference,) = count_solutions(polys, nvars, (prime,))
+    return reduced, reference
 
 
 def test_one_model_serves_every_trial():
@@ -197,7 +199,7 @@ def test_h_needs_no_coordinate_factor():
     on_axis = 0
     for W in tensors:
         system = score_system(W, DataVector.random(W.n, rng))
-        count = lambda factors: count_solutions(system.polys, system.nvars, prime, factors)
+        count = lambda factors: count_solutions(system.polys, system.nvars, (prime,), factors)
         xy = (((1,) * system.nvars, 1),)
         assert count(system.nonzero) == count((xy, *system.nonzero)), W.to_json_dict()
         on_axis += count([(((1, 0), 1),), (((0, 1), 1),)]) < count(())
@@ -220,10 +222,10 @@ def test_drawn_primes_count_as_a_61_bit_prime():
                 tensors.append(torus_rescale(realized, tall(2), tall(2), tall(n + 1)))
     for W in tensors:
         system = score_system(W, DataVector.random(W.n, rng))
-        expected = count_solutions(system.polys, system.nvars, 2**61 - 1, system.nonzero)
+        expected = count_solutions(system.polys, system.nvars, (2**61 - 1,), system.nonzero)
         for _ in range(5):
             prime = random_prime(primes)
-            assert prime < 2**30 and count_solutions(system.polys, system.nvars, prime, system.nonzero) == expected, (
+            assert prime < 2**30 and count_solutions(system.polys, system.nvars, (prime,), system.nonzero) == expected, (
                 W.to_json_dict(),
                 prime,
             )
@@ -344,8 +346,8 @@ def test_unlucky_prime_is_recounted(monkeypatch):
     leads = [max(poly, key=lambda t: (sum(t[0]), tuple(-e for e in reversed(t[0]))))[1] for poly in system.polys]
     assert leads[0] % 59 == 0 and leads[1] % 239 == 0
     assert (_total(u) - sum(map(sum, u.u[1]))) % 59 == 0 and (_total(u) - sum(u.u[i][1][k] for i in range(2) for k in range(3))) % 239 == 0
-    assert count_solutions(system.polys, system.nvars, 59, system.nonzero) == 5
-    assert count_solutions(system.polys, system.nvars, 239, system.nonzero) == 3
+    assert count_solutions(system.polys, system.nvars, (59,), system.nonzero) == (5,)
+    assert count_solutions(system.polys, system.nvars, (239,), system.nonzero) == (3,)
     honest = oracle_mldeg(COUNTEREXAMPLE_W, trials=2, seed=1)
     assert honest.stable and honest.count == 8
 
@@ -374,6 +376,67 @@ def test_unlucky_prime_is_recounted(monkeypatch):
     _unlucky_drawer(monkeypatch, {0: 59})
     with pytest.raises(UnstableCountError):
         count_critical_points(COUNTEREXAMPLE_W, _first_trial_data())
+
+
+def test_joint_counts_equal_separate_counts(tmp_path, capsys):
+    # count_solutions under a pair of primes counts each prime's system
+    # once, mod their product, and must read what each prime counted alone
+    # reads.  Primes from 101..2000 are often unlucky, so the pairs whose
+    # counts differ reach both fallbacks: bases whose leads differ, and
+    # bases with the same leads, which the joint elimination can only tell
+    # apart at a pivot that is zero mod one prime and not the other.
+    rng = random.Random(11)
+    small = [q for q in range(101, 2000) if is_prime(q)]
+    tensors = [W for _, W in atlas(seed=11)]
+    for n in (1, 2, 3):
+        tensors += [degenerate_tensor(rng, n), line_heavy_tensor(rng, n)]
+        tensors.append(realize(n, rng.randint(1, degree_bound(n)), seed=rng.randrange(1000)))
+    pairs = split = apart = 0
+    for W in tensors:
+        system = score_system(W, DataVector.random(W.n, rng))
+        leads = lambda p: [g[0][0] for g in groebner_basis(system.polys, p)]
+        alone = {}
+        for p in rng.sample(small, 12):
+            try:
+                (alone[p],) = count_solutions(system.polys, system.nvars, (p,), system.nonzero)
+            except NotZeroDimensionalError:
+                continue
+        primes = list(alone)
+        for pair in zip(primes, primes[1:] + primes[:1]):  # each prime in two pairs
+            counts = tuple(map(alone.get, pair))
+            assert count_solutions(system.polys, system.nvars, pair, system.nonzero) == counts, (W.to_json_dict(), pair)
+            pairs += 1
+            if counts[0] != counts[1]:
+                same_leads = leads(pair[0]) == leads(pair[1])
+                split += same_leads
+                apart += not same_leads
+    assert pairs >= 500 and split >= 5 and apart >= 5, (pairs, split, apart)
+
+    # the witness of test_unlucky_prime_is_recounted, counted jointly and
+    # with a prime repeated
+    system = score_system(COUNTEREXAMPLE_W, _first_trial_data())
+    assert count_solutions(system.polys, system.nvars, (59, 239), system.nonzero) == (5, 3)
+    assert count_solutions(system.polys, system.nvars, (59, 239, 59), system.nonzero) == (5, 3, 5)
+    prime = random_prime(random.Random("primes"))
+    assert count_solutions(system.polys, system.nvars, (prime, prime), system.nonzero) == (8, 8)
+    # over F_71 its reduced basis has the leads it has over F_101, but it
+    # has 7 solutions off h = 0, not 8
+    assert [g[0][0] for g in groebner_basis(system.polys, 71)] == [g[0][0] for g in groebner_basis(system.polys, 101)]
+    assert count_solutions(system.polys, system.nvars, (71, 101), system.nonzero) == (7, 8)
+
+    # three trials: one pair counted jointly and one trial alone, each
+    # under the first prime of its own stream
+    for W in (COUNTEREXAMPLE_W, realize(2, 5, seed=4), realize(1, 3, seed=2)):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(W.to_json_dict()))
+        assert main(["oracle", str(path), "--trials", "3", "--seed", "5"]) == 0
+        trials = json.loads(capsys.readouterr().out)["trials"]
+        expected = []
+        for seed, _ in trials:
+            system = score_system(W, DataVector.random(W.n, random.Random(seed)))
+            prime = random_prime(random.Random(f"primes {seed}"))
+            expected += [[seed, *count_solutions(system.polys, system.nvars, (prime,), system.nonzero)]]
+        assert trials == expected
 
 
 def test_matrix_oracle():
