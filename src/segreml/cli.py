@@ -13,8 +13,8 @@ import argparse
 import bisect
 import json
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
-from typing import Callable, NamedTuple
 
 from . import euler, strata
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     SegremlError,
     UnstableCountError,
 )
-from .exact import RatMatrix, format_rational, parse_rational
+from .exact import RatMatrix, Record, format_rational, parse_rational
 from .factors import all_factors, factor_values
 from .oracle import ORACLE_MAX_N, CountResult, DataVector, count_critical_points, oracle_mldeg
 from .realize import realize
@@ -46,7 +46,8 @@ EXIT_UNSTABLE = 3
 SHORT_ENTRY_BITS = 32
 
 
-class Admission(NamedTuple):
+class Admission(Record):
+    __slots__ = ("grows", "cap", "work", "why")
     grows: str
     cap: int
     work: Callable[[int, int], int]

@@ -81,10 +81,10 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+
 from .errors import DimensionMismatchError
 # binary_gcd is unused here: perfbench's harness test checks euler.binary_gcd as its sample binding.
-from .exact import RatMatrix, binary_gcd, distinct_root_count, integer_row, primitive, rank
+from .exact import RatMatrix, Record, binary_gcd, distinct_root_count, integer_row, primitive, rank
 from .factors import (
     VanishingPattern,
     face_classes,
@@ -183,10 +183,10 @@ def chi_VI_XJ(W: ScalingTensor, I, J) -> int:
 _ALL_J = list(itertools.product(((), (0,), (1,)), repeat=2))
 
 
-@dataclass(frozen=True)
-class MLDegreeReport:
+class MLDegreeReport(Record):
     """ML degree with the full inclusion-exclusion term table."""
 
+    __slots__ = ("mldeg", "chi_Y", "terms", "factor_pattern")
     mldeg: int
     chi_Y: int
     terms: dict[tuple[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]], int]

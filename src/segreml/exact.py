@@ -35,10 +35,9 @@ so the gcd of non-proportional quadratics is never of degree two.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
 
 _MAX_FORM_DEGREE = 2
 
@@ -77,18 +76,65 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class Record:
+    """An immutable value whose fields are the names annotated in its class body, each one a slot.
+
+    It keeps a frozen dataclass's rules: == holds between instances of one
+    class with equal field tuples, hash is the hash of the field tuple,
+    repr is "Class(field=value, ...)", copy and pickle rebuild an instance
+    from its fields, and assigning or deleting an attribute raises
+    AttributeError.  A subclass lists its fields in __slots__; one that
+    checks its input sets each field once in its own __init__ through
+    object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        names = self.__annotations__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} fields, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__annotations__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__annotations__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RatMatrix(Record):
     """An immutable matrix with exact rational entries."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]) -> None:
+        if not entries or not entries[0]:
             raise ValueError("matrix must have at least one row and column")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
             raise ValueError("ragged rows")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> RatMatrix:
@@ -147,15 +193,16 @@ def rank(matrix: RatMatrix) -> int:
     return rnk
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(Record):
     """Homogeneous form in (y0, y1) of structural degree len(coeffs)-1 <= 2, with int or Fraction coefficients."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.coeffs) <= _MAX_FORM_DEGREE + 1:
+    def __init__(self, coeffs: tuple) -> None:
+        if not 1 <= len(coeffs) <= _MAX_FORM_DEGREE + 1:
             raise ValueError("binary forms are capped at degree 2")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls) -> BinaryForm:

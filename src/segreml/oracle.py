@@ -85,14 +85,13 @@ curve-arrangement count `euler.mldeg_value` is the practical route.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from math import prod
 from operator import add, getitem, mul
 
 from .errors import DimensionMismatchError, UnstableCountError
-from .exact import integer_row, primitive
+from .exact import Record, integer_row, primitive
 from .groebner import count_solutions, crt_idempotents, random_prime
 from .tensor import ScalingTensor
 
@@ -108,22 +107,23 @@ def _data_entry(x) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class DataVector:
+class DataVector(Record):
     """Strictly positive integer counts indexed like the tensor."""
 
+    __slots__ = ("u",)
     u: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.u) != 2 or any(len(plane) != 2 for plane in self.u):
+    def __init__(self, u: tuple[tuple[tuple[int, ...], ...], ...]) -> None:
+        if len(u) != 2 or any(len(plane) != 2 for plane in u):
             raise DimensionMismatchError("data must be 2 x 2 x (n+1)")
-        width = len(self.u[0][0])
-        for plane in self.u:
+        width = len(u[0][0])
+        for plane in u:
             for row in plane:
                 if len(row) != width:
                     raise DimensionMismatchError("ragged data vector")
                 for value in row:
                     _data_entry(value)
+        object.__setattr__(self, "u", u)
 
     @classmethod
     def from_entries(cls, entries) -> DataVector:
@@ -153,8 +153,7 @@ class DataVector:
             ) from exc
 
 
-@dataclass(frozen=True)
-class ScoreSystem:
+class ScoreSystem(Record):
     """Score equations in the remaining variables, as integer term lists, with the components they saturate by.
 
     `components` pairs each distinct component l_c (a primitive integer
@@ -163,6 +162,7 @@ class ScoreSystem:
     (the module docstring's lemma).
     """
 
+    __slots__ = ("nvars", "polys", "components")
     nvars: int
     polys: tuple[tuple, ...]
     components: tuple[tuple[tuple, int], ...]
@@ -346,10 +346,10 @@ def count_critical_points(W: ScalingTensor, u: DataVector) -> int:
     return _count_two_primes(score_system(W, u))
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(Record):
     """Per-trial oracle counts plus the consensus."""
 
+    __slots__ = ("count", "stable", "trials")
     count: int
     stable: bool
     trials: tuple[tuple[int | None, int], ...]  # (trial seed, count); seed None for a given data vector

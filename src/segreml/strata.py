@@ -32,10 +32,10 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from .exact import Record
 from .factors import (
     FactorId,
     VanishingPattern,
@@ -61,10 +61,10 @@ SIGN_FACTOR_ORDER = (
 _SIGN_MINOR_CELLS = tuple(f.cells() for f in SIGN_FACTOR_ORDER[:6])
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Record):
     """One realizable n=1 vanishing pattern with its Euler characteristic."""
 
+    __slots__ = ("pattern", "chi", "witness_recipe", "symmetry_class")
     pattern: VanishingPattern
     chi: int
     witness_recipe: str

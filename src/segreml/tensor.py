@@ -30,34 +30,37 @@ hash, repr or JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Sequence
 
 from .errors import DimensionMismatchError, ZeroEntryError
-from .exact import format_rational, parse_rational
+from .exact import Record, format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class ScalingTensor:
+class ScalingTensor(Record):
     """Immutable 2 x 2 x (n+1) tensor of nonzero rationals."""
 
+    # _memo is a slot but not a field: it is not annotated here, so it
+    # takes no part in ==, hash or repr.
+    __slots__ = ("n", "w", "_memo")
     n: int
     w: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, w: tuple[tuple[tuple[Fraction, ...], ...], ...]) -> None:
+        if n < 1:
             raise DimensionMismatchError("n must be at least 1")
-        if len(self.w) != 2 or any(len(plane) != 2 for plane in self.w):
+        if len(w) != 2 or any(len(plane) != 2 for plane in w):
             raise DimensionMismatchError("tensor must be 2 x 2 x (n+1)")
         for i in range(2):
             for j in range(2):
-                if len(self.w[i][j]) != self.n + 1:
+                if len(w[i][j]) != n + 1:
                     raise DimensionMismatchError("tensor must be 2 x 2 x (n+1)")
-                for k, value in enumerate(self.w[i][j]):
+                for k, value in enumerate(w[i][j]):
                     if value == 0:
                         raise ZeroEntryError(i, j, k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "_memo", {})
 
     # -- construction ------------------------------------------------------
 
@@ -84,12 +87,6 @@ class ScalingTensor:
         )
 
     # -- memo --------------------------------------------------------------
-
-    @cached_property
-    def _memo(self) -> dict:
-        # Not a dataclass field, so it takes no part in ==, hash or repr; the
-        # dict lands in the instance __dict__ on first use.
-        return {}
 
     def memo(self, key: str, build: Callable[[ScalingTensor], object]):
         """build(self), computed on the first call for `key` and kept for the tensor's lifetime."""

@@ -16,12 +16,28 @@ like public ones.  Annotations are otherwise skipped: every module has
 from __future__ import annotations
 
 import ast
+import copy
 import importlib
+import json
+import os
+import pickle
 import shutil
+import subprocess
+import sys
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
+import pytest
+
 import segreml
+from segreml.errors import DimensionMismatchError, ZeroEntryError
+from segreml.euler import MLDegreeReport
+from segreml.exact import BinaryForm, RatMatrix
+from segreml.factors import FactorId, VanishingPattern
+from segreml.oracle import CountResult, DataVector, ScoreSystem
+from segreml.strata import Stratum
+from segreml.tensor import ScalingTensor
 
 SRC = Path(segreml.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -240,3 +256,85 @@ def test_perfbench_reads_the_held_names_and_finds_every_traced_one():
     ]
     missing += [("segreml.kernels", name) for name in kernels if not _resolves(shim, name)]
     assert missing == [], "perfbench traces or imports these, but segreml does not define them"
+
+
+def test_importing_the_cli_loads_every_module_and_no_dataclasses_inspect_or_typing():
+    # -S keeps site's .pth files, which may import typing themselves, out of the child
+    code = (
+        "import sys, json, segreml.cli; "
+        "print(json.dumps([sorted(m for m in sys.modules if m.partition('.')[0] == 'segreml'), "
+        "[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, heavy = json.loads(proc.stdout)
+    assert heavy == []
+    # cli imports every module at its top, so no command defers one
+    modules = ("cli", "errors", "euler", "exact", "factors", "groebner", "oracle", "realize", "strata", "tensor")
+    assert loaded == ["segreml", *(f"segreml.{m}" for m in modules)]
+
+
+_W = (((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))), ((Fraction(5), Fraction(6)), (Fraction(7), Fraction(8))))
+_U = (((1, 2), (3, 4)), ((5, 6), (7, 8)))
+_FACTOR = FactorId("face_x", (0, 0, 1))
+_PATTERN = VanishingPattern(1, (_FACTOR,))
+
+# Per value type: one instance's fields in declaration order, and argument tuples its __init__ refuses, with the error
+VALUE_TYPES = [
+    (RatMatrix, (((Fraction(1), Fraction(2)),),), [(((),), ValueError), ((((),),), ValueError), ((((1, 2), (3,)),), ValueError)]),
+    (BinaryForm, ((1, -2, 1),), [(((),), ValueError), (((1, 2, 3, 4),), ValueError)]),
+    (
+        ScalingTensor,
+        (1, _W),
+        [
+            ((0, _W), DimensionMismatchError),
+            ((1, _W[:1]), DimensionMismatchError),
+            ((2, _W), DimensionMismatchError),
+            ((1, ((_W[0][0], (Fraction(0), Fraction(1))), _W[1])), ZeroEntryError),
+        ],
+    ),
+    (FactorId, ("face_x", (0, 0, 1)), [(("edge", (0,)), ValueError), (("slice", (0, 1)), ValueError), (("hyp222", (1, 0)), ValueError)]),
+    (VanishingPattern, (1, (_FACTOR,)), []),
+    (MLDegreeReport, (6, 6, {((0,), ((), ())): 1}, _PATTERN), []),
+    (Stratum, (_PATTERN, 5, "solve F[0*(0,1)] = 0 for one entry", "single"), [((_PATTERN, 5, "single"), TypeError)]),
+    (
+        DataVector,
+        (_U,),
+        [
+            ((_U[:1],), DimensionMismatchError),
+            (((_U[0], ((5, 6), (7,))),), DimensionMismatchError),
+            (((_U[0], ((5, 6), (7, True))),), TypeError),
+            (((_U[0], ((5, 6), (7, 0))),), ValueError),
+        ],
+    ),
+    (ScoreSystem, (1, (((1, 0), (-2, 1)),), (((1, 1), 2),)), []),
+    (CountResult, (8, True, ((None, 8),)), [((8, True, ((None, 8),), 0), TypeError)]),
+]
+
+
+@pytest.mark.parametrize("cls, fields, refused", VALUE_TYPES, ids=[cls.__name__ for cls, _, _ in VALUE_TYPES])
+def test_value_types_keep_frozen_dataclass_semantics(cls, fields, refused):
+    value, again = cls(*fields), cls(*fields)
+    assert value == again and not value != again
+    try:
+        expected = hash(fields)
+    except TypeError:  # a dict field: hashing fails as it does for the field tuple
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(again) == expected
+    twin = type("Twin", (cls,), {"__slots__": ()})(*fields)
+    assert value != twin and twin != value and value != fields
+    for name in cls.__annotations__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(again, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == again == copy.deepcopy(value) == pickle.loads(pickle.dumps(value))
+    for args, error in refused:
+        with pytest.raises(error) as excinfo:
+            cls(*args)
+        assert type(excinfo.value) is error
