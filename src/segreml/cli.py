@@ -55,10 +55,11 @@ class Admission(Record):
 
 
 ADMISSION = {
-    # the term table sums 2^(n+1) - 1 slice subsets, each a gcd step or a face-class
-    # lookup on values built once per tensor: 0.77-0.88 s at n = 12 with 32-bit entries;
-    # at its frontier 0.84 s at n = 12 with 9 digits, 0.22 s at n = 10 with 30,
-    # 0.16 s at n = 8 with 100, 0.31 s at n = 6 with 300 and 0.36 s at n = 4 with 600
+    # the term table sums 2^(n+1) - 1 slice subsets, each a memo read, four face-class
+    # lookups and, only where its prefix gcd is zero or not constant, one gcd step, on
+    # values built once per tensor: 0.20-0.24 s at n = 12 with 32-bit entries; at its
+    # frontier 0.21 s at n = 12 with 9 digits, 0.052 s at n = 10 with 30, 0.032 s at
+    # n = 8 with 100, 0.072 s at n = 6 with 300 and 0.105 s at n = 4 with 600
     "analyze": Admission("n", 12, lambda n, bits: 2 ** (n + 1) * (bits + 110) ** 2,
                          "analyze sums 2^(n+1) - 1 slice subsets (use `segreml mldeg` for the ML degree at large n)"),
     # every pair of the n + 1 quadrics, at a cost per pair that grows about as
@@ -80,7 +81,7 @@ ADMISSION = {
     # for 50 trials on a generic n = 4 tensor (ML degree 30), twice that when a
     # disagreement forces the recount
     "oracle": Admission("--trials", 50, lambda trials, bits: trials, "oracle counts one score system per trial"),
-    # the verification sums 2^(n+1) - 1 slice subsets as analyze does: 0.32-0.62 s at n = 12
+    # the verification sums 2^(n+1) - 1 slice subsets as analyze does: 0.11-0.14 s at n = 12
     "realize": Admission("n", 12, lambda n, bits: 2 ** (n + 1),
                          "realize verifies its tensor by summing 2^(n+1) - 1 slice subsets"),
     # seven factors per sampled tensor, whose entries are as long as --bound, at a cost

@@ -69,11 +69,13 @@ coordinate-hyperplane sets X_J; with two P1 factors the outer sign is +1:
 and chi(Y) = (-1)^(n+1) * mldeg.  It enumerates 2^(n+1) - 1 subsets, so
 it backs the `analyze` term table at desk scale and checks `mldeg_value`.
 `mldeg` reads the subset gcds and the face classes (factors.subset_gcd,
-factors.face_classes), built once per tensor, so each of its 9 * (2^(n+1)
-- 1) terms costs a gcd step or a class lookup: g(I) extends the memoized
-g(I minus max I) by the new pair forms only, r0 asks whether every x-face
-class id in I is the same, and a one-sided term is 1 when the face rows
-of I share one class and 0 otherwise.
+factors.face_classes), built once per tensor.  Of the 9 terms of each of
+its 2^(n+1) - 1 subsets, the 4 with J1 and J2 both nonempty are 0 (X_J is
+empty) and cost a dict store; the 4 one-sided terms cost a class lookup
+each, 1 when the face rows of I share one class and 0 otherwise; chi(V_I)
+costs a memo read of g(I minus max I) and, only when that is zero or not
+constant, a gcd of it with the new pair forms, while r0 asks whether every
+x-face class id in I is the same.
 """
 
 from __future__ import annotations
@@ -115,8 +117,10 @@ class PairType(enum.Enum):
 
 def classify_type(W: ScalingTensor, i: int, j: int) -> PairType:
     """Type of the slice-pair pencil, read off the six minors and H[i,j]."""
-    if not i < j:
-        raise ValueError("require i < j")
+    if not 0 <= i < j <= W.n:
+        if not i < j:
+            raise ValueError("require i < j")
+        raise IndexError("slice indices out of range")
     values = integer_values(W)
     if values[hyp222(i, j)] != 0:
         return PairType.I
@@ -137,13 +141,19 @@ def classify_type(W: ScalingTensor, i: int, j: int) -> PairType:
     return PairType.V
 
 
+def _slices(W: ScalingTensor, I) -> tuple[int, ...]:
+    """I as increasing slice indices of W: ValueError if it is empty, IndexError if one is out of range."""
+    ks = tuple(sorted(I))
+    if not (ks and 0 <= ks[0] and ks[-1] <= W.n):
+        if not ks:
+            raise ValueError("I must be nonempty")
+        raise IndexError("slice indices out of range")
+    return ks
+
+
 def chi_VI(W: ScalingTensor, I) -> int:
     """chi of V_I in P1 x P1, by the rank/gcd procedure (any |I| >= 1)."""
-    ks = tuple(sorted(I))
-    if not ks:
-        raise ValueError("I must be nonempty")
-    if ks[0] < 0 or ks[-1] > W.n:
-        raise IndexError("slice indices out of range")
+    ks = _slices(W, I)
     g = subset_gcd(W, ks)
     # Row (w_i0k, w_i1k) of face x_i holds the y0, y1 coefficients of pencil
     # entry (k, i); a rank-0 point exists iff all these rows share one class.
@@ -164,16 +174,16 @@ def chi_VI_XJ(W: ScalingTensor, I, J) -> int:
     gives the empty set; one nonempty reduces to hyperplanes in one P1,
     with chi = 2 - rank of the |I| x 2 face rows, which is 1 when the rows
     are proportional (one face class) and 0 otherwise; both empty is
-    chi(V_I).
+    chi(V_I).  Every path checks I as `chi_VI` does.
     """
-    J1, J2 = (tuple(J[0]), tuple(J[1]))
-    ks = tuple(sorted(I))
+    J1, J2 = J
     if len(J1) > 1 or len(J2) > 1:
         raise ValueError("J components must be proper subsets of {0, 1}")
+    if not J1 and not J2:
+        return chi_VI(W, I)
+    ks = _slices(W, I)
     if J1 and J2:
         return 0
-    if not J1 and not J2:
-        return chi_VI(W, ks)
     # x_{J1} = 0 leaves the rows of face x_i, i = 1 - J1; y_{J2} = 0 those of y_j, j = 1 - J2.
     classes = face_classes(W)[1 - J1[0] if J1 else 3 - J2[0]]
     first = classes[ks[0]]
@@ -181,6 +191,11 @@ def chi_VI_XJ(W: ScalingTensor, I, J) -> int:
 
 
 _ALL_J = list(itertools.product(((), (0,), (1,)), repeat=2))
+# Each J with the sign (-1)^(|J1| + |J2|) of its terms and whether X_J is
+# empty (J1 and J2 both nonempty), where every term is 0.
+_J_TABLE = [(J, (-1) ** (len(J[0]) + len(J[1])), bool(J[0] and J[1])) for J in _ALL_J]
+# The "[J1, J2]" that ends each J's key in `term_map_json`.
+_J_KEYS = {J: f"{[list(J[0]), list(J[1])]}" for J in _ALL_J}
 
 
 class MLDegreeReport(Record):
@@ -193,19 +208,24 @@ class MLDegreeReport(Record):
     factor_pattern: VanishingPattern
 
     def term_map_json(self) -> dict[str, int]:
+        """The terms keyed "I=[k, ...];J=[J1, J2]"; each I's prefix is built once, for its run of nine terms."""
         out = {}
-        for (I, (J1, J2)), value in self.terms.items():
-            key = f"I={list(I)};J={[list(J1), list(J2)]}"
-            out[key] = value
+        last = prefix = None
+        for (I, J), value in self.terms.items():
+            if I != last:
+                last, prefix = I, f"I={list(I)};J="
+            out[prefix + _J_KEYS[J]] = value
         return out
 
 
 def _inner_sum(W: ScalingTensor, ks: tuple[int, ...], terms: dict) -> int:
     total = 0
-    for J in _ALL_J:
-        value = chi_VI_XJ(W, ks, J)
-        terms[(ks, J)] = value
-        total += (-1) ** (len(J[0]) + len(J[1])) * value
+    for J, sign, empty in _J_TABLE:
+        if empty:
+            terms[ks, J] = 0
+        else:
+            value = terms[ks, J] = chi_VI_XJ(W, ks, J)
+            total += sign * value
     return total
 
 
@@ -213,8 +233,9 @@ def _subset_sum(W: ScalingTensor, terms: dict) -> int:
     """The inclusion-exclusion sum over nonempty slice subsets; fills `terms`."""
     total = 0
     for size in range(1, W.n + 2):
+        sign = (-1) ** size
         for ks in itertools.combinations(range(W.n + 1), size):
-            total += (-1) ** size * _inner_sum(W, ks, terms)
+            total += sign * _inner_sum(W, ks, terms)
     return total
 
 

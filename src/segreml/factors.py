@@ -178,8 +178,10 @@ def pair_det_coeffs(w, k1: int, k2: int) -> tuple:
 
 def eval_hyp222(W: ScalingTensor, k1: int, k2: int) -> Fraction:
     """The 2x2x2 hyperdeterminant of slices (k1, k2): the discriminant of their pair form."""
-    if not k1 < k2:
-        raise ValueError("require k1 < k2")
+    if not 0 <= k1 < k2 <= W.n:
+        if not k1 < k2:
+            raise ValueError("require k1 < k2")
+        raise IndexError("slice indices out of range")
     return factor_values(W)[hyp222(k1, k2)]
 
 
@@ -190,8 +192,10 @@ def hyp223_vanishes(W: ScalingTensor, k1: int, k2: int, k3: int) -> bool:
     P1 x P1, iff the three pairwise pencil determinants share a projective
     root in y, read off from their gcd (nonconstant or identically zero).
     """
-    if not k1 < k2 < k3:
-        raise ValueError("require k1 < k2 < k3")
+    if not 0 <= k1 < k2 < k3 <= W.n:
+        if not k1 < k2 < k3:
+            raise ValueError("require k1 < k2 < k3")
+        raise IndexError("slice indices out of range")
     g = subset_gcd(W, (k1, k2, k3))
     return g.is_zero or g.degree >= 1
 
@@ -276,7 +280,10 @@ def factor_values(W: ScalingTensor) -> dict[FactorId, Fraction]:
 
     With W's slice k = s_k times slice k of `integer_slices`, a minor on slices
     k1, k2 is s_k1 s_k2 times its `integer_values` entry, H[k1,k2] (s_k1 s_k2)^2
-    times it; 2x2x3 factors are decided, not valued.
+    times it; 2x2x3 factors are decided, not valued.  H[k1,k2] is taken as
+    (s_k1 s_k2 value) s_k1 s_k2, so each Fraction product reduces against the
+    pair scale's denominator, not its square: cheaper when value and scale
+    share factors, as on torus-rescaled tensors, dearer when they share none.
     """
     s = [w00 / a for w00, a in zip(W.w[0][0], integer_slices(W)[0][0])]
     scale = {ks: s[ks[0]] * s[ks[1]] for ks in itertools.combinations_with_replacement(range(W.n + 1), 2)}
@@ -286,7 +293,8 @@ def factor_values(W: ScalingTensor) -> dict[FactorId, Fraction]:
             ((_, _, k1), _), ((_, _, k2), _) = fid.cells()
             values[fid] = scale[k1, k2] * value
         else:
-            values[fid] = scale[fid.index] ** 2 * value
+            pair = scale[fid.index]
+            values[fid] = pair * value * pair
     return values
 
 
@@ -313,12 +321,18 @@ def subset_gcd(W: ScalingTensor, ks: tuple[int, ...]) -> BinaryForm:
 
     g((k,)) is the zero form, since a single slice has no pairs, and
     g(ks) = gcd(g(ks[:-1]), the forms pairing ks[-1] with ks[:-1]).  The
-    subset sum meets ks[:-1] before ks, so each subset gcds only its new
-    forms, and a constant g(ks[:-1]) ends the gcd at once.
+    subset sum meets ks[:-1] before ks, so each subset costs one memo read
+    of g(ks[:-1]) and, only when that is zero or not constant, one
+    `binary_gcd` of it and the new forms; a nonzero constant g(ks[:-1]) is
+    stored as g(ks) as it is.
     """
     gcds = W.memo("subset_gcds", lambda W: {(k,): BinaryForm.zero() for k in range(W.n + 1)})
-    if ks not in gcds:
+    g = gcds.get(ks)
+    if g is None:
         head, last = ks[:-1], ks[-1]
-        forms = pair_forms(W)
-        gcds[ks] = binary_gcd([subset_gcd(W, head)] + [forms[k, last] for k in head])
-    return gcds[ks]
+        g = subset_gcd(W, head)
+        if g.degree or g.is_zero:
+            forms = pair_forms(W)
+            g = binary_gcd([g] + [forms[k, last] for k in head])
+        gcds[ks] = g
+    return g

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -19,7 +20,15 @@ from segreml.factors import factor_values
 from segreml.realize import realize
 from segreml.tensor import ScalingTensor
 
-from helpers import COUNTEREXAMPLE_W, COUNTEREXAMPLE_W_PRIME, HOOK_EXAMPLE, degenerate_tensor, schema_validator
+from helpers import (
+    COUNTEREXAMPLE_W,
+    COUNTEREXAMPLE_W_PRIME,
+    HOOK_EXAMPLE,
+    _tall_rational,
+    degenerate_tensor,
+    schema_validator,
+    torus_rescale,
+)
 
 W313 = {"n": 2, "w": [[["1", "2", "3"], ["3", "1", "4"]], [["2", "4", "6"], ["4", "6", "10"]]]}
 ONES1 = {"n": 1, "w": [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]]}
@@ -367,6 +376,8 @@ ANALYZE_DIGESTS = {
     "degenerate_tensor(Random(0), 4)": "509eec31b0405820398fe2b687a03f9c800f0ceede00e51a699446ae7ffb24e5",
     "degenerate_tensor(Random(1), 4)": "c6ebbc8ea95a05d65124b24a949ce35d6752a5e0368f12e758af257e65adcd2b",
     "degenerate_tensor(Random(2), 4)": "796af7dc9e65496d06f2326dcf976237cdddcd362029d7a47551ac0fef3b5bd0",
+    "realize(8, 45, seed=1)": "16e1c8f5c922df1ab330e80574cdacf5e6652a8fb5bfeb16fb1d78fb92375933",
+    "torus_rescale(realize(4, 30, seed=1), 100-digit scalars)": "c75c9e9add1698f1e01d64e98b346bf7a4537655666562dbc793a64b3f556a46",
 }
 
 
@@ -374,6 +385,13 @@ def test_analyze_output_is_pinned(tmp_path, capsys):
     tensors = {"COUNTEREXAMPLE_W": COUNTEREXAMPLE_W, "COUNTEREXAMPLE_W_PRIME": COUNTEREXAMPLE_W_PRIME, "HOOK_EXAMPLE": HOOK_EXAMPLE}
     for s in range(3):
         tensors[f"degenerate_tensor(Random({s}), 4)"] = degenerate_tensor(random.Random(s), 4)
+    # most subset gcds extend a constant prefix here
+    tensors["realize(8, 45, seed=1)"] = realize(8, 45, seed=1)
+    # factor values with hundreds of digits, H[k1,k2] scaled back by the squared pair scale
+    rng = random.Random(100)
+    scalars = [[_tall_rational(rng, 100) for _ in range(size)] for size in (2, 2, 5)]
+    name = "torus_rescale(realize(4, 30, seed=1), 100-digit scalars)"
+    tensors[name] = torus_rescale(realize(4, 30, seed=1), *scalars)
     for name, W in tensors.items():
         path = _write(tmp_path, "t.json", W.to_json_dict())
         assert main(["analyze", path, "--json"]) == 0
@@ -382,8 +400,10 @@ def test_analyze_output_is_pinned(tmp_path, capsys):
 
 
 def test_analyze_takes_one_gcd_per_slice_subset(tmp_path, capsys, monkeypatch):
-    # chi(V_I) and the 2x2x3 factors read one subset-gcd table: at n = 4 one
-    # gcd per subset of two or more slices, 2^5 - 1 - 5, and none more for the triples.
+    # chi(V_I) and the 2x2x3 factors read one subset-gcd table: one gcd for each
+    # subset of two or more slices whose prefix gcd is zero or not constant (a
+    # nonzero constant prefix is the subset's gcd), none for any other subset and
+    # none more for the triples.
     gcd = factors.binary_gcd
     calls = []
 
@@ -393,11 +413,16 @@ def test_analyze_takes_one_gcd_per_slice_subset(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(factors, "binary_gcd", counted)
     for r in (10, 17, 30):
-        path = _write(tmp_path, "t.json", realize(4, r, seed=1).to_json_dict())
+        W = realize(4, r, seed=1)
+        subsets = [ks for size in range(2, 6) for ks in itertools.combinations(range(5), size)]
+        heads = [factors.subset_gcd(W, ks[:-1]) for ks in subsets]  # read from W's memo
+        expected = sum(g.is_zero or g.degree > 0 for g in heads)
+        assert expected < len(subsets), r  # some prefix is a nonzero constant
+        path = _write(tmp_path, "t.json", W.to_json_dict())
         calls.clear()
         assert main(["analyze", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["mldeg"] == r
-        assert len(calls) == 26, r
+        assert len(calls) == expected, r
 
 
 def test_mldeg_size_limit(tmp_path, capsys):

@@ -23,7 +23,7 @@ from segreml.euler import (
     pair_types,
 )
 from segreml.exact import RatMatrix, binary_gcd, distinct_root_count, rank
-from segreml.factors import all_factors, hyp223_vanishes, vanishing_pattern
+from segreml.factors import all_factors, eval_hyp222, hyp223_vanishes, vanishing_pattern
 from segreml.realize import _solve_minor, realize
 from segreml.strata import atlas
 from segreml.tensor import ScalingTensor
@@ -123,6 +123,31 @@ def test_chi_VI_XJ():
     assert chi_VI_XJ(W, I, ((), ())) == chi_VI(W, I)
     with pytest.raises(ValueError):
         chi_VI_XJ(W, I, ((0, 1), ()))
+
+
+def test_slice_indices_are_checked_on_every_path():
+    # every J routes I through one check, with chi_VI's errors: negative
+    # indices must not wrap round to slice n, nor an empty X_J hide a bad I
+    W = COUNTEREXAMPLE_W  # n = 2
+    for J in itertools.product(((), (0,), (1,)), repeat=2):
+        for I in ((-1,), (0, 3), (3,), (-1, 1)):
+            with pytest.raises(IndexError, match="slice indices out of range"):
+                chi_VI_XJ(W, I, J)
+        with pytest.raises(ValueError, match="I must be nonempty"):
+            chi_VI_XJ(W, (), J)
+    for args in ((-1, 1, 2), (0, 1, 3)):
+        with pytest.raises(IndexError, match="slice indices out of range"):
+            hyp223_vanishes(W, *args)
+    for args in ((-1, 1), (0, 3)):
+        with pytest.raises(IndexError, match="slice indices out of range"):
+            classify_type(W, *args)
+        with pytest.raises(IndexError, match="slice indices out of range"):
+            eval_hyp222(W, *args)
+    # order is checked before range
+    with pytest.raises(ValueError, match="require k1 < k2 < k3"):
+        hyp223_vanishes(W, 3, 1, 0)
+    with pytest.raises(ValueError, match="require i < j"):
+        classify_type(W, 3, 0)
 
 
 def _chi_VI_from_entries(W, ks):
