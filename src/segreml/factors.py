@@ -44,13 +44,14 @@ from fractions import Fraction
 from .exact import BinaryForm, Record, binary_gcd, integer_row, primitive
 from .tensor import ScalingTensor
 
-# kind -> (sort rank, index count, name format)
+# kind -> (sort rank, index count, name format, index check); the check knows no n,
+# so `eval_minor` checks the slice indices against the tensor's
 _KINDS = {
-    "slice": (0, 1, "F[**{}]"),
-    "face_x": (1, 3, "F[{}*({},{})]"),
-    "face_y": (2, 3, "F[*{}({},{})]"),
-    "hyp222": (3, 2, "H[{},{}]"),
-    "hyp223": (4, 3, "H[{},{},{}]"),
+    "slice": (0, 1, "F[**{}]", lambda k: 0 <= k),
+    "face_x": (1, 3, "F[{}*({},{})]", lambda i, k1, k2: 0 <= i <= 1 and 0 <= k1 < k2),
+    "face_y": (2, 3, "F[*{}({},{})]", lambda j, k1, k2: 0 <= j <= 1 and 0 <= k1 < k2),
+    "hyp222": (3, 2, "H[{},{}]", lambda k1, k2: 0 <= k1 < k2),
+    "hyp223": (4, 3, "H[{},{},{}]", lambda k1, k2, k3: 0 <= k1 < k2 < k3),
 }
 
 
@@ -64,11 +65,11 @@ class FactorId(Record):
     def __init__(self, kind: str, index: tuple[int, ...]) -> None:
         if kind not in _KINDS:
             raise ValueError(f"unknown factor kind {kind!r}")
-        if len(index) != _KINDS[kind][1]:
-            raise ValueError(f"{kind} takes {_KINDS[kind][1]} indices")
-        ks = index[1:] if kind in ("face_x", "face_y") else index
-        if kind != "slice" and list(ks) != sorted(set(ks)):
-            raise ValueError("slice indices must be strictly increasing")
+        _, count, _, valid = _KINDS[kind]
+        if len(index) != count:
+            raise ValueError(f"{kind} takes {count} indices")
+        if not valid(*index):
+            raise ValueError("slice indices must be nonnegative and strictly increasing, and a face index 0 or 1")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "index", index)
 
@@ -151,6 +152,8 @@ def all_factors(n: int) -> tuple[FactorId, ...]:
 
 def eval_minor(W: ScalingTensor, fid: FactorId) -> Fraction:
     """Exact value of a 2-minor factor on the raw entries: the determinant of its cells."""
+    if fid.index[-1] > W.n:  # the largest slice index: face indices come first
+        raise IndexError("slice indices out of range")
     return _minor(W.w, fid)
 
 

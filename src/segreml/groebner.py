@@ -53,11 +53,12 @@ walk, so a product with that map copies every row but the border ones.
 Over F_p this is the count over Q unless p is unlucky for the ideal
 (Arnold, JSC 2003); the oracle compares primes to catch that.
 
-`count_solutions` counts under a tuple of primes, and each prime gets its
-own Groebner basis.  When the primes are distinct and their reduced bases
-have the same leads, as they do for all but unlucky primes, the
-staircase and the linear algebra run once, modulo the product N of the
-primes, on the bases joined by the Chinese remainder theorem: Z/N is the
+`count_solutions` counts a tuple of systems, each under its own prime
+and with its own Groebner basis.  When the primes are distinct and the
+reduced bases have the same leads, as they do for all but unlucky
+primes, the staircase and the linear algebra run once, modulo the
+product N of the primes, on the bases joined by the Chinese remainder
+theorem (`_crt_combine`, the one place that joins residues): Z/N is the
 product of the fields F_p.  Elimination there accepts only pivots that
 are units mod N, and falls back to one count per prime on any other.
 
@@ -482,24 +483,18 @@ def _stable_rank(M, V: Vectors) -> int:
         span = image
 
 
-def crt_idempotents(primes) -> list:
-    """The e_i that are 1 mod primes[i] and 0 mod the other primes, which are distinct (Chinese remainder theorem).
-
-    x = sum_i x_i e_i mod prod(primes) is the residue that is x_i mod each primes[i].
-    """
-    N = prod(primes)
-    return [N // p * pow(N // p, -1, p) for p in primes]
-
-
 def _crt_combine(systems, primes) -> list:
     """The term lists mod N = prod(primes) whose reductions mod primes[i] are those of systems[i].
 
     The primes are distinct and the systems have one length; a monomial
-    missing from a term list has coefficient 0 there.  Monomials keep
-    their order of first appearance, so a basis element's lead stays
-    first, and a coefficient 0 mod N is dropped.
+    missing from a term list has coefficient 0 there.  Each coefficient is
+    sum_i c_i e_i mod N (Chinese remainder theorem), where the idempotent
+    e_i is 1 mod primes[i] and 0 mod the others.  Monomials keep their
+    order of first appearance, so a basis element's lead stays first, and
+    a coefficient 0 mod N is dropped.
     """
-    N, idempotents = prod(primes), crt_idempotents(primes)
+    N = prod(primes)
+    idempotents = [N // p * pow(N // p, -1, p) for p in primes]
     combined = []
     for term_lists in zip(*systems):
         coeffs: dict = {}
@@ -510,9 +505,10 @@ def _crt_combine(systems, primes) -> list:
     return combined
 
 
-def count_solutions(gens, nvars: int, primes, nonzero=()) -> tuple:
-    """For each p in `primes`, the solutions over F_p of the ideal of `gens` where no polynomial of `nonzero` vanishes.
+def count_solutions(systems, nvars: int, primes, nonzero=()) -> tuple:
+    """For each p = primes[i], the solutions over F_p of the ideal of systems[i] where no polynomial of `nonzero` vanishes.
 
+    `systems` holds one generator list per prime (ValueError otherwise).
     Solutions count with multiplicity.  The quotient A = F_p[x]/I splits
     into one local algebra per solution, and multiplication by h, the
     product of `nonzero`, is invertible on those where h does not vanish
@@ -521,22 +517,25 @@ def count_solutions(gens, nvars: int, primes, nonzero=()) -> tuple:
     Algebraic Geometry*, ch. 2, section 4): saturation by h as linear algebra.
     Without `nonzero` the count is the standard-monomial count.
 
-    Each prime gets its own reduced basis.  When the primes are distinct
-    and the bases have the same leads, the linear algebra runs once, mod
-    the product N of the primes, on the bases combined by `_crt_combine`:
-    Z/N is the product of the fields F_p, and its ring operations are
-    theirs at once.  A pivot that is a unit mod N is nonzero mod every p,
-    so each field takes the same pivots and reaches the same rank.  A pivot
-    that is not splits the count (dynamic evaluation, Della Dora-
-    Dicrescenzo-Duval, EUROCAL 1985): each prime is then counted alone, as
-    it is when the leads differ or a prime repeats.  A single prime is the
-    case N = p, where every nonzero pivot is a unit.
+    Each prime gets the reduced basis of its own system.  When the primes
+    are distinct and the bases have the same leads, the linear algebra
+    runs once, mod the product N of the primes, on the bases combined by
+    `_crt_combine`: Z/N is the product of the fields F_p, and its ring
+    operations are theirs at once.  A pivot that is a unit mod N is
+    nonzero mod every p, so each field takes the same pivots and reaches
+    the same rank.  A pivot that is not splits the count (dynamic
+    evaluation, Della Dora-Dicrescenzo-Duval, EUROCAL 1985): each prime is
+    then counted alone, as it is when the leads differ or a prime repeats.
+    A single prime is the case N = p, where every nonzero pivot is a unit.
     """
-    _check_lengths((m for g in (*gens, *nonzero) for m, _ in g), nvars)
+    if len(systems) != len(primes):
+        raise ValueError(f"{len(systems)} systems for {len(primes)} primes")
+    for gens in (*systems, nonzero):
+        _check_lengths((m for g in gens for m, _ in g), nvars)
     factors = [[(pack(m), c) for m, c in f] for f in nonzero]
     R = Ring(0, nvars)  # the walk, the border forms and the maps read only its monomial packing
     bases, stairs = [], {}  # stairs: leads -> (standard, border)
-    for p in primes:
+    for gens, p in zip(systems, primes):
         basis = groebner_basis(gens, p)
         leads = tuple(g[0][0] for g in basis)
         if leads not in stairs:

@@ -55,12 +55,10 @@ disagreement: each data trial has its own prime, a stable answer needs
 two primes and two data draws to agree (`oracle_mldeg`), and a
 disagreement is counted again under second primes before it is
 reported.  Fixed data is counted under two primes (`_count_two_primes`).
-Trials are counted in pairs, each with its own prime and its own basis.
-A score system is linear in the data, so the pair's data joined by the
-Chinese remainder theorem give one integer system whose reduction mod
-each trial's prime is that trial's system (`_count`), and
-`groebner.count_solutions` runs the quotient linear algebra of both
-once, mod the product of the two primes.  Thirty bits keep every
+Trials are counted in pairs, each with its own system, prime and basis:
+`_count` hands a pair's two systems and primes to
+`groebner.count_solutions`, which runs the quotient linear algebra of
+both once, mod the product of the two primes.  Thirty bits keep every
 coefficient of Buchberger's algorithm one CPython digit (`groebner`), and
 they are plenty for that check: seeded probes found no unlucky 30-bit
 prime in 62,000 counts (3,100 `realize`, `degenerate_tensor` and
@@ -87,12 +85,11 @@ from __future__ import annotations
 import random
 from functools import reduce
 from itertools import product
-from math import prod
-from operator import add, getitem, mul
+from operator import add, getitem
 
 from .errors import DimensionMismatchError, UnstableCountError
 from .exact import Record, integer_row, primitive
-from .groebner import count_solutions, crt_idempotents, random_prime
+from .groebner import count_solutions, random_prime
 from .tensor import ScalingTensor
 
 ORACLE_MAX_N = 4
@@ -281,37 +278,19 @@ def _simplex_product_model(dims, coeffs: dict):
     return system
 
 
-def _joint_data(data, primes):
-    """Nested data whose entries reduce mod primes[i] to those of data[i], for distinct primes (by `crt_idempotents`)."""
-    N, idempotents = prod(primes), crt_idempotents(primes)
-
-    def joint(parts):
-        if isinstance(parts[0], int):
-            return sum(map(mul, parts, idempotents)) % N
-        return [joint(entries) for entries in zip(*parts)]
-
-    return joint(data)
-
-
 def _count(model, data, streams) -> list:
     """The count off h = 0 of each data vector's system, over F_p for the next prime p of its own stream.
 
-    The data vectors are counted two at a time.  A score F_v = U_v P_v -
-    sum_c E_c Q_(v,c) is linear in the data, whose sums U_v and E_c are, so
-    a pair's data joined by `_joint_data` give one integer system whose
-    reduction mod each prime is that trial's system, and `count_solutions`
-    counts it under both primes.  A pair that drew one prime twice is
-    counted trial by trial.
+    The data vectors are counted two at a time, by one `count_solutions`
+    call on the pair's systems and primes.  The components, and so the
+    factors of h, depend on the tensor alone, so the pair shares them.
     """
     counts = []
     for i in range(0, len(data), 2):
-        pair, primes = data[i : i + 2], tuple(random_prime(s) for s in streams[i : i + 2])
-        if len(set(primes)) < len(primes):
-            runs = [(model(u), (p,)) for u, p in zip(pair, primes)]
-        else:
-            runs = [(model(_joint_data(pair, primes)), primes)]
-        for system, ps in runs:
-            counts += count_solutions(system.polys, system.nvars, ps, system.nonzero)
+        systems = [model(u) for u in data[i : i + 2]]
+        primes = [random_prime(s) for s in streams[i : i + 2]]
+        first = systems[0]
+        counts += count_solutions([s.polys for s in systems], first.nvars, primes, first.nonzero)
     return counts
 
 
@@ -319,7 +298,7 @@ def _count_two_primes(system: ScoreSystem) -> int:
     """The count under two primes from a fixed stream; they must agree."""
     primes = random.Random("primes")
     pair = (random_prime(primes), random_prime(primes))
-    first, second = count_solutions(system.polys, system.nvars, pair, system.nonzero)
+    first, second = count_solutions([system.polys] * 2, system.nvars, pair, system.nonzero)
     if first != second:
         raise UnstableCountError(f"two primes gave {first} and {second} critical points")
     return first

@@ -67,6 +67,20 @@ def test_factor_names_and_order():
     assert hyp223(0, 1, 2).name == "H[0,1,2]"
     with pytest.raises(ValueError):
         face_minor_x(0, 1, 1)
+    # a negative slice index would read slice n through Python's negative
+    # indexing, and a face index outside {0, 1} a row the tensor lacks
+    for make, index in (
+        (slice_minor, (-1,)),
+        (face_minor_x, (0, -1, 1)),
+        (face_minor_x, (2, 0, 1)),
+        (face_minor_y, (-1, 0, 1)),
+        (hyp222, (-1, 0)),
+        (hyp223, (-1, 0, 1)),
+    ):
+        with pytest.raises(ValueError, match="nonnegative"):
+            make(*index)
+    with pytest.raises(ValueError, match="face index 0 or 1"):
+        FactorId("face_x", (5, 0, 1))
     # the kind order, pinned apart from FactorId.sort_key
     kinds = [f.kind for f in all_factors(2)]
     assert kinds == ["slice"] * 3 + ["face_x"] * 6 + ["face_y"] * 6 + ["hyp222"] * 3 + ["hyp223"]
@@ -83,6 +97,13 @@ def test_eval_minor_examples():
     assert all(eval_minor(all_ones(1), f) == 0 for f in all_factors(1) if f.is_minor)
     with pytest.raises(ValueError):
         eval_minor(W, hyp222(0, 1))
+    # only the tensor knows n: above it, eval_minor refuses as eval_hyp222 does
+    assert eval_minor(W, slice_minor(W.n)) == 6
+    for fid in (slice_minor(W.n + 1), face_minor_x(1, 0, W.n + 1), face_minor_y(0, 1, W.n + 1)):
+        with pytest.raises(IndexError, match="slice indices out of range"):
+            eval_minor(W, fid)
+    with pytest.raises(IndexError, match="slice indices out of range"):
+        eval_hyp222(W, 0, W.n + 1)
 
 
 def _minor_by_layout(W, fid):

@@ -32,39 +32,39 @@ def _unpack(mono: int, nvars: int) -> tuple:
 
 def test_known_counts():
     # (t - 1)(t - 2): two rational points
-    assert count_solutions([[((2,), 1), ((1,), -3), ((0,), 2)]], 1, (P,)) == (2,)
+    assert count_solutions([[[((2,), 1), ((1,), -3), ((0,), 2)]]], 1, (P,)) == (2,)
     # x^2 = 1, y = x: two points
     gens = [[((2, 0), 1), ((0, 0), -1)], [((0, 1), 1), ((1, 0), -1)]]
-    assert count_solutions(gens, 2, (P,)) == (2,)
+    assert count_solutions([gens], 2, (P,)) == (2,)
     # fat point (x^2, y^2): multiplicity 4
-    assert count_solutions([[((2, 0), 1)], [((0, 2), 1)]], 2, (P,)) == (4,)
+    assert count_solutions([[[((2, 0), 1)], [((0, 2), 1)]]], 2, (P,)) == (4,)
     # unit ideal
-    assert count_solutions([[((0, 0), 5)]], 2, (P,)) == (0,)
+    assert count_solutions([[[((0, 0), 5)]]], 2, (P,)) == (0,)
     # intersection of two conics: Bezout number 4
     gens = [
         [((2, 0), 1), ((0, 2), 1), ((0, 0), -5)],
         [((2, 0), 1), ((1, 1), -1), ((0, 2), 1), ((0, 0), -3)],
     ]
-    assert count_solutions(gens, 2, (P,)) == (4,)
+    assert count_solutions([gens], 2, (P,)) == (4,)
 
 
 def test_counts_off_a_hypersurface():
     # x^2 (x - 1) = 0, y = 2: a double point at x = 0 and a simple one at x = 1
     gens = [[((3, 0), 1), ((2, 0), -1)], [((0, 1), 1), ((0, 0), -2)]]
     x, x_minus_1, y_minus_2 = [((1, 0), 1)], [((1, 0), 1), ((0, 0), -1)], [((0, 1), 1), ((0, 0), -2)]
-    assert count_solutions(gens, 2, (P,)) == (3,)
-    assert count_solutions(gens, 2, (P,), [x]) == (1,)
-    assert count_solutions(gens, 2, (P,), [x_minus_1]) == (2,)  # the double point keeps its multiplicity
-    assert count_solutions(gens, 2, (P,), [x, x_minus_1]) == (0,)
-    assert count_solutions(gens, 2, (P,), [y_minus_2]) == (0,)
+    assert count_solutions([gens], 2, (P,)) == (3,)
+    assert count_solutions([gens], 2, (P,), [x]) == (1,)
+    assert count_solutions([gens], 2, (P,), [x_minus_1]) == (2,)  # the double point keeps its multiplicity
+    assert count_solutions([gens], 2, (P,), [x, x_minus_1]) == (0,)
+    assert count_solutions([gens], 2, (P,), [y_minus_2]) == (0,)
     # M_h starts from the first factor's matrix: any order gives the same count,
     # and so does a leading monomial factor whose coefficient is not 1
-    assert count_solutions(gens, 2, (P,), [x_minus_1, x]) == (0,)
-    assert count_solutions(gens, 2, (P,), [y_minus_2, x]) == (0,)
+    assert count_solutions([gens], 2, (P,), [x_minus_1, x]) == (0,)
+    assert count_solutions([gens], 2, (P,), [y_minus_2, x]) == (0,)
     two_xy = [((1, 1), 2)]
-    assert count_solutions(gens, 2, (P,), [two_xy]) == (1,)
-    assert count_solutions(gens, 2, (P,), [two_xy, x_minus_1]) == (0,)
-    assert count_solutions(gens, 2, (P,), [[((1, 0), 2)], y_minus_2]) == (0,)
+    assert count_solutions([gens], 2, (P,), [two_xy]) == (1,)
+    assert count_solutions([gens], 2, (P,), [two_xy, x_minus_1]) == (0,)
+    assert count_solutions([gens], 2, (P,), [[((1, 0), 2)], y_minus_2]) == (0,)
 
 
 def test_multiplication_map_saturation_matches_rabinowitsch():
@@ -84,12 +84,12 @@ def test_multiplication_map_saturation_matches_rabinowitsch():
         if not all(polys):
             continue
         try:
-            (expected,) = count_solutions(gens, 2, (P,))
+            (expected,) = count_solutions([gens], 2, (P,))
         except NotZeroDimensionalError:
             continue
         rabinowitsch = [[(m + (0,), c) for m, c in g] for g in gens]
         rabinowitsch.append([(m + (1,), c) for m, c in h] + [((0, 0, 0), -1)])
-        assert count_solutions(gens, 2, (P,), [h]) == count_solutions(rabinowitsch, 3, (P,)) <= (expected,)
+        assert count_solutions([gens], 2, (P,), [h]) == count_solutions([rabinowitsch], 3, (P,)) <= (expected,)
         compared += 1
 
 
@@ -123,25 +123,43 @@ def test_packed_width_holds_the_worst_case():
         assert len(basis) == size and basis[-1] == [0] * (size - 1) + [1]
 
 
+def test_crt_combine_joins_each_residue():
+    # Packed monomials are ints, so 40 > 30 > 20 > 10 > 5 is a descending
+    # term list.  Monomial 10 is missing from the second list and 5 from
+    # the first, and 20 is 0 mod 7 in one and 0 mod 11 in the other, so 0
+    # mod N = 77.
+    primes = (7, 11)
+    first = [[(40, 1), (30, 3), (20, 7), (10, 5)], [(30, 1), (0, 6)]]
+    second = [[(40, 1), (30, 4), (20, 11), (5, 2)], [(30, 1), (0, 9)]]
+    joined = groebner._crt_combine([first, second], primes)
+    assert len(joined) == 2
+    for terms, lead in zip(joined, (40, 30)):
+        assert terms[0][0] == lead and all(0 < c < 77 for _, c in terms)
+    assert 20 not in dict(joined[0])
+    for system, p in zip((first, second), primes):
+        for terms, inputs in zip(joined, system):
+            assert {m: c % p for m, c in terms if c % p} == {m: c % p for m, c in inputs if c % p}
+
+
 def test_positive_dimensional_rejected():
     with pytest.raises(NotZeroDimensionalError):
-        count_solutions([[((1, 1), 1)]], 2, (P,))  # xy = 0 is a curve pair
+        count_solutions([[[((1, 1), 1)]]], 2, (P,))  # xy = 0 is a curve pair
 
 
 def test_exponent_tuples_of_the_wrong_length_are_refused():
     x2_minus_1, y_minus_x = [((2, 0), 1), ((0, 0), -1)], [((0, 1), 1), ((1, 0), -1)]
     # two 2-variable generators counted as one variable
     with pytest.raises(ValueError, match="does not have 1 entries"):
-        count_solutions([x2_minus_1, y_minus_x], 1, (P,))
+        count_solutions([[x2_minus_1, y_minus_x]], 1, (P,))
     # a 3-variable factor on a 2-variable system
     with pytest.raises(ValueError, match="does not have 2 entries"):
-        count_solutions([x2_minus_1, y_minus_x], 2, (P,), [[((1, 0, 0), 1)]])
+        count_solutions([[x2_minus_1, y_minus_x]], 2, (P,), [[((1, 0, 0), 1)]])
     # generators of 2 and of 1 variables
     with pytest.raises(ValueError, match="does not have 2 entries"):
         groebner_basis([x2_minus_1, [((2,), 1), ((0,), -4)]], P)
     with pytest.raises(ValueError, match="does not have 2 entries"):
         standard_monomial_count([(2, 0), (0, 2, 0)], 2)
-    assert count_solutions([x2_minus_1, y_minus_x], 2, (P,), [[((1, 0), 1), ((0, 0), -1)]]) == (1,)
+    assert count_solutions([[x2_minus_1, y_minus_x]], 2, (P,), [[((1, 0), 1), ((0, 0), -1)]]) == (1,)
 
 
 def test_buchberger_criterion_on_random_systems():
@@ -181,7 +199,7 @@ def test_budget_errors(monkeypatch):
         m.setattr(groebner, "DEFAULT_MAX_BASIS", 2)
         with pytest.raises(ResourceBudgetExceededError):
             groebner_basis(growing, P)
-    assert count_solutions(growing, 2, (P,)) == (3,)
+    assert count_solutions([growing], 2, (P,)) == (3,)
 
     # dense conics: their completion needs a third basis element
     conics = [
@@ -194,7 +212,7 @@ def test_budget_errors(monkeypatch):
             groebner_basis(conics, P)
         m.setattr(groebner, "DEFAULT_MAX_BASIS", 3)
         assert len(groebner_basis(conics, P)) == 3
-    assert count_solutions(conics, 2, (P,)) == (4,)
+    assert count_solutions([conics], 2, (P,)) == (4,)
 
 
 def test_packed_exponent_limit():
@@ -205,7 +223,7 @@ def test_packed_exponent_limit():
         groebner_basis([[((limit, 0), 1), ((0, 0), -1)]], P)
     with pytest.raises(ResourceBudgetExceededError, match="packed-exponent limit"):
         groebner_basis([[((limit // 2, limit // 2), 1), ((0, 1), 1)]], P)
-    assert count_solutions([[((limit - 1, 0), 1), ((0, 0), -1)], [((0, 1), 1)]], 2, (P,)) == (limit - 1,)
+    assert count_solutions([[[((limit - 1, 0), 1), ((0, 0), -1)], [((0, 1), 1)]]], 2, (P,)) == (limit - 1,)
     # Each generator fits, but their S-pair has degree 35000: its shift x^4999
     # times the tail x^30000 of the first would overflow the x field.
     with pytest.raises(ResourceBudgetExceededError, match="packed-exponent limit"):
@@ -315,10 +333,10 @@ def test_staircase_matches_brute_force():
     assert [_unpack(m, 2) for m in standard] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert [_unpack(m, 2) for m in border] == [(0, 2), (2, 0), (1, 2), (2, 1)]
     gens = [[((2, 0), 1), ((0, 1), -1)], [((0, 2), 1), ((0, 0), -1)]]
-    assert count_solutions(gens, 2, (P,)) == (4,)
-    assert count_solutions(gens, 2, (P,), [[((1, 0), 1), ((0, 0), -1)]]) == (3,)
-    assert count_solutions(gens, 2, (P,), [[((0, 1), 1), ((0, 0), -1)]]) == (2,)
-    assert count_solutions(gens, 2, (P,), [[((1, 1), 1), ((0, 0), 1)]]) == (3,)  # xy + 1 vanishes at (-1, 1) only
+    assert count_solutions([gens], 2, (P,)) == (4,)
+    assert count_solutions([gens], 2, (P,), [[((1, 0), 1), ((0, 0), -1)]]) == (3,)
+    assert count_solutions([gens], 2, (P,), [[((0, 1), 1), ((0, 0), -1)]]) == (2,)
+    assert count_solutions([gens], 2, (P,), [[((1, 1), 1), ((0, 0), 1)]]) == (3,)  # xy + 1 vanishes at (-1, 1) only
     with pytest.raises(NotZeroDimensionalError, match="variable 1"):
         groebner.staircase(R, [groebner.pack((2, 0)), groebner.pack((1, 1))])
 
@@ -503,7 +521,7 @@ def test_pair_criteria_work_is_pinned(monkeypatch):
     def run(W):
         start = len(formed)
         system = score_system(W, DataVector.random(W.n, random.Random(9)))
-        (count,) = count_solutions(system.polys, system.nvars, (prime,), system.nonzero)
+        (count,) = count_solutions([system.polys], system.nvars, (prime,), system.nonzero)
         return count, len(formed) - start
 
     pinned = [run(W) for W in _pinned_tensors()]

@@ -101,8 +101,8 @@ def _reduced_and_reference(W, u, prime):
     """The count on the two-variable system and on the n + 3-variable reference, over F_prime."""
     system = score_system(W, u)
     nvars, polys = full_score_system(W, u)
-    (reduced,) = count_solutions(system.polys, system.nvars, (prime,), system.nonzero)
-    (reference,) = count_solutions(polys, nvars, (prime,))
+    (reduced,) = count_solutions([system.polys], system.nvars, (prime,), system.nonzero)
+    (reference,) = count_solutions([polys], nvars, (prime,))
     return reduced, reference
 
 
@@ -199,7 +199,7 @@ def test_h_needs_no_coordinate_factor():
     on_axis = 0
     for W in tensors:
         system = score_system(W, DataVector.random(W.n, rng))
-        count = lambda factors: count_solutions(system.polys, system.nvars, (prime,), factors)
+        count = lambda factors: count_solutions([system.polys], system.nvars, (prime,), factors)
         xy = (((1,) * system.nvars, 1),)
         assert count(system.nonzero) == count((xy, *system.nonzero)), W.to_json_dict()
         on_axis += count([(((1, 0), 1),), (((0, 1), 1),)]) < count(())
@@ -222,10 +222,10 @@ def test_drawn_primes_count_as_a_61_bit_prime():
                 tensors.append(torus_rescale(realized, tall(2), tall(2), tall(n + 1)))
     for W in tensors:
         system = score_system(W, DataVector.random(W.n, rng))
-        expected = count_solutions(system.polys, system.nvars, (2**61 - 1,), system.nonzero)
+        expected = count_solutions([system.polys], system.nvars, (2**61 - 1,), system.nonzero)
         for _ in range(5):
             prime = random_prime(primes)
-            assert prime < 2**30 and count_solutions(system.polys, system.nvars, (prime,), system.nonzero) == expected, (
+            assert prime < 2**30 and count_solutions([system.polys], system.nvars, (prime,), system.nonzero) == expected, (
                 W.to_json_dict(),
                 prime,
             )
@@ -346,8 +346,8 @@ def test_unlucky_prime_is_recounted(monkeypatch):
     leads = [max(poly, key=lambda t: (sum(t[0]), tuple(-e for e in reversed(t[0]))))[1] for poly in system.polys]
     assert leads[0] % 59 == 0 and leads[1] % 239 == 0
     assert (_total(u) - sum(map(sum, u.u[1]))) % 59 == 0 and (_total(u) - sum(u.u[i][1][k] for i in range(2) for k in range(3))) % 239 == 0
-    assert count_solutions(system.polys, system.nvars, (59,), system.nonzero) == (5,)
-    assert count_solutions(system.polys, system.nvars, (239,), system.nonzero) == (3,)
+    assert count_solutions([system.polys], system.nvars, (59,), system.nonzero) == (5,)
+    assert count_solutions([system.polys], system.nvars, (239,), system.nonzero) == (3,)
     honest = oracle_mldeg(COUNTEREXAMPLE_W, trials=2, seed=1)
     assert honest.stable and honest.count == 8
 
@@ -378,6 +378,31 @@ def test_unlucky_prime_is_recounted(monkeypatch):
         count_critical_points(COUNTEREXAMPLE_W, _first_trial_data())
 
 
+def test_a_pair_that_draws_one_prime_twice_counts_each_trial(monkeypatch):
+    # The two trials of a pair are counted by one count_solutions call on
+    # their own systems; when both draw one prime, it counts each alone.
+    honest = oracle_mldeg(COUNTEREXAMPLE_W, trials=2, seed=1)
+    prime = random_prime(random.Random("primes"))
+    drawn = _unlucky_drawer(monkeypatch, {0: prime, 1: prime})
+    calls = []
+
+    def spy(systems, nvars, primes, nonzero=()):
+        calls.append((systems, tuple(primes)))
+        return count_solutions(systems, nvars, primes, nonzero)
+
+    monkeypatch.setattr(segreml.oracle, "count_solutions", spy)
+    assert oracle_mldeg(COUNTEREXAMPLE_W, trials=2, seed=1) == honest
+    assert len(drawn) == 2 and len(calls) == 1
+    (first, second), primes = calls[0]
+    assert primes == (prime, prime) and first != second
+
+    # one generator list per prime
+    system = score_system(COUNTEREXAMPLE_W, _first_trial_data())
+    for systems, primes in (([system.polys], (prime, prime)), ([system.polys] * 2, (prime,))):
+        with pytest.raises(ValueError, match="systems for"):
+            count_solutions(systems, system.nvars, primes, system.nonzero)
+
+
 def test_joint_counts_equal_separate_counts(tmp_path, capsys):
     # count_solutions under a pair of primes counts each prime's system
     # once, mod their product, and must read what each prime counted alone
@@ -398,13 +423,13 @@ def test_joint_counts_equal_separate_counts(tmp_path, capsys):
         alone = {}
         for p in rng.sample(small, 12):
             try:
-                (alone[p],) = count_solutions(system.polys, system.nvars, (p,), system.nonzero)
+                (alone[p],) = count_solutions([system.polys], system.nvars, (p,), system.nonzero)
             except NotZeroDimensionalError:
                 continue
         primes = list(alone)
         for pair in zip(primes, primes[1:] + primes[:1]):  # each prime in two pairs
             counts = tuple(map(alone.get, pair))
-            assert count_solutions(system.polys, system.nvars, pair, system.nonzero) == counts, (W.to_json_dict(), pair)
+            assert count_solutions([system.polys] * 2, system.nvars, pair, system.nonzero) == counts, (W.to_json_dict(), pair)
             pairs += 1
             if counts[0] != counts[1]:
                 same_leads = leads(pair[0]) == leads(pair[1])
@@ -415,14 +440,14 @@ def test_joint_counts_equal_separate_counts(tmp_path, capsys):
     # the witness of test_unlucky_prime_is_recounted, counted jointly and
     # with a prime repeated
     system = score_system(COUNTEREXAMPLE_W, _first_trial_data())
-    assert count_solutions(system.polys, system.nvars, (59, 239), system.nonzero) == (5, 3)
-    assert count_solutions(system.polys, system.nvars, (59, 239, 59), system.nonzero) == (5, 3, 5)
+    assert count_solutions([system.polys] * 2, system.nvars, (59, 239), system.nonzero) == (5, 3)
+    assert count_solutions([system.polys] * 3, system.nvars, (59, 239, 59), system.nonzero) == (5, 3, 5)
     prime = random_prime(random.Random("primes"))
-    assert count_solutions(system.polys, system.nvars, (prime, prime), system.nonzero) == (8, 8)
+    assert count_solutions([system.polys] * 2, system.nvars, (prime, prime), system.nonzero) == (8, 8)
     # over F_71 its reduced basis has the leads it has over F_101, but it
     # has 7 solutions off h = 0, not 8
     assert [g[0][0] for g in groebner_basis(system.polys, 71)] == [g[0][0] for g in groebner_basis(system.polys, 101)]
-    assert count_solutions(system.polys, system.nvars, (71, 101), system.nonzero) == (7, 8)
+    assert count_solutions([system.polys] * 2, system.nvars, (71, 101), system.nonzero) == (7, 8)
 
     # three trials: one pair counted jointly and one trial alone, each
     # under the first prime of its own stream
@@ -435,7 +460,7 @@ def test_joint_counts_equal_separate_counts(tmp_path, capsys):
         for seed, _ in trials:
             system = score_system(W, DataVector.random(W.n, random.Random(seed)))
             prime = random_prime(random.Random(f"primes {seed}"))
-            expected += [[seed, *count_solutions(system.polys, system.nvars, (prime,), system.nonzero)]]
+            expected += [[seed, *count_solutions([system.polys], system.nvars, (prime,), system.nonzero)]]
         assert trials == expected
 
 
