@@ -152,7 +152,7 @@ def _slices(W: ScalingTensor, I) -> tuple[int, ...]:
 
 
 def chi_VI(W: ScalingTensor, I) -> int:
-    """chi of V_I in P1 x P1, by the rank/gcd procedure (any |I| >= 1)."""
+    """chi of V_I in P1 x P1, by the rank/gcd procedure (any |I| >= 1; a repeated slice index counts once)."""
     ks = _slices(W, I)
     g = subset_gcd(W, ks)
     # Row (w_i0k, w_i1k) of face x_i holds the y0, y1 coefficients of pencil
@@ -169,16 +169,17 @@ def chi_VI(W: ScalingTensor, I) -> int:
 def chi_VI_XJ(W: ScalingTensor, I, J) -> int:
     """chi of V_I intersected with the coordinate subspace X_J.
 
-    J = (J1, J2) with each component a proper subset of {0, 1}: J1 lists
-    vanishing x-coordinates, J2 vanishing y-coordinates.  Both nonempty
-    gives the empty set; one nonempty reduces to hyperplanes in one P1,
-    with chi = 2 - rank of the |I| x 2 face rows, which is 1 when the rows
-    are proportional (one face class) and 0 otherwise; both empty is
-    chi(V_I).  Every path checks I as `chi_VI` does.
+    J = (J1, J2) is one of the nine tuples with components (), (0,) or (1,)
+    (ValueError otherwise): J1 lists vanishing x-coordinates, J2 vanishing
+    y-coordinates.  Both nonempty gives the empty set; one nonempty reduces
+    to hyperplanes in one P1, with chi = 2 - rank of the |I| x 2 face rows,
+    which is 1 when the rows are proportional (one face class) and 0
+    otherwise; both empty is chi(V_I).  Every path checks I as `chi_VI`
+    does, and a repeated slice index counts once.
     """
-    J1, J2 = J
-    if len(J1) > 1 or len(J2) > 1:
+    if J not in _J_KEYS:
         raise ValueError("J components must be proper subsets of {0, 1}")
+    J1, J2 = J
     if not J1 and not J2:
         return chi_VI(W, I)
     ks = _slices(W, I)

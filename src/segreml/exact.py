@@ -249,21 +249,19 @@ def _pair_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 
 def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
-    """The gcd of binary forms as a `primitive` form of ints; identically-zero inputs are ignored.
+    """The gcd of binary forms of ints as a `primitive` form of ints; identically-zero inputs are ignored.
 
     Folds `_pair_gcd` over the nonzero inputs, stopping at a constant.
-    Returns the zero form when every input is zero.
+    Returns the zero form when every input is zero; a gcd that keeps a
+    Fraction coefficient raises TypeError in `primitive`.
     """
     if not forms:
         raise ValueError("binary_gcd requires at least one form")
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
         return BinaryForm.zero()
-    # Scaling a form moves no root, so the fold runs on integer multiples;
-    # a form of ints (every pair form and memoized gcd) is one already.
-    ints = (f if all(type(c) is int for c in f.coeffs) else BinaryForm(tuple(integer_row(f.coeffs))) for f in nonzero)
-    g = next(ints)
-    for f in ints:
+    g, *rest = nonzero
+    for f in rest:
         if g.degree == 0:
             break
         g = _pair_gcd(g, f)

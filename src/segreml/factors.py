@@ -320,21 +320,22 @@ def face_classes(W: ScalingTensor) -> tuple[tuple[int, ...], ...]:
 
 
 def subset_gcd(W: ScalingTensor, ks: tuple[int, ...]) -> BinaryForm:
-    """Primitive int gcd of the pair forms over the pairs in ks (increasing), kept for every prefix of ks.
+    """Primitive int gcd of the pair forms over the pairs in ks (nondecreasing), kept for every prefix of ks.
 
     g((k,)) is the zero form, since a single slice has no pairs, and
     g(ks) = gcd(g(ks[:-1]), the forms pairing ks[-1] with ks[:-1]).  The
     subset sum meets ks[:-1] before ks, so each subset costs one memo read
     of g(ks[:-1]) and, only when that is zero or not constant, one
-    `binary_gcd` of it and the new forms; a nonzero constant g(ks[:-1]) is
-    stored as g(ks) as it is.
+    `binary_gcd` of it and the new forms; a nonzero constant g(ks[:-1]),
+    or any g(ks[:-1]) when ks[-1] repeats ks[-2] (no new pair), is stored
+    as g(ks) as it is.
     """
     gcds = W.memo("subset_gcds", lambda W: {(k,): BinaryForm.zero() for k in range(W.n + 1)})
     g = gcds.get(ks)
     if g is None:
         head, last = ks[:-1], ks[-1]
         g = subset_gcd(W, head)
-        if g.degree or g.is_zero:
+        if last != head[-1] and (g.degree or g.is_zero):
             forms = pair_forms(W)
             g = binary_gcd([g] + [forms[k, last] for k in head])
         gcds[ks] = g

@@ -229,10 +229,11 @@ def normal_form(f, basis, R: Ring):
 
 DEFAULT_MAX_BASIS = 600
 PRIME_BITS = 30  # 2^29 < p < 2^30: one CPython digit
-# Miller-Rabin with Sinclair's seven bases is exact below 2^64 (Sinclair 2011),
-# provided a base that is 0 mod n is skipped.
-_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-_WITNESS_LIMIT = 2**64
+# Miller-Rabin with the bases 2, 7 and 61 is exact below 48,781 * 97,561, the first strong
+# pseudoprime to all three (Jaeschke, Math. Comp. 61, 1993).  Each base is a unit mod any n that
+# reaches it, since the gcd screen rules out factors below _SIEVE_LIMIT.
+_WITNESSES = (2, 7, 61)
+_WITNESS_LIMIT = 4_759_123_141
 _SIEVE_LIMIT = 1000
 
 
@@ -262,9 +263,6 @@ def is_prime(n: int) -> bool:
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
     for a in _WITNESSES:
-        a %= n
-        if a == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -508,13 +506,14 @@ def _crt_combine(systems, primes) -> list:
 def count_solutions(systems, nvars: int, primes, nonzero=()) -> tuple:
     """For each p = primes[i], the solutions over F_p of the ideal of systems[i] where no polynomial of `nonzero` vanishes.
 
-    `systems` holds one generator list per prime (ValueError otherwise).
-    Solutions count with multiplicity.  The quotient A = F_p[x]/I splits
-    into one local algebra per solution, and multiplication by h, the
-    product of `nonzero`, is invertible on those where h does not vanish
-    and nilpotent on the rest.  So the count is the stable rank of the
-    matrix M_h of multiplication by h on A (Cox-Little-O'Shea, *Using
-    Algebraic Geometry*, ch. 2, section 4): saturation by h as linear algebra.
+    `systems` holds one generator list per prime (ValueError otherwise);
+    `nonzero` is any iterable, read once.  Solutions count with
+    multiplicity.  The quotient A = F_p[x]/I splits into one local algebra
+    per solution, and multiplication by h, the product of `nonzero`, is
+    invertible on those where h does not vanish and nilpotent on the rest.
+    So the count is the stable rank of the matrix M_h of multiplication by
+    h on A (Cox-Little-O'Shea, *Using Algebraic Geometry*, ch. 2, section
+    4): saturation by h as linear algebra.
     Without `nonzero` the count is the standard-monomial count.
 
     Each prime gets the reduced basis of its own system.  When the primes
@@ -530,6 +529,7 @@ def count_solutions(systems, nvars: int, primes, nonzero=()) -> tuple:
     """
     if len(systems) != len(primes):
         raise ValueError(f"{len(systems)} systems for {len(primes)} primes")
+    nonzero = tuple(nonzero)
     for gens in (*systems, nonzero):
         _check_lengths((m for g in gens for m, _ in g), nvars)
     factors = [[(pack(m), c) for m, c in f] for f in nonzero]

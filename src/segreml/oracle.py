@@ -137,9 +137,6 @@ class DataVector(Record):
     def n(self) -> int:
         return len(self.u[0][0]) - 1
 
-    def to_json_dict(self) -> dict:
-        return {"u": [[list(row) for row in plane] for plane in self.u]}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> DataVector:
         try:

@@ -551,7 +551,7 @@ def test_oracle_data_primes_must_agree(tmp_path, capsys, monkeypatch):
 
     tensor = _write(tmp_path, "w.json", COUNTEREXAMPLE_W.to_json_dict())
     u = DataVector.random(2, random.Random(random.Random(1).randrange(2**32)))
-    data = _write(tmp_path, "u.json", u.to_json_dict())
+    data = _write(tmp_path, "u.json", {"u": u.u})
     assert main(["oracle", tensor, "--data", data]) == 0
     assert capsys.readouterr().out == '{"count":8,"stable":true,"trials":[[null,8]]}\n'
     # over F_59 this system has 5 solutions (see test_oracle.py), so the two primes disagree

@@ -22,7 +22,7 @@ from segreml.euler import (
     mldeg_value,
     pair_types,
 )
-from segreml.exact import RatMatrix, binary_gcd, distinct_root_count, rank
+from segreml.exact import BinaryForm, RatMatrix, binary_gcd, distinct_root_count, integer_row, rank
 from segreml.factors import all_factors, eval_hyp222, hyp223_vanishes, vanishing_pattern
 from segreml.realize import _solve_minor, realize
 from segreml.strata import atlas
@@ -121,8 +121,11 @@ def test_chi_VI_XJ():
     assert chi_VI_XJ(W, I, ((), (1,))) == 1  # y1 = 0: rank-1 rows
     assert chi_VI_XJ(W, I, ((1,), (0,))) == 0
     assert chi_VI_XJ(W, I, ((), ())) == chi_VI(W, I)
-    with pytest.raises(ValueError):
-        chi_VI_XJ(W, I, ((0, 1), ()))
+    # J is one of the nine tuples: a coordinate outside {0, 1} must not index another face
+    for J in (((0, 1), ()), ((), (5,)), ((2,), ()), ((-1,), ()), ((), (-2,)), ((0,), (3,))):
+        for I in ((0, 1), (0, 1, 2)):
+            with pytest.raises(ValueError):
+                chi_VI_XJ(W, I, J)
 
 
 def test_slice_indices_are_checked_on_every_path():
@@ -150,6 +153,19 @@ def test_slice_indices_are_checked_on_every_path():
         classify_type(W, 3, 0)
 
 
+def test_a_repeated_slice_index_counts_once():
+    # on every J, I answers as its set, whatever the order and the repeats
+    rng = random.Random(33)
+    for W in (COUNTEREXAMPLE_W, COUNTEREXAMPLE_W_PRIME, HOOK_EXAMPLE, all_ones(2)):
+        for ks in [ks for size in (1, 2, 3) for ks in itertools.combinations(range(W.n + 1), size)]:
+            for _ in range(3):
+                I = list(ks) + [rng.choice(ks) for _ in range(rng.randint(1, 3))]
+                rng.shuffle(I)
+                assert chi_VI(W, I) == chi_VI(W, ks), (ks, I)
+                for J in itertools.product(((), (0,), (1,)), repeat=2):
+                    assert chi_VI_XJ(W, I, J) == chi_VI_XJ(W, ks, J), (ks, I, J)
+
+
 def _chi_VI_from_entries(W, ks):
     """chi(V_I) by the procedure of euler's docstring, from fresh pair forms and raw entries.
 
@@ -159,7 +175,8 @@ def _chi_VI_from_entries(W, ks):
     r0 = int(all(p * c1[k] == q * c0[k] for c0, c1 in W.w for k in ks))
     if len(ks) == 1:
         return 4 - rank(RatMatrix.from_rows([[W.w[i][j][ks[0]] for j in range(2)] for i in range(2)])), r0
-    g = binary_gcd([pair_det_form(W, a, b) for a, b in itertools.combinations(ks, 2)])
+    forms = [pair_det_form(W, a, b) for a, b in itertools.combinations(ks, 2)]
+    g = binary_gcd([BinaryForm(tuple(integer_row(f.coeffs))) for f in forms])  # raw entries: clear denominators
     if g.is_zero:
         return 2 + r0, r0
     roots = distinct_root_count(g)

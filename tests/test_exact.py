@@ -160,7 +160,8 @@ def test_binary_gcd_examples():
 
 
 def test_binary_gcd_of_int_forms_is_exact():
-    # forms of ints give the gcd of their Fraction twins, as ints, never floats
+    # forms of ints give the gcd of their Fraction twins (f/q, cleared by
+    # integer_row), as ints, never floats
     rng = random.Random(5)
     pairs = [((2, 3), (4, 6)), ((1, 0, -4), (1, -2)), ((0, 8, 14), (0, -8, -14)), ((3,), (0, 7))]
     for _ in range(200):
@@ -169,20 +170,24 @@ def test_binary_gcd_of_int_forms_is_exact():
     for f, g in pairs:
         ints = [BinaryForm(tuple(int(x) for x in f)), BinaryForm(tuple(int(x) for x in g))]
         got = binary_gcd(ints)
-        assert got == binary_gcd([BinaryForm(tuple(map(Fraction, f))), BinaryForm(tuple(map(Fraction, g)))])
+        q = rng.randint(1, 30)
+        assert got == binary_gcd([BinaryForm(tuple(integer_row([Fraction(x, q) for x in h]))) for h in (f, g)])
         assert all(type(x) is int for x in got.coeffs), got
     assert binary_gcd([BinaryForm((2, 3)), BinaryForm((4, 6))]).coeffs == (2, 3)
 
 
 def test_binary_gcd_takes_int_forms_as_they_are(monkeypatch):
-    """Forms of ints enter the fold without integer_row; a Fraction form is still cleared of its denominators."""
+    """Forms of ints enter the fold without integer_row; a Fraction form is the caller's to clear of its denominators."""
     real = segreml.exact.integer_row
     seen = []
     monkeypatch.setattr(segreml.exact, "integer_row", lambda row: seen.append(row) or real(row))
     assert binary_gcd([BinaryForm((2, -2, -4)), BinaryForm((1, 1))]).coeffs == (1, 1)
+    half = BinaryForm((Fraction(1, 2), Fraction(1, 2)))
+    for forms in ([half], [half, BinaryForm((2, -2, -4))], [BinaryForm((Fraction(4),))]):
+        with pytest.raises(TypeError):
+            binary_gcd(forms)
+    assert binary_gcd([BinaryForm(tuple(integer_row(half.coeffs))), BinaryForm((2, -2, -4))]).coeffs == (1, 1)
     assert seen == []
-    assert binary_gcd([BinaryForm((Fraction(1, 2), Fraction(1, 2))), BinaryForm((2, -2, -4))]).coeffs == (1, 1)
-    assert len(seen) == 1
 
 
 def linear_product(f, g):
@@ -264,7 +269,7 @@ def test_binary_gcd_matches_sympy():
     for _ in range(1500):
         forms = random_forms(rng)
         want = sympy_gcd(forms)
-        got = binary_gcd(forms)
+        got = binary_gcd([BinaryForm(tuple(integer_row(f.coeffs))) for f in forms])
         assert (() if got.is_zero else got.coeffs) == want, forms
         quadratics = [primitive(integer_row(f.coeffs)) for f in forms if f.degree == 2 and not f.is_zero]
         if len(set(quadratics)) < len(quadratics):
@@ -341,6 +346,6 @@ _INT_FORMS = st.one_of(
 @given(_INT_FORMS, _INT_FORMS, _NONZERO, _NONZERO)
 def test_binary_gcd_is_a_primitive_int_form_under_scaling(f, g, lam, mu):
     """binary_gcd([lam f, mu g]) is binary_gcd([f, g]), a primitive form of ints."""
-    got = binary_gcd([BinaryForm(tuple(lam * c for c in f)), BinaryForm(tuple(mu * c for c in g))])
+    got = binary_gcd([BinaryForm(tuple(integer_row([s * c for c in h]))) for s, h in ((lam, f), (mu, g))])
     assert got == binary_gcd([BinaryForm(f), BinaryForm(g)])
     assert all(type(c) is int for c in got.coeffs) and got.coeffs == primitive(got.coeffs)

@@ -56,6 +56,7 @@ def test_counts_off_a_hypersurface():
     assert count_solutions([gens], 2, (P,), [x]) == (1,)
     assert count_solutions([gens], 2, (P,), [x_minus_1]) == (2,)  # the double point keeps its multiplicity
     assert count_solutions([gens], 2, (P,), [x, x_minus_1]) == (0,)
+    assert count_solutions([gens], 2, (P,), (f for f in [x_minus_1])) == (2,)  # any iterable, read once
     assert count_solutions([gens], 2, (P,), [y_minus_2]) == (0,)
     # M_h starts from the first factor's matrix: any order gives the same count,
     # and so does a leading monomial factor whose coefficient is not 1
@@ -273,15 +274,18 @@ def test_primes():
     assert [n for n in range(60) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     sieve = [all(n % d for d in range(2, int(n**0.5) + 1)) for n in range(20000)]
     assert all(is_prime(n) == (n >= 2 and sieve[n]) for n in range(20000))
-    assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and not is_prime(2**61 + 1)
-    # Carmichael numbers, strong pseudoprimes to the bases 2, 3, 5, 7 (3215031751)
-    # and to every base up to 23 (3825123056546413051), and 73 * 193, which
-    # divides the witness 28178 and so tests the skip of a base that is 0 mod n;
-    # 997^2 and 1009 * 1013 sit on either side of the primes below 1000
-    for n in (561, 41041, 14089, 3215031751, 3825123056546413051, 997**2, 1009 * 1013):
+    assert is_prime(2**31 - 1) and is_prime(2**32 - 5)  # the largest primes below 2^31 and 2^32
+    # Carmichael numbers; 3215031751 = 151 * 751 * 28351, a strong pseudoprime
+    # to the bases 2, 3, 5 and 7, which the gcd screen rejects; strong
+    # pseudoprimes with no factor below 1000 that one base alone rejects: 61
+    # (1069 * 2137, and 17029 * 34057 of 30 bits), 7 (1733 * 5197) and 2
+    # (1303 * 3907); and 997^2 and 1009 * 1013, on either side of the primes below 1000
+    for n in (561, 41041, 14089, 3215031751, 2284453, 579956653, 9006401, 5090821, 997**2, 1009 * 1013):
         assert not is_prime(n)
-    assert is_prime(2**64 - 59) and not is_prime(2**64 - 1)  # the largest prime below 2^64
-    for n in (2**64, 318665857834031151167461, 2**127 - 1):
+    assert is_prime(4759123129) and not is_prime(4759123139)  # the largest prime below the range's end
+    # from the first strong pseudoprime to 2, 7 and 61 on, the test refuses to answer
+    for n in (4759123141, 4759123142, 2**61 - 1, 2**61 + 1, 3825123056546413051, 2**64 - 59, 2**64 - 1,
+              2**64, 318665857834031151167461, 2**127 - 1):
         with pytest.raises(ValueError):
             is_prime(n)
     drawn = [random_prime(random.Random(s)) for s in range(20)]

@@ -60,7 +60,7 @@ def test_data_vector_validation():
         DataVector.from_entries([[[0, 1], [1, 1]], [[1, 1], [1, 1]]])
     with pytest.raises(DimensionMismatchError):
         DataVector.from_entries([[[1, 1], [1, 1]]])
-    assert DataVector.from_json_dict(u.to_json_dict()) == u
+    assert DataVector.from_json_dict({"u": [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]}) == u
 
 
 def test_score_system_structure():
