@@ -42,7 +42,11 @@ EXIT_UNSTABLE = 3
 # so an input is admitted while its work at max(bits, SHORT_ENTRY_BITS) stays
 # within its cap's work at SHORT_ENTRY_BITS (`largest_admitted`).  Each work
 # function is fitted to one-core timings (taskset -c 0, Python 3.11.7, x86-64),
-# and each row's comment gives the command's time at its cap there.
+# and each row's comment gives the command's time at its cap there.  Admission
+# reads the raw entries' bits, not those of the integer view the engines run on
+# (factors.integer_slices, reduced by the whole torus): a torus image of a
+# short-entry tensor runs at short-entry cost, yet its long entries are refused
+# at the frontier that generic entries of that length set.
 SHORT_ENTRY_BITS = 32
 
 

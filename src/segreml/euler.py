@@ -12,8 +12,10 @@ where p runs over the torus points where two components meet and m_p is
 the number of components through p.
 
 * Integer slices.  Scaling a slice scales its quadric and moves no curve,
-  line or point, so the arrangement is computed on factors.integer_slices,
-  slice k the primitive integer vector (a, b, c, d) with a > 0.  A torus
+  line or point, and rescaling x0, x1, y0, y1 moves them all by one
+  automorphism of T, which keeps every count.  So the arrangement is
+  computed on factors.integer_slices, the integer view of W's torus orbit,
+  slice k a primitive integer vector (a, b, c, d) with a > 0.  A torus
   coordinate is a factors.ratio, a reduced pair (num, den) with den > 0.
 * One rule.  Every component is a primitive integer (1,1)-form, the
   distinct ones kept in slice order.  A nonsingular slice gives its integer
@@ -348,12 +350,15 @@ def mldeg_matrix(M: RatMatrix) -> int:
     if any(x == 0 for row in M.entries for x in row):
         raise ValueError("scaling matrix entries must be nonzero")
     # A submatrix has its transpose's rank, so M is taken with no more columns
-    # than rows, and row scaling keeps every rank: each row becomes its
-    # primitive integer vector once, over as few denominators as the shape
-    # allows, and each submatrix is cut from those ints.
+    # than rows, and row and column scaling keep every rank: each row becomes
+    # its primitive integer vector once, over as few denominators as the shape
+    # allows, then each column is divided by its content, and each submatrix
+    # is cut from those ints.
     entries = M.entries if M.nrows >= M.ncols else tuple(zip(*M.entries))
     m, n = len(entries), len(entries[0])
-    ints = [primitive(integer_row(row)) for row in entries]
+    scaled = [primitive(integer_row(row)) for row in entries]
+    contents = [math.gcd(*column) for column in zip(*scaled)]
+    ints = [[x // g for x, g in zip(row, contents)] for row in scaled]
     total = 0
     for rsize in range(1, m + 1):
         for rows in itertools.combinations(range(m), rsize):

@@ -20,13 +20,15 @@ A minor is the determinant of its 2x2 array of cells (`FactorId.cells`);
 evaluation, forcing in `realize` and the sign experiment in `strata` all
 read that one layout.
 
-Every factor and chi(V_I) is projective in each slice, so the pair forms,
-minors, H[k1,k2], face classes and subset gcds are built from the primitive
-integer slices (`integer_slices`), each once per tensor in its memo, which
-no other module fills; every evaluation here and in `euler` reads them.
-Every zero test reads the integer table `integer_values`; only
-`factor_values`, which `analyze` prints, scales a value back to W's
-entries, by its slices' scales.
+Every factor is a torus semi-invariant and chi(V_I) a torus invariant
+(Gelfand, Kapranov and Zelevinsky 1994): rescaling the coordinates x_i,
+y_j and z_k turns w_ijk into x_i y_j z_k w_ijk and multiplies each factor
+by a nonzero product of the scalars.  So the pair forms, minors, H[k1,k2],
+face classes and subset gcds are built from one integer view of W's torus
+orbit (`integer_slices`), each once per tensor in its memo, which no other
+module fills; every evaluation here and in `euler` reads them.  Every zero
+test reads the integer table `integer_values`; only `factor_values`, which
+`analyze` prints, scales a value back to W's entries, by its cells' scales.
 
 Canonical factor names are the strings "F[**0]", "F[0*(0,1)]",
 "F[*1(1,2)]", "H[0,1]", "H[0,1,2]"; patterns are printed as JSON arrays of
@@ -245,8 +247,29 @@ def _per_tensor(build):
 
 @_per_tensor
 def integer_slices(W: ScalingTensor) -> tuple:
-    """w[i][j][k] ints: slice k is the `primitive` (a, b, c, d), a > 0, proportional to W's slice k."""
-    a, b, c, d = zip(*(primitive(integer_row(row)) for row in zip(*W.w[0], *W.w[1])))
+    """w[i][j][k] ints R: a primitive representative of W's torus orbit, with a > 0 in every slice (a, b, c, d).
+
+    Each slice is made `primitive` first, so rescaling a slice of W changes
+    nothing here.  Then each x-plane (cells (i, ., .)) and each y-column
+    (cells (., j, .)) is divided by its content, and each slice is made
+    primitive again.  Dividing an entry never raises a content, so every
+    plane, column and slice ends with content 1.  W's cell (i, j, k) is
+    c_ijk R_ijk for a cell scale c_ijk = x_i y_j z_k, so c_00k c_11k = c_01k c_10k.
+    """
+    entries = list(zip(*(primitive(integer_row(row)) for row in zip(*W.w[0], *W.w[1]))))  # a, b, c, d, each across k
+    ga, gb, gc, gd = (math.gcd(*column) for column in entries)
+    # the contents of the x-planes (a, b) and (c, d), then of the y-columns (a, c) and (b, d) once those are divided
+    x0, x1 = math.gcd(ga, gb), math.gcd(gc, gd)
+    y0, y1 = math.gcd(ga // x0, gc // x1), math.gcd(gb // x0, gd // x1)
+    if x0 * x1 * y0 * y1 > 1:  # every divisor is positive, so a stays > 0
+        da, db, dc, dd = x0 * y0, x0 * y1, x1 * y0, x1 * y1
+        slices = []
+        for a, b, c, d in zip(*entries):
+            a, b, c, d = a // da, b // db, c // dc, d // dd
+            g = math.gcd(a, b, c, d)
+            slices.append((a // g, b // g, c // g, d // g))
+        entries = list(zip(*slices))
+    a, b, c, d = entries
     return (a, b), (c, d)
 
 
@@ -269,7 +292,7 @@ def pair_forms(W: ScalingTensor) -> dict[tuple[int, int], BinaryForm]:
 def integer_values(W: ScalingTensor) -> dict[FactorId, int]:
     """The int value of every minor on `integer_slices`, and of every H[k1,k2] as the discriminant of its pair form.
 
-    Each is the factor's value on W divided by a nonzero product of slice
+    Each is the factor's value on W divided by a nonzero product of cell
     scales (see `factor_values`), so every zero test reads this table.
     """
     w = integer_slices(W)
@@ -281,23 +304,24 @@ def integer_values(W: ScalingTensor) -> dict[FactorId, int]:
 def factor_values(W: ScalingTensor) -> dict[FactorId, Fraction]:
     """The value of every minor and every H[k1,k2] on W's entries, for printing.
 
-    With W's slice k = s_k times slice k of `integer_slices`, a minor on slices
-    k1, k2 is s_k1 s_k2 times its `integer_values` entry, H[k1,k2] (s_k1 s_k2)^2
-    times it; 2x2x3 factors are decided, not valued.  H[k1,k2] is taken as
-    (s_k1 s_k2 value) s_k1 s_k2, so each Fraction product reduces against the
-    pair scale's denominator, not its square: cheaper when value and scale
-    share factors, as on torus-rescaled tensors, dearer when they share none.
+    W's cell (i, j, k) is c_ijk times the cell R_ijk of `integer_slices`, and
+    c_ijk = x_i y_j z_k, so a minor is c_a c_d times its `integer_values`
+    entry, for its diagonal cells a and d, and H[k1,k2] is t_k1 t_k2 times
+    it, with t_k = c_00k c_11k; 2x2x3 factors are decided, not valued.  Each
+    scale is kept as its reduced numerator and denominator, and each value is
+    one Fraction of their int products, normalized once.
     """
-    s = [w00 / a for w00, a in zip(W.w[0][0], integer_slices(W)[0][0])]
-    scale = {ks: s[ks[0]] * s[ks[1]] for ks in itertools.combinations_with_replacement(range(W.n + 1), 2)}
+    scales = [[[w / r for w, r in zip(*row)] for row in zip(*plane)] for plane in zip(W.w, integer_slices(W))]
+    c = [[[(s.numerator, s.denominator) for s in row] for row in plane] for plane in scales]
+    t = [(p * r, q * s) for (p, q), (r, s) in zip(c[0][0], c[1][1])]
     values = {}
     for fid, value in integer_values(W).items():
-        if fid.is_minor:  # row 0 of its cells lies on one slice, row 1 on the other
-            ((_, _, k1), _), ((_, _, k2), _) = fid.cells()
-            values[fid] = scale[k1, k2] * value
+        if fid.is_minor:
+            ((a0, a1, a2), _), (_, (d0, d1, d2)) = fid.cells()
+            (p, q), (r, s) = c[a0][a1][a2], c[d0][d1][d2]
         else:
-            pair = scale[fid.index]
-            values[fid] = pair * value * pair
+            (p, q), (r, s) = t[fid.index[0]], t[fid.index[1]]
+        values[fid] = Fraction(p * r * value, q * s)
     return values
 
 
@@ -310,6 +334,8 @@ def face_classes(W: ScalingTensor) -> tuple[tuple[int, ...], ...]:
     (w_0jk, w_1jk); its class id stands for the ratio w_i1k/w_i0k resp.
     w_1jk/w_0jk, a `ratio` of integer slices.  Two rows are proportional iff
     their ids are equal; ids are shared by all faces, so x0 and x1 rows compare.
+    An x-face id is never compared with a y-face id: a torus rescale moves
+    the two kinds of ratio by different scalars.
     """
     (w00, w01), (w10, w11) = integer_slices(W)
     ids: dict[tuple[int, int], int] = {}

@@ -115,6 +115,12 @@ def _tall_rational(rng: random.Random, digits: int) -> Fraction:
     return Fraction(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
 
 
+def tall_torus_image(W: ScalingTensor, rng: random.Random, digits: int) -> ScalingTensor:
+    """W torus-rescaled by signed `digits`-digit rationals, drawn from rng for x0, x1, then y0, y1, then each slice."""
+    tall = lambda count: [_tall_rational(rng, digits) for _ in range(count)]
+    return torus_rescale(W, tall(2), tall(2), tall(W.n + 1))
+
+
 def degenerate_tensor(rng: random.Random, n: int) -> ScalingTensor:
     """Entries in +-{1, 2, 3, 1/2, 2/3}, biased toward coincidences.
 
@@ -147,8 +153,7 @@ def degenerate_tensor(rng: random.Random, n: int) -> ScalingTensor:
                         w[1][side][k] = c * w[0][side][k]
     W = ScalingTensor.from_entries(n, w)
     if rng.random() < 0.5:
-        tall = lambda count: [_tall_rational(rng, 100) for _ in range(count)]
-        W = torus_rescale(W, tall(2), tall(2), tall(n + 1))
+        W = tall_torus_image(W, rng, 100)
     return W
 
 

@@ -35,7 +35,6 @@ from helpers import (
     COUNTEREXAMPLE_W,
     COUNTEREXAMPLE_W_PRIME,
     HOOK_EXAMPLE,
-    _tall_rational,
     degenerate_tensor,
     duplicate_last_slice,
     line_heavy_tensor,
@@ -44,6 +43,7 @@ from helpers import (
     random_rational_tensor,
     random_tensor,
     swap_xy,
+    tall_torus_image,
     torus_rescale,
 )
 from references import (
@@ -335,14 +335,13 @@ def test_criterion_8_symmetry_laws():
 
     # Degeneracy-biased and line-heavy tensors with n up to 6, rescaled by 100-digit scalars.
     rng = random.Random(808)
-    tall = lambda count: [_tall_rational(rng, 100) for _ in range(count)]
     for i in range(300):
         n = 1 + i % 6
         W = (line_heavy_tensor if i % 2 else degenerate_tensor)(rng, n)
         base_mldeg = mldeg_value(W)
         perm = list(range(n + 1))
         rng.shuffle(perm)
-        assert mldeg_value(torus_rescale(W, tall(2), tall(2), tall(n + 1))) == base_mldeg
+        assert mldeg_value(tall_torus_image(W, rng, 100)) == base_mldeg
         assert mldeg_value(permute_slices(W, perm)) == base_mldeg
         assert mldeg_value(swap_xy(W)) == base_mldeg
         assert mldeg_value(duplicate_last_slice(W)) == base_mldeg

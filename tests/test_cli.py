@@ -24,10 +24,9 @@ from helpers import (
     COUNTEREXAMPLE_W,
     COUNTEREXAMPLE_W_PRIME,
     HOOK_EXAMPLE,
-    _tall_rational,
     degenerate_tensor,
     schema_validator,
-    torus_rescale,
+    tall_torus_image,
 )
 
 W313 = {"n": 2, "w": [[["1", "2", "3"], ["3", "1", "4"]], [["2", "4", "6"], ["4", "6", "10"]]]}
@@ -387,11 +386,9 @@ def test_analyze_output_is_pinned(tmp_path, capsys):
         tensors[f"degenerate_tensor(Random({s}), 4)"] = degenerate_tensor(random.Random(s), 4)
     # most subset gcds extend a constant prefix here
     tensors["realize(8, 45, seed=1)"] = realize(8, 45, seed=1)
-    # factor values with hundreds of digits, H[k1,k2] scaled back by the squared pair scale
-    rng = random.Random(100)
-    scalars = [[_tall_rational(rng, 100) for _ in range(size)] for size in (2, 2, 5)]
+    # factor values with hundreds of digits, printed from the torus-reduced view by the cell scales
     name = "torus_rescale(realize(4, 30, seed=1), 100-digit scalars)"
-    tensors[name] = torus_rescale(realize(4, 30, seed=1), *scalars)
+    tensors[name] = tall_torus_image(realize(4, 30, seed=1), random.Random(100), 100)
     for name, W in tensors.items():
         path = _write(tmp_path, "t.json", W.to_json_dict())
         assert main(["analyze", path, "--json"]) == 0
