@@ -3,8 +3,8 @@
 Subcommands: analyze, mldeg, matrix-mldeg, oracle, realize, atlas, signs.
 All file interchange uses canonical JSON (sorted keys, compact separators,
 rationals as "p/q" strings); see src/segreml/schemas/formats.schema.json
-for the shapes.  Exit codes: 0 success, 2 invalid input, 3 oracle
-instability or exceeded resource budget.
+for the shapes.  Exit codes: 0 success, 2 invalid input, 3 a count that
+failed its own check (oracle instability) or an exceeded resource budget.
 """
 
 from __future__ import annotations
@@ -67,9 +67,10 @@ ADMISSION = {
     "analyze": Admission("n", 12, lambda n, bits: 2 ** (n + 1) * (bits + 110) ** 2,
                          "analyze sums 2^(n+1) - 1 slice subsets (use `segreml mldeg` for the ML degree at large n)"),
     # every pair of the n + 1 quadrics, at a cost per pair that grows about as
-    # bits * (bits + 320): 9.0-10.0 s at n = 900 with 32-bit entries; at n = 50
-    # 0.020 s with 7 digits, 0.092 s with 30, 0.43 s with 100, 2.8 s with 300 and 9.5 s with 600,
-    # and 7.0-7.7 s at its frontier for 30, 100, 300 and 600 digits (n = 465, 204, 82 and 43)
+    # bits * (bits + 320): 4.5-5.8 s at n = 900 with 32-bit rationals (2.2-3.6 s with integers); at n = 50
+    # 0.011-0.017 s with 7-digit rationals, 0.05-0.07 s with 30, 0.30-0.39 s with 100, 1.9-2.2 s with 300
+    # and 6.1-7.8 s with 600, and 4.1-8.5 s at its frontier for 30, 100, 300 and 600 digits (n = 465, 204,
+    # 82 and 43): counting pairs per point cut the cap's time more than the frontier's
     "mldeg": Admission("n", 900, lambda n, bits: (n + 1) ** 2 * bits * (bits + 320),
                        "mldeg meets every pair of the n + 1 quadrics"),
     # the ranks of (2^(m+1) - 1)(2^(n+1) - 1) submatrices of an (m+1) x (n+1) matrix,

@@ -32,4 +32,4 @@ class ResourceBudgetExceededError(SegremlError):
 
 
 class UnstableCountError(SegremlError):
-    """Two primes gave different critical-point counts for the same data."""
+    """A count failed its own check: two primes disagree, or an arrangement point's pair count is no C(m, 2)."""

@@ -9,7 +9,8 @@ and `mldeg_value` reads that off the curve arrangement in O(n^2) work:
     mldeg = 2 * #smooth components + sum_p |orbit(p)| * (m_p - 1),
 
 where p runs over the torus points where two components meet and m_p is
-the number of components through p.
+the number of components through p, read from the number k_p = C(m_p, 2)
+of component pairs that meet at p; any other k_p raises UnstableCountError.
 
 * Integer slices.  Scaling a slice scales its quadric and moves no curve,
   line or point, and rescaling x0, x1, y0, y1 moves them all by one
@@ -28,10 +29,10 @@ the number of components through p.
   t != 0, infinity, of their pencil determinant factors.pair_det_coeffs, at
   x = (-B(t) : A(t)) for a nonzero pencil row (A, B) = (a t + b, c t + d).
 * Point keys.  A rational point is keyed by (t, s) = (y0/y1, x0/x1).  A
-  pair of conjugate points over Q(sqrt d) is one key with orbit size 2:
-  the primitive minimal polynomial (c0, c1, c2), c0 > 0, of t, and
-  s = (A + B t) / N reduced modulo it, as the primitive (A, B, N) with
-  N > 0.  Conjugate points always lie in T.
+  pair of conjugate points over Q(sqrt d) is one key with orbit size 2,
+  the only 6-tuple: the primitive minimal polynomial (c0, c1, c2), c0 > 0,
+  of t, and s = (A + B t) / N reduced modulo it, as the primitive
+  (A, B, N) with N > 0.  Conjugate points always lie in T.
 
 The paper's route is kept as the reference: for I a set of slice indices,
 V_I is the common zero set in P1 x P1 of the q_k, k in I.  Fixing y, the
@@ -86,11 +87,12 @@ import enum
 import itertools
 import math
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, UnstableCountError
 # binary_gcd is unused here: perfbench's harness test checks euler.binary_gcd as its sample binding.
 from .exact import RatMatrix, Record, binary_gcd, distinct_root_count, integer_row, primitive, rank
 from .factors import (
     VanishingPattern,
+    check_slices,
     face_classes,
     face_minor_x,
     face_minor_y,
@@ -119,26 +121,20 @@ class PairType(enum.Enum):
 
 def classify_type(W: ScalingTensor, i: int, j: int) -> PairType:
     """Type of the slice-pair pencil, read off the six minors and H[i,j]."""
-    if not 0 <= i < j <= W.n:
-        if not i < j:
-            raise ValueError("require i < j")
-        raise IndexError("slice indices out of range")
+    check_slices(W, i, j)
     values = integer_values(W)
     if values[hyp222(i, j)] != 0:
         return PairType.I
-    si = values[slice_minor(i)] == 0
-    sj = values[slice_minor(j)] == 0
-    fx0 = values[face_minor_x(0, i, j)] == 0
-    fx1 = values[face_minor_x(1, i, j)] == 0
-    fy0 = values[face_minor_y(0, i, j)] == 0
-    fy1 = values[face_minor_y(1, i, j)] == 0
-    if si and sj and fx0 and fx1 and fy0 and fy1:
+    slices = values[slice_minor(i)] == values[slice_minor(j)] == 0
+    faces_x = values[face_minor_x(0, i, j)] == values[face_minor_x(1, i, j)] == 0
+    faces_y = values[face_minor_y(0, i, j)] == values[face_minor_y(1, i, j)] == 0
+    if slices and faces_x and faces_y:
         return PairType.III
-    if si and sj and fx0 and fx1:
+    if slices and faces_x:
         return PairType.II
-    if si and sj and fy0 and fy1:
+    if slices and faces_y:
         return PairType.IV_COLS
-    if fx0 and fx1 and fy0 and fy1:
+    if faces_x and faces_y:
         return PairType.IV_ROWS
     return PairType.V
 
@@ -221,24 +217,18 @@ class MLDegreeReport(Record):
         return out
 
 
-def _inner_sum(W: ScalingTensor, ks: tuple[int, ...], terms: dict) -> int:
-    total = 0
-    for J, sign, empty in _J_TABLE:
-        if empty:
-            terms[ks, J] = 0
-        else:
-            value = terms[ks, J] = chi_VI_XJ(W, ks, J)
-            total += sign * value
-    return total
-
-
 def _subset_sum(W: ScalingTensor, terms: dict) -> int:
     """The inclusion-exclusion sum over nonempty slice subsets; fills `terms`."""
     total = 0
     for size in range(1, W.n + 2):
         sign = (-1) ** size
         for ks in itertools.combinations(range(W.n + 1), size):
-            total += sign * _inner_sum(W, ks, terms)
+            for J, j_sign, empty in _J_TABLE:
+                if empty:
+                    terms[ks, J] = 0
+                else:
+                    value = terms[ks, J] = chi_VI_XJ(W, ks, J)
+                    total += sign * j_sign * value
     return total
 
 
@@ -266,8 +256,8 @@ def _components(w) -> list[Form]:
     return list(dict.fromkeys(forms))  # insertion-ordered, so counts never depend on hashing
 
 
-def _curve_points(w, j: int, k: int) -> list[tuple[tuple, int]]:
-    """Torus points of form j ^ form k as (key, orbit size).
+def _curve_points(w, j: int, k: int) -> list[tuple]:
+    """Keys of the torus points of form j ^ form k; a conjugate pair's key is the only 6-tuple.
 
     The forms meet over the roots t = y0/y1 of c0 t^2 + c1 t + c2, their
     pencil determinant; roots at t = 0 or infinity leave the torus.  A line
@@ -300,7 +290,7 @@ def _curve_points(w, j: int, k: int) -> list[tuple[tuple, int]]:
             A = a * d * c1 - a * c * c2 - b * d * c0
             B = (a * d - b * c) * c0
             g = math.gcd(A, B, N) if N > 0 else -math.gcd(A, B, N)
-            return [((c0, c1, c2, A // g, B // g, N // g), 2)]
+            return [(c0, c1, c2, A // g, B // g, N // g)]
         roots = {ratio(-c1 + r, 2 * c0), ratio(-c1 - r, 2 * c0)}
     points = []
     for tn, td in filter(None, roots):
@@ -312,20 +302,20 @@ def _curve_points(w, j: int, k: int) -> list[tuple[tuple, int]]:
                 break
         s = ratio(-B, A)
         if s is not None:
-            points.append((((tn, td), s), 1))
+            points.append(((tn, td), s))
     return points
 
 
-def _arrangement(W: ScalingTensor) -> tuple[list[Form], dict[tuple, list]]:
-    """The components and, per torus intersection point, [orbit size, set of component indices]."""
+def _arrangement(W: ScalingTensor) -> tuple[list[Form], dict[tuple, int]]:
+    """The components and, per torus intersection point, the number k_p of component pairs that meet there."""
     forms = _components(integer_slices(W))
     w00, w01, w10, w11 = zip(*forms)
     w = (w00, w01), (w10, w11)
-    points: dict[tuple, list] = {}
+    pairs: dict[tuple, int] = {}
     for j, k in itertools.combinations(range(len(forms)), 2):
-        for key, orbit in _curve_points(w, j, k):
-            points.setdefault(key, [orbit, set()])[1].update((j, k))
-    return forms, points
+        for key in _curve_points(w, j, k):
+            pairs[key] = pairs.get(key, 0) + 1
+    return forms, pairs
 
 
 def mldeg_value(W: ScalingTensor) -> int:
@@ -333,12 +323,19 @@ def mldeg_value(W: ScalingTensor) -> int:
 
     mldeg = -chi_T(union of the quadrics) = 2 * #smooth components +
     sum over torus points p of |orbit(p)| * (m_p - 1), with m_p the number
-    of distinct components through p (see the module docstring).  Agrees
-    with `mldeg(W).mldeg`, the inclusion-exclusion sum.
+    of distinct components through p, read from the k_p = C(m_p, 2) pairs
+    of them that meet at p; a k_p of no such form, which only a key that
+    merges two points or splits one gives, raises UnstableCountError.
+    Agrees with `mldeg(W).mldeg`, the inclusion-exclusion sum.
     """
-    forms, points = _arrangement(W)
-    smooth = sum(a * d != b * c for a, b, c, d in forms)
-    return 2 * smooth + sum(orbit * (len(through) - 1) for orbit, through in points.values())
+    forms, pairs = _arrangement(W)
+    total = 2 * sum(a * d != b * c for a, b, c, d in forms)
+    for key, k in pairs.items():
+        m = (1 + math.isqrt(8 * k + 1)) // 2
+        if m * (m - 1) != 2 * k:
+            raise UnstableCountError(f"{k} component pairs meet at {key}")
+        total += (2 if len(key) == 6 else 1) * (m - 1)
+    return total
 
 
 def mldeg_matrix(M: RatMatrix) -> int:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .exact import BinaryForm, Record, binary_gcd, integer_row, primitive
@@ -152,10 +153,17 @@ def all_factors(n: int) -> tuple[FactorId, ...]:
 # -- evaluation --------------------------------------------------------------
 
 
+def check_slices(W: ScalingTensor, *ks: int) -> None:
+    """ValueError unless the slice indices ks strictly increase, then IndexError unless all are in 0..W.n."""
+    if not all(map(operator.lt, ks, ks[1:])):
+        raise ValueError("slice indices must strictly increase")
+    if ks[0] < 0 or ks[-1] > W.n:
+        raise IndexError("slice indices out of range")
+
+
 def eval_minor(W: ScalingTensor, fid: FactorId) -> Fraction:
     """Exact value of a 2-minor factor on the raw entries: the determinant of its cells."""
-    if fid.index[-1] > W.n:  # the largest slice index: face indices come first
-        raise IndexError("slice indices out of range")
+    check_slices(W, fid.index[-1])  # the largest slice index: face indices come first
     return _minor(W.w, fid)
 
 
@@ -183,10 +191,7 @@ def pair_det_coeffs(w, k1: int, k2: int) -> tuple:
 
 def eval_hyp222(W: ScalingTensor, k1: int, k2: int) -> Fraction:
     """The 2x2x2 hyperdeterminant of slices (k1, k2): the discriminant of their pair form."""
-    if not 0 <= k1 < k2 <= W.n:
-        if not k1 < k2:
-            raise ValueError("require k1 < k2")
-        raise IndexError("slice indices out of range")
+    check_slices(W, k1, k2)
     return factor_values(W)[hyp222(k1, k2)]
 
 
@@ -197,10 +202,7 @@ def hyp223_vanishes(W: ScalingTensor, k1: int, k2: int, k3: int) -> bool:
     P1 x P1, iff the three pairwise pencil determinants share a projective
     root in y, read off from their gcd (nonconstant or identically zero).
     """
-    if not 0 <= k1 < k2 < k3 <= W.n:
-        if not k1 < k2 < k3:
-            raise ValueError("require k1 < k2 < k3")
-        raise IndexError("slice indices out of range")
+    check_slices(W, k1, k2, k3)
     g = subset_gcd(W, (k1, k2, k3))
     return g.is_zero or g.degree >= 1
 

@@ -25,7 +25,7 @@ import random
 from functools import cache
 
 from segreml.errors import DimensionMismatchError
-from segreml.euler import PairType, _inner_sum, classify_type
+from segreml.euler import PairType, chi_VI_XJ, classify_type
 from segreml.exact import BinaryForm, RatMatrix, rank
 from segreml.factors import (
     FactorId,
@@ -123,7 +123,8 @@ def mldeg_point_formula(W: ScalingTensor) -> int | None:
         singles += -2 if values[slice_minor(k)] != 0 else -1
     pair_counts = 0
     for jk in itertools.combinations(range(W.n + 1), 2):
-        pair_counts += _inner_sum(W, jk, {})
+        for J in itertools.product(((), (0,), (1,)), repeat=2):
+            pair_counts += (-1) ** (len(J[0]) + len(J[1])) * chi_VI_XJ(W, jk, J)
     return -(singles - pair_counts)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import random
@@ -13,6 +14,7 @@ import segreml.factors
 from segreml.euler import (
     PairType,
     _arrangement,
+    _curve_points,
     chi_VI,
     chi_VI_XJ,
     classify_type,
@@ -22,6 +24,8 @@ from segreml.euler import (
     mldeg_value,
     pair_types,
 )
+from segreml.cli import main
+from segreml.errors import UnstableCountError
 from segreml.exact import BinaryForm, RatMatrix, binary_gcd, distinct_root_count, integer_row, rank
 from segreml.factors import all_factors, eval_hyp222, hyp223_vanishes, vanishing_pattern
 from segreml.realize import _solve_minor, realize
@@ -147,9 +151,9 @@ def test_slice_indices_are_checked_on_every_path():
         with pytest.raises(IndexError, match="slice indices out of range"):
             eval_hyp222(W, *args)
     # order is checked before range
-    with pytest.raises(ValueError, match="require k1 < k2 < k3"):
+    with pytest.raises(ValueError, match="slice indices must strictly increase"):
         hyp223_vanishes(W, 3, 1, 0)
-    with pytest.raises(ValueError, match="require i < j"):
+    with pytest.raises(ValueError, match="slice indices must strictly increase"):
         classify_type(W, 3, 0)
 
 
@@ -337,6 +341,23 @@ def _degenerate_tensor(rng: random.Random, n: int) -> ScalingTensor:
     return ScalingTensor.from_slices(slices)
 
 
+def _components_through_points(W: ScalingTensor) -> tuple[list[str], dict[tuple, set[int]]]:
+    """The kind of each component and, per torus point, the components through it, rebuilt pair by pair.
+
+    Checks on the way that the arrangement's pair count at each point is C(m_p, 2) of these sets.
+    """
+    forms, pairs = _arrangement(W)
+    w00, w01, w10, w11 = zip(*forms)
+    w = (w00, w01), (w10, w11)
+    points: dict[tuple, set[int]] = {}
+    for j, k in itertools.combinations(range(len(forms)), 2):
+        for key in _curve_points(w, j, k):
+            points.setdefault(key, set()).update((j, k))
+    assert pairs == {key: math.comb(len(through), 2) for key, through in points.items()}, W.to_json_dict()
+    # a curve has w00 != 0; an x-line is (0, a, 0, c) times y1, a y-line x1 times (0, 0, a, b)
+    return ["curve" if a else "x" if c == 0 else "y" for a, _, c, _ in forms], points
+
+
 def test_arrangement_agrees_with_inclusion_exclusion():
     """mldeg_value (curve arrangement) equals mldeg (inclusion-exclusion sum)."""
     tensors = [witness for seed in range(3) for _, witness in atlas(seed=seed)]
@@ -353,11 +374,9 @@ def test_arrangement_agrees_with_inclusion_exclusion():
     for i in range(300):
         W = (line_heavy_tensor if i % 3 else degenerate_tensor)(rng, 1 + i % 6)
         assert mldeg_value(W) == mldeg(W).mldeg, W.to_json_dict()
-        forms, points = _arrangement(W)
-        # a curve has w00 != 0; an x-line is (0, a, 0, c) times y1, a y-line x1 times (0, 0, a, b)
-        kinds = ["curve" if w00 else "x" if w10 == 0 else "y" for w00, _, w10, _ in forms]
+        kinds, points = _components_through_points(W)
         seen.update(("parallel", a) for a, b in itertools.combinations(kinds, 2) if a == b != "curve")
-        for _, through in points.values():
+        for through in points.values():
             seen.update(itertools.combinations([kinds[c] for c in sorted(through)], 2))
             if len(through) >= 3 and any(kinds[c] != "curve" for c in through):
                 seen.add("m_p >= 3 on a line")
@@ -382,12 +401,37 @@ def test_pencil_base_points_meet_three_components():
     triple_points = {1: 0, 2: 0}  # orbit size -> points with m_p >= 3
     for _ in range(400):
         W = _pencil_tensor(rng)
-        _, points = _arrangement(W)
-        for orbit, through in points.values():
-            if len(through) >= 3:
-                triple_points[orbit] += 1
+        _, pairs = _arrangement(W)
+        for key, count in pairs.items():
+            if count >= 3:  # C(m_p, 2) pairs meet there
+                triple_points[2 if len(key) == 6 else 1] += 1
         assert mldeg_value(W) == mldeg(W).mldeg, W.to_json_dict()
     assert triple_points[1] > 0 and triple_points[2] > 0, triple_points
+
+
+# Two faults in the point keys: a conjugate pair keyed without the B term of
+# s = (A + B t) / N, and a rational point keyed by t alone.  Each merges points
+# that only share a t-polynomial or a fibre t = y0/y1.
+_KEY_FAULTS = {
+    "conjugate key without B": (TWIN_CONJUGATES_W, lambda key: key[:4] + (0,) + key[5:] if len(key) == 6 else key),
+    "rational key by t alone": (_pencil_tensor(random.Random(5)), lambda key: key if len(key) == 6 else (key[0], None)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_KEY_FAULTS))
+def test_a_merged_point_key_fails_the_pair_count_check(fault, monkeypatch, tmp_path, capsys):
+    """A key that merges points leaves a pair count that is no C(m, 2): mldeg_value raises and `segreml mldeg` exits 3."""
+    W, plant = _KEY_FAULTS[fault]
+    assert mldeg_value(W) == mldeg(W).mldeg
+    original = segreml.euler._curve_points
+    monkeypatch.setattr(segreml.euler, "_curve_points", lambda w, j, k: [plant(key) for key in original(w, j, k)])
+    with pytest.raises(UnstableCountError, match="component pairs meet at"):
+        mldeg_value(W)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(W.to_json_dict()))
+    assert main(["mldeg", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_arrangement_beyond_inclusion_exclusion():
