@@ -25,7 +25,7 @@ from .errors import (
     UnstableCountError,
 )
 from .exact import RatMatrix, Record, format_rational, parse_rational
-from .factors import all_factors, factor_values
+from .factors import all_factors, factor_values, vanishing_pattern
 from .oracle import ORACLE_MAX_N, CountResult, DataVector, count_critical_points, oracle_mldeg
 from .realize import realize
 from .tensor import ScalingTensor
@@ -172,7 +172,8 @@ def _any_int_length():
 
 def _analyze_payload(W: ScalingTensor) -> dict:
     report = euler.mldeg(W)
-    vanishing = report.factor_pattern.factors
+    pattern = vanishing_pattern(W)  # after the sum, so it reads the subset gcds the sum memoized
+    vanishing = pattern.factors
     factors = []
     # H[k1,k2] carries about 16 times the digits of the entries
     with _any_int_length():
@@ -190,7 +191,7 @@ def _analyze_payload(W: ScalingTensor) -> dict:
         "tensor": W.to_json_dict(),
         "n": W.n,
         "factors": factors,
-        "pattern": report.factor_pattern.names(),
+        "pattern": pattern.names(),
         "pair_types": {f"({i},{j})": t.value for (i, j), t in euler.pair_types(W).items()},
         "chi_V": chi_table,
         "terms": report.term_map_json(),
@@ -266,7 +267,7 @@ def _cmd_realize(args) -> int:
     report = euler.mldeg(W)
     payload = {
         "tensor": W.to_json_dict(),
-        "verification": {"mldeg": report.mldeg, "pattern": report.factor_pattern.names()},
+        "verification": {"mldeg": report.mldeg, "pattern": vanishing_pattern(W).names()},
     }
     _write_output(canonical_json(payload), args.output)
     return EXIT_OK
@@ -286,9 +287,12 @@ def _cmd_atlas(args) -> int:
             }
         )
         csv_lines.append("{" + " ".join(stratum.pattern.names()) + "}," + str(stratum.chi))
-    _write_output(canonical_json(records), args.output)
+    writes = [(canonical_json(records), args.output)]
     if args.csv:
-        _write_output("\n".join(csv_lines) + "\n", args.csv)
+        writes.append(("\n".join(csv_lines) + "\n", args.csv))
+    # files first, so a destination that cannot be written fails before anything reaches stdout
+    for text, path in sorted(writes, key=lambda write: write[1] in (None, "-")):
+        _write_output(text, path)
     return EXIT_OK
 
 

@@ -91,7 +91,6 @@ from .errors import DimensionMismatchError, UnstableCountError
 # binary_gcd is unused here: perfbench's harness test checks euler.binary_gcd as its sample binding.
 from .exact import RatMatrix, Record, binary_gcd, distinct_root_count, integer_row, primitive, rank
 from .factors import (
-    VanishingPattern,
     check_slices,
     face_classes,
     face_minor_x,
@@ -103,7 +102,6 @@ from .factors import (
     ratio,
     slice_minor,
     subset_gcd,
-    vanishing_pattern,
 )
 from .tensor import ScalingTensor
 
@@ -200,11 +198,10 @@ _J_KEYS = {J: f"{[list(J[0]), list(J[1])]}" for J in _ALL_J}
 class MLDegreeReport(Record):
     """ML degree with the full inclusion-exclusion term table."""
 
-    __slots__ = ("mldeg", "chi_Y", "terms", "factor_pattern")
+    __slots__ = ("mldeg", "chi_Y", "terms")
     mldeg: int
     chi_Y: int
     terms: dict[tuple[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]], int]
-    factor_pattern: VanishingPattern
 
     def term_map_json(self) -> dict[str, int]:
         """The terms keyed "I=[k, ...];J=[J1, J2]"; each I's prefix is built once, for its run of nine terms."""
@@ -217,8 +214,15 @@ class MLDegreeReport(Record):
         return out
 
 
-def _subset_sum(W: ScalingTensor, terms: dict) -> int:
-    """The inclusion-exclusion sum over nonempty slice subsets; fills `terms`."""
+def mldeg(W: ScalingTensor) -> MLDegreeReport:
+    """ML degree of the scaled Segre model attached to W by the paper's inclusion-exclusion, with its term table.
+
+    Enumerates all 2^(n+1) - 1 nonempty slice subsets, so exponential in
+    n; intended for desk scale (n <= 12).  `mldeg_value` gives the same
+    integer in polynomial time.  The subset gcds it reads stay in the
+    tensor's memo, where factors.vanishing_pattern finds them.
+    """
+    terms: dict = {}
     total = 0
     for size in range(1, W.n + 2):
         sign = (-1) ** size
@@ -229,19 +233,7 @@ def _subset_sum(W: ScalingTensor, terms: dict) -> int:
                 else:
                     value = terms[ks, J] = chi_VI_XJ(W, ks, J)
                     total += sign * j_sign * value
-    return total
-
-
-def mldeg(W: ScalingTensor) -> MLDegreeReport:
-    """ML degree of the scaled Segre model attached to W, with its term table.
-
-    Enumerates all 2^(n+1) - 1 nonempty slice subsets, so exponential in
-    n; intended for desk scale (n <= 12).  `mldeg_value` gives the same
-    integer in polynomial time.
-    """
-    terms: dict = {}
-    total = _subset_sum(W, terms)
-    return MLDegreeReport(total, (-1) ** (W.n + 1) * total, terms, vanishing_pattern(W))
+    return MLDegreeReport(total, (-1) ** (W.n + 1) * total, terms)
 
 
 Form = tuple[int, int, int, int]  # a component: a primitive integer (1,1)-form (w00, w01, w10, w11)

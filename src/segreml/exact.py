@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _MAX_FORM_DEGREE = 2
 
@@ -151,9 +151,7 @@ class RatMatrix(Record):
 
 def integer_row(row: Sequence[Fraction]) -> list[int]:
     """The row times the lcm of its denominators: integers with the same span."""
-    scale = 1
-    for x in row:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
+    scale = lcm(*[x.denominator for x in row])
     return [x.numerator * (scale // x.denominator) for x in row]
 
 

@@ -68,9 +68,10 @@ def test_criterion_1_counterexample_pair():
     assert time.perf_counter() - t0 < 1.0
     assert report_w.mldeg == 8 and report_w.chi_Y == -8
     assert report_wp.mldeg == 9 and report_wp.chi_Y == -9
-    assert report_w.factor_pattern.names() == EXPECTED_PATTERN
-    assert report_wp.factor_pattern.names() == EXPECTED_PATTERN
-    assert report_w.factor_pattern.factors == report_wp.factor_pattern.factors
+    pattern_w, pattern_wp = vanishing_pattern(COUNTEREXAMPLE_W), vanishing_pattern(COUNTEREXAMPLE_W_PRIME)
+    assert pattern_w.names() == EXPECTED_PATTERN
+    assert pattern_wp.names() == EXPECTED_PATTERN
+    assert pattern_w.factors == pattern_wp.factors
 
 
 def test_criterion_2_hook_example_both_routes():

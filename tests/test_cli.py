@@ -75,9 +75,11 @@ def test_zero_entry_exit_code(tmp_path, capsys):
     assert "zero" in capsys.readouterr().err
 
 
-def _assert_one_error_line(capsys):
-    err = capsys.readouterr().err
+def _assert_one_error_line(capsys) -> str:
+    """Check that stderr holds one `error:` line; return what went to stdout."""
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
+    return out
 
 
 def test_malformed_json_exit_code(tmp_path, capsys):
@@ -571,11 +573,12 @@ def test_realize_out_of_range(capsys):
 def test_unwritable_output_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing"
     assert main(["realize", "--n", "2", "--r", "3", "-o", str(missing / "x.json")]) == 2
-    _assert_one_error_line(capsys)
+    assert _assert_one_error_line(capsys) == ""
+    # the JSON goes to stdout by default, and must not be written before the CSV path fails
     assert main(["atlas", "--csv", str(missing / "x.csv")]) == 2
-    _assert_one_error_line(capsys)
+    assert _assert_one_error_line(capsys) == ""
     assert main(["signs", "--samples", "10", "--bound", "3", "-o", str(tmp_path)]) == 2
-    _assert_one_error_line(capsys)
+    assert _assert_one_error_line(capsys) == ""
 
 
 def test_atlas_and_signs(tmp_path, capsys):

@@ -218,12 +218,22 @@ def test_face_classes_match_bareiss_and_row_proportionality():
 def test_mldeg_examples():
     report = mldeg(COUNTEREXAMPLE_W)
     assert report.mldeg == 8 and report.chi_Y == -8
-    assert report.factor_pattern.names() == ["F[*0(0,1)]", "F[*0(0,2)]", "F[*0(1,2)]", "H[0,1,2]"]
+    assert vanishing_pattern(COUNTEREXAMPLE_W).names() == ["F[*0(0,1)]", "F[*0(0,2)]", "F[*0(1,2)]", "H[0,1,2]"]
     assert mldeg(COUNTEREXAMPLE_W_PRIME).mldeg == 9
     assert mldeg_value(all_ones(1)) == 1
     assert mldeg_value(all_ones(2)) == 1
     rng = random.Random(2)
     assert mldeg_value(random_tensor(rng, 2, bound=40)) == 12
+
+
+def test_mldeg_answers_without_the_pattern(monkeypatch):
+    def refuse(W):
+        raise AssertionError("euler.mldeg read the vanishing pattern")
+
+    monkeypatch.setattr(segreml.factors, "vanishing_pattern", refuse)
+    assert not hasattr(segreml.euler, "vanishing_pattern") and not hasattr(segreml.euler, "VanishingPattern")
+    assert mldeg(COUNTEREXAMPLE_W).mldeg == 8
+    assert mldeg(COUNTEREXAMPLE_W_PRIME).mldeg == 9
 
 
 def test_report_terms():

@@ -123,11 +123,11 @@ def test_memo_takes_no_part_in_identity():
         fresh = ScalingTensor.from_json_dict(W.to_json_dict())
         expected = (repr(fresh), hash(fresh), fresh.to_json_dict())
         before = vanishing_pattern(ScalingTensor.from_json_dict(W.to_json_dict()))
-        report = mldeg(W)
+        mldeg(W)
         assert W._memo and not fresh._memo
         assert W == fresh and (repr(W), hash(W), W.to_json_dict()) == expected
         # the pattern read through a filled memo equals the one from an empty memo
-        assert vanishing_pattern(W) == before == report.factor_pattern
+        assert vanishing_pattern(W) == before
         derived = [
             torus_rescale(W, (2, 3), (5, 7), range(1, W.n + 2)),
             permute_slices(W, list(reversed(range(W.n + 1)))),
