@@ -47,9 +47,9 @@ primitive integer slices (factors.integer_slices); the same minor on the
 raw entries is proportional to it and is the reference the tests compare
 against.  chi(V_I) is computed by one exact procedure for every |I| >= 1:
 
-    g  = primitive gcd of the pair forms over the pairs in I (degree <= 2;
-         the zero form when |I| = 1), read from factors.subset_gcd like the
-         2x2x3 decision
+    g  = primitive gcd of the pair forms over the pairs in I, a coefficient
+         tuple of degree <= 2 (the zero form (0,) when |I| = 1), read from
+         factors.subset_gcd like the 2x2x3 decision
     r0 = 1 if every row (w_i0k, w_i1k), i in {0, 1}, k in I, is
          proportional to the first (a unique rank-0 point exists), else 0
     chi = 0 if g is a nonzero constant,
@@ -156,7 +156,7 @@ def chi_VI(W: ScalingTensor, I) -> int:
     x0, x1 = face_classes(W)[:2]
     first = x0[ks[0]]
     r0 = int(all(x0[k] == first and x1[k] == first for k in ks))
-    if g.is_zero:
+    if not any(g):
         return 2 + r0
     roots = distinct_root_count(g)  # an int, since g is nonzero
     return roots + r0 if roots else 0

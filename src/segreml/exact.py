@@ -6,15 +6,17 @@ serialized as decimal strings "p/q", or "p" when the denominator is 1; in
 between, a slice, a matrix row or a gcd is kept as its `primitive` integer
 vector, the one normal form of a vector known up to a scalar.
 
-A homogeneous binary form of degree d in (y0, y1) is stored by its
-coefficient tuple (c0, ..., cd), meaning
+A homogeneous binary form of degree d in (y0, y1) is its coefficient
+tuple (c0, ..., cd), meaning
 
     c0*y0^d + c1*y0^(d-1)*y1 + ... + cd*y1^d.
 
 A vanishing leading coefficient encodes the projective root (1:0), so a
 nonzero degree-d form always has exactly d roots counted with
 multiplicity.  Degree is capped at two: all determinants of the pencil
-matrices downstream are quadratics, and the cap is enforced structurally.
+matrices downstream are quadratics.  The cap is checked where forms enter
+this module, by `binary_gcd` and `distinct_root_count`, which refuse a
+tuple with no coefficient or more than three.
 
 The cap is what lets `binary_gcd` use closed forms instead of Euclid.  A
 linear form (c0, c1) has the one root (c1 : -c0), so its gcd with f is
@@ -191,91 +193,68 @@ def rank(matrix: RatMatrix) -> int:
     return rnk
 
 
-class BinaryForm(Record):
-    """Homogeneous form in (y0, y1) of structural degree len(coeffs)-1 <= 2, with int or Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-    coeffs: tuple
-
-    def __init__(self, coeffs: tuple) -> None:
-        if not 1 <= len(coeffs) <= _MAX_FORM_DEGREE + 1:
-            raise ValueError("binary forms are capped at degree 2")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def zero(cls) -> BinaryForm:
-        return cls((0,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def discriminant(self):
-        """c1^2 - 4*c0*c2 of a degree-2 form."""
-        if self.degree != 2:
-            raise ValueError("discriminant requires a degree-2 form")
-        c0, c1, c2 = self.coeffs
-        return c1 * c1 - 4 * c0 * c2
+_ONE = (1,)
 
 
-_ONE = BinaryForm((1,))
+def _checked(f: tuple) -> tuple:
+    """The coefficient tuple f as it is; ValueError unless it has one to three coefficients (degree at most two)."""
+    if not 1 <= len(f) <= _MAX_FORM_DEGREE + 1:
+        raise ValueError("binary forms are capped at degree 2")
+    return f
 
 
-def _pair_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+def _pair_gcd(f: tuple, g: tuple) -> tuple:
     """gcd of two nonzero forms up to a scalar, by the closed forms in the module docstring."""
-    if f.degree < g.degree:
+    if len(f) < len(g):
         f, g = g, f
-    if g.degree == 0:
+    if len(g) == 1:
         return _ONE
-    if g.degree == 1:
-        c0, c1 = g.coeffs
-        d = f.degree
-        value = sum(c * c1 ** (d - i) * (-c0) ** i for i, c in enumerate(f.coeffs))
+    if len(g) == 2:
+        c0, c1 = g
+        d = len(f) - 1
+        value = sum(c * c1 ** (d - i) * (-c0) ** i for i, c in enumerate(f))
         return g if value == 0 else _ONE
-    (f0, f1, f2), (g0, g1, g2) = f.coeffs, g.coeffs
+    (f0, f1, f2), (g0, g1, g2) = f, g
     v0, v1, v2 = f1 * g2 - f2 * g1, f2 * g0 - f0 * g2, f0 * g1 - f1 * g0
     if v0 == v1 == v2 == 0:
         return f
     if v1 * v1 != v0 * v2:
         return _ONE
     s, t = (v0, v1) if v0 != 0 else (v1, v2)
-    return BinaryForm((t, -s))
+    return t, -s
 
 
-def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
+def binary_gcd(forms: Sequence[tuple]) -> tuple:
     """The gcd of binary forms of ints as a `primitive` form of ints; identically-zero inputs are ignored.
 
     Folds `_pair_gcd` over the nonzero inputs, stopping at a constant.
-    Returns the zero form when every input is zero; a gcd that keeps a
-    Fraction coefficient raises TypeError in `primitive`.
+    Returns the zero form (0,) when every input is zero; a form with no
+    coefficient or more than three raises ValueError, and a gcd that keeps
+    a Fraction coefficient raises TypeError in `primitive`.
     """
     if not forms:
         raise ValueError("binary_gcd requires at least one form")
-    nonzero = [f for f in forms if not f.is_zero]
+    nonzero = [f for f in forms if any(_checked(f))]
     if not nonzero:
-        return BinaryForm.zero()
+        return (0,)
     g, *rest = nonzero
     for f in rest:
-        if g.degree == 0:
+        if len(g) == 1:
             break
         g = _pair_gcd(g, f)
-    return BinaryForm(primitive(g.coeffs))
+    return primitive(g)
 
 
-def distinct_root_count(f: BinaryForm) -> int | None:
+def distinct_root_count(f: tuple) -> int | None:
     """Number of distinct projective roots; None for the identically-zero form.
 
-    Degree-2 forms have 2 distinct roots iff the discriminant is nonzero,
-    else 1; degree-1 forms have 1; nonzero constants have 0.
+    Degree-2 forms have 2 distinct roots iff the discriminant c1^2 - 4*c0*c2
+    is nonzero, else 1; degree-1 forms have 1; nonzero constants have 0.  A
+    form with no coefficient or more than three raises ValueError.
     """
-    if f.is_zero:
+    if not any(_checked(f)):
         return None
-    if f.degree == 2:
-        return 2 if f.discriminant() != 0 else 1
-    if f.degree == 1:
-        return 1
-    return 0
+    if len(f) == 3:
+        c0, c1, c2 = f
+        return 2 if c1 * c1 != 4 * c0 * c2 else 1
+    return len(f) - 1

@@ -44,7 +44,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .exact import BinaryForm, Record, binary_gcd, integer_row, primitive
+from .exact import Record, binary_gcd, integer_row, primitive
 from .tensor import ScalingTensor
 
 # kind -> (sort rank, index count, name format, index check); the check knows no n,
@@ -204,7 +204,7 @@ def hyp223_vanishes(W: ScalingTensor, k1: int, k2: int, k3: int) -> bool:
     """
     check_slices(W, k1, k2, k3)
     g = subset_gcd(W, (k1, k2, k3))
-    return g.is_zero or g.degree >= 1
+    return len(g) > 1 or not any(g)
 
 
 class VanishingPattern(Record):
@@ -263,15 +263,13 @@ def integer_slices(W: ScalingTensor) -> tuple:
     # the contents of the x-planes (a, b) and (c, d), then of the y-columns (a, c) and (b, d) once those are divided
     x0, x1 = math.gcd(ga, gb), math.gcd(gc, gd)
     y0, y1 = math.gcd(ga // x0, gc // x1), math.gcd(gb // x0, gd // x1)
-    if x0 * x1 * y0 * y1 > 1:  # every divisor is positive, so a stays > 0
-        da, db, dc, dd = x0 * y0, x0 * y1, x1 * y0, x1 * y1
-        slices = []
-        for a, b, c, d in zip(*entries):
-            a, b, c, d = a // da, b // db, c // dc, d // dd
-            g = math.gcd(a, b, c, d)
-            slices.append((a // g, b // g, c // g, d // g))
-        entries = list(zip(*slices))
-    a, b, c, d = entries
+    da, db, dc, dd = x0 * y0, x0 * y1, x1 * y0, x1 * y1  # every divisor is positive, so a stays > 0
+    slices = []
+    for a, b, c, d in zip(*entries):
+        a, b, c, d = a // da, b // db, c // dc, d // dd
+        g = math.gcd(a, b, c, d)
+        slices.append((a // g, b // g, c // g, d // g))
+    a, b, c, d = zip(*slices)
     return (a, b), (c, d)
 
 
@@ -284,10 +282,10 @@ def ratio(num: int, den: int) -> tuple[int, int] | None:
 
 
 @_per_tensor
-def pair_forms(W: ScalingTensor) -> dict[tuple[int, int], BinaryForm]:
-    """The pencil determinant of every slice pair k1 < k2 on `integer_slices`."""
+def pair_forms(W: ScalingTensor) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """The pencil determinant (c0, c1, c2) of every slice pair k1 < k2 on `integer_slices`."""
     w = integer_slices(W)
-    return {p: BinaryForm(pair_det_coeffs(w, *p)) for p in itertools.combinations(range(W.n + 1), 2)}
+    return {p: pair_det_coeffs(w, *p) for p in itertools.combinations(range(W.n + 1), 2)}
 
 
 @_per_tensor
@@ -299,7 +297,7 @@ def integer_values(W: ScalingTensor) -> dict[FactorId, int]:
     """
     w = integer_slices(W)
     values = {fid: _minor(w, fid) for fid in all_factors(W.n) if fid.is_minor}
-    return values | {hyp222(*ks): form.discriminant() for ks, form in pair_forms(W).items()}
+    return values | {hyp222(*ks): c1 * c1 - 4 * c0 * c2 for ks, (c0, c1, c2) in pair_forms(W).items()}
 
 
 @_per_tensor
@@ -347,10 +345,10 @@ def face_classes(W: ScalingTensor) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def subset_gcd(W: ScalingTensor, ks: tuple[int, ...]) -> BinaryForm:
+def subset_gcd(W: ScalingTensor, ks: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive int gcd of the pair forms over the pairs in ks (nondecreasing), kept for every prefix of ks.
 
-    g((k,)) is the zero form, since a single slice has no pairs, and
+    g((k,)) is the zero form (0,), since a single slice has no pairs, and
     g(ks) = gcd(g(ks[:-1]), the forms pairing ks[-1] with ks[:-1]).  The
     subset sum meets ks[:-1] before ks, so each subset costs one memo read
     of g(ks[:-1]) and, only when that is zero or not constant, one
@@ -358,12 +356,12 @@ def subset_gcd(W: ScalingTensor, ks: tuple[int, ...]) -> BinaryForm:
     or any g(ks[:-1]) when ks[-1] repeats ks[-2] (no new pair), is stored
     as g(ks) as it is.
     """
-    gcds = W.memo("subset_gcds", lambda W: {(k,): BinaryForm.zero() for k in range(W.n + 1)})
+    gcds = W.memo("subset_gcds", lambda W: {(k,): (0,) for k in range(W.n + 1)})
     g = gcds.get(ks)
     if g is None:
         head, last = ks[:-1], ks[-1]
         g = subset_gcd(W, head)
-        if last != head[-1] and (g.degree or g.is_zero):
+        if last != head[-1] and (len(g) > 1 or not any(g)):
             forms = pair_forms(W)
             g = binary_gcd([g] + [forms[k, last] for k in head])
         gcds[ks] = g

@@ -8,8 +8,9 @@ so the tests can hold the engine to it:
   `flattening`, the mode-3 unfolding that decides three type-I pairs;
 * `mldeg_point_formula`: the ML degree truncated at pairs when no 2x2x3
   factor vanishes (criterion 2), against `euler.mldeg_value`;
-* `pair_det_form` and `map_factor`: the pencil determinant on the raw
-  entries, and factor ids relabeled under the model symmetries (criterion 8);
+* `pair_det_form`, `discriminant` and `map_factor`: the pencil determinant
+  on the raw entries as a coefficient tuple, its discriminant, and factor
+  ids relabeled under the model symmetries (criterion 8);
 * `classify_pattern_n1`: the n = 1 Euler characteristic of a vanishing
   pattern, looked up in `strata.enumerate_strata_n1`;
 * `find_negative_h_patterns`: integer witnesses of the four sign patterns
@@ -26,7 +27,7 @@ from functools import cache
 
 from segreml.errors import DimensionMismatchError
 from segreml.euler import PairType, chi_VI_XJ, classify_type
-from segreml.exact import BinaryForm, RatMatrix, rank
+from segreml.exact import RatMatrix, rank
 from segreml.factors import (
     FactorId,
     VanishingPattern,
@@ -131,9 +132,15 @@ def mldeg_point_formula(W: ScalingTensor) -> int | None:
 # -- factors --------------------------------------------------------------------
 
 
-def pair_det_form(W: ScalingTensor, k1: int, k2: int) -> BinaryForm:
-    """det of the 2x2 pencil matrix of slices (k1, k2) as a quadric in y, on the raw entries."""
-    return BinaryForm(pair_det_coeffs(W.w, k1, k2))
+def pair_det_form(W: ScalingTensor, k1: int, k2: int) -> tuple:
+    """det of the 2x2 pencil matrix of slices (k1, k2) as a quadric (c0, c1, c2) in y, on the raw entries."""
+    return pair_det_coeffs(W.w, k1, k2)
+
+
+def discriminant(form: tuple):
+    """c1^2 - 4*c0*c2 of a quadric (c0, c1, c2)."""
+    c0, c1, c2 = form
+    return c1 * c1 - 4 * c0 * c2
 
 
 def map_factor(fid: FactorId, perm=None, swap: bool = False) -> FactorId:

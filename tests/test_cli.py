@@ -418,7 +418,7 @@ def test_analyze_takes_one_gcd_per_slice_subset(tmp_path, capsys, monkeypatch):
         W = realize(4, r, seed=1)
         subsets = [ks for size in range(2, 6) for ks in itertools.combinations(range(5), size)]
         heads = [factors.subset_gcd(W, ks[:-1]) for ks in subsets]  # read from W's memo
-        expected = sum(g.is_zero or g.degree > 0 for g in heads)
+        expected = sum(len(g) > 1 or not any(g) for g in heads)
         assert expected < len(subsets), r  # some prefix is a nonzero constant
         path = _write(tmp_path, "t.json", W.to_json_dict())
         calls.clear()

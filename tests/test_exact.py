@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import segreml.exact
 from segreml.exact import (
     MAX_RATIONAL_DIGITS,
-    BinaryForm,
     RatMatrix,
     binary_gcd,
     distinct_root_count,
@@ -148,15 +147,15 @@ def test_rank_handles_fractions():
 
 
 def test_binary_gcd_examples():
-    f = BinaryForm((0, 8, 14))
-    g = BinaryForm((0, -8, -14))
+    f = (0, 8, 14)
+    g = (0, -8, -14)
     got = binary_gcd([f, g])
     # y1*(4 y0 + 7 y1) up to a unit, as its primitive integer form
-    assert got.coeffs == (0, 4, 7)
-    assert binary_gcd([BinaryForm((1, 0, 0)), BinaryForm((0, 0, 1))]).degree == 0
-    assert binary_gcd([BinaryForm.zero(), BinaryForm.zero()]).is_zero
+    assert got == (0, 4, 7)
+    assert binary_gcd([(1, 0, 0), (0, 0, 1)]) == (1,)
+    assert binary_gcd([(0,), (0, 0, 0)]) == (0,)
     # zero inputs are ignored alongside nonzero ones
-    assert binary_gcd([BinaryForm.zero(), f]).coeffs == (0, 4, 7)
+    assert binary_gcd([(0,), f]) == (0, 4, 7)
 
 
 def test_binary_gcd_of_int_forms_is_exact():
@@ -166,14 +165,14 @@ def test_binary_gcd_of_int_forms_is_exact():
     pairs = [((2, 3), (4, 6)), ((1, 0, -4), (1, -2)), ((0, 8, 14), (0, -8, -14)), ((3,), (0, 7))]
     for _ in range(200):
         a, b, c = (rng.randint(-9, 9), rng.choice([1, 2, 3, -5])), (rng.randint(-9, 9), 7), (rng.randint(-9, 9), 3)
-        pairs.append((tuple(linear_product(a, b).coeffs), tuple(linear_product(a, c).coeffs)))
+        pairs.append((linear_product(a, b), linear_product(a, c)))
     for f, g in pairs:
-        ints = [BinaryForm(tuple(int(x) for x in f)), BinaryForm(tuple(int(x) for x in g))]
+        ints = [tuple(int(x) for x in f), tuple(int(x) for x in g)]
         got = binary_gcd(ints)
         q = rng.randint(1, 30)
-        assert got == binary_gcd([BinaryForm(tuple(integer_row([Fraction(x, q) for x in h]))) for h in (f, g)])
-        assert all(type(x) is int for x in got.coeffs), got
-    assert binary_gcd([BinaryForm((2, 3)), BinaryForm((4, 6))]).coeffs == (2, 3)
+        assert got == binary_gcd([tuple(integer_row([Fraction(x, q) for x in h])) for h in (f, g)])
+        assert all(type(x) is int for x in got), got
+    assert binary_gcd([(2, 3), (4, 6)]) == (2, 3)
 
 
 def test_binary_gcd_takes_int_forms_as_they_are(monkeypatch):
@@ -181,19 +180,19 @@ def test_binary_gcd_takes_int_forms_as_they_are(monkeypatch):
     real = segreml.exact.integer_row
     seen = []
     monkeypatch.setattr(segreml.exact, "integer_row", lambda row: seen.append(row) or real(row))
-    assert binary_gcd([BinaryForm((2, -2, -4)), BinaryForm((1, 1))]).coeffs == (1, 1)
-    half = BinaryForm((Fraction(1, 2), Fraction(1, 2)))
-    for forms in ([half], [half, BinaryForm((2, -2, -4))], [BinaryForm((Fraction(4),))]):
+    assert binary_gcd([(2, -2, -4), (1, 1)]) == (1, 1)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    for forms in ([half], [half, (2, -2, -4)], [(Fraction(4),)]):
         with pytest.raises(TypeError):
             binary_gcd(forms)
-    assert binary_gcd([BinaryForm(tuple(integer_row(half.coeffs))), BinaryForm((2, -2, -4))]).coeffs == (1, 1)
+    assert binary_gcd([tuple(integer_row(half)), (2, -2, -4)]) == (1, 1)
     assert seen == []
 
 
 def linear_product(f, g):
     """(a0 y0 + a1 y1)(b0 y0 + b1 y1) from the two coefficient pairs."""
     (a0, a1), (b0, b1) = f, g
-    return BinaryForm((a0 * b0, a0 * b1 + a1 * b0, a1 * b1))
+    return a0 * b0, a0 * b1 + a1 * b0, a1 * b1
 
 
 def test_binary_gcd_divides_both():
@@ -204,14 +203,14 @@ def test_binary_gcd_divides_both():
 
     def divides(d, f):
         # gcd of {d, f} must be d itself (primitive) when d | f
-        return binary_gcd([d, f]).coeffs == primitive(d.coeffs)
+        return binary_gcd([d, f]) == primitive(d)
 
     for _ in range(1000):
         shared = random_linear()
         f = linear_product(shared, random_linear())
         g = linear_product(shared, random_linear())
         d = binary_gcd([f, g])
-        assert not d.is_zero and d.degree >= 1
+        assert any(d) and len(d) > 1
         assert divides(d, f) and divides(d, g)
 
 
@@ -225,7 +224,7 @@ def sympy_gcd(forms):
     y0, y1 = sympy.symbols("y0 y1")
     polys = [
         sympy.Poly.from_dict(
-            {(f.degree - i, i): sympy.Rational(c.numerator, c.denominator) for i, c in enumerate(f.coeffs)},
+            {(len(f) - 1 - i, i): sympy.Rational(c.numerator, c.denominator) for i, c in enumerate(f)},
             y0, y1, domain="QQ",
         )
         for f in forms
@@ -250,16 +249,16 @@ def random_forms(rng):
         kind = rng.random()
         scale = rng.choice(SMALL[1:])
         if kind < 0.1:
-            forms.append(BinaryForm((Fraction(0),) * rng.randint(1, 3)))
+            forms.append((Fraction(0),) * rng.randint(1, 3))
         elif kind < 0.2:
-            forms.append(BinaryForm((scale,)))
+            forms.append((scale,))
         elif kind < 0.35:
-            forms.append(BinaryForm(tuple(scale * c for c in rng.choice(pool))))
+            forms.append(tuple(scale * c for c in rng.choice(pool)))
         elif kind < 0.5 and forms:
-            forms.append(BinaryForm(tuple(scale * c for c in forms[-1].coeffs)))
+            forms.append(tuple(scale * c for c in forms[-1]))
         else:
             f = linear_product(rng.choice(pool), rng.choice(pool))
-            forms.append(BinaryForm(tuple(scale * c for c in f.coeffs)))
+            forms.append(tuple(scale * c for c in f))
     return forms
 
 
@@ -269,9 +268,9 @@ def test_binary_gcd_matches_sympy():
     for _ in range(1500):
         forms = random_forms(rng)
         want = sympy_gcd(forms)
-        got = binary_gcd([BinaryForm(tuple(integer_row(f.coeffs))) for f in forms])
-        assert (() if got.is_zero else got.coeffs) == want, forms
-        quadratics = [primitive(integer_row(f.coeffs)) for f in forms if f.degree == 2 and not f.is_zero]
+        got = binary_gcd([tuple(integer_row(f)) for f in forms])
+        assert (got if any(got) else ()) == want, forms
+        quadratics = [primitive(integer_row(f)) for f in forms if len(f) == 3 and any(f)]
         if len(set(quadratics)) < len(quadratics):
             seen.add("proportional")
         if len(want) > 1:
@@ -287,11 +286,12 @@ def test_binary_gcd_matches_sympy():
 
 
 def test_distinct_root_counts():
-    assert distinct_root_count(BinaryForm((0, 8, 14))) == 2
-    assert distinct_root_count(BinaryForm((0, 0, 1))) == 1  # y1^2
-    assert distinct_root_count(BinaryForm((3,))) == 0
-    assert distinct_root_count(BinaryForm((0, 5))) == 1
-    assert distinct_root_count(BinaryForm.zero()) is None
+    assert distinct_root_count((0, 8, 14)) == 2
+    assert distinct_root_count((0, 0, 1)) == 1  # y1^2
+    assert distinct_root_count((3,)) == 0
+    assert distinct_root_count((0, 5)) == 1
+    assert distinct_root_count((0,)) is None
+    assert distinct_root_count((0, 0, 0)) is None
 
 
 def test_distinct_roots_of_linear_products():
@@ -307,14 +307,22 @@ def test_distinct_roots_of_linear_products():
 
 
 def test_degree_cap_is_enforced():
-    with pytest.raises(ValueError):
-        BinaryForm((1, 2, 3, 4))
+    """A form enters exact with one to three coefficients: no coefficient, or a fourth, is refused, also beside a valid form."""
+    for form in ((), (1, 2, 3, 4), (0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            binary_gcd([form])
+        with pytest.raises(ValueError):
+            binary_gcd([(0, 8, 14), form])
+        with pytest.raises(ValueError):
+            distinct_root_count(form)
 
 
 def test_discriminant():
-    assert BinaryForm((0, 8, 14)).discriminant() == 64
-    with pytest.raises(ValueError):
-        BinaryForm((1, 2)).discriminant()
+    """A quadratic has two distinct roots iff c1^2 - 4*c0*c2 is nonzero, whatever its sign."""
+    assert distinct_root_count((0, 8, 14)) == 2  # discriminant 64
+    assert distinct_root_count((1, 0, 1)) == 2  # -4: the conjugate roots (1 : +-i)
+    assert distinct_root_count((1, 2, 1)) == 1  # 0: (y0 + y1)^2
+    assert distinct_root_count((4, -12, 9)) == 1  # 0: (2 y0 - 3 y1)^2
 
 
 _NONZERO = st.fractions(max_denominator=10**30).filter(bool)
@@ -338,7 +346,7 @@ _LINEAR = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
 _INT_FORMS = st.one_of(
     st.integers(-5, 5).map(lambda c: (c,)),
     _LINEAR,
-    st.tuples(_LINEAR, _LINEAR).map(lambda fg: linear_product(*fg).coeffs),
+    st.tuples(_LINEAR, _LINEAR).map(lambda fg: linear_product(*fg)),
 )
 
 
@@ -346,6 +354,6 @@ _INT_FORMS = st.one_of(
 @given(_INT_FORMS, _INT_FORMS, _NONZERO, _NONZERO)
 def test_binary_gcd_is_a_primitive_int_form_under_scaling(f, g, lam, mu):
     """binary_gcd([lam f, mu g]) is binary_gcd([f, g]), a primitive form of ints."""
-    got = binary_gcd([BinaryForm(tuple(integer_row([s * c for c in h]))) for s, h in ((lam, f), (mu, g))])
-    assert got == binary_gcd([BinaryForm(f), BinaryForm(g)])
-    assert all(type(c) is int for c in got.coeffs) and got.coeffs == primitive(got.coeffs)
+    got = binary_gcd([tuple(integer_row([s * c for c in h])) for s, h in ((lam, f), (mu, g))])
+    assert got == binary_gcd([f, g])
+    assert all(type(c) is int for c in got) and got == primitive(got)

@@ -50,7 +50,7 @@ from helpers import (
     tall_torus_image,
     torus_rescale,
 )
-from references import classify_pattern_n1, map_factor, pair_det_form
+from references import classify_pattern_n1, discriminant, map_factor, pair_det_form
 
 
 def test_factor_names_and_order():
@@ -389,7 +389,7 @@ def test_integer_view_is_built_once_and_read_by_every_table(monkeypatch):
         ratios = {(i, j): [scales[i][j][k] / scales[0][0][k] for k in range(W.n + 1)] for i in range(2) for j in range(2)}
         assert all(len(set(column)) == 1 for column in ratios.values())
         assert ratios[1, 1][0] == ratios[0, 1][0] * ratios[1, 0][0]  # so c_00k c_11k = c_01k c_10k
-        assert all(type(coeff) is int for form in pair_forms(W).values() for coeff in form.coeffs)
+        assert all(type(coeff) is int for form in pair_forms(W).values() for coeff in form)
 
 
 @st.composite
@@ -416,14 +416,14 @@ def test_slice_scales_change_no_decision(W, scalars):
     assert [chi_VI(V, ks) for ks in subsets] == [chi_VI(W, ks) for ks in subsets]
     for X in (W, V):
         for fid, value in factor_values(X).items():
-            reference = eval_minor(X, fid) if fid.is_minor else pair_det_form(X, *fid.index).discriminant()
+            reference = eval_minor(X, fid) if fid.is_minor else discriminant(pair_det_form(X, *fid.index))
             assert value == reference, (X.to_json_dict(), fid)
 
 
 def _raw_values(W: ScalingTensor) -> dict:
     """Every minor and H[k1,k2] evaluated on W's Fraction entries: the cells' determinant, the raw pair form's discriminant."""
     return {
-        fid: eval_minor(W, fid) if fid.is_minor else pair_det_form(W, *fid.index).discriminant()
+        fid: eval_minor(W, fid) if fid.is_minor else discriminant(pair_det_form(W, *fid.index))
         for fid in all_factors(W.n)
         if fid.kind != "hyp223"
     }
@@ -493,4 +493,4 @@ def test_memoized_subset_gcds_are_primitive_ints(W, scalars):
     gcds = V.memo("subset_gcds", lambda V: pytest.fail("analyze filled no subset gcds"))
     assert len(gcds) == 2 ** (W.n + 1) - 1
     for form in gcds.values():
-        assert all(type(c) is int for c in form.coeffs) and form.coeffs == primitive(form.coeffs), form
+        assert all(type(c) is int for c in form) and form == primitive(form), form

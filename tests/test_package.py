@@ -31,9 +31,10 @@ from pathlib import Path
 import pytest
 
 import segreml
+from segreml.cli import Admission
 from segreml.errors import DimensionMismatchError, ZeroEntryError
 from segreml.euler import MLDegreeReport
-from segreml.exact import BinaryForm, RatMatrix
+from segreml.exact import RatMatrix
 from segreml.factors import FactorId, VanishingPattern
 from segreml.oracle import CountResult, DataVector, ScoreSystem
 from segreml.strata import Stratum
@@ -279,10 +280,15 @@ _U = (((1, 2), (3, 4)), ((5, 6), (7, 8)))
 _FACTOR = FactorId("face_x", (0, 0, 1))
 _PATTERN = VanishingPattern(1, (_FACTOR,))
 
+
+def _work(size: int, bits: int) -> int:
+    """An admission work function at module level, so that an Admission pickles."""
+    return size * bits
+
+
 # Per value type: one instance's fields in declaration order, and argument tuples its __init__ refuses, with the error
 VALUE_TYPES = [
     (RatMatrix, (((Fraction(1), Fraction(2)),),), [(((),), ValueError), ((((),),), ValueError), ((((1, 2), (3,)),), ValueError)]),
-    (BinaryForm, ((1, -2, 1),), [(((),), ValueError), (((1, 2, 3, 4),), ValueError)]),
     (
         ScalingTensor,
         (1, _W),
@@ -309,6 +315,7 @@ VALUE_TYPES = [
     ),
     (ScoreSystem, (1, (((1, 0), (-2, 1)),), (((1, 1), 2),)), []),
     (CountResult, (8, True, ((None, 8),)), [((8, True, ((None, 8),), 0), TypeError)]),
+    (Admission, ("n", 12, _work, "analyze sums 2^(n+1) - 1 slice subsets"), [(("n", 12, _work), TypeError)]),
 ]
 
 
@@ -337,3 +344,15 @@ def test_value_types_keep_frozen_dataclass_semantics(cls, fields, refused):
         with pytest.raises(error) as excinfo:
             cls(*args)
         assert type(excinfo.value) is error
+
+
+def test_every_value_type_has_a_row():
+    """Each `class X(Record)` statement under src/segreml, read with ast, has a VALUE_TYPES row."""
+    declared = {
+        (path.stem, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id == "Record" for b in node.bases)
+    }
+    covered = {(cls.__module__.removeprefix("segreml."), cls.__qualname__) for cls, _, _ in VALUE_TYPES}
+    assert declared == covered
