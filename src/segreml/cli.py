@@ -16,7 +16,9 @@ import sys
 from collections.abc import Callable
 from contextlib import contextmanager
 
-from . import euler, strata
+# oracle (with groebner), realize and strata are imported inside the handlers that run
+# them, so `mldeg`, `analyze` and `matrix-mldeg` start without loading them
+from . import euler
 from .errors import (
     DimensionMismatchError,
     NotZeroDimensionalError,
@@ -26,8 +28,6 @@ from .errors import (
 )
 from .exact import RatMatrix, Record, format_rational, parse_rational
 from .factors import all_factors, factor_values, vanishing_pattern
-from .oracle import ORACLE_MAX_N, CountResult, DataVector, count_critical_points, oracle_mldeg
-from .realize import realize
 from .tensor import ScalingTensor
 
 EXIT_OK = 0
@@ -130,7 +130,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deep
         raise DimensionMismatchError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -250,6 +250,8 @@ def _cmd_matrix_mldeg(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import CountResult, DataVector, count_critical_points, oracle_mldeg
+
     if args.data is None:  # only the random-data path reads --trials
         _admit("oracle", args.trials)
         result = oracle_mldeg(_load_tensor(args.tensor), trials=args.trials, seed=args.seed)
@@ -262,6 +264,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .realize import realize
+
     _admit("realize", args.n)
     W = realize(args.n, args.r, seed=args.seed)
     report = euler.mldeg(W)
@@ -274,6 +278,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
+    from . import strata
+
     records = []
     csv_lines = ["pattern,chi"]
     for stratum, witness in strata.atlas(seed=args.seed):
@@ -297,6 +303,8 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_signs(args) -> int:
+    from . import strata
+
     _admit("signs", args.samples, [[args.bound]])
     counts = strata.sample_sign_patterns(args.samples, args.bound, seed=args.seed)
     negative = sorted(p for p in counts if p.endswith("-"))
@@ -333,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.set_defaults(func=_cmd_matrix_mldeg)
 
-    p = sub.add_parser("oracle", help=f"critical-point count over random primes, independent of the engine (n <= {ORACLE_MAX_N})")
+    # n <= 4 is oracle.ORACLE_MAX_N, written out so that building the parser loads no oracle
+    p = sub.add_parser("oracle", help="critical-point count over random primes, independent of the engine (n <= 4)")
     p.add_argument("tensor")
     p.add_argument("--data", help="data-vector JSON; otherwise random trials are drawn")
     p.add_argument("--trials", type=int, default=2)

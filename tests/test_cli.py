@@ -359,6 +359,24 @@ def test_malformed_data_vector_exit_code(tmp_path, capsys):
         _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_deeply_nested_json_exit_code(tmp_path, capsys, depth):
+    # json.load raises RecursionError on arrays nested this deep
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * depth + "]" * depth)
+    tensor = _write(tmp_path, "ones.json", ONES1)
+    for argv in (
+        ["mldeg", str(deep)],
+        ["analyze", str(deep)],
+        ["matrix-mldeg", str(deep)],
+        ["oracle", str(deep)],
+        ["oracle", tensor, "--data", str(deep)],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot read JSON from {deep}: ") and err.count("\n") == 1
+
+
 def test_analyze_limit_points_to_mldeg(tmp_path, capsys):
     ones13 = _write(tmp_path, "ones13.json", {"n": 13, "w": [[["1"] * 14] * 2] * 2})
     start = time.perf_counter()

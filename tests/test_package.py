@@ -31,12 +31,12 @@ from pathlib import Path
 import pytest
 
 import segreml
-from segreml.cli import Admission
+from segreml.cli import Admission, build_parser
 from segreml.errors import DimensionMismatchError, ZeroEntryError
 from segreml.euler import MLDegreeReport
 from segreml.exact import RatMatrix
 from segreml.factors import FactorId, VanishingPattern
-from segreml.oracle import CountResult, DataVector, ScoreSystem
+from segreml.oracle import ORACLE_MAX_N, CountResult, DataVector, ScoreSystem
 from segreml.strata import Stratum
 from segreml.tensor import ScalingTensor
 
@@ -258,21 +258,72 @@ def test_perfbench_reads_the_held_names_and_finds_every_traced_one():
     assert missing == [], "perfbench traces or imports these, but segreml does not define them"
 
 
-def test_importing_the_cli_loads_every_module_and_no_dataclasses_inspect_or_typing():
-    # -S keeps site's .pth files, which may import typing themselves, out of the child
-    code = (
-        "import sys, json, segreml.cli; "
-        "print(json.dumps([sorted(m for m in sys.modules if m.partition('.')[0] == 'segreml'), "
-        "[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]]))"
-    )
+# What `import segreml.cli` loads: the modules of `mldeg`, `analyze` and `matrix-mldeg`.
+# Every other command imports its engine inside its own handler.
+CLI_BASE = ("cli", "errors", "euler", "exact", "factors", "tensor")
+# -S keeps site's .pth files, which may import typing themselves, out of the child
+REPORT_MODULES = (
+    "print(json.dumps([sorted(m for m in sys.modules if m.partition('.')[0] == 'segreml'), "
+    "[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]]))"
+)
+
+
+def _loaded_modules(code: str, *args: str) -> list:
+    """(segreml modules, which of dataclasses, inspect and typing) loaded after `code` ran in a fresh `python -S`."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"{code}\n{REPORT_MODULES}", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
     assert proc.returncode == 0, proc.stderr
-    loaded, heavy = json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _segreml(*modules: str) -> list[str]:
+    return sorted(["segreml", *(f"segreml.{m}" for m in modules)])
+
+
+def test_importing_the_cli_loads_the_base_modules_and_no_dataclasses_inspect_or_typing():
+    loaded, heavy = _loaded_modules("import sys, json, segreml.cli")
     assert heavy == []
-    # cli imports every module at its top, so no command defers one
-    modules = ("cli", "errors", "euler", "exact", "factors", "groebner", "oracle", "realize", "strata", "tensor")
-    assert loaded == ["segreml", *(f"segreml.{m}" for m in modules)]
+    assert loaded == _segreml(*CLI_BASE)
+
+
+_TENSOR = {"n": 1, "w": [[["1", "2"], ["3", "4"]], [["5", "6"], ["7", "9"]]]}
+_MATRIX = {"entries": [["1", "2"], ["3", "5"]]}
+# (command line, with {tensor} and {matrix} for input files; the modules it loads beyond CLI_BASE)
+COMMAND_MODULES = [
+    (["mldeg", "{tensor}"], ()),
+    (["analyze", "{tensor}", "--json"], ()),
+    (["matrix-mldeg", "{matrix}"], ()),
+    (["oracle", "{tensor}", "--trials", "2", "--seed", "1"], ("groebner", "oracle")),
+    (["realize", "--n", "1", "--r", "4", "--seed", "3"], ("realize",)),
+    (["atlas"], ("realize", "strata")),
+    (["signs", "--samples", "10", "--bound", "10"], ("realize", "strata")),
+]
+
+
+@pytest.mark.parametrize("argv, extra", COMMAND_MODULES, ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    # a fresh interpreter per command, so a deferred module that no longer imports fails here
+    files = {"tensor": tmp_path / "tensor.json", "matrix": tmp_path / "matrix.json"}
+    files["tensor"].write_text(json.dumps(_TENSOR))
+    files["matrix"].write_text(json.dumps(_MATRIX))
+    code = (
+        "import contextlib, io, json, sys, segreml.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert segreml.cli.main(sys.argv[1:]) == 0"
+    )
+    loaded, heavy = _loaded_modules(code, *(arg.format(**files) for arg in argv))
+    assert heavy == []
+    assert loaded == _segreml(*CLI_BASE, *extra)
+
+
+def test_the_oracle_help_states_its_cap():
+    # the subparsers action's own help strings, since formatted help wraps at COLUMNS
+    (choices,) = [action for action in build_parser()._actions if action.choices]
+    (oracle,) = [action.help for action in choices._choices_actions if action.dest == "oracle"]
+    assert f"n <= {ORACLE_MAX_N}" in oracle
 
 
 _W = (((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))), ((Fraction(5), Fraction(6)), (Fraction(7), Fraction(8))))
