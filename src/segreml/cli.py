@@ -90,11 +90,12 @@ ADMISSION = {
     "realize": Admission("n", 12, lambda n, bits: 2 ** (n + 1),
                          "realize verifies its tensor by summing 2^(n+1) - 1 slice subsets"),
     # seven factors per sampled tensor, whose entries are as long as --bound, at a cost
-    # per sample that grows about as (bits + 80)(bits + 6600): 11.7-13.7 s for 1,000,000
-    # samples with --bound 10, 16.5-16.9 s with --bound 10^20, and 9.1 s for 2,000 samples
-    # with a 4,000-digit bound; at its cap 15.8-16.7 s with --bound 2^32 - 1, and at its
-    # frontier 6.3-7.0 s with 300 digits, 7.7-9.7 s with 600 and 8.5-10.6 s with 4,000
-    "signs": Admission("--samples", 1_000_000, lambda samples, bits: samples * (bits + 80) * (bits + 6600),
+    # per sample that grows about as (bits + 150)(bits + 2000), fitted to the time per
+    # sample at 64 to 13,288 bits, each timed in alternation with 32 bits.  Inputs timed
+    # in turn: at its cap 8.8-10.0 s with --bound 2^32 - 1 (5.3-6.9 s with --bound 10),
+    # and at its frontier 7.7-8.2 s with 21 digits, 6.9-7.6 s with 300, 8.4-9.1 s with
+    # 600 and 6.8-7.2 s with 4,000
+    "signs": Admission("--samples", 1_000_000, lambda samples, bits: samples * (bits + 150) * (bits + 2000),
                        "signs evaluates seven factors per sampled tensor, on entries as long as --bound,"),
 }
 
@@ -283,16 +284,17 @@ def _cmd_atlas(args) -> int:
     records = []
     csv_lines = ["pattern,chi"]
     for stratum, witness in strata.atlas(seed=args.seed):
+        names = stratum.pattern.names()
         records.append(
             {
-                "pattern": stratum.pattern.names(),
+                "pattern": names,
                 "chi": stratum.chi,
                 "symmetry_class": stratum.symmetry_class,
                 "recipe": stratum.witness_recipe,
                 "witness": witness.to_json_dict(),
             }
         )
-        csv_lines.append("{" + " ".join(stratum.pattern.names()) + "}," + str(stratum.chi))
+        csv_lines.append("{" + " ".join(names) + "}," + str(stratum.chi))
     writes = [(canonical_json(records), args.output)]
     if args.csv:
         writes.append(("\n".join(csv_lines) + "\n", args.csv))

@@ -61,7 +61,9 @@ _KINDS = {
 class FactorId(Record):
     """One factor of the principal A-determinant, named by kind and indices."""
 
-    __slots__ = ("kind", "index")
+    # _cells is a slot but not a field: it is not annotated here, so it takes no
+    # part in ==, hash or repr.  `cells()` fills it on a minor's first call.
+    __slots__ = ("kind", "index", "_cells")
     kind: str
     index: tuple[int, ...]
 
@@ -99,16 +101,23 @@ class FactorId(Record):
 
     def cells(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """The minor's 2x2 array of positions (i, j, k), laid out as W[..k], W[i.(k1,k2)], W[.j(k1,k2)] in `tensor`."""
+        try:
+            return self._cells
+        except AttributeError:  # the first call builds them, from rows shared between minors
+            pass
         if self.kind == "slice":
             (k,) = self.index
-            return ((0, 0, k), (0, 1, k)), ((1, 0, k), (1, 1, k))
-        if self.kind == "face_x":
+            cells = _x_row(0, k), _x_row(1, k)
+        elif self.kind == "face_x":
             i, k1, k2 = self.index
-            return ((i, 0, k1), (i, 1, k1)), ((i, 0, k2), (i, 1, k2))
-        if self.kind == "face_y":
+            cells = _x_row(i, k1), _x_row(i, k2)
+        elif self.kind == "face_y":
             j, k1, k2 = self.index
-            return ((0, j, k1), (1, j, k1)), ((0, j, k2), (1, j, k2))
-        raise ValueError(f"{self.name} is not a minor")
+            cells = _y_row(j, k1), _y_row(j, k2)
+        else:
+            raise ValueError(f"{self.name} is not a minor")
+        object.__setattr__(self, "_cells", cells)
+        return cells
 
     def variables(self) -> frozenset[tuple[int, int, int]]:
         """The four tensor entries a minor involves (minors only)."""
@@ -116,6 +125,18 @@ class FactorId(Record):
 
     def __repr__(self) -> str:
         return f"FactorId({self.name!r})"
+
+
+@functools.cache
+def _x_row(i: int, k: int) -> tuple:
+    """Cells (i, 0, k), (i, 1, k): row i of slice k, one tuple shared by every minor through it."""
+    return (i, 0, k), (i, 1, k)
+
+
+@functools.cache
+def _y_row(j: int, k: int) -> tuple:
+    """Cells (0, j, k), (1, j, k): column j of slice k, one tuple shared by every minor through it."""
+    return (0, j, k), (1, j, k)
 
 
 def slice_minor(k: int) -> FactorId:

@@ -37,12 +37,28 @@ from .tensor import ScalingTensor
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _DENOMS = (1, 2, 3, 4, 5, 6, 7)
+# the pool as a 25 x 7 table, _POOL[i][j] = _PRIMES[i] / _DENOMS[j], built once
+_POOL = tuple(tuple(Fraction(p, q) for q in _DENOMS) for p in _PRIMES)
 _RETRY_BUDGET = 400
 
 
+def randbelow(rng: random.Random, n: int) -> int:
+    """The int in [0, n) that rng.randrange(n) draws, and rng.choice(seq) indexes with for len(seq) = n.
+
+    CPython's `Random._randbelow` (3.10 through 3.13): getrandbits(k) for
+    k = n.bit_length(), again until the value is below n.  So a seeded
+    stream is the one randrange and choice draw, without their wrappers' cost.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_entry(rng: random.Random) -> Fraction:
-    """A nonzero rational from the primes-over-small-denominators pool."""
-    return Fraction(rng.choice(_PRIMES), rng.choice(_DENOMS))
+    """A nonzero rational from the primes-over-small-denominators pool: a prime, then a denominator."""
+    return _POOL[randbelow(rng, 25)][randbelow(rng, 7)]
 
 
 def alt_hooks(n: int) -> list[FactorId]:

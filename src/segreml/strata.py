@@ -24,11 +24,13 @@ first.  All constructions stay rational.
 The module also hosts the sign-pattern sampling experiment over the seven
 factor values (F[0*(0,1)], F[1*(0,1)], F[*0(0,1)], F[*1(0,1)], F[**0],
 F[**1], H[0,1]), in that order; the targeted search for the four
-patterns with H < 0 is a test reference (tests/references.py).
+patterns with H < 0 and the reference sampler, on nested entries drawn
+with `rng.randrange`, are test references (tests/references.py).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import zlib
@@ -43,10 +45,9 @@ from .factors import (
     face_minor_x,
     face_minor_y,
     hyp222,
-    pair_det_coeffs,
     slice_minor,
 )
-from .realize import first_witness, forced_draw, random_entry, rank_one_slice, scaled_pair
+from .realize import first_witness, forced_draw, random_entry, randbelow, rank_one_slice, scaled_pair
 from .tensor import ScalingTensor
 
 SIGN_FACTOR_ORDER = (
@@ -58,7 +59,12 @@ SIGN_FACTOR_ORDER = (
     slice_minor(1),
     hyp222(0, 1),
 )
-_SIGN_MINOR_CELLS = tuple(f.cells() for f in SIGN_FACTOR_ORDER[:6])
+# The sampler keeps a tensor's eight entries as one flat list, cell (i, j, k) at
+# index 4i + 2j + k; per minor of SIGN_FACTOR_ORDER the flat indices (a, d, b, c)
+# of its cells ((a, b), (c, d)), so that its value is e[a] e[d] - e[b] e[c].
+_SIGN_MINOR_INDICES = tuple(
+    tuple(4 * i + 2 * j + k for i, j, k in (a, d, b, c)) for (a, b), (c, d) in (f.cells() for f in SIGN_FACTOR_ORDER[:6])
+)
 
 
 class Stratum(Record):
@@ -76,8 +82,9 @@ class Stratum(Record):
         return f"{{{inner}}}"
 
 
-def enumerate_strata_n1() -> list[Stratum]:
-    """All 41 strata in deterministic order (by class, then pattern)."""
+@functools.cache
+def enumerate_strata_n1() -> tuple[Stratum, ...]:
+    """All 41 strata in deterministic order (by class, then pattern); built once."""
     h = hyp222(0, 1)
     universe = all_factors(1)
     out = [Stratum(VanishingPattern(1, ()), 6, "generic entries", "empty")]
@@ -109,7 +116,7 @@ def enumerate_strata_n1() -> list[Stratum]:
     out.append(
         Stratum(VanishingPattern(1, tuple(universe)), 1, "proportional singular slices", "full")
     )
-    return out
+    return tuple(out)
 
 
 # -- witness construction ------------------------------------------------------
@@ -156,7 +163,7 @@ def _tangency_witness(rng: random.Random, minor: FactorId | None) -> ScalingTens
         return None
     alpha, beta = random_entry(rng), random_entry(rng)
     if minor is None:
-        x_star = random_entry(rng) * rng.choice((1, -1))
+        x_star = random_entry(rng) * (1, -1)[randbelow(rng, 2)]
         denom = s0[0][1] + s0[1][1] * x_star
         if denom == 0:
             return None
@@ -173,9 +180,9 @@ def _tangency_witness(rng: random.Random, minor: FactorId | None) -> ScalingTens
     return ScalingTensor.from_slices([s0, s1])
 
 
-def witness_for_stratum(stratum: Stratum, seed: int = 0) -> ScalingTensor:
-    """A tensor whose vanishing pattern equals the stratum's, exactly."""
-    rng = random.Random((seed << 32) ^ zlib.crc32(stratum.name.encode()))
+@functools.cache
+def _witness_plan(stratum: Stratum) -> tuple[int, frozenset[FactorId], partial]:
+    """The stratum's name CRC, which seeds its draws, its target pattern and its draw; worked out once per stratum."""
     target = stratum.pattern.factors
     minors = [f for f in stratum.pattern.vanishing if f.is_minor]
     kinds = {f.kind for f in minors}
@@ -189,7 +196,13 @@ def witness_for_stratum(stratum: Stratum, seed: int = 0) -> ScalingTensor:
         draw = partial(_tangency_witness, minor=minors[0] if minors else None)
     else:
         draw = partial(forced_draw, n=1, minors=minors)
-    return first_witness(draw, target, rng)
+    return zlib.crc32(stratum.name.encode()), target, draw
+
+
+def witness_for_stratum(stratum: Stratum, seed: int = 0) -> ScalingTensor:
+    """A tensor whose vanishing pattern equals the stratum's, exactly."""
+    crc, target, draw = _witness_plan(stratum)
+    return first_witness(draw, target, random.Random((seed << 32) ^ crc))
 
 
 def atlas(seed: int = 0) -> list[tuple[Stratum, ScalingTensor]]:
@@ -200,43 +213,39 @@ def atlas(seed: int = 0) -> list[tuple[Stratum, ScalingTensor]]:
 # -- sign-pattern experiment ---------------------------------------------------
 
 
-def _sign_vector(e) -> tuple[int, ...] | None:
-    """The seven factor values in SIGN_FACTOR_ORDER, as ints, for integer entries e[i][j][k]; None if one is 0."""
-    values = [
-        e[a0][a1][a2] * e[d0][d1][d2] - e[b0][b1][b2] * e[c0][c1][c2]
-        for ((a0, a1, a2), (b0, b1, b2)), ((c0, c1, c2), (d0, d1, d2)) in _SIGN_MINOR_CELLS
-    ]
-    c0, c1, c2 = pair_det_coeffs(e, 0, 1)
-    values.append(c1 * c1 - 4 * c0 * c2)
-    if 0 in values:
-        return None
-    return tuple(values)
-
-
-def _sign_string(values) -> str:
-    return "".join("+" if v > 0 else "-" for v in values)
-
-
-def _sample_entries(rng: random.Random, bound: int) -> list[list[list[int]]]:
-    """Eight entries uniform in [-bound, bound] without 0, drawn with no list of those values."""
-    e = [i - bound + (i >= bound) for i in (rng.randrange(2 * bound) for _ in range(8))]
-    return [[e[0:2], e[2:4]], [e[4:6], e[6:8]]]
-
-
 def sample_sign_patterns(samples: int, bound: int, seed: int = 0) -> dict[str, int]:
     """Sample integer tensors and tally exact sign patterns of the factors.
 
     Entries are uniform in [-bound, bound] without 0; draws on which any
-    factor is exactly zero are skipped.  Returns pattern -> count.
+    factor is exactly zero are skipped.  Returns pattern -> count.  Each
+    entry is `realize.randbelow(rng, 2 * bound)`, drawn by its rule inline,
+    so the tally is the one rng.randrange would give; the reference sampler,
+    with randrange and nested entries, is in tests/references.py.
     """
     if samples < 1 or bound < 2:
         raise ValueError("need samples >= 1 and bound >= 2")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    span = 2 * bound
+    k = span.bit_length()
+    minors = _SIGN_MINOR_INDICES
     counts: dict[str, int] = {}
     for _ in range(samples):
-        values = _sign_vector(_sample_entries(rng, bound))
-        if values is None:
+        e = []
+        for _ in range(8):
+            r = getrandbits(k)
+            while r >= span:
+                r = getrandbits(k)
+            e.append(r - bound + (r >= bound))
+        values = [e[a] * e[d] - e[b] * e[c] for a, d, b, c in minors]
+        if 0 in values:
             continue
-        key = _sign_string(values)
+        # H[0,1] = c1^2 - 4 c0 c2 of pair_det_coeffs(w, 0, 1), whose c0 and c2 are the
+        # face-y minors F[*0(0,1)] and F[*1(0,1)] above; c1 is its bracket at flat indices
+        c1 = e[0] * e[7] + e[2] * e[5] - e[4] * e[3] - e[6] * e[1]
+        h = c1 * c1 - 4 * values[2] * values[3]
+        if h == 0:
+            continue
+        values.append(h)
+        key = "".join(["+" if v > 0 else "-" for v in values])
         counts[key] = counts.get(key, 0) + 1
     return counts

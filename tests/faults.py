@@ -116,6 +116,49 @@ FAULTS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
             "tests/test_oracle.py::test_oracle_examples",
         ),
     ),
+    # the sign sampler accepts r == 2 * bound, an entry of bound + 1
+    "sign sampler's rejection loop keeps r == span": (
+        "strata.py",
+        "            while r >= span:\n",
+        "            while r > span:\n",
+        (
+            "tests/test_cli.py::test_signs_admission",
+            "tests/test_strata.py::test_sign_sampler_matches_the_reference_sampler[2]",
+            "tests/test_strata.py::test_sign_sampler_matches_the_reference_sampler[5]",
+            "tests/test_strata.py::test_signs_output_is_pinned",
+        ),
+    ),
+    # each minor's value becomes e[a] e[b] - e[d] e[c]
+    "sign minor table swaps two flat indices": (
+        "strata.py",
+        "in (a, d, b, c)",
+        "in (a, b, d, c)",
+        (
+            "perfbench/test_perfbench.py::test_correct_program_passes_the_gate",
+            "perfbench/test_perfbench.py::test_counts_repeat_across_hash_seeds",
+            "perfbench/test_perfbench.py::test_wrong_engine_trips_the_gate",
+            "tests/test_acceptance.py::test_criterion_10_sign_patterns",
+            "tests/test_cli.py::test_signs_admission",
+            "tests/test_no_floats.py::test_one_op_per_command_makes_no_float",
+            "tests/test_strata.py::test_sign_sampler_matches_the_reference_sampler[100000000000000000000]",
+            "tests/test_strata.py::test_sign_sampler_matches_the_reference_sampler[2]",
+            "tests/test_strata.py::test_sign_sampler_matches_the_reference_sampler[5]",
+            "tests/test_strata.py::test_signs_output_is_pinned",
+        ),
+    ),
+    # the pool table pairs each prime with the next denominator: entries move, answers hold
+    "witness pool table rotates its denominators": (
+        "realize.py",
+        "for q in _DENOMS)",
+        "for q in _DENOMS[1:] + _DENOMS[:1])",
+        (
+            "tests/test_cli.py::test_analyze_output_is_pinned",
+            "tests/test_groebner.py::test_reduced_bases_are_pinned",
+            "tests/test_realize.py::test_realize_output_is_pinned",
+            "tests/test_strata.py::test_atlas_output_is_pinned",
+            "tests/test_strata.py::test_random_entry_draws_what_choice_draws",
+        ),
+    ),
     # the same m, rounded through a float
     "mldeg_value rounds m through 0.5": (
         "euler.py",

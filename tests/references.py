@@ -13,6 +13,10 @@ so the tests can hold the engine to it:
   ids relabeled under the model symmetries (criterion 8);
 * `classify_pattern_n1`: the n = 1 Euler characteristic of a vanishing
   pattern, looked up in `strata.enumerate_strata_n1`;
+* `sample_entries`, `sign_vector`, `sign_string` and `sign_patterns`: the
+  reference sign sampler, on nested entries drawn with `rng.randrange` and
+  valued through `FactorId.cells` and `pair_det_coeffs`, against
+  `strata.sample_sign_patterns`;
 * `find_negative_h_patterns`: integer witnesses of the four sign patterns
   with H < 0 (criterion 10);
 * `matrix_score_system` and `count_critical_points_matrix`: the oracle for
@@ -38,7 +42,7 @@ from segreml.factors import (
     slice_minor,
 )
 from segreml.oracle import ScoreSystem, _by_cell, _count_two_primes, _data_entry, _simplex_product_model
-from segreml.strata import _sample_entries, _sign_string, _sign_vector, enumerate_strata_n1
+from segreml.strata import SIGN_FACTOR_ORDER, enumerate_strata_n1
 from segreml.tensor import ScalingTensor
 
 # -- chi(V_I) and the ML degree -------------------------------------------------
@@ -181,6 +185,44 @@ def classify_pattern_n1(pattern: VanishingPattern) -> int | None:
     return _chi_by_pattern().get(pattern.factors)
 
 
+_SIGN_MINOR_CELLS = tuple(f.cells() for f in SIGN_FACTOR_ORDER[:6])
+
+
+def sign_vector(e) -> tuple[int, ...] | None:
+    """The seven factor values in SIGN_FACTOR_ORDER, as ints, for integer entries e[i][j][k]; None if one is 0."""
+    values = [
+        e[a0][a1][a2] * e[d0][d1][d2] - e[b0][b1][b2] * e[c0][c1][c2]
+        for ((a0, a1, a2), (b0, b1, b2)), ((c0, c1, c2), (d0, d1, d2)) in _SIGN_MINOR_CELLS
+    ]
+    c0, c1, c2 = pair_det_coeffs(e, 0, 1)
+    values.append(c1 * c1 - 4 * c0 * c2)
+    if 0 in values:
+        return None
+    return tuple(values)
+
+
+def sign_string(values) -> str:
+    return "".join("+" if v > 0 else "-" for v in values)
+
+
+def sample_entries(rng: random.Random, bound: int) -> list[list[list[int]]]:
+    """Eight entries uniform in [-bound, bound] without 0, drawn with no list of those values."""
+    e = [i - bound + (i >= bound) for i in (rng.randrange(2 * bound) for _ in range(8))]
+    return [[e[0:2], e[2:4]], [e[4:6], e[6:8]]]
+
+
+def sign_patterns(samples: int, bound: int, seed: int = 0) -> dict[str, int]:
+    """The tally `strata.sample_sign_patterns` returns, by the reference sampler above."""
+    rng = random.Random(seed)
+    counts: dict[str, int] = {}
+    for _ in range(samples):
+        values = sign_vector(sample_entries(rng, bound))
+        if values is not None:
+            key = sign_string(values)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 # The only realizable sign patterns with H < 0, in the order
 # (F[0*(0,1)], F[1*(0,1)], F[*0(0,1)], F[*1(0,1)], F[**0], F[**1], H[0,1]).
 # Confirmed by exhaustive exact enumeration over all entries in +-{1,2,3}:
@@ -203,8 +245,8 @@ def find_negative_h_patterns(seed: int = 0) -> dict[str, list[list[list[int]]]]:
     rng = random.Random(seed)
     found: dict[str, list[list[list[int]]]] = {}
     for _ in range(NEGATIVE_H_BUDGET):
-        e = _sample_entries(rng, NEGATIVE_H_BOUND)
-        values = _sign_vector(e)
+        e = sample_entries(rng, NEGATIVE_H_BOUND)
+        values = sign_vector(e)
         if values is None or values[-1] > 0:
             continue
         for flip_x, flip_y, flip_z in itertools.product((1, -1), repeat=3):
@@ -215,9 +257,9 @@ def find_negative_h_patterns(seed: int = 0) -> dict[str, list[list[list[int]]]]:
                 ]
                 for i in range(2)
             ]
-            fv = _sign_vector(flipped)
+            fv = sign_vector(flipped)
             if fv is not None and fv[-1] < 0:
-                found.setdefault(_sign_string(fv), flipped)
+                found.setdefault(sign_string(fv), flipped)
         if len(found) >= 4:
             break
     return found

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -141,6 +143,22 @@ def test_minor_cells_follow_the_tensor_layouts():
                 changed = {(i, j, k) for i in range(2) for j in range(2) for k in range(3) if forced.w[i][j][k] != W.w[i][j][k]}
                 assert changed <= {pos}
     assert nonzero >= 500
+
+
+def test_cached_cells_keep_the_record_contract():
+    """The cells are kept in a slot that is no field: ==, hash, repr, copy and pickle read kind and index only."""
+    assert list(FactorId.__annotations__) == ["kind", "index"]
+    for fid in all_factors(2):
+        assert hash(fid) == hash((fid.kind, fid.index)) and repr(fid) == f"FactorId({fid.name!r})"
+        for again in (copy.copy(fid), pickle.loads(pickle.dumps(fid))):
+            assert again == fid and hash(again) == hash(fid) and repr(again) == repr(fid)
+            if fid.is_minor:
+                assert again.cells() == fid.cells()
+    for fid in (hyp222(0, 1), hyp223(0, 1, 2)):
+        with pytest.raises(ValueError):
+            fid.cells()
+        with pytest.raises(ValueError):
+            fid.variables()
 
 
 def test_hyp222_examples():

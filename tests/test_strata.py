@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from segreml import cli
 from segreml.errors import GenerationFailedError
 from segreml.euler import mldeg_value
 from segreml.factors import factor_values, vanishing_pattern
-from segreml.realize import force_minors, random_entry
+from segreml.realize import _DENOMS, _PRIMES, force_minors, random_entry, randbelow
 from segreml.strata import (
     SIGN_FACTOR_ORDER,
     Stratum,
@@ -23,7 +24,15 @@ from segreml.factors import VanishingPattern, all_factors
 from segreml.tensor import ScalingTensor
 
 from helpers import degenerate_tensor
-from references import NEGATIVE_H_PATTERNS, classify_pattern_n1, find_negative_h_patterns
+from references import (
+    NEGATIVE_H_PATTERNS,
+    classify_pattern_n1,
+    find_negative_h_patterns,
+    sample_entries,
+    sign_patterns,
+    sign_string,
+    sign_vector,
+)
 
 
 def test_enumeration_counts_and_classes():
@@ -139,16 +148,14 @@ def test_sign_sampler_basics():
 
 def test_sign_vector_matches_the_factor_values():
     # small bounds make zero factors common, so the None branch is exercised too
-    from segreml.strata import _sample_entries, _sign_vector
-
     nones = 0
     for bound in (2, 5):
         rng = random.Random(bound)
         for _ in range(2000):
-            e = _sample_entries(rng, bound)
+            e = sample_entries(rng, bound)
             values = factor_values(ScalingTensor.from_entries(1, e))
             expected = tuple(values[f] for f in SIGN_FACTOR_ORDER)
-            got = _sign_vector(e)
+            got = sign_vector(e)
             if 0 in expected:
                 nones += 1
                 assert got is None, e
@@ -161,8 +168,29 @@ def test_negative_h_targeted_search():
     found = find_negative_h_patterns(seed=2)
     assert set(found) == set(NEGATIVE_H_PATTERNS)
     # each reported witness realizes its sign pattern exactly
-    from segreml.strata import _sign_string, _sign_vector
-
     for pattern, entries in found.items():
-        values = _sign_vector(entries)
-        assert values is not None and _sign_string(values) == pattern
+        values = sign_vector(entries)
+        assert values is not None and sign_string(values) == pattern
+
+
+@pytest.mark.parametrize("n", [2, 7, 10, 25, 2**33 - 2, 2 * 10**20])
+def test_randbelow_draws_what_randrange_draws(n):
+    """The one draw rule reproduces rng.randrange(n); a Python whose randrange draws otherwise fails here."""
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [randbelow(ours, n) for _ in range(300)] == [theirs.randrange(n) for _ in range(300)]
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_random_entry_draws_what_choice_draws():
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        drawn = [random_entry(ours) for _ in range(500)]
+        assert drawn == [Fraction(theirs.choice(_PRIMES), theirs.choice(_DENOMS)) for _ in range(500)]
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("bound", [2, 5, 10**20])
+def test_sign_sampler_matches_the_reference_sampler(bound):
+    for seed in range(3):
+        assert sample_sign_patterns(2000, bound, seed) == sign_patterns(2000, bound, seed)
